@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 	"repro/lease"
 )
@@ -117,37 +116,6 @@ func TestServeGracefulDrainTimeout(t *testing.T) {
 	}
 	if _, err := mgr.Acquire("late", 0, nil); !errors.Is(err, lease.ErrClosed) {
 		t.Fatalf("manager not closed after forced shutdown: %v", err)
-	}
-}
-
-// TestLatencySummaryCompat pins the /debug/vars latency shape over the
-// shared telemetry histogram: same log2-bucket quantile bounds and the
-// same count/mean_us/p50_us/p90_us/p99_us summary fields as before the
-// histogram unification.
-func TestLatencySummaryCompat(t *testing.T) {
-	h := telemetry.NewHistogram()
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
-	if p50 <= 0 || p99 < p50 {
-		t.Fatalf("non-monotonic quantiles: p50 %v, p99 %v", p50, p99)
-	}
-	// Log2 buckets report the bucket's upper bound, so each quantile is
-	// at most 2x the true value: p50 (true 500µs) ≤ 2^19ns ≈ 524µs, p99
-	// (true 990µs) ≤ 2^20ns ≈ 1.05ms.
-	if p50 > time.Millisecond || p99 > 2*time.Millisecond {
-		t.Fatalf("quantiles beyond 2x bucket bound: p50 %v, p99 %v", p50, p99)
-	}
-	s := summarize(h)
-	if s.Count != 1000 || s.MeanUs <= 0 || s.P99Us < s.P50Us {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.P50Us != float64(p50)/1e3 || s.P99Us != float64(p99)/1e3 {
-		t.Fatalf("summary quantiles drifted from the histogram's: %+v vs p50 %v p99 %v", s, p50, p99)
 	}
 }
 

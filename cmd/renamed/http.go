@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -23,8 +21,8 @@ import (
 
 // server is the HTTP front end over the shared service core: JSON
 // adapters around the same transport-neutral operations the binary
-// protocol serves, plus the observability surfaces (/metrics,
-// /debug/vars, pprof) that only make sense over HTTP.
+// protocol serves, plus the observability surfaces (/metrics, pprof)
+// that only make sense over HTTP.
 type server struct {
 	mgr   *lease.Manager
 	mux   *http.ServeMux
@@ -42,20 +40,12 @@ type server struct {
 	bind   *service.Binding
 	binSrv *service.BinServer
 
-	// met is the Prometheus surface (GET /metrics); the /debug/vars
-	// expvar view reads the same histograms, so the two cannot disagree.
+	// met is the Prometheus surface (GET /metrics).
 	met *serverMetrics
 
-	// request counters, exported through expvar-style /debug/vars.
-	requests atomic.Int64
-	errors   atomic.Int64
-
-	// per-operation latency histograms: one telemetry.Histogram per /v1
-	// op, shared between /metrics (cumulative buckets) and /debug/vars
-	// (µs quantile summaries).
-	lat struct {
-		acquire, acquireBatch, renew, renewBatch, release, releaseBatch, resize *telemetry.Histogram
-	}
+	// errors counts requests answered with an error status
+	// (renamed_http_errors_total).
+	errors atomic.Int64
 
 	// slowThreshold gates the structured slow-operation log line; 0
 	// disables it. slowLog defaults to stderr; tests redirect it.
@@ -76,18 +66,17 @@ func newServer(mgr *lease.Manager, store *persist.Store) *server {
 	s.met = newServerMetrics(s)
 	s.core = service.New(mgr, s.met.svc)
 	s.bind = s.core.Bind("http")
-	s.lat.acquire = s.mountTimed("acquire", s.handleAcquire)
-	s.lat.acquireBatch = s.mountTimed("acquire_batch", s.handleAcquireBatch)
-	s.lat.renew = s.mountTimed("renew", s.handleRenew)
-	s.lat.renewBatch = s.mountTimed("renew_batch", s.handleRenewBatch)
-	s.lat.release = s.mountTimed("release", s.handleRelease)
-	s.lat.releaseBatch = s.mountTimed("release_batch", s.handleReleaseBatch)
-	s.lat.resize = s.mountTimed("resize", s.handleResize)
+	s.mountTimed("acquire", s.handleAcquire)
+	s.mountTimed("acquire_batch", s.handleAcquireBatch)
+	s.mountTimed("renew", s.handleRenew)
+	s.mountTimed("renew_batch", s.handleRenewBatch)
+	s.mountTimed("release", s.handleRelease)
+	s.mountTimed("release_batch", s.handleReleaseBatch)
+	s.mountTimed("resize", s.handleResize)
 	s.mux.HandleFunc("GET /v1/leases", s.handleLeases)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	s.mux.Handle("GET /debug/vars", s.varsHandler())
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", telemetry.ContentType)
 		s.met.reg.WritePrometheus(w)
@@ -108,7 +97,6 @@ func (s *server) enablePprof() {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	// Echo the client's request ID on every response so either side of a
 	// slow or failed call can quote the same handle; mint one for bare
 	// callers (curl) so the slow-op log never carries an empty id. The
@@ -124,9 +112,9 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // mountTimed mounts fn as "POST /v1/<op>" with the per-op instrumentation:
-// request counter, latency histogram (returned, shared with /debug/vars)
-// and the slow-operation log line carrying the request's X-Request-Id.
-func (s *server) mountTimed(op string, fn http.HandlerFunc) *telemetry.Histogram {
+// request counter, latency histogram and the slow-operation log line
+// carrying the request's X-Request-Id.
+func (s *server) mountTimed(op string, fn http.HandlerFunc) {
 	h := s.met.latency.With(op)
 	reqs := s.met.requests.With(op)
 	s.mux.HandleFunc("POST /v1/"+op, func(w http.ResponseWriter, r *http.Request) {
@@ -142,80 +130,27 @@ func (s *server) mountTimed(op string, fn http.HandlerFunc) *telemetry.Histogram
 				"request_id", r.Header.Get(wire.HeaderRequestID))
 		}
 	})
-	return h
-}
-
-// varsHandler serves the expvar JSON format with the service's own gauges
-// under a private map, avoiding the process-global expvar registry so
-// multiple servers (tests) can coexist.
-func (s *server) varsHandler() http.Handler {
-	vars := expvar.Map{}
-	vars.Set("renamed_requests", expvar.Func(func() any { return s.requests.Load() }))
-	vars.Set("renamed_errors", expvar.Func(func() any { return s.errors.Load() }))
-	vars.Set("renamed_uptime_seconds", expvar.Func(func() any { return time.Since(s.start).Seconds() }))
-	vars.Set("renamed_lease", expvar.Func(func() any { return s.mgr.Metrics() }))
-	vars.Set("renamed_persist", expvar.Func(func() any {
-		// s.store is assigned after newServer returns (run() wires it),
-		// so the nil check must live here in the closure, not at
-		// registration time; null means "no -data-dir".
-		if s.store == nil {
-			return nil
-		}
-		st := s.store.Stats()
-		// Stats.Err is an error (not JSON-friendly); flatten it.
-		errStr := ""
-		if st.Err != nil {
-			errStr = st.Err.Error()
-		}
-		return map[string]any{
-			"recovered_leases": st.RecoveredLeases,
-			"replayed_records": st.ReplayedRecords,
-			"truncated_bytes":  st.TruncatedBytes,
-			"recovery_ms":      float64(st.RecoveryDuration) / float64(time.Millisecond),
-			"appends":          st.Appends,
-			"syncs":            st.Syncs,
-			"compactions":      st.Compactions,
-			"journal_bytes":    st.JournalBytes,
-			"journal_records":  st.JournalRecords,
-			"live":             st.Live,
-			"err":              errStr,
-		}
-	}))
-	vars.Set("renamed_latency", expvar.Func(func() any {
-		return map[string]histSummary{
-			"acquire":       summarize(s.lat.acquire),
-			"acquire_batch": summarize(s.lat.acquireBatch),
-			"renew":         summarize(s.lat.renew),
-			"renew_batch":   summarize(s.lat.renewBatch),
-			"release":       summarize(s.lat.release),
-			"release_batch": summarize(s.lat.releaseBatch),
-			"resize":        summarize(s.lat.resize),
-		}
-	}))
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{%q: %s}\n", "renamed", vars.String())
-	})
 }
 
 // The JSON wire types live in internal/wire, shared with the leaseclient
 // session layer so server and client cannot drift; the handlers below
-// are thin JSON adapters over the service core's bindings.
+// are thin JSON adapters over the service core's bindings. The core has
+// batch operations only: handleAcquire, handleRenew and handleRelease
+// keep the single-item routes for curl and scripts by calling the batch
+// operation with one item and answering with that item's verdict.
 
 func (s *server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req wire.AcquireRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	// The request context ties the probe sequence to the client: a peer
-	// that disconnects mid-acquire cancels instead of leaving behind a
-	// lease nobody will renew.
-	l, err := s.bind.Acquire(r.Context(), &req)
+	ls, err := s.bind.AcquireBatch(r.Context(),
+		&wire.AcquireBatchRequest{Owner: req.Owner, Count: 1, TTLms: req.TTLms, Meta: req.Meta})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, l)
+	s.writeJSON(w, http.StatusOK, ls[0])
 }
 
 func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
@@ -236,12 +171,18 @@ func (s *server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	l, err := s.bind.Renew(&req)
+	verdicts, err := s.bind.RenewBatch(r.Context(), wire.TTLFromMs(req.TTLms),
+		[]lease.RenewItem{{Name: req.Name, Token: req.Token}}, nil)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, l)
+	v := verdicts[0]
+	if v.Code != "" {
+		s.writeVerdict(w, v)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, v.Lease)
 }
 
 // handleRenewBatch is the heartbeat hot path: one request renews every
@@ -284,8 +225,14 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if err := s.bind.Release(&req); err != nil {
+	verdicts, err := s.bind.ReleaseBatch(r.Context(),
+		[]lease.ReleaseItem{{Name: req.Name, Token: req.Token}}, nil)
+	if err != nil {
 		s.writeError(w, err)
+		return
+	}
+	if v := verdicts[0]; v.Code != "" {
+		s.writeVerdict(w, v)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -345,31 +292,42 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// writeError maps lease/namer errors onto HTTP status codes:
+// errorStatus maps lease/namer errors onto HTTP status codes:
 // exhaustion is 503 (retryable), stale tokens are 409, expiry is 410,
 // unknown names are 404, bad batch parameters are 400, and an acquisition
 // the client itself abandoned is 408 (the response is usually unread —
 // the status mostly serves the error counter and access logs).
-func (s *server) writeError(w http.ResponseWriter, err error) {
-	s.errors.Add(1)
-	status := http.StatusInternalServerError
+func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, renaming.ErrNamespaceExhausted), errors.Is(err, lease.ErrCapacity):
-		status = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	case errors.Is(err, renaming.ErrCancelled):
-		status = http.StatusRequestTimeout
+		return http.StatusRequestTimeout
 	case errors.Is(err, renaming.ErrBadConfig):
-		status = http.StatusBadRequest
+		return http.StatusBadRequest
 	case errors.Is(err, lease.ErrWrongToken):
-		status = http.StatusConflict
+		return http.StatusConflict
 	case errors.Is(err, lease.ErrExpired):
-		status = http.StatusGone
+		return http.StatusGone
 	case errors.Is(err, lease.ErrUnknownName):
-		status = http.StatusNotFound
+		return http.StatusNotFound
 	case errors.Is(err, lease.ErrClosed):
-		status = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, status, wire.Error{Error: err.Error()})
+	return http.StatusInternalServerError
+}
+
+func (s *server) writeError(w http.ResponseWriter, err error) {
+	s.errors.Add(1)
+	s.writeJSON(w, errorStatus(err), wire.Error{Error: err.Error()})
+}
+
+// writeVerdict answers a single-item route whose one item was refused:
+// the status comes from the verdict's typed error, the body keeps the
+// message the manager rendered.
+func (s *server) writeVerdict(w http.ResponseWriter, v service.Verdict) {
+	s.errors.Add(1)
+	s.writeJSON(w, errorStatus(wire.ErrFor(v.Code, "")), wire.Error{Error: v.Msg})
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -387,7 +345,6 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 	lm := s.mgr.Metrics()
 	attrs := []any{
 		"uptime_s", time.Since(s.start).Seconds(),
-		"requests", s.requests.Load(),
 		"errors", s.errors.Load(),
 		"acquired", lm.Acquired,
 		"renewed", lm.Renewed,
@@ -397,7 +354,7 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 		"live", lm.Live,
 		"max_live", lm.MaxLive,
 		"resizes", lm.Resizes,
-		"renew_p99_us", summarize(s.lat.renewBatch).P99Us,
+		"renew_p99_us", float64(s.met.renewBatchLat.Quantile(0.99)) / 1e3,
 	}
 	if s.store != nil {
 		st := s.store.Stats()

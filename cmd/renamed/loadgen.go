@@ -32,7 +32,7 @@ type latSummary struct {
 // the configured duration overstated ops/sec by the overshoot.
 type loadReport struct {
 	Clients    int
-	Batch      int // names acquired per cycle; > 1 uses batch acquisition
+	Batch      int // names held per cycle
 	Duration   time.Duration
 	Elapsed    time.Duration
 	Acquires   int64
@@ -74,11 +74,11 @@ func pingTarget(target string) error {
 }
 
 // runLoad drives acquire -> renews -> release cycles against target from
-// `clients` goroutines for the given duration. batch > 1 acquires through
-// batch acquisition (batch leases per cycle, each renewed and released
-// individually), measuring what batching saves on the acquisition path.
-// Each worker owns one transport: over bin:// that is one persistent
-// connection reused for every round trip.
+// `clients` goroutines for the given duration. Each cycle holds `batch`
+// leases: one acquire_batch, renewsPerLease renew_batch rounds over all
+// of them, one release_batch. The counters count leases, the latency
+// histograms count round trips. Each worker owns one transport: over
+// bin:// that is one persistent connection reused for every round trip.
 func runLoad(target string, clients, renewsPerLease, batch int, duration time.Duration) (loadReport, error) {
 	if batch < 1 {
 		batch = 1
@@ -104,72 +104,53 @@ func runLoad(target string, clients, renewsPerLease, batch int, duration time.Du
 			defer tr.Close()
 			ctx := context.Background()
 			owner := fmt.Sprintf("loadgen-%d", id)
-			timed := func(h *telemetry.Histogram, f func() error) bool {
+			// timedBatch runs one renew_batch/release_batch round trip and
+			// returns how many items came back without a refusal. Failed
+			// round trips are counted separately; recording them in h
+			// would let client-timeout constants (5s) masquerade as the
+			// op's p99.
+			timedBatch := func(h *telemetry.Histogram, call func() (wire.BatchResults, error)) (ok int64) {
 				t0 := time.Now()
-				if f() != nil {
-					// Failures are counted separately; recording them
-					// here would let client-timeout constants (5s)
-					// masquerade as the op's p99.
-					return false
+				res, err := call()
+				if err != nil {
+					failures.Add(1)
+					return 0
 				}
 				h.Observe(time.Since(t0))
-				return true
+				for _, r := range res.Results {
+					if r.Code == "" {
+						ok++
+					} else {
+						failures.Add(1)
+					}
+				}
+				return ok
 			}
 			for time.Now().Before(deadline) {
 				// If the server granted leases but the response failed
 				// mid-read, the names stay leased until their TTL lapses;
 				// we can't release what we couldn't parse, so it's counted
 				// as a failure and left to the server's sweeper.
-				var cycle []wire.Lease
-				if batch > 1 {
-					var granted wire.Leases
-					if !timed(acquireLat, func() error {
-						var err error
-						granted, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: batch})
-						return err
-					}) {
-						failures.Add(1)
-						continue
-					}
-					acquires.Add(int64(len(granted.Leases)))
-					cycle = granted.Leases
-				} else {
-					var l wire.Lease
-					if !timed(acquireLat, func() error {
-						var err error
-						l, err = tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
-						return err
-					}) {
-						failures.Add(1)
-						continue
-					}
-					acquires.Add(1)
-					cycle = []wire.Lease{l}
+				t0 := time.Now()
+				granted, err := tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: batch})
+				if err != nil {
+					failures.Add(1)
+					continue
 				}
-				for _, l := range cycle {
-					ok := true
-					for r := 0; r < renewsPerLease && ok; r++ {
-						if timed(renewLat, func() error {
-							renewed, err := tr.Renew(ctx, &wire.RenewRequest{Name: l.Name, Token: l.Token})
-							if err == nil {
-								l = renewed
-							}
-							return err
-						}) {
-							renews.Add(1)
-						} else {
-							failures.Add(1)
-							ok = false
-						}
-					}
-					if timed(releaseLat, func() error {
-						return tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token})
-					}) {
-						releases.Add(1)
-					} else {
-						failures.Add(1)
-					}
+				acquireLat.Observe(time.Since(t0))
+				acquires.Add(int64(len(granted.Leases)))
+				items := make([]wire.Item, len(granted.Leases))
+				for i, l := range granted.Leases {
+					items[i] = wire.Item{Name: l.Name, Token: l.Token}
 				}
+				for r := 0; r < renewsPerLease; r++ {
+					renews.Add(timedBatch(renewLat, func() (wire.BatchResults, error) {
+						return tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: items})
+					}))
+				}
+				releases.Add(timedBatch(releaseLat, func() (wire.BatchResults, error) {
+					return tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: items})
+				}))
 			}
 		}(c)
 	}
@@ -344,13 +325,15 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 			ctx := context.Background()
 			owner := fmt.Sprintf("churn-%d", id)
 			for time.Now().Before(deadline) {
-				l, err := tr.Acquire(ctx, &wire.AcquireRequest{Owner: owner})
-				if err != nil {
+				granted, err := tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: 1})
+				if err != nil || len(granted.Leases) != 1 {
 					churnFailures.Add(1)
 					continue
 				}
 				churnAcquires.Add(1)
-				if tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token}) == nil {
+				l := granted.Leases[0]
+				res, err := tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: []wire.Item{{Name: l.Name, Token: l.Token}}})
+				if err == nil && len(res.Results) == 1 && res.Results[0].Code == "" {
 					churnReleases.Add(1)
 				} else {
 					churnFailures.Add(1)

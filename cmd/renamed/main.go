@@ -55,7 +55,7 @@
 //	                            "results":[{"component":"namer"},{"component":"lease"}]}
 //	GET  /v1/leases         -> {"leases":[...]}
 //	GET  /healthz           -> ok
-//	GET  /debug/vars        -> expvar counters (renamed_* metrics)
+//	GET  /metrics           -> Prometheus text exposition (renamed_* series)
 //
 // Acquisitions are tied to the request context: a client that disconnects
 // mid-acquire cancels the probe sequence instead of holding a name nobody
@@ -67,7 +67,7 @@
 //
 // Load-generator mode hammers a running server and reports throughput;
 // -target accepts either scheme (http://host:port or bin://host:port),
-// -batch k switches the acquisition phase to batches of k, and
+// -batch k holds k leases per cycle (every round trip a k-item batch), and
 // -sessions n switches to a standing population of n heartbeating
 // holders driven through leaseclient sessions (with -churn c churning
 // acquire/release clients alongside):
@@ -126,7 +126,7 @@ func run(args []string, out io.Writer) error {
 		clients  = fs.Int("clients", 16, "concurrent clients (load mode)")
 		duration = fs.Duration("duration", 5*time.Second, "how long to generate load (load mode)")
 		renews   = fs.Int("renews", 2, "renewals per lease before release (load mode)")
-		batch    = fs.Int("batch", 1, "names acquired per cycle; > 1 uses batch acquisition (load mode)")
+		batch    = fs.Int("batch", 1, "names held per acquire/renew/release cycle, each round trip a batch of that many items (load mode)")
 
 		sessionsN = fs.Int("sessions", 0, "standing heartbeating holders kept alive through leaseclient sessions; > 0 replaces the classic acquire/renew/release cycle (load mode)")
 		churn     = fs.Int("churn", 0, "churning acquire/release clients running alongside the -sessions holders (load mode)")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -116,40 +117,88 @@ func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestErrorStatusMapping walks the three single-item routes — adapters
+// over the one-item case of the batch operations — through every status
+// they answer, checking the body shape of each: a lease on 200, nothing
+// on 204, {"error": ...} on everything else. Rows run in order against
+// one capacity-3 server; the sweeper is off so a lapsed lease stays in
+// the table to answer 410.
 func TestErrorStatusMapping(t *testing.T) {
-	srv := newTestServer(t, 1, lease.Config{TTL: time.Minute, SweepInterval: -1})
+	srv := newTestServer(t, 3, lease.Config{TTL: time.Minute, SweepInterval: -1})
+	acquire := func(ttlMs int64) wire.Lease {
+		t.Helper()
+		resp, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w", TTLms: ttlMs})
+		var l wire.Lease
+		if err := json.Unmarshal(body, &l); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("setup acquire = %d %s (%v)", resp.StatusCode, body, err)
+		}
+		return l
+	}
+	held, lapsedA, lapsedB := acquire(0), acquire(1), acquire(1)
+	time.Sleep(20 * time.Millisecond) // both 1ms leases lapse
 
-	// Wrong token -> 409.
-	_, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
-	var l wire.Lease
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
+	const malformed = "{nope"
+	cases := []struct {
+		name   string
+		route  string
+		body   any // a string is sent raw
+		status int
+	}{
+		{"acquire malformed body", "/v1/acquire", malformed, http.StatusBadRequest},
+		{"renew ok", "/v1/renew", wire.RenewRequest{Name: held.Name, Token: held.Token}, http.StatusOK},
+		{"renew unknown name", "/v1/renew", wire.RenewRequest{Name: -1, Token: 1}, http.StatusNotFound},
+		{"renew wrong token", "/v1/renew", wire.RenewRequest{Name: held.Name, Token: held.Token + 99}, http.StatusConflict},
+		{"renew expired", "/v1/renew", wire.RenewRequest{Name: lapsedA.Name, Token: lapsedA.Token}, http.StatusGone},
+		{"renew malformed body", "/v1/renew", malformed, http.StatusBadRequest},
+		{"release unknown name", "/v1/release", wire.ReleaseRequest{Name: -1, Token: 1}, http.StatusNotFound},
+		{"release wrong token", "/v1/release", wire.ReleaseRequest{Name: held.Name, Token: held.Token + 99}, http.StatusConflict},
+		{"release expired", "/v1/release", wire.ReleaseRequest{Name: lapsedB.Name, Token: lapsedB.Token}, http.StatusGone},
+		{"release malformed body", "/v1/release", malformed, http.StatusBadRequest},
+		// Both lapsed leases were reclaimed by the 410s above: two slots free.
+		{"acquire ok", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusOK},
+		{"acquire ok to capacity", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusOK},
+		{"acquire exhausted", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusServiceUnavailable},
+		{"release ok", "/v1/release", wire.ReleaseRequest{Name: held.Name, Token: held.Token}, http.StatusNoContent},
 	}
-	resp, _ := postJSON(t, srv.URL+"/v1/renew", wire.RenewRequest{Name: l.Name, Token: l.Token + 99})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("wrong-token renew = %d, want 409", resp.StatusCode)
-	}
-
-	// Unknown name -> 404.
-	resp, _ = postJSON(t, srv.URL+"/v1/renew", wire.RenewRequest{Name: l.Name + 1, Token: 1})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown renew = %d, want 404", resp.StatusCode)
-	}
-
-	// Capacity 1 is a hard cap: a second concurrent lease -> 503.
-	resp, _ = postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-capacity acquire = %d, want 503", resp.StatusCode)
-	}
-
-	// Malformed body -> 400.
-	badResp, err := http.Post(srv.URL+"/v1/acquire", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	badResp.Body.Close()
-	if badResp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed acquire = %d, want 400", badResp.StatusCode)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, ok := tc.body.(string)
+			if !ok {
+				buf, err := json.Marshal(tc.body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = string(buf)
+			}
+			resp, err := http.Post(srv.URL+tc.route, "application/json", strings.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.status, body)
+			}
+			switch tc.status {
+			case http.StatusOK:
+				var l wire.Lease
+				if err := json.Unmarshal(body, &l); err != nil || l.Token == 0 || l.ExpiresAtMs == 0 {
+					t.Fatalf("200 body is not a lease: %s (%v)", body, err)
+				}
+			case http.StatusNoContent:
+				if len(body) != 0 {
+					t.Fatalf("204 carried a body: %s", body)
+				}
+			default:
+				var we wire.Error
+				if err := json.Unmarshal(body, &we); err != nil || we.Error == "" {
+					t.Fatalf("error body is not {\"error\": ...}: %s (%v)", body, err)
+				}
+			}
+		})
 	}
 }
 
@@ -232,28 +281,15 @@ func TestHealthAndVars(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 	postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
-	varsResp, err := http.Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Renamed struct {
-			Requests int64 `json:"renamed_requests"`
-			Lease    struct {
-				Acquired int64
-				Live     int
-			} `json:"renamed_lease"`
-		} `json:"renamed"`
-	}
-	if err := json.NewDecoder(varsResp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	varsResp.Body.Close()
-	if vars.Renamed.Requests < 2 {
-		t.Errorf("renamed_requests = %d, want >= 2", vars.Renamed.Requests)
-	}
-	if vars.Renamed.Lease.Acquired != 1 || vars.Renamed.Lease.Live != 1 {
-		t.Errorf("lease metrics = %+v", vars.Renamed.Lease)
+	exposition := string(scrapeMetrics(t, srv.URL))
+	for _, series := range []string{
+		`renamed_http_requests_total{op="acquire"} 1`,
+		`renamed_lease_acquired_total 1`,
+		`renamed_lease_live 1`,
+	} {
+		if !strings.Contains(exposition, series+"\n") {
+			t.Errorf("/metrics missing %q", series)
+		}
 	}
 }
 

@@ -28,6 +28,9 @@ type serverMetrics struct {
 
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec
+	// renewBatchLat is latency's renew_batch child, pre-resolved for the
+	// shutdown snapshot's renew_p99_us.
+	renewBatchLat *telemetry.Histogram
 }
 
 // cachedStats memoizes an expensive stats snapshot for ttl, so a scrape
@@ -66,6 +69,7 @@ func newServerMetrics(s *server) *serverMetrics {
 		latency: reg.HistogramVec("renamed_http_request_duration_seconds",
 			"Wall-clock handler latency, by /v1 operation.", "op"),
 	}
+	m.renewBatchLat = m.latency.With("renew_batch")
 
 	reg.CounterFunc("renamed_http_errors_total",
 		"Requests answered with an error status.", s.errors.Load)
@@ -173,25 +177,4 @@ func (s *server) namerDraining() float64 {
 		return 1
 	}
 	return 0
-}
-
-// histSummary is the JSON shape latencies take in /debug/vars — kept
-// byte-compatible with the pre-telemetry expvar surface.
-type histSummary struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P90Us  float64 `json:"p90_us"`
-	P99Us  float64 `json:"p99_us"`
-}
-
-func summarize(h *telemetry.Histogram) histSummary {
-	s := histSummary{Count: h.Count()}
-	if s.Count > 0 {
-		s.MeanUs = float64(h.Sum()) / float64(s.Count) / 1e3
-	}
-	s.P50Us = float64(h.Quantile(0.50)) / 1e3
-	s.P90Us = float64(h.Quantile(0.90)) / 1e3
-	s.P99Us = float64(h.Quantile(0.99)) / 1e3
-	return s
 }

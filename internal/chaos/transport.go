@@ -41,7 +41,7 @@ type TransportStats struct {
 
 // FaultTransport wraps a real transport with TransportFaults. All
 // decisions come from one seeded stream (guarded by a mutex — the
-// Session serializes its calls anyway, the lock is for Acquire racing
+// Session serializes its calls anyway, the lock is for AcquireN racing
 // a heartbeat).
 type FaultTransport struct {
 	inner  leaseclient.Transport
@@ -104,26 +104,10 @@ func (t *FaultTransport) pause(ctx context.Context, wait time.Duration) {
 	}
 }
 
-func (t *FaultTransport) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
-	_, _, wait := t.draw()
-	t.pause(ctx, wait)
-	return t.inner.Acquire(ctx, req)
-}
-
 func (t *FaultTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error) {
 	_, _, wait := t.draw()
 	t.pause(ctx, wait)
 	return t.inner.AcquireBatch(ctx, req)
-}
-
-func (t *FaultTransport) Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error) {
-	dup, _, wait := t.draw()
-	t.pause(ctx, wait)
-	if dup {
-		t.dupRenews.Add(1)
-		t.inner.Renew(ctx, req)
-	}
-	return t.inner.Renew(ctx, req)
 }
 
 func (t *FaultTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error) {
@@ -139,26 +123,15 @@ func (t *FaultTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchReq
 	return t.inner.RenewBatch(ctx, req)
 }
 
-func (t *FaultTransport) Release(ctx context.Context, req *wire.ReleaseRequest) error {
-	_, dup, wait := t.draw()
-	t.pause(ctx, wait)
-	err := t.inner.Release(ctx, req)
-	if dup && err == nil {
-		t.dupReleases.Add(1)
-		// Replay AFTER a successful release: the duplicate must be
-		// refused (unknown/expired), and the session must not see it —
-		// the first (successful) verdict is returned.
-		t.inner.Release(ctx, req)
-	}
-	return err
-}
-
 func (t *FaultTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error) {
 	_, dup, wait := t.draw()
 	t.pause(ctx, wait)
 	res, err := t.inner.ReleaseBatch(ctx, req)
 	if dup && err == nil {
 		t.dupReleases.Add(1)
+		// Replay AFTER a successful release: the duplicate must be
+		// refused (unknown/expired), and the session must not see it —
+		// the first (successful) verdict is returned.
 		t.inner.ReleaseBatch(ctx, req)
 	}
 	return res, err

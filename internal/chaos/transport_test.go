@@ -11,28 +11,16 @@ import (
 
 // countingTransport records call counts and returns canned successes.
 type countingTransport struct {
-	renews, renewBatches, releases, releaseBatches, acquires atomic.Int64
+	renewBatches, releaseBatches, acquires atomic.Int64
 }
 
-func (f *countingTransport) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
-	f.acquires.Add(1)
-	return wire.Lease{Name: 1, Token: 1}, nil
-}
 func (f *countingTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error) {
 	f.acquires.Add(1)
 	return wire.Leases{}, nil
 }
-func (f *countingTransport) Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error) {
-	f.renews.Add(1)
-	return wire.Lease{Name: int(req.Name), Token: req.Token}, nil
-}
 func (f *countingTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error) {
 	f.renewBatches.Add(1)
 	return wire.BatchResults{}, nil
-}
-func (f *countingTransport) Release(ctx context.Context, req *wire.ReleaseRequest) error {
-	f.releases.Add(1)
-	return nil
 }
 func (f *countingTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error) {
 	f.releaseBatches.Add(1)
@@ -58,7 +46,7 @@ func TestTransportDuplication(t *testing.T) {
 		if _, err := ft.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ft.Acquire(ctx, &wire.AcquireRequest{}); err != nil {
+		if _, err := ft.AcquireBatch(ctx, &wire.AcquireBatchRequest{Count: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -238,20 +238,6 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 	var opErr error
 
 	switch h.Type {
-	case binproto.TAcquire:
-		owner, ttlMs, meta, err := binproto.DecodeAcquireReq(c.payload)
-		if err != nil {
-			opErr = err
-			break
-		}
-		l, err := b.Acquire(ctx, &wire.AcquireRequest{Owner: owner, TTLms: ttlMs, Meta: meta})
-		if err != nil {
-			opErr = err
-			break
-		}
-		ok(binproto.TAcquire)
-		c.resp = binproto.AppendLease(c.resp, int64(l.Name), l.Token, l.ExpiresAtMs)
-
 	case binproto.TAcquireBatch:
 		owner, count, ttlMs, meta, err := binproto.DecodeAcquireBatchReq(c.payload)
 		if err != nil {
@@ -268,20 +254,6 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 		for _, l := range ls {
 			c.resp = binproto.AppendLease(c.resp, int64(l.Name), l.Token, l.ExpiresAtMs)
 		}
-
-	case binproto.TRenew:
-		name, token, ttlMs, err := binproto.DecodeRenewReq(c.payload)
-		if err != nil {
-			opErr = err
-			break
-		}
-		l, err := b.Renew(&wire.RenewRequest{Name: int(name), Token: token, TTLms: ttlMs})
-		if err != nil {
-			opErr = err
-			break
-		}
-		ok(binproto.TRenew)
-		c.resp = binproto.AppendLease(c.resp, int64(l.Name), l.Token, l.ExpiresAtMs)
 
 	case binproto.TRenewBatch:
 		ttlMs, items, err := binproto.DecodeRenewBatchReq(c.payload, c.renewItems)
@@ -307,18 +279,6 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 			c.resp = binproto.AppendRenewResult(c.resp, binproto.CodeOK,
 				int64(v.Lease.Name), v.Lease.Token, v.Lease.ExpiresAtMs)
 		}
-
-	case binproto.TRelease:
-		name, token, err := binproto.DecodeReleaseReq(c.payload)
-		if err != nil {
-			opErr = err
-			break
-		}
-		if err := b.Release(&wire.ReleaseRequest{Name: int(name), Token: token}); err != nil {
-			opErr = err
-			break
-		}
-		ok(binproto.TRelease)
 
 	case binproto.TReleaseBatch:
 		items, err := binproto.DecodeReleaseBatchReq(c.payload, c.releaseItems)
@@ -393,7 +353,7 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 	if th := c.srv.cfg.SlowThreshold; th > 0 {
 		if d := time.Since(start); d >= th {
 			c.srv.cfg.SlowLog.Warn("slow operation",
-				"op", opLabel(h.Type),
+				"op", h.Type.String(),
 				"duration_ms", float64(d)/float64(time.Millisecond),
 				"request_id", fmt.Sprintf("%016x", h.ID))
 		}
@@ -401,29 +361,4 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 	// A malformed payload inside a well-framed request is answered but
 	// the link survives — frame boundaries are still intact.
 	return true
-}
-
-// opLabel renders a frame type for the slow-op log, matching the HTTP
-// route names.
-func opLabel(t binproto.Type) string {
-	switch t {
-	case binproto.TAcquire:
-		return "acquire"
-	case binproto.TAcquireBatch:
-		return "acquire_batch"
-	case binproto.TRenew:
-		return "renew"
-	case binproto.TRenewBatch:
-		return "renew_batch"
-	case binproto.TRelease:
-		return "release"
-	case binproto.TReleaseBatch:
-		return "release_batch"
-	case binproto.TStats:
-		return "stats"
-	case binproto.TResize:
-		return "resize"
-	default:
-		return fmt.Sprintf("type_0x%02x", byte(t))
-	}
 }

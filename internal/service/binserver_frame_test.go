@@ -87,9 +87,7 @@ func TestBinServerHalfPayloadStallIdlesOut(t *testing.T) {
 	defer conn.Close()
 
 	// A well-formed acquire frame, truncated halfway through its payload.
-	buf, start := binproto.BeginFrame(nil, binproto.TAcquire, 7)
-	buf = binproto.AppendAcquireReq(buf, "stall", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
+	buf := appendAcquire(nil, 7, "stall")
 	if _, err := conn.Write(buf[:len(buf)-4]); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +117,7 @@ func TestBinServerMidPipelineReset(t *testing.T) {
 		// coalescing write buffer...
 		var burst []byte
 		for id := uint64(1); id <= 16; id++ {
-			var start int
-			burst, start = binproto.BeginFrame(burst, binproto.TAcquire, id)
-			burst = binproto.AppendAcquireReq(burst, "resetter", 60_000, nil)
-			burst = binproto.EndFrame(burst, start)
+			burst = appendAcquire(burst, id, "resetter")
 		}
 		if _, err := conn.Write(burst); err != nil {
 			t.Fatal(err)
@@ -144,34 +139,42 @@ func TestBinServerMidPipelineReset(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	buf, start := binproto.BeginFrame(nil, binproto.TAcquire, 99)
-	buf = binproto.AppendAcquireReq(buf, "survivor", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
-	buf, start = binproto.BeginFrame(buf, binproto.TStats, 100)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(appendAcquire(nil, 99, "survivor")); err != nil {
 		t.Fatal(err)
 	}
 	h, p := readFrame(t, br)
-	if h.Type != binproto.TAcquire|binproto.RespBit || h.ID != 99 {
+	if h.Type != binproto.TAcquireBatch|binproto.RespBit || h.ID != 99 {
 		t.Fatalf("acquire after resets = %+v", h)
 	}
-	if _, err := binproto.DecodeLease(p); err != nil {
-		t.Fatalf("acquire payload corrupt after resets: %v", err)
-	}
-	h, p = readFrame(t, br)
-	if h.Type != binproto.TStats|binproto.RespBit || h.ID != 100 {
-		t.Fatalf("stats after resets = %+v", h)
-	}
-	st, err := binproto.DecodeStatsResp(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Acquired < 1 || st.Acquired > 16*8+1 {
-		t.Fatalf("stats after resets = %+v, implausible acquire count", st)
-	}
-	if got := core.Stats().Live; int64(got) != st.Live {
-		t.Fatalf("core live %d != stats frame live %d", got, st.Live)
+	decodeOneLease(t, p)
+	// The reset connections may still be draining their bursts into the
+	// core, so the stats frame and the core agree only once they settle.
+	deadline := time.Now().Add(3 * time.Second)
+	for id := uint64(100); ; id++ {
+		buf, start := binproto.BeginFrame(nil, binproto.TStats, id)
+		buf = binproto.EndFrame(buf, start)
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		h, p = readFrame(t, br)
+		if h.Type != binproto.TStats|binproto.RespBit || h.ID != id {
+			t.Fatalf("stats after resets = %+v", h)
+		}
+		st, err := binproto.DecodeStatsResp(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Acquired < 1 || st.Acquired > 16*8+1 {
+			t.Fatalf("stats after resets = %+v, implausible acquire count", st)
+		}
+		got := core.Stats().Live
+		if int64(got) == st.Live {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("core live %d != stats frame live %d", got, st.Live)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -188,9 +191,7 @@ func TestBinServerOversizedFrameRejected(t *testing.T) {
 
 	// Hand-build a header claiming an absurd length: the length field is
 	// header bytes 12..16, big-endian.
-	buf, start := binproto.BeginFrame(nil, binproto.TAcquire, 1)
-	buf = binproto.AppendAcquireReq(buf, "big", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
+	buf := appendAcquire(nil, 1, "big")
 	binary.BigEndian.PutUint32(buf[12:16], binproto.MaxPayload+1)
 	if _, err := conn.Write(buf[:binproto.HeaderLen]); err != nil {
 		t.Fatal(err)
@@ -227,9 +228,7 @@ func TestBinServerCorruptPayloadRejected(t *testing.T) {
 	}
 	defer conn.Close()
 
-	buf, start := binproto.BeginFrame(nil, binproto.TAcquire, 9)
-	buf = binproto.AppendAcquireReq(buf, "corrupt", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
+	buf := appendAcquire(nil, 9, "corrupt")
 	buf[len(buf)-1] ^= 0x01 // one flipped payload bit; header untouched
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
@@ -250,4 +249,68 @@ func TestBinServerCorruptPayloadRejected(t *testing.T) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("read after corrupt frame = %v, want EOF (connection dropped)", err)
 	}
+}
+
+// TestBinServerRetiredFrameTypes: bytes 0x01, 0x03 and 0x05 carried the
+// single-item acquire/renew/release requests until they were folded into
+// their batch forms. An old client still sending one is answered like
+// any unknown frame type — exactly one TError (bad_request), then the
+// connection drops — and the server keeps serving everyone else.
+func TestBinServerRetiredFrameTypes(t *testing.T) {
+	addr, _ := startBinServer(t, 16, BinConfig{})
+	// Payload sizes of the old request layouts; the bytes never matter,
+	// the header is refused before the payload is read.
+	retired := []struct {
+		typ        byte
+		payloadLen int
+	}{
+		{0x01, 12}, // acquire: ttlMs | empty owner | no meta
+		{0x03, 24}, // renew: name | token | ttlMs
+		{0x05, 16}, // release: name | token
+	}
+	for _, r := range retired {
+		typ := r.typ
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// BeginFrame does not validate the type, so the frame is
+		// well-formed in every respect but its retired type byte.
+		buf, start := binproto.BeginFrame(nil, binproto.Type(typ), 0x77)
+		buf = append(buf, make([]byte, r.payloadLen)...)
+		buf = binproto.EndFrame(buf, start)
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		br := bufio.NewReader(conn)
+		h, p := readFrame(t, br)
+		if h.Type != binproto.TError {
+			t.Fatalf("type %#02x answered with %+v, want TError", typ, h)
+		}
+		code, msg, err := binproto.DecodeErrorResp(p)
+		if err != nil || code != binproto.CodeBadRequest || !strings.Contains(msg, "unknown frame type") {
+			t.Fatalf("type %#02x error = (%d, %q, %v), want bad_request naming the unknown type", typ, code, msg, err)
+		}
+		// One answer, then dropped: EOF, or a reset if the server closed
+		// with the payload still unread — never a second frame, never a
+		// connection left open until the read deadline.
+		_, err = br.ReadByte()
+		if nerr, ok := err.(net.Error); err == nil || (ok && nerr.Timeout()) {
+			t.Fatalf("type %#02x: read after the error frame = %v, want a dropped connection", typ, err)
+		}
+		conn.Close()
+	}
+
+	// The server itself is unharmed.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(appendAcquire(nil, 1, "new-client")); err != nil {
+		t.Fatal(err)
+	}
+	_, p := readFrame(t, bufio.NewReader(conn))
+	decodeOneLease(t, p)
 }

@@ -53,6 +53,23 @@ func readFrame(t *testing.T, br *bufio.Reader) (binproto.Header, []byte) {
 	return h, p
 }
 
+// appendAcquire appends a well-formed one-lease TAcquireBatch request.
+func appendAcquire(buf []byte, id uint64, owner string) []byte {
+	buf, start := binproto.BeginFrame(buf, binproto.TAcquireBatch, id)
+	buf = binproto.AppendAcquireBatchReq(buf, owner, 1, 60_000, nil)
+	return binproto.EndFrame(buf, start)
+}
+
+// decodeOneLease decodes a TAcquireBatch response that granted one lease.
+func decodeOneLease(t *testing.T, p []byte) binproto.Lease {
+	t.Helper()
+	ls, err := binproto.DecodeLeasesResp(p, nil)
+	if err != nil || len(ls) != 1 || ls[0].Token == 0 {
+		t.Fatalf("acquire leases = %+v, %v", ls, err)
+	}
+	return ls[0]
+}
+
 // TestBinServerRoundTrip exercises the full op set over one connection.
 func TestBinServerRoundTrip(t *testing.T) {
 	addr, _ := startBinServer(t, 64, BinConfig{})
@@ -74,29 +91,14 @@ func TestBinServerRoundTrip(t *testing.T) {
 	}
 
 	// Acquire with meta.
-	send(binproto.TAcquire, 1, func(b []byte) []byte {
-		return binproto.AppendAcquireReq(b, "bin-worker", 60_000, map[string]string{"az": "c"})
+	send(binproto.TAcquireBatch, 1, func(b []byte) []byte {
+		return binproto.AppendAcquireBatchReq(b, "bin-worker", 1, 60_000, map[string]string{"az": "c"})
 	})
 	h, p := readFrame(t, br)
-	if h.Type != binproto.TAcquire|binproto.RespBit || h.ID != 1 {
+	if h.Type != binproto.TAcquireBatch|binproto.RespBit || h.ID != 1 {
 		t.Fatalf("acquire response header = %+v", h)
 	}
-	l, err := binproto.DecodeLease(p)
-	if err != nil || l.Token == 0 {
-		t.Fatalf("acquire lease = %+v, %v", l, err)
-	}
-
-	// Renew it.
-	send(binproto.TRenew, 2, func(b []byte) []byte {
-		return binproto.AppendRenewReq(b, l.Name, l.Token, 60_000)
-	})
-	h, p = readFrame(t, br)
-	if h.Type != binproto.TRenew|binproto.RespBit || h.ID != 2 {
-		t.Fatalf("renew response header = %+v", h)
-	}
-	if _, err := binproto.DecodeLease(p); err != nil {
-		t.Fatal(err)
-	}
+	l := decodeOneLease(t, p)
 
 	// Renew batch: the held lease plus a bogus one — per-item verdicts.
 	send(binproto.TRenewBatch, 3, func(b []byte) []byte {
@@ -127,30 +129,38 @@ func TestBinServerRoundTrip(t *testing.T) {
 		t.Fatalf("stats response header = %+v", h)
 	}
 	st, err := binproto.DecodeStatsResp(p)
-	if err != nil || st.Acquired != 1 || st.Renewed != 2 || st.Live != 1 {
+	if err != nil || st.Acquired != 1 || st.Renewed != 1 || st.Live != 1 {
 		t.Fatalf("stats = %+v, %v", st, err)
 	}
 
-	// Release; empty payload success.
-	send(binproto.TRelease, 5, func(b []byte) []byte {
-		return binproto.AppendReleaseReq(b, l.Name, l.Token)
-	})
-	h, p = readFrame(t, br)
-	if h.Type != binproto.TRelease|binproto.RespBit || len(p) != 0 {
-		t.Fatalf("release response = %+v, %d payload bytes", h, len(p))
+	// Release it, then again: the frame succeeds both times and the
+	// item's verdict carries the outcome.
+	for i, want := range []string{"", wire.CodeUnknownName} {
+		id := uint64(5 + i)
+		send(binproto.TReleaseBatch, id, func(b []byte) []byte {
+			return binproto.AppendReleaseBatchReq(b, []wire.Item{{Name: int(l.Name), Token: l.Token}})
+		})
+		h, p = readFrame(t, br)
+		if h.Type != binproto.TReleaseBatch|binproto.RespBit || h.ID != id {
+			t.Fatalf("release %d response header = %+v", id, h)
+		}
+		codes, err := binproto.DecodeReleaseBatchResp(p, nil)
+		if err != nil || len(codes) != 1 || binproto.CodeString(codes[0]) != want {
+			t.Fatalf("release %d codes = %v, %v; want %q", id, codes, err, want)
+		}
 	}
 
-	// Releasing again: whole-request typed error frame.
-	send(binproto.TRelease, 6, func(b []byte) []byte {
-		return binproto.AppendReleaseReq(b, l.Name, l.Token)
+	// A whole-request failure is a typed error frame: count 0 is refused.
+	send(binproto.TAcquireBatch, 7, func(b []byte) []byte {
+		return binproto.AppendAcquireBatchReq(b, "bin-worker", 0, 60_000, nil)
 	})
 	h, p = readFrame(t, br)
-	if h.Type != binproto.TError || h.ID != 6 {
-		t.Fatalf("double release header = %+v", h)
+	if h.Type != binproto.TError || h.ID != 7 {
+		t.Fatalf("count-0 acquire header = %+v", h)
 	}
 	code, msg, err := binproto.DecodeErrorResp(p)
-	if err != nil || binproto.CodeString(code) != wire.CodeUnknownName || msg == "" {
-		t.Fatalf("double release error = (%d, %q, %v)", code, msg, err)
+	if err != nil || code != binproto.CodeBadRequest || msg == "" {
+		t.Fatalf("count-0 acquire error = (%d, %q, %v)", code, msg, err)
 	}
 }
 
@@ -166,25 +176,19 @@ func TestBinServerPipelining(t *testing.T) {
 	defer conn.Close()
 
 	// One acquire first to have a lease to renew.
-	var buf []byte
-	var start int
-	buf, start = binproto.BeginFrame(buf, binproto.TAcquire, 100)
-	buf = binproto.AppendAcquireReq(buf, "pipeliner", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
+	buf := appendAcquire(nil, 100, "pipeliner")
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
 	_, p := readFrame(t, br)
-	l, err := binproto.DecodeLease(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := decodeOneLease(t, p)
 
 	// 10 pipelined renew_batch frames in ONE write.
 	const depth = 10
 	buf = buf[:0]
 	for i := 0; i < depth; i++ {
+		var start int
 		buf, start = binproto.BeginFrame(buf, binproto.TRenewBatch, uint64(200+i))
 		buf = binproto.AppendRenewBatchReq(buf, 60_000, []wire.Item{{Name: int(l.Name), Token: l.Token}})
 		buf = binproto.EndFrame(buf, start)
@@ -247,8 +251,8 @@ func TestBinServerMalformedPayloadKeepsConn(t *testing.T) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 
-	// Truncated renew payload (needs 24 bytes, send 3).
-	buf, start := binproto.BeginFrame(nil, binproto.TRenew, 7)
+	// Truncated renew_batch payload (needs at least 12 bytes, send 3).
+	buf, start := binproto.BeginFrame(nil, binproto.TRenewBatch, 7)
 	buf = append(buf, 1, 2, 3)
 	buf = binproto.EndFrame(buf, start)
 	if _, err := conn.Write(buf); err != nil {
@@ -290,10 +294,7 @@ func TestBinServerSlowOpLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	buf, start := binproto.BeginFrame(nil, binproto.TAcquire, 0xABCDEF)
-	buf = binproto.AppendAcquireReq(buf, "slow", 60_000, nil)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(appendAcquire(nil, 0xABCDEF, "slow")); err != nil {
 		t.Fatal(err)
 	}
 	readFrame(t, bufio.NewReader(conn))
@@ -303,7 +304,7 @@ func TestBinServerSlowOpLog(t *testing.T) {
 	if !strings.Contains(logs, "request_id=0000000000abcdef") {
 		t.Fatalf("slow-op log missing %%016x request id:\n%s", logs)
 	}
-	if !strings.Contains(logs, "op=acquire") {
+	if !strings.Contains(logs, "op=acquire_batch") {
 		t.Fatalf("slow-op log missing op label:\n%s", logs)
 	}
 }

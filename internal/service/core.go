@@ -1,13 +1,15 @@
 // Package service is the transport-neutral core of cmd/renamed: every
-// operation the daemon offers — Acquire, AcquireBatch, Renew,
-// RenewBatch, Release, ReleaseBatch, Stats — lives here once, and the
-// HTTP/JSON surface and the binary protocol (internal/wire/binproto,
-// served by BinServer) are thin adapters over the same Core. Per-item
-// verdicts, verdict counters and per-transport telemetry are computed
-// in the core, so the two surfaces cannot drift: a renew_batch item
-// that reads "wrong_token" over HTTP reads wrong_token over the binary
-// port, and both increment the same renamed_batch_item_verdicts_total
-// series.
+// operation the daemon offers — AcquireBatch, RenewBatch, ReleaseBatch,
+// Stats, Resize — lives here once, and the HTTP/JSON surface and the
+// binary protocol (internal/wire/binproto, served by BinServer) are
+// thin adapters over the same Core. The lease operations have one
+// shape, the batch: a single acquire, renew or release is a batch of
+// one item (the HTTP /v1/acquire, /v1/renew and /v1/release routes
+// adapt to it at the edge). Per-item verdicts, verdict counters and
+// per-transport telemetry are computed in the core, so the two surfaces
+// cannot drift: a renew_batch item that reads "wrong_token" over HTTP
+// reads wrong_token over the binary port, and both increment the same
+// renamed_batch_item_verdicts_total series.
 package service
 
 import (
@@ -105,20 +107,9 @@ func (b *Binding) observe(op int, start time.Time) {
 	h.lat.Observe(time.Since(start))
 }
 
-// Acquire grants one lease. The context ties the probe sequence to the
-// caller: a client that disconnects mid-acquire cancels instead of
-// leaving behind a lease nobody will renew.
-func (b *Binding) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
-	start := time.Now()
-	defer b.observe(opAcquire, start)
-	l, err := b.mgr.AcquireCtx(ctx, req.Owner, wire.TTLFromMs(req.TTLms), req.Meta)
-	if err != nil {
-		return wire.Lease{}, err
-	}
-	return wire.FromLease(l), nil
-}
-
-// AcquireBatch grants count leases all-or-nothing.
+// AcquireBatch grants count leases all-or-nothing. The context ties the
+// probe sequence to the caller: a client that disconnects mid-acquire
+// cancels instead of leaving behind leases nobody will renew.
 func (b *Binding) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) ([]wire.Lease, error) {
 	start := time.Now()
 	defer b.observe(opAcquireBatch, start)
@@ -131,17 +122,6 @@ func (b *Binding) AcquireBatch(ctx context.Context, req *wire.AcquireBatchReques
 		out[i] = wire.FromLease(l)
 	}
 	return out, nil
-}
-
-// Renew extends one lease.
-func (b *Binding) Renew(req *wire.RenewRequest) (wire.Lease, error) {
-	start := time.Now()
-	defer b.observe(opRenew, start)
-	l, err := b.mgr.Renew(req.Name, req.Token, wire.TTLFromMs(req.TTLms))
-	if err != nil {
-		return wire.Lease{}, err
-	}
-	return wire.FromLease(l), nil
 }
 
 // RenewBatch is the heartbeat hot path: one call renews every lease a
@@ -170,13 +150,6 @@ func (b *Binding) RenewBatch(ctx context.Context, ttl time.Duration, items []lea
 		out = append(out, Verdict{Lease: wire.FromLease(results[i].Lease)})
 	}
 	return out, nil
-}
-
-// Release ends one lease.
-func (b *Binding) Release(req *wire.ReleaseRequest) error {
-	start := time.Now()
-	defer b.observe(opRelease, start)
-	return b.mgr.Release(req.Name, req.Token)
 }
 
 // ReleaseBatch ends many leases with per-item outcomes, mirroring

@@ -27,6 +27,16 @@ func newCore(t *testing.T, capacity int, tel *Telemetry) *Core {
 	return New(mgr, tel)
 }
 
+// acquireOne grants a single lease: the one-item case of AcquireBatch.
+func acquireOne(t *testing.T, b *Binding, req *wire.AcquireBatchRequest) wire.Lease {
+	t.Helper()
+	ls, err := b.AcquireBatch(context.Background(), req)
+	if err != nil || len(ls) != 1 {
+		t.Fatalf("acquire one = %v, %v", ls, err)
+	}
+	return ls[0]
+}
+
 // TestBindingLifecycle drives every op through one binding and checks
 // the verdicts and instrumentation line up with what the manager did.
 func TestBindingLifecycle(t *testing.T) {
@@ -36,20 +46,13 @@ func TestBindingLifecycle(t *testing.T) {
 	b := core.Bind("bin")
 	ctx := context.Background()
 
-	l, err := b.Acquire(ctx, &wire.AcquireRequest{Owner: "w", Meta: map[string]string{"k": "v"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Token == 0 || l.Owner != "w" {
+	l := acquireOne(t, b, &wire.AcquireBatchRequest{Owner: "w", Count: 1, Meta: map[string]string{"k": "v"}})
+	if l.Token == 0 || l.Owner != "w" || l.Meta["k"] != "v" {
 		t.Fatalf("acquired lease = %+v", l)
 	}
 	ls, err := b.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 3})
 	if err != nil || len(ls) != 3 {
 		t.Fatalf("acquire batch = %v, %v", ls, err)
-	}
-	re, err := b.Renew(&wire.RenewRequest{Name: l.Name, Token: l.Token})
-	if err != nil || re.Name != l.Name {
-		t.Fatalf("renew = %+v, %v", re, err)
 	}
 
 	items := []lease.RenewItem{
@@ -67,9 +70,6 @@ func TestBindingLifecycle(t *testing.T) {
 		t.Fatalf("verdict for unknown item = %+v", verdicts[1])
 	}
 
-	if err := b.Release(&wire.ReleaseRequest{Name: l.Name, Token: l.Token}); err != nil {
-		t.Fatal(err)
-	}
 	rel := []lease.ReleaseItem{
 		{Name: ls[0].Name, Token: ls[0].Token},
 		{Name: ls[1].Name, Token: 424242}, // wrong token
@@ -83,7 +83,7 @@ func TestBindingLifecycle(t *testing.T) {
 	}
 
 	m := b.StatsCounted()
-	if m.Acquired != 4 || m.Renewed < 2 {
+	if m.Acquired != 4 || m.Renewed != 1 || m.Released != 1 {
 		t.Fatalf("stats = %+v", m)
 	}
 
@@ -93,17 +93,23 @@ func TestBindingLifecycle(t *testing.T) {
 	reg.WritePrometheus(&buf)
 	expo := buf.String()
 	for _, want := range []string{
-		`renamed_requests_total{transport="bin",op="acquire"} 1`,
+		`renamed_requests_total{transport="bin",op="acquire_batch"} 2`,
 		`renamed_requests_total{transport="bin",op="renew_batch"} 1`,
 		`renamed_requests_total{transport="bin",op="stats"} 1`,
 		`renamed_requests_total{transport="http",op="renew_batch"} 0`,
 		`renamed_batch_item_verdicts_total{op="renew_batch",code="ok"} 1`,
 		`renamed_batch_item_verdicts_total{op="renew_batch",code="unknown_name"} 1`,
 		`renamed_batch_item_verdicts_total{op="release_batch",code="wrong_token"} 1`,
-		`renamed_request_duration_seconds_count{transport="bin",op="acquire"} 1`,
+		`renamed_request_duration_seconds_count{transport="bin",op="acquire_batch"} 2`,
 	} {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// The retired single-item ops left no children behind.
+	for _, gone := range []string{`op="acquire"`, `op="renew"`, `op="release"`} {
+		if strings.Contains(expo, gone) {
+			t.Errorf("exposition still carries a %s series", gone)
 		}
 	}
 	if problems := telemetry.Lint([]byte(expo)); len(problems) != 0 {
@@ -116,17 +122,16 @@ func TestBindingLifecycle(t *testing.T) {
 func TestBindingNilTelemetry(t *testing.T) {
 	core := newCore(t, 8, nil)
 	b := core.Bind("http")
-	l, err := b.Acquire(context.Background(), &wire.AcquireRequest{Owner: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := acquireOne(t, b, &wire.AcquireBatchRequest{Owner: "x", Count: 1})
 	verdicts, err := b.RenewBatch(context.Background(), 0,
 		[]lease.RenewItem{{Name: l.Name, Token: l.Token}}, nil)
 	if err != nil || len(verdicts) != 1 || verdicts[0].Code != "" {
 		t.Fatalf("verdicts = %+v, %v", verdicts, err)
 	}
-	if err := b.Release(&wire.ReleaseRequest{Name: l.Name, Token: l.Token}); err != nil {
-		t.Fatal(err)
+	verdicts, err = b.ReleaseBatch(context.Background(),
+		[]lease.ReleaseItem{{Name: l.Name, Token: l.Token}}, verdicts)
+	if err != nil || len(verdicts) != 1 || verdicts[0].Code != "" {
+		t.Fatalf("release verdicts = %+v, %v", verdicts, err)
 	}
 }
 
@@ -135,9 +140,7 @@ func TestBindingNilTelemetry(t *testing.T) {
 func TestCoreLeasesZerosTokens(t *testing.T) {
 	core := newCore(t, 8, nil)
 	b := core.Bind("http")
-	if _, err := b.Acquire(context.Background(), &wire.AcquireRequest{Owner: "w"}); err != nil {
-		t.Fatal(err)
-	}
+	acquireOne(t, b, &wire.AcquireBatchRequest{Owner: "w", Count: 1})
 	ls := core.Leases()
 	if len(ls) != 1 {
 		t.Fatalf("leases = %+v", ls)
@@ -152,10 +155,8 @@ func TestCoreLeasesZerosTokens(t *testing.T) {
 func TestBindingCapacityError(t *testing.T) {
 	core := newCore(t, 1, nil)
 	b := core.Bind("bin")
-	if _, err := b.Acquire(context.Background(), &wire.AcquireRequest{Owner: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := b.Acquire(context.Background(), &wire.AcquireRequest{Owner: "b"})
+	acquireOne(t, b, &wire.AcquireBatchRequest{Owner: "a", Count: 1})
+	_, err := b.AcquireBatch(context.Background(), &wire.AcquireBatchRequest{Owner: "b", Count: 1})
 	if !errors.Is(err, lease.ErrCapacity) {
 		t.Fatalf("over-capacity acquire = %v, want ErrCapacity", err)
 	}

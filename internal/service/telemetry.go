@@ -6,11 +6,8 @@ import (
 
 // Operation indices for pre-resolved per-op instrumentation handles.
 const (
-	opAcquire = iota
-	opAcquireBatch
-	opRenew
+	opAcquireBatch = iota
 	opRenewBatch
-	opRelease
 	opReleaseBatch
 	opStats
 	opResize
@@ -21,7 +18,7 @@ const (
 // route names; "stats" exists only on transports that serve it as a
 // request (the binary TStats frame).
 var opName = [opCount]string{
-	"acquire", "acquire_batch", "renew", "renew_batch", "release", "release_batch", "stats", "resize",
+	"acquire_batch", "renew_batch", "release_batch", "stats", "resize",
 }
 
 // Transports are the label values the per-transport series are

@@ -9,8 +9,8 @@
 //	offset size  field
 //	0      2     magic "RB"
 //	2      1     version (2)
-//	3      1     frame type (request 0x01..0x08; response = type|0x80;
-//	             error response 0xFF)
+//	3      1     frame type (request 0x02, 0x04, 0x06..0x08; response =
+//	             type|0x80; error response 0xFF)
 //	4      8     request ID (uint64, big-endian) — echoed verbatim on
 //	             the response, and rendered %016x it is the same shape
 //	             as the HTTP X-Request-Id, so one slow binary renew
@@ -78,17 +78,17 @@ const (
 	Magic1 = 'B'
 )
 
-// Type discriminates frames. Requests are 0x01..0x08; a successful
-// response echoes the request type with the high bit set; TError is the
-// whole-request failure response.
+// Type discriminates frames. A successful response echoes the request
+// type with the high bit set; TError is the whole-request failure
+// response. Acquire, renew and release exist in batch shape only — one
+// item is a batch of one. Bytes 0x01, 0x03 and 0x05 carried the retired
+// single-item forms: they are never reused, and ParseHeader rejects
+// them as ErrUnknownType.
 type Type byte
 
 const (
-	TAcquire      Type = 0x01
 	TAcquireBatch Type = 0x02
-	TRenew        Type = 0x03
 	TRenewBatch   Type = 0x04
-	TRelease      Type = 0x05
 	TReleaseBatch Type = 0x06
 	TStats        Type = 0x07
 	TResize       Type = 0x08
@@ -306,8 +306,30 @@ func validType(t Type) bool {
 	if t == TError {
 		return true
 	}
-	base := t &^ RespBit
-	return base >= TAcquire && base <= TResize
+	switch t &^ RespBit {
+	case TAcquireBatch, TRenewBatch, TReleaseBatch, TStats, TResize:
+		return true
+	}
+	return false
+}
+
+// String renders a request type in route-name form ("renew_batch"), the
+// op label shared by slow-op logs, client errors and the HTTP routes.
+func (t Type) String() string {
+	switch t {
+	case TAcquireBatch:
+		return "acquire_batch"
+	case TRenewBatch:
+		return "renew_batch"
+	case TReleaseBatch:
+		return "release_batch"
+	case TStats:
+		return "stats"
+	case TResize:
+		return "resize"
+	default:
+		return fmt.Sprintf("type_0x%02x", byte(t))
+	}
 }
 
 // BeginFrame appends a header placeholder for one frame and returns the

@@ -9,16 +9,10 @@ import (
 
 // Payload layouts (all integers big-endian, str = uint16 length + bytes):
 //
-//	TAcquire       req:  ttlMs i64 | owner str | metaCount u16 {k str, v str}*
-//	               resp: name i64 | token u64 | expiresMs i64
-//	TAcquireBatch  req:  ttlMs i64 | count u32 | owner str | meta as above
+//	TAcquireBatch  req:  ttlMs i64 | count u32 | owner str | metaCount u16 {k str, v str}*
 //	               resp: count u32 | count * (name i64 | token u64 | expiresMs i64)
-//	TRenew         req:  name i64 | token u64 | ttlMs i64
-//	               resp: name i64 | token u64 | expiresMs i64
 //	TRenewBatch    req:  ttlMs i64 | count u32 | count * (name i64 | token u64)
 //	               resp: count u32 | count * (code u8 | name i64 | token u64 | expiresMs i64)
-//	TRelease       req:  name i64 | token u64
-//	               resp: empty
 //	TReleaseBatch  req:  count u32 | count * (name i64 | token u64)
 //	               resp: count u32 | count * code u8
 //	TStats         req:  empty
@@ -200,29 +194,6 @@ func decodeMeta(r *reader) (map[string]string, bool) {
 
 // --- acquire ---
 
-// AppendAcquireReq encodes a TAcquire request payload.
-func AppendAcquireReq(dst []byte, owner string, ttlMs int64, meta map[string]string) []byte {
-	dst = appendI64(dst, ttlMs)
-	dst = appendStr(dst, owner)
-	return appendMeta(dst, meta)
-}
-
-// DecodeAcquireReq decodes a TAcquire request payload.
-func DecodeAcquireReq(p []byte) (owner string, ttlMs int64, meta map[string]string, err error) {
-	r := reader{p: p}
-	ttlMs, ok := r.i64()
-	if !ok {
-		return "", 0, nil, ErrTruncated
-	}
-	if owner, ok = r.str(); !ok {
-		return "", 0, nil, ErrTruncated
-	}
-	if meta, ok = decodeMeta(&r); !ok {
-		return "", 0, nil, ErrTruncated
-	}
-	return owner, ttlMs, meta, r.done()
-}
-
 // AppendAcquireBatchReq encodes a TAcquireBatch request payload.
 func AppendAcquireBatchReq(dst []byte, owner string, count int, ttlMs int64, meta map[string]string) []byte {
 	dst = appendI64(dst, ttlMs)
@@ -251,25 +222,13 @@ func DecodeAcquireBatchReq(p []byte) (owner string, count int, ttlMs int64, meta
 	return owner, int(c), ttlMs, meta, r.done()
 }
 
-// AppendLease encodes one granted lease (acquire/renew responses).
+// AppendLease encodes one granted lease inside a TAcquireBatch response.
 //
 //renamed:noalloc
 func AppendLease(dst []byte, name int64, token uint64, expiresMs int64) []byte {
 	dst = appendI64(dst, name)
 	dst = appendU64(dst, token)
 	return appendI64(dst, expiresMs)
-}
-
-// DecodeLease decodes a single-lease response payload (TAcquire, TRenew).
-//
-//renamed:noalloc
-func DecodeLease(p []byte) (Lease, error) {
-	r := reader{p: p}
-	l, ok := decodeLease(&r)
-	if !ok {
-		return Lease{}, ErrTruncated
-	}
-	return l, r.done()
 }
 
 func decodeLease(r *reader) (Lease, bool) {
@@ -318,33 +277,6 @@ func DecodeLeasesResp(p []byte, out []Lease) ([]Lease, error) {
 }
 
 // --- renew ---
-
-// AppendRenewReq encodes a TRenew request payload.
-//
-//renamed:noalloc
-func AppendRenewReq(dst []byte, name int64, token uint64, ttlMs int64) []byte {
-	dst = appendI64(dst, name)
-	dst = appendU64(dst, token)
-	return appendI64(dst, ttlMs)
-}
-
-// DecodeRenewReq decodes a TRenew request payload.
-//
-//renamed:noalloc
-func DecodeRenewReq(p []byte) (name int64, token uint64, ttlMs int64, err error) {
-	r := reader{p: p}
-	name, ok := r.i64()
-	if !ok {
-		return 0, 0, 0, ErrTruncated
-	}
-	if token, ok = r.u64(); !ok {
-		return 0, 0, 0, ErrTruncated
-	}
-	if ttlMs, ok = r.i64(); !ok {
-		return 0, 0, 0, ErrTruncated
-	}
-	return name, token, ttlMs, r.done()
-}
 
 // AppendRenewBatchReq encodes a TRenewBatch request payload from wire
 // items (the client-side shape).
@@ -427,29 +359,6 @@ func DecodeRenewBatchResp(p []byte, out []RenewResult) ([]RenewResult, error) {
 }
 
 // --- release ---
-
-// AppendReleaseReq encodes a TRelease request payload.
-//
-//renamed:noalloc
-func AppendReleaseReq(dst []byte, name int64, token uint64) []byte {
-	dst = appendI64(dst, name)
-	return appendU64(dst, token)
-}
-
-// DecodeReleaseReq decodes a TRelease request payload.
-//
-//renamed:noalloc
-func DecodeReleaseReq(p []byte) (name int64, token uint64, err error) {
-	r := reader{p: p}
-	name, ok := r.i64()
-	if !ok {
-		return 0, 0, ErrTruncated
-	}
-	if token, ok = r.u64(); !ok {
-		return 0, 0, ErrTruncated
-	}
-	return name, token, r.done()
-}
 
 // AppendReleaseBatchReq encodes a TReleaseBatch request payload.
 func AppendReleaseBatchReq(dst []byte, items []wire.Item) []byte {
@@ -698,16 +607,10 @@ func DecodePayload(h Header, p []byte) error {
 	}
 	var err error
 	switch h.Type {
-	case TAcquire:
-		_, _, _, err = DecodeAcquireReq(p)
 	case TAcquireBatch:
 		_, _, _, _, err = DecodeAcquireBatchReq(p)
-	case TRenew:
-		_, _, _, err = DecodeRenewReq(p)
 	case TRenewBatch:
 		_, _, err = DecodeRenewBatchReq(p, nil)
-	case TRelease:
-		_, _, err = DecodeReleaseReq(p)
 	case TReleaseBatch:
 		_, err = DecodeReleaseBatchReq(p, nil)
 	case TStats:
@@ -716,16 +619,10 @@ func DecodePayload(h Header, p []byte) error {
 		}
 	case TResize:
 		_, err = DecodeResizeReq(p)
-	case TAcquire | RespBit, TRenew | RespBit:
-		_, err = DecodeLease(p)
 	case TAcquireBatch | RespBit:
 		_, err = DecodeLeasesResp(p, nil)
 	case TRenewBatch | RespBit:
 		_, err = DecodeRenewBatchResp(p, nil)
-	case TRelease | RespBit:
-		if len(p) != 0 {
-			err = ErrTrailingBytes
-		}
 	case TReleaseBatch | RespBit:
 		_, err = DecodeReleaseBatchResp(p, nil)
 	case TStats | RespBit:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	renaming "repro"
@@ -26,7 +27,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestParseHeaderErrors(t *testing.T) {
 	good := make([]byte, HeaderLen)
-	PutHeader(good, TRenew, 1, 0, Checksum(nil))
+	PutHeader(good, TRenewBatch, 1, 0, Checksum(nil))
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -40,6 +41,11 @@ func TestParseHeaderErrors(t *testing.T) {
 		{"zero type", func(b []byte) []byte { b[3] = 0; return b }, ErrUnknownType},
 		{"type past resize", func(b []byte) []byte { b[3] = 0x09; return b }, ErrUnknownType},
 		{"resp of bad type", func(b []byte) []byte { b[3] = 0x89; return b }, ErrUnknownType},
+		// The single-item request bytes are retired, not reusable.
+		{"retired acquire", func(b []byte) []byte { b[3] = 0x01; return b }, ErrUnknownType},
+		{"retired renew", func(b []byte) []byte { b[3] = 0x03; return b }, ErrUnknownType},
+		{"retired release", func(b []byte) []byte { b[3] = 0x05; return b }, ErrUnknownType},
+		{"resp of retired type", func(b []byte) []byte { b[3] = 0x83; return b }, ErrUnknownType},
 		{"oversized len", func(b []byte) []byte { b[12] = 0xFF; return b }, ErrTooLarge},
 	}
 	for _, tc := range cases {
@@ -57,21 +63,44 @@ func TestParseHeaderErrors(t *testing.T) {
 	}
 }
 
+// TestTypeString: every request type ParseHeader accepts has a route
+// name — the one op label logs and client errors share; anything else,
+// a retired byte included, renders as its hex.
+func TestTypeString(t *testing.T) {
+	for typ, want := range map[Type]string{
+		TAcquireBatch: "acquire_batch",
+		TRenewBatch:   "renew_batch",
+		TReleaseBatch: "release_batch",
+		TStats:        "stats",
+		TResize:       "resize",
+		0x01:          "type_0x01",
+	} {
+		if got := typ.String(); got != want {
+			t.Errorf("Type(%#02x).String() = %q, want %q", byte(typ), got, want)
+		}
+	}
+	for b := 0; b < int(RespBit); b++ {
+		if typ := Type(b); validType(typ) && strings.HasPrefix(typ.String(), "type_0x") {
+			t.Errorf("request type %#02x is valid but has no route name", b)
+		}
+	}
+}
+
 func TestBeginEndFrame(t *testing.T) {
-	buf, start := BeginFrame(nil, TRenew, 42)
-	buf = AppendRenewReq(buf, 7, 0xABC, 30_000)
+	buf, start := BeginFrame(nil, TRenewBatch, 42)
+	buf = AppendRenewBatchReq(buf, 30_000, []wire.Item{{Name: 7, Token: 0xABC}})
 	buf = EndFrame(buf, start)
 
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != TRenew || h.ID != 42 || int(h.Len) != len(buf)-HeaderLen {
+	if h.Type != TRenewBatch || h.ID != 42 || int(h.Len) != len(buf)-HeaderLen {
 		t.Fatalf("frame header = %+v over %d payload bytes", h, len(buf)-HeaderLen)
 	}
-	name, token, ttl, err := DecodeRenewReq(buf[HeaderLen:])
-	if err != nil || name != 7 || token != 0xABC || ttl != 30_000 {
-		t.Fatalf("renew req round trip = (%d, %#x, %d, %v)", name, token, ttl, err)
+	ttl, items, err := DecodeRenewBatchReq(buf[HeaderLen:], nil)
+	if err != nil || ttl != 30_000 || len(items) != 1 || items[0] != (lease.RenewItem{Name: 7, Token: 0xABC}) {
+		t.Fatalf("renew batch req round trip = (%d, %+v, %v)", ttl, items, err)
 	}
 
 	// Two frames in one buffer (pipelining): the second begins where the
@@ -85,23 +114,25 @@ func TestBeginEndFrame(t *testing.T) {
 	}
 }
 
+// TestAcquireReqRoundTrip covers the string-carrying half of the acquire
+// request: owner, meta map, and the exact-length rule.
 func TestAcquireReqRoundTrip(t *testing.T) {
 	meta := map[string]string{"rack": "r12", "az": "b"}
-	p := AppendAcquireReq(nil, "worker-9", 15_000, meta)
-	owner, ttl, gotMeta, err := DecodeAcquireReq(p)
-	if err != nil || owner != "worker-9" || ttl != 15_000 {
-		t.Fatalf("acquire req = (%q, %d, %v)", owner, ttl, err)
+	p := AppendAcquireBatchReq(nil, "worker-9", 1, 15_000, meta)
+	owner, count, ttl, gotMeta, err := DecodeAcquireBatchReq(p)
+	if err != nil || owner != "worker-9" || count != 1 || ttl != 15_000 {
+		t.Fatalf("acquire req = (%q, %d, %d, %v)", owner, count, ttl, err)
 	}
 	if !reflect.DeepEqual(gotMeta, meta) {
 		t.Fatalf("meta = %v, want %v", gotMeta, meta)
 	}
 
 	// Empty meta decodes as nil, and the payload is exact-length.
-	p = AppendAcquireReq(nil, "", 0, nil)
-	if _, _, m, err := DecodeAcquireReq(p); err != nil || m != nil {
+	p = AppendAcquireBatchReq(nil, "", 1, 0, nil)
+	if _, _, _, m, err := DecodeAcquireBatchReq(p); err != nil || m != nil {
 		t.Fatalf("empty acquire req = (%v, %v)", m, err)
 	}
-	if _, _, _, err := DecodeAcquireReq(append(p, 0)); !errors.Is(err, ErrTrailingBytes) {
+	if _, _, _, _, err := DecodeAcquireBatchReq(append(p, 0)); !errors.Is(err, ErrTrailingBytes) {
 		t.Fatalf("trailing byte = %v, want ErrTrailingBytes", err)
 	}
 }
@@ -114,14 +145,16 @@ func TestAcquireBatchReqRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeaseRoundTrip: one granted lease is the one-item acquire
+// response, and every cut through its bytes is a typed truncation.
 func TestLeaseRoundTrip(t *testing.T) {
-	p := AppendLease(nil, 31, 0xFEED, 1_700_000_000_123)
-	l, err := DecodeLease(p)
-	if err != nil || l != (Lease{Name: 31, Token: 0xFEED, ExpiresMs: 1_700_000_000_123}) {
-		t.Fatalf("lease = %+v, %v", l, err)
+	p := AppendLease(AppendLeasesRespHeader(nil, 1), 31, 0xFEED, 1_700_000_000_123)
+	ls, err := DecodeLeasesResp(p, nil)
+	if err != nil || len(ls) != 1 || ls[0] != (Lease{Name: 31, Token: 0xFEED, ExpiresMs: 1_700_000_000_123}) {
+		t.Fatalf("lease = %+v, %v", ls, err)
 	}
 	for cut := 0; cut < len(p); cut++ {
-		if _, err := DecodeLease(p[:cut]); !errors.Is(err, ErrTruncated) {
+		if _, err := DecodeLeasesResp(p[:cut], nil); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut %d = %v, want ErrTruncated", cut, err)
 		}
 	}
@@ -180,12 +213,6 @@ func TestRenewBatchRoundTrip(t *testing.T) {
 }
 
 func TestReleaseRoundTrip(t *testing.T) {
-	p := AppendReleaseReq(nil, 5, 55)
-	name, token, err := DecodeReleaseReq(p)
-	if err != nil || name != 5 || token != 55 {
-		t.Fatalf("release req = (%d, %d, %v)", name, token, err)
-	}
-
 	items := []wire.Item{{Name: 8, Token: 88}, {Name: 9, Token: 99}}
 	bp := AppendReleaseBatchReq(nil, items)
 	got, err := DecodeReleaseBatchReq(bp, nil)
@@ -369,8 +396,8 @@ func BenchmarkDecodeRenewBatch(b *testing.B) {
 // TestChecksumRejectsCorruption: any payload bit flip fails the CRC
 // gate before type-specific decoding ever sees the bytes.
 func TestChecksumRejectsCorruption(t *testing.T) {
-	buf, start := BeginFrame(nil, TRenew, 42)
-	buf = AppendRenewReq(buf, 7, 0xABC, 30_000)
+	buf, start := BeginFrame(nil, TRenewBatch, 42)
+	buf = AppendRenewBatchReq(buf, 30_000, []wire.Item{{Name: 7, Token: 0xABC}})
 	buf = EndFrame(buf, start)
 	h, err := ParseHeader(buf)
 	if err != nil {

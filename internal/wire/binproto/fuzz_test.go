@@ -20,14 +20,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		buf = append(buf, payload...)
 		f.Add(EndFrame(buf, start))
 	}
-	seed(TAcquire, AppendAcquireReq(nil, "owner", 30_000, map[string]string{"k": "v"}))
+	// The retired single-item frames (0x01 acquire, 0x03 renew, 0x05
+	// release, and the single-lease response) stay in the corpus in
+	// their old layouts: once well-formed, now inputs ParseHeader must
+	// reject by type.
+	seed(0x01, appendMeta(appendStr(appendI64(nil, 30_000), "owner"), map[string]string{"k": "v"}))
 	seed(TAcquireBatch, AppendAcquireBatchReq(nil, "o", 16, 30_000, nil))
-	seed(TRenew, AppendRenewReq(nil, 3, 0xABC, 30_000))
+	seed(0x03, appendI64(appendU64(appendI64(nil, 3), 0xABC), 30_000))
 	seed(TRenewBatch, AppendRenewBatchReq(nil, 30_000, []wire.Item{{Name: 1, Token: 2}, {Name: 3, Token: 4}}))
-	seed(TRelease, AppendReleaseReq(nil, 3, 0xABC))
+	seed(0x05, appendU64(appendI64(nil, 3), 0xABC))
 	seed(TReleaseBatch, AppendReleaseBatchReq(nil, []wire.Item{{Name: 1, Token: 2}}))
 	seed(TStats, nil)
-	seed(TAcquire|RespBit, AppendLease(nil, 1, 2, 3))
+	seed(0x01|RespBit, AppendLease(nil, 1, 2, 3))
 	seed(TAcquireBatch|RespBit, AppendLease(AppendLeasesRespHeader(nil, 1), 1, 2, 3))
 	seed(TRenewBatch|RespBit, AppendRenewResult(AppendBatchRespHeader(nil, 1), CodeOK, 1, 2, 3))
 	seed(TReleaseBatch|RespBit, append(AppendBatchRespHeader(nil, 1), CodeOK))
@@ -59,8 +63,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(buf)
 	}
 	{ // meta count larger than remaining bytes
-		buf, start := BeginFrame(nil, TAcquire, 1)
+		buf, start := BeginFrame(nil, TAcquireBatch, 1)
 		buf = appendI64(buf, 30_000)
+		buf = appendU32(buf, 1)
 		buf = appendStr(buf, "o")
 		buf = appendU16(buf, 0xFFFF)
 		buf = EndFrame(buf, start)

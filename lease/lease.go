@@ -835,8 +835,8 @@ func (m *Manager) sweepAll(now time.Time) int {
 // it can transiently read above MaxLive (a holder's old and new names
 // both counted), so don't alert on Live <= capacity as a hard invariant.
 // Computing Live is an O(live/shards) scan per stripe — one stripe locked
-// at a time, never the whole table — so poll /debug/vars at monitoring
-// cadence, not in a tight loop.
+// at a time, never the whole table — so poll at monitoring cadence (a
+// /metrics scrape), not in a tight loop.
 func (m *Manager) Metrics() Metrics {
 	now := m.cfg.Now()
 	live := 0

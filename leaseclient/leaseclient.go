@@ -261,7 +261,7 @@ func (s *Session) Acquire(ctx context.Context) (Lease, error) {
 	return ls[0], nil
 }
 
-// AcquireN leases k fresh names in one /v1/acquire_batch round trip
+// AcquireN leases k fresh names in one acquire_batch round trip
 // (all-or-nothing, like the server) and adds them to the heartbeat set.
 func (s *Session) AcquireN(ctx context.Context, k int) ([]Lease, error) {
 	if k < 1 {
@@ -274,23 +274,12 @@ func (s *Session) AcquireN(ctx context.Context, k int) ([]Lease, error) {
 	}
 	s.mu.Unlock()
 
-	var granted wire.Leases
-	if k == 1 {
-		// The single-acquire endpoint responds with a bare lease.
-		l, err := s.tr.Acquire(ctx, &wire.AcquireRequest{Owner: s.cfg.Owner, TTLms: s.cfg.TTL.Milliseconds()})
-		if err != nil {
-			return nil, err
-		}
-		granted.Leases = []wire.Lease{l}
-	} else {
-		var err error
-		granted, err = s.tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: s.cfg.Owner, Count: k, TTLms: s.cfg.TTL.Milliseconds()})
-		if err != nil {
-			return nil, err
-		}
-		if len(granted.Leases) != k {
-			return nil, fmt.Errorf("leaseclient: acquire_batch returned %d leases, want %d", len(granted.Leases), k)
-		}
+	granted, err := s.tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: s.cfg.Owner, Count: k, TTLms: s.cfg.TTL.Milliseconds()})
+	if err != nil {
+		return nil, err
+	}
+	if len(granted.Leases) != k {
+		return nil, fmt.Errorf("leaseclient: acquire_batch returned %d leases, want %d", len(granted.Leases), k)
 	}
 
 	out := make([]Lease, len(granted.Leases))
@@ -337,21 +326,33 @@ func (s *Session) Release(ctx context.Context, name int) error {
 	if !ok {
 		return fmt.Errorf("leaseclient: name %d not held by this session", name)
 	}
-	err := s.tr.Release(ctx, &wire.ReleaseRequest{Name: l.Name, Token: l.Token})
-	var se *ServerError
-	if err != nil && !errors.As(err, &se) {
-		// Transport-level failure: the server may never have seen the
-		// release. Re-adopt the lease (unless the name was re-acquired
-		// or the session closed meanwhile) and let the caller retry. If
-		// the request did land and only the response was lost, the next
-		// heartbeat learns unknown_name and reports it through OnLost.
-		s.mu.Lock()
-		if _, taken := s.leases[name]; !taken && !s.closed {
-			s.leases[name] = l
-		}
-		s.mu.Unlock()
+	results, err := s.tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: []wire.Item{{Name: l.Name, Token: l.Token}}})
+	if err == nil && len(results.Results) != 1 {
+		err = fmt.Errorf("leaseclient: release_batch returned %d results, want 1", len(results.Results))
 	}
-	return err
+	if err != nil {
+		var se *ServerError
+		if !errors.As(err, &se) {
+			// Transport-level failure: the server may never have seen the
+			// release. Re-adopt the lease (unless the name was re-acquired
+			// or the session closed meanwhile) and let the caller retry. If
+			// the request did land and only the response was lost, the next
+			// heartbeat learns unknown_name and reports it through OnLost.
+			s.mu.Lock()
+			if _, taken := s.leases[name]; !taken && !s.closed {
+				s.leases[name] = l
+			}
+			s.mu.Unlock()
+		}
+		return err
+	}
+	// A refused item means the server saw the release: typed like a
+	// whole-request refusal, and never re-adopted.
+	r := results.Results[0]
+	if verr := wire.ErrFor(r.Code, r.Error); verr != nil {
+		return &ServerError{Op: "release_batch", Msg: verr.Error(), Err: verr}
+	}
+	return nil
 }
 
 // Leases snapshots the currently held leases.

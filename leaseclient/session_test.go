@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	renaming "repro"
+	"repro/internal/service"
 	"repro/internal/wire"
 	"repro/lease"
 )
@@ -47,10 +50,8 @@ func newFakeServer(t *testing.T, ttl time.Duration) *fakeServer {
 	t.Helper()
 	f := &fakeServer{t: t, leases: make(map[int]*fakeLease), ttl: ttl}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/acquire", f.handleAcquire)
 	mux.HandleFunc("POST /v1/acquire_batch", f.handleAcquireBatch)
 	mux.HandleFunc("POST /v1/renew_batch", f.handleRenewBatch)
-	mux.HandleFunc("POST /v1/release", f.handleRelease)
 	mux.HandleFunc("POST /v1/release_batch", f.handleReleaseBatch)
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -97,15 +98,6 @@ func (f *fakeServer) liveCount() int {
 		}
 	}
 	return n
-}
-
-func (f *fakeServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	var req wire.AcquireRequest
-	json.NewDecoder(r.Body).Decode(&req)
-	f.mu.Lock()
-	l := f.grant(req.TTLms)
-	f.mu.Unlock()
-	json.NewEncoder(w).Encode(l)
 }
 
 func (f *fakeServer) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
@@ -155,23 +147,6 @@ func (f *fakeServer) handleRenewBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	f.mu.Unlock()
 	json.NewEncoder(w).Encode(out)
-}
-
-func (f *fakeServer) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req wire.ReleaseRequest
-	json.NewDecoder(r.Body).Decode(&req)
-	f.mu.Lock()
-	l, ok := f.leases[req.Name]
-	if ok && l.token == req.Token {
-		delete(f.leases, req.Name)
-	}
-	f.mu.Unlock()
-	if !ok {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(wire.Error{Error: "no lease"})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (f *fakeServer) handleReleaseBatch(w http.ResponseWriter, r *http.Request) {
@@ -439,24 +414,16 @@ func TestHeartbeatStaleVerdictDoesNotDropReacquiredLease(t *testing.T) {
 		blockOne atomic.Bool
 	)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/acquire", func(w http.ResponseWriter, r *http.Request) {
-		var req wire.AcquireRequest
-		json.NewDecoder(r.Body).Decode(&req)
+	mux.HandleFunc("POST /v1/acquire_batch", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		curToken++
 		held = true
 		tok := curToken
 		mu.Unlock()
-		json.NewEncoder(w).Encode(wire.Lease{
+		json.NewEncoder(w).Encode(wire.Leases{Leases: []wire.Lease{{
 			Name: 5, Token: tok,
 			ExpiresAtMs: time.Now().Add(300 * time.Millisecond).UnixMilli(),
-		})
-	})
-	mux.HandleFunc("POST /v1/release", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		held = false
-		mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
+		}}})
 	})
 	mux.HandleFunc("POST /v1/renew_batch", func(w http.ResponseWriter, r *http.Request) {
 		var req wire.RenewBatchRequest
@@ -484,6 +451,9 @@ func TestHeartbeatStaleVerdictDoesNotDropReacquiredLease(t *testing.T) {
 	mux.HandleFunc("POST /v1/release_batch", func(w http.ResponseWriter, r *http.Request) {
 		var req wire.ReleaseBatchRequest
 		json.NewDecoder(r.Body).Decode(&req)
+		mu.Lock()
+		held = false
+		mu.Unlock()
 		json.NewEncoder(w).Encode(wire.BatchResults{Results: make([]wire.BatchResult, len(req.Items))})
 	})
 	srv := httptest.NewServer(mux)
@@ -535,37 +505,134 @@ func TestHeartbeatStaleVerdictDoesNotDropReacquiredLease(t *testing.T) {
 	}
 }
 
+// releaseTarget is one server a Session.Release test runs against, with
+// the two failures the test needs on demand.
+type releaseTarget struct {
+	target string
+	// revoke makes the server refuse the next release of name; refusal
+	// is the sentinel that release then carries.
+	revoke  func(name int)
+	refusal error
+	// kill makes the server unreachable.
+	kill func()
+}
+
+// releaseTargets serves the same Session.Release tests over both wires:
+// the scripted HTTP fake, and a real lease table behind the binary
+// protocol.
+func releaseTargets(t *testing.T) map[string]releaseTarget {
+	t.Helper()
+	f := newFakeServer(t, 30*time.Second)
+
+	nm, err := renaming.Open("levelarray?n=16&seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := lease.New(nm, lease.Config{TTL: time.Minute, SweepInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := service.NewBinServer(service.New(mgr, nil), service.BinConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); bin.Serve(ln) }()
+	kill := func() { bin.Close(); <-done }
+	t.Cleanup(func() { kill(); mgr.Close() })
+
+	return map[string]releaseTarget{
+		"http": {target: f.url(), revoke: f.hijack, refusal: lease.ErrWrongToken, kill: f.srv.Close},
+		"bin": {
+			target: "bin://" + ln.Addr().String(),
+			// The name is released behind the session's back.
+			revoke: func(name int) {
+				if l, ok := mgr.Get(name); ok {
+					mgr.Release(name, l.Token)
+				}
+			},
+			refusal: lease.ErrUnknownName,
+			kill:    kill,
+		},
+	}
+}
+
 // TestReleaseTransportFailureReAdopts: a Release whose request never
 // reached the server must put the lease back in the heartbeat set —
 // otherwise the server-side lease is orphaned until TTL with the session
 // blind to it.
 func TestReleaseTransportFailureReAdopts(t *testing.T) {
-	f := newFakeServer(t, 30*time.Second)
-	s, err := NewSession(Config{
-		Target:     f.url(),
-		Owner:      "readopt",
-		TTL:        time.Minute,
-		HTTPClient: &http.Client{Timeout: time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for name, rt := range releaseTargets(t) {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSession(Config{
+				Target:      rt.target,
+				Owner:       "readopt",
+				TTL:         time.Minute,
+				CallTimeout: time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := s.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Kill the server: the release's transport fails outright.
+			rt.kill()
+			err = s.Release(context.Background(), l.Name)
+			if err == nil {
+				t.Fatal("release against a dead server succeeded")
+			}
+			var se *ServerError
+			if errors.As(err, &se) {
+				t.Fatalf("transport failure classified as ServerError: %v", err)
+			}
+			held := s.Leases()
+			if len(held) != 1 || held[0].Token != l.Token {
+				t.Fatalf("held = %+v after failed release, want the lease re-adopted", held)
+			}
+			s.Close() // best effort against the dead server; must still shut down
+			if _, err := s.Acquire(context.Background()); !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("Acquire after Close = %v, want ErrSessionClosed", err)
+			}
+		})
 	}
-	l, err := s.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the server: the release's transport fails outright.
-	f.srv.Close()
-	if err := s.Release(context.Background(), l.Name); err == nil {
-		t.Fatal("release against a dead server succeeded")
-	}
-	held := s.Leases()
-	if len(held) != 1 || held[0].Token != l.Token {
-		t.Fatalf("held = %+v after failed release, want the lease re-adopted", held)
-	}
-	s.Close() // best effort against the dead server; must still shut down
-	if _, err := s.Acquire(context.Background()); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Acquire after Close = %v, want ErrSessionClosed", err)
+}
+
+// TestReleaseRefusalTyped: a release the server received and refused
+// comes back as a *ServerError wrapping the typed sentinel — the
+// per-item verdict of the one-item release_batch — and the lease is NOT
+// re-adopted: the server has spoken, there is nothing left to renew.
+func TestReleaseRefusalTyped(t *testing.T) {
+	for name, rt := range releaseTargets(t) {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSession(Config{Target: rt.target, Owner: "refused", TTL: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ls, err := s.AcquireN(context.Background(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.revoke(ls[0].Name)
+			err = s.Release(context.Background(), ls[0].Name)
+			if !errors.Is(err, rt.refusal) {
+				t.Fatalf("refused release = %v, want errors.Is %v", err, rt.refusal)
+			}
+			var se *ServerError
+			if !errors.As(err, &se) || se.Op != "release_batch" {
+				t.Fatalf("refused release = %#v, want a *ServerError for release_batch", err)
+			}
+			if held := s.Leases(); len(held) != 1 || held[0].Name != ls[1].Name {
+				t.Fatalf("held = %+v after refused release, want only %d", held, ls[1].Name)
+			}
+			// The untouched lease still releases cleanly.
+			if err := s.Release(context.Background(), ls[1].Name); err != nil {
+				t.Fatalf("clean release = %v", err)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 // Transport carries the lease protocol's operations to one server. The
 // Session layer — heartbeats, backoff, OnLost, re-adoption — is written
 // once against this interface; the HTTP/JSON and binary (binproto)
-// implementations only move bytes.
+// implementations only move bytes. Every lease operation is batch-
+// shaped: one name is a batch of one item, and a refusal of that item
+// arrives as its per-item verdict, not as an error.
 //
 // Error contract: an error that errors.As-matches *ServerError means
 // the server RECEIVED the request and refused it; any other error is a
@@ -21,11 +23,8 @@ import (
 // distinction drives the Session's release re-adoption and heartbeat
 // backoff. Implementations must be safe for concurrent use.
 type Transport interface {
-	Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error)
 	AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error)
-	Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error)
 	RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error)
-	Release(ctx context.Context, req *wire.ReleaseRequest) error
 	ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error)
 	// Ping checks reachability: GET /healthz over HTTP, a stats round
 	// trip over the binary protocol.

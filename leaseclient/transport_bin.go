@@ -50,22 +50,6 @@ func newBinTransport(addr string, timeout time.Duration) *binTransport {
 	return &binTransport{addr: addr, timeout: timeout}
 }
 
-func (t *binTransport) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, err := t.roundTrip(ctx, binproto.TAcquire, func(b []byte) []byte {
-		return binproto.AppendAcquireReq(b, req.Owner, req.TTLms, req.Meta)
-	})
-	if err != nil {
-		return wire.Lease{}, err
-	}
-	l, err := binproto.DecodeLease(p)
-	if err != nil {
-		return wire.Lease{}, t.corrupt("acquire", err)
-	}
-	return wire.Lease{Name: int(l.Name), Token: l.Token, Owner: req.Owner, ExpiresAtMs: l.ExpiresMs}, nil
-}
-
 func (t *binTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -84,22 +68,6 @@ func (t *binTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchR
 		out.Leases[i] = wire.Lease{Name: int(l.Name), Token: l.Token, Owner: req.Owner, ExpiresAtMs: l.ExpiresMs}
 	}
 	return out, nil
-}
-
-func (t *binTransport) Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, err := t.roundTrip(ctx, binproto.TRenew, func(b []byte) []byte {
-		return binproto.AppendRenewReq(b, int64(req.Name), req.Token, req.TTLms)
-	})
-	if err != nil {
-		return wire.Lease{}, err
-	}
-	l, err := binproto.DecodeLease(p)
-	if err != nil {
-		return wire.Lease{}, t.corrupt("renew", err)
-	}
-	return wire.Lease{Name: int(l.Name), Token: l.Token, ExpiresAtMs: l.ExpiresMs}, nil
 }
 
 func (t *binTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error) {
@@ -124,21 +92,6 @@ func (t *binTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchReque
 		out.Results[i].Code = binproto.CodeString(r.Code)
 	}
 	return out, nil
-}
-
-func (t *binTransport) Release(ctx context.Context, req *wire.ReleaseRequest) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, err := t.roundTrip(ctx, binproto.TRelease, func(b []byte) []byte {
-		return binproto.AppendReleaseReq(b, int64(req.Name), req.Token)
-	})
-	if err != nil {
-		return err
-	}
-	if len(p) != 0 {
-		return t.corrupt("release", binproto.ErrTrailingBytes)
-	}
-	return nil
 }
 
 func (t *binTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error) {
@@ -250,12 +203,12 @@ func (t *binTransport) roundTrip(ctx context.Context, typ binproto.Type, encode 
 	}
 	h, err := binproto.ParseHeader(hdr[:])
 	if err != nil {
-		return nil, t.corrupt(opName(typ), err)
+		return nil, t.corrupt(typ.String(), err)
 	}
 	if h.ID != id {
 		// A stale response from a previous timed-out round trip: the
 		// stream is out of phase, start over.
-		return nil, t.corrupt(opName(typ), fmt.Errorf("response id %016x, want %016x", h.ID, id))
+		return nil, t.corrupt(typ.String(), fmt.Errorf("response id %016x, want %016x", h.ID, id))
 	}
 	if cap(t.payload) < int(h.Len) {
 		t.payload = make([]byte, h.Len)
@@ -268,22 +221,22 @@ func (t *binTransport) roundTrip(ctx context.Context, typ binproto.Type, encode 
 	if err := binproto.VerifyPayload(h, t.payload); err != nil {
 		// Damaged response bytes: never decode them — drop the stream
 		// and let the session retry on a fresh connection.
-		return nil, t.corrupt(opName(typ), err)
+		return nil, t.corrupt(typ.String(), err)
 	}
 	if h.Type == binproto.TError {
 		code, msg, derr := binproto.DecodeErrorResp(t.payload)
 		if derr != nil {
-			return nil, t.corrupt(opName(typ), derr)
+			return nil, t.corrupt(typ.String(), derr)
 		}
 		return nil, &ServerError{
-			Op:        opName(typ),
+			Op:        typ.String(),
 			Msg:       msg,
 			RequestID: fmt.Sprintf("%016x", id),
 			Err:       binproto.ErrFor(code, ""),
 		}
 	}
 	if h.Type != typ|binproto.RespBit {
-		return nil, t.corrupt(opName(typ), fmt.Errorf("response type %#02x for request %#02x", byte(h.Type), byte(typ)))
+		return nil, t.corrupt(typ.String(), fmt.Errorf("response type %#02x for request %#02x", byte(h.Type), byte(typ)))
 	}
 	return t.payload, nil
 }
@@ -296,26 +249,4 @@ func dialTimeout(t time.Duration) time.Duration {
 		return t
 	}
 	return DefaultCallTimeout
-}
-
-// opName renders a request type in route-name form for errors.
-func opName(t binproto.Type) string {
-	switch t {
-	case binproto.TAcquire:
-		return "acquire"
-	case binproto.TAcquireBatch:
-		return "acquire_batch"
-	case binproto.TRenew:
-		return "renew"
-	case binproto.TRenewBatch:
-		return "renew_batch"
-	case binproto.TRelease:
-		return "release"
-	case binproto.TReleaseBatch:
-		return "release_batch"
-	case binproto.TStats:
-		return "stats"
-	default:
-		return fmt.Sprintf("type_0x%02x", byte(t))
-	}
 }

@@ -27,32 +27,16 @@ func newHTTPTransport(base string, client *http.Client) *httpTransport {
 	return &httpTransport{base: base, client: client}
 }
 
-func (t *httpTransport) Acquire(ctx context.Context, req *wire.AcquireRequest) (wire.Lease, error) {
-	var l wire.Lease
-	err := t.post(ctx, "/v1/acquire", req, &l)
-	return l, err
-}
-
 func (t *httpTransport) AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error) {
 	var ls wire.Leases
 	err := t.post(ctx, "/v1/acquire_batch", req, &ls)
 	return ls, err
 }
 
-func (t *httpTransport) Renew(ctx context.Context, req *wire.RenewRequest) (wire.Lease, error) {
-	var l wire.Lease
-	err := t.post(ctx, "/v1/renew", req, &l)
-	return l, err
-}
-
 func (t *httpTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error) {
 	var rs wire.BatchResults
 	err := t.post(ctx, "/v1/renew_batch", req, &rs)
 	return rs, err
-}
-
-func (t *httpTransport) Release(ctx context.Context, req *wire.ReleaseRequest) error {
-	return t.post(ctx, "/v1/release", req, nil)
 }
 
 func (t *httpTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error) {
@@ -105,10 +89,10 @@ func sentinelForStatus(status int) error {
 	}
 }
 
-// post sends one JSON request and decodes a 2xx response into out (when
-// non-nil). Non-2xx responses come back as *ServerError with the wire
-// error body's message; the typed per-item errors inside batch results
-// flow through wire.ErrFor instead.
+// post sends one JSON request and decodes a 2xx response into out.
+// Non-2xx responses come back as *ServerError with the wire error
+// body's message; the typed per-item errors inside batch results flow
+// through wire.ErrFor instead.
 func (t *httpTransport) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -141,10 +125,8 @@ func (t *httpTransport) post(ctx context.Context, path string, body, out any) er
 			Err:       sentinelForStatus(resp.StatusCode),
 		}
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("leaseclient: decode %s: %w", path, err)
-		}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("leaseclient: decode %s: %w", path, err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
