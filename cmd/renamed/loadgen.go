@@ -17,43 +17,12 @@ import (
 // transport layer, so one binary exercises both wires: -target
 // http://host:port speaks JSON, -target bin://host:port speaks the
 // binary protocol over a persistent connection per worker. Everything
-// above the transport — the cycle shape, the counters, the reports —
-// is wire-agnostic.
+// above the transport — the sessions, the churners, the report — is
+// wire-agnostic.
 
-// latSummary is one operation's client-observed latency in a load report.
+// latSummary is one operation's client-observed latency in the report.
 type latSummary struct {
 	P50, P99 time.Duration
-}
-
-// loadReport aggregates a load-generator run. Duration is the configured
-// run length; Elapsed is the measured wall time, which runs past Duration
-// because workers finish their in-flight acquire→renew→release cycle
-// after the deadline. Throughput is computed over Elapsed — dividing by
-// the configured duration overstated ops/sec by the overshoot.
-type loadReport struct {
-	Clients    int
-	Batch      int // names held per cycle
-	Duration   time.Duration
-	Elapsed    time.Duration
-	Acquires   int64
-	Renews     int64
-	Releases   int64
-	Failures   int64
-	OpsPerSec  float64
-	AcquireLat latSummary
-	RenewLat   latSummary
-	ReleaseLat latSummary
-}
-
-func (r loadReport) print(out io.Writer) {
-	fmt.Fprintf(out, "load: %d clients, batch %d, configured %v, ran %v\n",
-		r.Clients, r.Batch, r.Duration, r.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "  acquires  %d\n  renews    %d\n  releases  %d\n  failures  %d\n",
-		r.Acquires, r.Renews, r.Releases, r.Failures)
-	fmt.Fprintf(out, "  latency (p50/p99) acquire %v/%v, renew %v/%v, release %v/%v\n",
-		r.AcquireLat.P50, r.AcquireLat.P99, r.RenewLat.P50, r.RenewLat.P99,
-		r.ReleaseLat.P50, r.ReleaseLat.P99)
-	fmt.Fprintf(out, "  throughput %.0f ops/sec\n", r.OpsPerSec)
 }
 
 // pingTarget fails fast if the server is unreachable, rather than
@@ -73,114 +42,8 @@ func pingTarget(target string) error {
 	return nil
 }
 
-// runLoad drives acquire -> renews -> release cycles against target from
-// `clients` goroutines for the given duration. Each cycle holds `batch`
-// leases: one acquire_batch, renewsPerLease renew_batch rounds over all
-// of them, one release_batch. The counters count leases, the latency
-// histograms count round trips. Each worker owns one transport: over
-// bin:// that is one persistent connection reused for every round trip.
-func runLoad(target string, clients, renewsPerLease, batch int, duration time.Duration) (loadReport, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	if err := pingTarget(target); err != nil {
-		return loadReport{}, err
-	}
-
-	var acquires, renews, releases, failures atomic.Int64
-	acquireLat, renewLat, releaseLat := telemetry.NewHistogram(), telemetry.NewHistogram(), telemetry.NewHistogram()
-	start := time.Now()
-	deadline := start.Add(duration)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tr, err := leaseclient.NewTransport(target)
-			if err != nil {
-				failures.Add(1)
-				return
-			}
-			defer tr.Close()
-			ctx := context.Background()
-			owner := fmt.Sprintf("loadgen-%d", id)
-			// timedBatch runs one renew_batch/release_batch round trip and
-			// returns how many items came back without a refusal. Failed
-			// round trips are counted separately; recording them in h
-			// would let client-timeout constants (5s) masquerade as the
-			// op's p99.
-			timedBatch := func(h *telemetry.Histogram, call func() (wire.BatchResults, error)) (ok int64) {
-				t0 := time.Now()
-				res, err := call()
-				if err != nil {
-					failures.Add(1)
-					return 0
-				}
-				h.Observe(time.Since(t0))
-				for _, r := range res.Results {
-					if r.Code == "" {
-						ok++
-					} else {
-						failures.Add(1)
-					}
-				}
-				return ok
-			}
-			for time.Now().Before(deadline) {
-				// If the server granted leases but the response failed
-				// mid-read, the names stay leased until their TTL lapses;
-				// we can't release what we couldn't parse, so it's counted
-				// as a failure and left to the server's sweeper.
-				t0 := time.Now()
-				granted, err := tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: batch})
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				acquireLat.Observe(time.Since(t0))
-				acquires.Add(int64(len(granted.Leases)))
-				items := make([]wire.Item, len(granted.Leases))
-				for i, l := range granted.Leases {
-					items[i] = wire.Item{Name: l.Name, Token: l.Token}
-				}
-				for r := 0; r < renewsPerLease; r++ {
-					renews.Add(timedBatch(renewLat, func() (wire.BatchResults, error) {
-						return tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: items})
-					}))
-				}
-				releases.Add(timedBatch(releaseLat, func() (wire.BatchResults, error) {
-					return tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: items})
-				}))
-			}
-		}(c)
-	}
-	wg.Wait()
-	// Workers keep finishing their in-flight cycle past the deadline;
-	// throughput over the configured duration would count those ops
-	// against a window they didn't run in.
-	elapsed := time.Since(start)
-	total := acquires.Load() + renews.Load() + releases.Load()
-	quantiles := func(h *telemetry.Histogram) latSummary {
-		return latSummary{P50: h.Quantile(0.50), P99: h.Quantile(0.99)}
-	}
-	return loadReport{
-		Clients:    clients,
-		Batch:      batch,
-		Duration:   duration,
-		Elapsed:    elapsed,
-		Acquires:   acquires.Load(),
-		Renews:     renews.Load(),
-		Releases:   releases.Load(),
-		Failures:   failures.Load(),
-		OpsPerSec:  float64(total) / elapsed.Seconds(),
-		AcquireLat: quantiles(acquireLat),
-		RenewLat:   quantiles(renewLat),
-		ReleaseLat: quantiles(releaseLat),
-	}, nil
-}
-
-// sessionReport aggregates a -sessions load run: a standing population
-// of heartbeating holders (the renewal-dominated traffic shape a name
+// sessionReport aggregates a -load run: a standing population of
+// heartbeating holders (the renewal-dominated traffic shape a name
 // service actually serves) with optional churn clients alongside.
 type sessionReport struct {
 	Holders  int // heartbeating leases, spread across Sessions
@@ -294,10 +157,9 @@ func runSessionLoad(target string, holders, clients, churn int, leaseTTL, durati
 	// The measured window opens only after every session is populated:
 	// setup (N acquire_batch round trips) must not dilute the renewal
 	// throughput, and the window closes BEFORE teardown for the same
-	// reason — the classic loadgen had exactly this measured-vs-configured
-	// window bug on its elapsed time. Counters are baselined here so
-	// heartbeats that fired while later sessions were still acquiring
-	// don't count against the window either.
+	// reason. Counters are baselined here so heartbeats that fired while
+	// later sessions were still acquiring don't count against the window
+	// either.
 	var baseHeartbeats, baseRenews, baseRetries int64
 	for _, s := range sessions {
 		st := s.Stats()

@@ -65,16 +65,15 @@
 // so results are index-aligned with the request and carry typed codes
 // (the leaseclient package wraps all of this in a Session).
 //
-// Load-generator mode hammers a running server and reports throughput;
-// -target accepts either scheme (http://host:port or bin://host:port),
-// -batch k holds k leases per cycle (every round trip a k-item batch), and
-// -sessions n switches to a standing population of n heartbeating
-// holders driven through leaseclient sessions (with -churn c churning
-// acquire/release clients alongside):
+// Load-generator mode is a soak, not a benchmark (throughput and latency
+// numbers are owned by the benchmark/ module): it keeps -sessions n
+// heartbeating holders alive through leaseclient sessions, with -churn c
+// acquire/release clients alongside, and reports lost leases (must be 0)
+// and the highest fencing token seen. -target accepts either scheme
+// (http://host:port or bin://host:port):
 //
-//	renamed -load -target http://localhost:8077 -clients 32 -duration 5s
-//	renamed -load -target bin://localhost:9077 -clients 32 -batch 8
-//	renamed -load -target bin://localhost:9077 -sessions 10000 -lease-ttl 3s
+//	renamed -load -target http://localhost:8077 -duration 5s
+//	renamed -load -target bin://localhost:9077 -sessions 10000 -churn 4 -lease-ttl 3s
 package main
 
 import (
@@ -123,12 +122,10 @@ func run(args []string, out io.Writer) error {
 
 		load     = fs.Bool("load", false, "run as load generator instead of server")
 		target   = fs.String("target", "http://localhost:8077", "server base URL, http:// or bin:// (load mode)")
-		clients  = fs.Int("clients", 16, "concurrent clients (load mode)")
+		clients  = fs.Int("clients", 16, "leaseclient sessions the -sessions holders are spread across (load mode)")
 		duration = fs.Duration("duration", 5*time.Second, "how long to generate load (load mode)")
-		renews   = fs.Int("renews", 2, "renewals per lease before release (load mode)")
-		batch    = fs.Int("batch", 1, "names held per acquire/renew/release cycle, each round trip a batch of that many items (load mode)")
 
-		sessionsN = fs.Int("sessions", 0, "standing heartbeating holders kept alive through leaseclient sessions; > 0 replaces the classic acquire/renew/release cycle (load mode)")
+		sessionsN = fs.Int("sessions", 64, "standing heartbeating holders kept alive through leaseclient sessions; must be >= 1 (load mode)")
 		churn     = fs.Int("churn", 0, "churning acquire/release clients running alongside the -sessions holders (load mode)")
 		leaseTTL  = fs.Duration("lease-ttl", 3*time.Second, "requested lease TTL for -sessions holders; heartbeats run at a third of it (load mode)")
 	)
@@ -153,15 +150,10 @@ All drivers accept seed=<uint64>, padded=<bool>, counting=<bool>.
 		return err
 	}
 	if *load {
-		if *sessionsN > 0 {
-			rep, err := runSessionLoad(*target, *sessionsN, *clients, *churn, *leaseTTL, *duration)
-			if err != nil {
-				return err
-			}
-			rep.print(out)
-			return nil
+		if *sessionsN < 1 {
+			return fmt.Errorf("usage: -load needs -sessions >= 1, got %d", *sessionsN)
 		}
-		rep, err := runLoad(*target, *clients, *renews, *batch, *duration)
+		rep, err := runSessionLoad(*target, *sessionsN, *clients, *churn, *leaseTTL, *duration)
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package lease
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // newBenchManager builds a manager over a LevelArray with the given shard
 // count (0 = the GOMAXPROCS default, 1 = the pre-sharding single-mutex
 // layout) and capacity headroom so the namer never rejects.
-func newBenchManager(b *testing.B, shards int) *Manager {
+func newBenchManager(b testing.TB, shards int) *Manager {
 	b.Helper()
 	nm, err := renaming.NewLevelArray(1 << 12)
 	if err != nil {
@@ -82,7 +81,7 @@ func BenchmarkRenew(b *testing.B) {
 // newStandingLeases builds a manager with `standing` long-lived leases
 // already held — the renewal hot path's real shape: a large stable holder
 // population heartbeating, not a churn of fresh names.
-func newStandingLeases(b *testing.B, standing int) (*Manager, []RenewItem) {
+func newStandingLeases(b testing.TB, standing int) (*Manager, []RenewItem) {
 	b.Helper()
 	nm, err := renaming.NewLevelArray(standing)
 	if err != nil {
@@ -166,154 +165,20 @@ func BenchmarkSweepOnce(b *testing.B) {
 	}
 }
 
-// baselineManager is a faithful replica of the pre-sharding lease manager:
-// one mutex over one map, a full-table scan on every sweep, and the old
-// Acquire's unlock/grant/recheck dance. It is kept (stripped to the ops
-// the benchmarks drive) so this PR's redesign can be measured against the
-// design it replaced.
-type baselineManager struct {
-	namer renaming.Namer
-
-	mu     sync.Mutex
-	leases map[int]Lease
-	token  uint64
-
-	ttl     time.Duration
-	maxLive int
-
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-func newBaselineManager(namer renaming.Namer, ttl, sweepInterval time.Duration, maxLive int) *baselineManager {
-	bm := &baselineManager{
-		namer:   namer,
-		leases:  make(map[int]Lease),
-		ttl:     ttl,
-		maxLive: maxLive,
-		done:    make(chan struct{}),
-	}
-	if sweepInterval > 0 {
-		bm.wg.Add(1)
-		go func() {
-			defer bm.wg.Done()
-			ticker := time.NewTicker(sweepInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-bm.done:
-					return
-				case <-ticker.C:
-					now := time.Now()
-					bm.mu.Lock()
-					bm.sweepLocked(now)
-					bm.mu.Unlock()
-				}
-			}
-		}()
-	}
-	return bm
-}
-
-// sweepLocked is the old O(live) reclamation: every sweep scans the whole
-// table under the same mutex every operation needs.
-func (bm *baselineManager) sweepLocked(now time.Time) {
-	for name, l := range bm.leases {
-		if now.After(l.ExpiresAt) {
-			delete(bm.leases, name)
-			bm.namer.Release(name)
-		}
-	}
-}
-
-func (bm *baselineManager) Acquire(ttl time.Duration) (int, uint64, error) {
-	bm.mu.Lock()
-	if bm.maxLive > 0 && len(bm.leases) >= bm.maxLive {
-		bm.sweepLocked(time.Now())
-		if len(bm.leases) >= bm.maxLive {
-			bm.mu.Unlock()
-			return 0, 0, ErrCapacity
-		}
-	}
-	bm.mu.Unlock()
-	name, err := bm.namer.GetName()
-	if err != nil {
-		return 0, 0, err
-	}
-	expires := time.Now().Add(ttl)
-	bm.mu.Lock()
-	if bm.maxLive > 0 && len(bm.leases) >= bm.maxLive {
-		bm.mu.Unlock()
-		bm.namer.Release(name)
-		return 0, 0, ErrCapacity
-	}
-	bm.token++
-	tok := bm.token
-	bm.leases[name] = Lease{Name: name, Token: tok, ExpiresAt: expires}
-	bm.mu.Unlock()
-	return name, tok, nil
-}
-
-func (bm *baselineManager) Release(name int, token uint64) error {
-	bm.mu.Lock()
-	l, ok := bm.leases[name]
-	if !ok || l.Token != token {
-		bm.mu.Unlock()
-		return ErrUnknownName
-	}
-	delete(bm.leases, name)
-	bm.mu.Unlock()
-	return bm.namer.Release(name)
-}
-
-func (bm *baselineManager) Close() {
-	close(bm.done)
-	bm.wg.Wait()
-}
-
-// BenchmarkServiceScale is the acceptance comparison: acquire+release
-// throughput at service scale — a standing population of long-lived
-// holders with the reclamation sweeper running at the cadence a short-TTL
-// lease class dictates (the package default is TTL/4; heartbeat leases of
-// tens of milliseconds put that at single-digit milliseconds). The
-// pre-sharding baseline rescans every live lease under its one mutex on
-// every tick, so the sweep — not the namer — throttles the hot path; the
-// sharded manager's heap sweeps are O(expired) and its stripes keep ops
-// out of the sweeper's way.
+// BenchmarkServiceScale is acquire+release throughput at service scale —
+// a standing population of long-lived holders with the reclamation
+// sweeper running at the cadence a short-TTL lease class dictates (the
+// package default is TTL/4; heartbeat leases of tens of milliseconds put
+// that at single-digit milliseconds). The sharded manager's heap sweeps
+// are O(expired) and its stripes keep ops out of the sweeper's way; the
+// single-mutex manager it replaced (EXPERIMENTS.md F8) rescanned every
+// live lease under its one mutex on every tick.
 func BenchmarkServiceScale(b *testing.B) {
 	const (
 		capacity   = 1 << 21
 		pinned     = 1 << 20
 		sweepEvery = 5 * time.Millisecond
 	)
-	b.Run("singleMutexBaseline", func(b *testing.B) {
-		nm, err := renaming.NewLevelArray(capacity)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bm := newBaselineManager(nm, time.Hour, sweepEvery, capacity)
-		defer bm.Close()
-		for i := 0; i < pinned; i++ {
-			if _, _, err := bm.Acquire(time.Hour); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				name, tok, err := bm.Acquire(time.Minute)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := bm.Release(name, tok); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	})
 	b.Run("sharded", func(b *testing.B) {
 		nm, err := renaming.NewLevelArray(capacity)
 		if err != nil {

@@ -19,8 +19,8 @@ import (
 // backoff loop turns a redial into at most one lost heartbeat round).
 // Round trips are serialized under the mutex — the Session's heartbeat
 // is itself serial, so a deeper pipeline here would only buy latency
-// the caller never sees; the saturating pipelined path lives in the
-// benchreport loadgen, speaking binproto directly.
+// the caller never sees; the saturating pipelined path lives in
+// benchmark/binload.go, speaking binproto directly.
 type binTransport struct {
 	addr    string
 	timeout time.Duration // per-round-trip bound when ctx has no deadline; <= 0 unbounded
