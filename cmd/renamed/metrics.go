@@ -35,8 +35,9 @@ type serverMetrics struct {
 
 // cachedStats memoizes an expensive stats snapshot for ttl, so a scrape
 // that reads a dozen series derived from one snapshot pays for it once —
-// and a tight scrape loop cannot turn lease.Manager.Metrics (an O(live)
-// stripe walk) into a denial of service.
+// and a tight scrape loop cannot turn lease.Manager.Metrics (a lock visit
+// per stripe, and a scan of any stripe holding a lapsed lease) into a
+// denial of service.
 type cachedStats[T any] struct {
 	fetch func() T
 	ttl   time.Duration

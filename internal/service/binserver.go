@@ -168,7 +168,13 @@ func (s *BinServer) serveConn(conn net.Conn) {
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 	}
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// The idle deadline is armed only for a read that will reach the
+		// socket: a pipelined frame already whole in the buffer cannot
+		// stall, and a timer syscall per frame is measurable at a million
+		// frames a second.
+		if c.br.Buffered() < binproto.HeaderLen {
+			c.armIdle()
+		}
 		if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 			return // peer closed or idled out
 		}
@@ -184,6 +190,9 @@ func (s *BinServer) serveConn(conn net.Conn) {
 			c.payload = make([]byte, h.Len)
 		}
 		c.payload = c.payload[:h.Len]
+		if c.br.Buffered() < int(h.Len) {
+			c.armIdle() // a peer that stalls mid-frame is still dropped
+		}
 		if _, err := io.ReadFull(c.br, c.payload); err != nil {
 			return
 		}
@@ -207,6 +216,12 @@ func (s *BinServer) serveConn(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// armIdle gives the peer IdleTimeout from now to deliver what the next
+// read waits for.
+func (c *binConn) armIdle() {
+	c.conn.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
 }
 
 // flush pushes buffered response frames to the socket.

@@ -40,8 +40,8 @@ func New(mgr *lease.Manager, tel *Telemetry) *Core {
 // (Restore, Shutdown, Metrics) that are process concerns, not requests.
 func (c *Core) Manager() *lease.Manager { return c.mgr }
 
-// Stats snapshots the lease-table counters (an O(live) stripe walk —
-// cache it on scrape paths).
+// Stats snapshots the lease-table counters: one lock visit per stripe,
+// plus a scan of any stripe with a lease past its deadline.
 func (c *Core) Stats() lease.Metrics { return c.mgr.Metrics() }
 
 // Leases lists the live table for read-only inspection. Fencing tokens

@@ -53,19 +53,24 @@ type ReleaseResult struct {
 	Err error
 }
 
-// stripePlan groups a batch's item indices by the lock stripe their name
-// routes to, so the batch walk locks each involved stripe exactly once.
-// Built with a counting sort into two flat slices — a renewal storm runs
-// this on every heartbeat, so no per-stripe map or slice-of-slices
-// allocations. Stripes are visited in index order; items keep their
-// request order within a stripe.
+// stripePlan groups a batch's items by the lock stripe their name routes
+// to, so the batch walk locks each involved stripe exactly once — the one
+// bucketing mechanism for AcquireBatch, RenewBatch and ReleaseBatch. Built
+// with a counting sort into flat slices carved from a single allocation —
+// a renewal storm runs this on every heartbeat, so no per-stripe map or
+// slice-of-slices allocations. Stripes are visited in index order; items
+// keep their request order within a stripe.
 type stripePlan struct {
 	idxs   []int // item indices, grouped by stripe
-	starts []int // starts[s]..starts[s+1] is stripe s's group in idxs
+	names  []int // names[j] is the name of item idxs[j]
+	starts []int // starts[s]..starts[s+1] is stripe s's group in idxs and names
 }
 
 // group returns the item indices routed to stripe s.
 func (p *stripePlan) group(s int) []int { return p.idxs[p.starts[s]:p.starts[s+1]] }
+
+// groupNames returns the names routed to stripe s, aligned with group(s).
+func (p *stripePlan) groupNames(s int) []int { return p.names[p.starts[s]:p.starts[s+1]] }
 
 // restFrom returns all item indices in stripe s and later — the
 // unprocessed remainder when a batch walk aborts at stripe s.
@@ -75,21 +80,24 @@ func (p *stripePlan) restFrom(s int) []int { return p.idxs[p.starts[s]:] }
 // name(i).
 func (m *Manager) planStripes(name func(i int) int, n int) stripePlan {
 	shards := len(m.shards)
-	starts := make([]int, shards+1)
+	buf := make([]int, 2*shards+1+2*n)
+	starts, buf := buf[:shards+1], buf[shards+1:]
+	fill, buf := buf[:shards], buf[shards:]
+	idxs, names := buf[:n], buf[n:]
 	for i := 0; i < n; i++ {
 		starts[(name(i)&m.mask)+1]++
 	}
 	for s := 0; s < shards; s++ {
 		starts[s+1] += starts[s]
 	}
-	idxs := make([]int, n)
-	fill := make([]int, shards)
 	for i := 0; i < n; i++ {
-		s := name(i) & m.mask
-		idxs[starts[s]+fill[s]] = i
+		nm := name(i)
+		s := nm & m.mask
+		j := starts[s] + fill[s]
+		idxs[j], names[j] = i, nm
 		fill[s]++
 	}
-	return stripePlan{idxs: idxs, starts: starts}
+	return stripePlan{idxs: idxs, names: names, starts: starts}
 }
 
 // RenewBatch extends every lease in items by ttl (<= 0 means the
@@ -115,7 +123,7 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 	}
 	results := make([]RenewResult, len(items))
 	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
-	now := m.cfg.Now()
+	r := m.renewalAt(m.cfg.Now(), ttl)
 	var renewed int64
 	// failRest stamps err on every item in the not-yet-visited stripes;
 	// the abort is one rejection event, matching AcquireBatch's
@@ -142,9 +150,10 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 			failRest(plan.restFrom(s), ErrClosed)
 			break
 		}
+		sh.touch(plan.groupNames(s), m.shardBits)
 		var lapsed []int
 		for _, i := range group {
-			l, expired, err := m.renewLocked(sh, items[i].Name, items[i].Token, ttl, now)
+			l, expired, err := m.renewLocked(sh, items[i].Name, items[i].Token, r)
 			if err != nil {
 				results[i].Err = err
 				if expired {
@@ -152,10 +161,9 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 				}
 				continue
 			}
-			results[i].Lease = l.clone()
+			results[i].Lease = l
 			renewed++
 		}
-		sh.maybeCompact()
 		sh.mu.Unlock()
 		// Lapsed leases were dropped under the lock; their names go back
 		// to the namer out here so a slow Release never stalls the stripe.
@@ -185,7 +193,7 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 	}
 	results := make([]ReleaseResult, len(items))
 	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
-	now := m.cfg.Now()
+	now := m.since(m.cfg.Now())
 	failRest := func(rest []int, err error) {
 		for _, i := range rest {
 			results[i].Err = err
@@ -216,6 +224,7 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 			idx     int
 			expired bool
 		}
+		sh.touch(plan.groupNames(s), m.shardBits)
 		var handbacks []handback
 		for _, i := range group {
 			hb, err := m.releaseLocked(sh, items[i].Name, items[i].Token, now)

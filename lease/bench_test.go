@@ -150,18 +150,95 @@ func BenchmarkRenewBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepOnce measures an idle sweep over a fully live table: the
-// heap design makes it O(shards) peeks, independent of the live count.
-func BenchmarkSweepOnce(b *testing.B) {
-	m := newBenchManager(b, 0)
-	for i := 0; i < 1<<10; i++ {
-		if _, err := m.Acquire("bench", time.Hour, nil); err != nil {
-			b.Fatal(err)
-		}
+// denseNamer hands out 0..n-1 with no slack, most recently released name
+// first, so a lease table over it can be filled to the last slot. Not
+// safe for concurrent use.
+type denseNamer struct {
+	n, next int
+	free    []int
+}
+
+func (d *denseNamer) Acquire(context.Context) (int, error) {
+	if k := len(d.free); k > 0 {
+		name := d.free[k-1]
+		d.free = d.free[:k-1]
+		return name, nil
 	}
+	if d.next == d.n {
+		return 0, renaming.ErrNamespaceExhausted
+	}
+	d.next++
+	return d.next - 1, nil
+}
+
+func (d *denseNamer) AcquireN(ctx context.Context, k int) ([]int, error) {
+	names := make([]int, k)
+	for i := range names {
+		name, err := d.Acquire(ctx)
+		if err != nil {
+			d.free = append(d.free, names[:i]...)
+			return nil, err
+		}
+		names[i] = name
+	}
+	return names, nil
+}
+
+func (d *denseNamer) GetName() (int, error) { return d.Acquire(context.Background()) }
+func (d *denseNamer) Namespace() int        { return d.n }
+func (d *denseNamer) Release(name int) error {
+	d.free = append(d.free, name)
+	return nil
+}
+
+// newFullStripe builds the sweeper's worst case: one stripe whose 2^20
+// slots all hold leases a year from expiry, save one slot left for the
+// benchmark to churn.
+func newFullStripe(b *testing.B) (*Manager, *fakeClock) {
+	b.Helper()
+	const slots = 1 << 20
+	clk := newFakeClock()
+	const year = 365 * 24 * time.Hour
+	m, err := New(&denseNamer{n: slots}, Config{TTL: year, SweepInterval: -1, Shards: 1, Now: clk.Now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	if _, err := m.AcquireBatch(context.Background(), "bench", slots-1, 0, nil); err != nil {
+		b.Fatal(err)
+	}
+	return m, clk
+}
+
+// BenchmarkSweepOnce measures an idle sweep over a fully live 2^20-slot
+// stripe: the clock has not reached the stripe's earliest deadline, so
+// the sweep is one comparison per stripe, independent of the table.
+func BenchmarkSweepOnce(b *testing.B) {
+	m, _ := newFullStripe(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SweepOnce()
+		if n := m.SweepOnce(); n != 0 {
+			b.Fatalf("idle sweep reclaimed %d", n)
+		}
+	}
+}
+
+// BenchmarkSweepScan measures the worst stall the sweeper can cause: one
+// due lease in an otherwise fully live 2^20-slot stripe, so the sweep is
+// a full pass over the slots under the stripe lock to reclaim a single
+// name. Each iteration also pays the short-TTL Acquire that sets the
+// lease up — nanoseconds against the pass's milliseconds.
+func BenchmarkSweepScan(b *testing.B) {
+	m, clk := newFullStripe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Acquire("due", time.Second, nil); err != nil {
+			b.Fatal(err)
+		}
+		clk.Advance(2 * time.Second)
+		if n := m.SweepOnce(); n != 1 {
+			b.Fatalf("due sweep reclaimed %d, want 1", n)
+		}
 	}
 }
 
@@ -169,10 +246,11 @@ func BenchmarkSweepOnce(b *testing.B) {
 // a standing population of long-lived holders with the reclamation
 // sweeper running at the cadence a short-TTL lease class dictates (the
 // package default is TTL/4; heartbeat leases of tens of milliseconds put
-// that at single-digit milliseconds). The sharded manager's heap sweeps
-// are O(expired) and its stripes keep ops out of the sweeper's way; the
-// single-mutex manager it replaced (EXPERIMENTS.md F8) rescanned every
-// live lease under its one mutex on every tick.
+// that at single-digit milliseconds). A sweep tick that finds nothing due
+// is one comparison per stripe (BenchmarkSweepOnce) and the stripes keep
+// ops out of a due scan's way (BenchmarkSweepScan is that scan's cost);
+// the single-mutex manager this replaced (EXPERIMENTS.md F8) rescanned
+// every live lease under its one mutex on every tick.
 func BenchmarkServiceScale(b *testing.B) {
 	const (
 		capacity   = 1 << 21

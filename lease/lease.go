@@ -15,10 +15,32 @@
 // Internally the manager is sharded (the lock-striping idiom of Alistarh,
 // Kopinsky, Matveev and Shavit's LevelArray paper, ICDCS 2014): the lease
 // table is split into nextPow2(GOMAXPROCS) stripes, each with its own
-// mutex and expiry min-heap, and names route to stripes by low bits. The
-// MaxLive capacity check is a lock-free atomic reservation, and sweeps pop
-// per-shard heaps — O(expired) — instead of scanning every live lease. So
-// bookkeeping scales with cores and the namer stays the hot path.
+// mutex, and names route to stripes by low bits. The MaxLive capacity
+// check is a lock-free atomic reservation, so bookkeeping scales with
+// cores and the namer stays the hot path.
+//
+// Each stripe keeps its leases in a dense slot table indexed by
+// name >> shardBits — loose renaming hands out names from a namespace of
+// (1+ε)n precisely so callers can index flat arrays by name, and the lease
+// table is such a caller. A slot is three words (token, deadline, a
+// pointer to the grant's owner/metadata record); the table is allocated
+// once at the stripe's share of the namer's Namespace() and re-allocated
+// only when a Resize grew the namespace past it, so its footprint is the
+// same order as the namer's own TAS array. (A namer whose namespace is
+// far larger than its capacity — MoirAnderson's n(n+1)/2 — pays for that
+// here too.) Lookups by a name outside the table are ErrUnknownName and
+// never allocate.
+//
+// Expiry needs no heap: every slot carries its own deadline and each
+// stripe keeps a watermark, a lower bound on its occupied slots'
+// deadlines. A sweep (or a Metrics scrape) that finds the clock at or
+// before the watermark is O(1) per stripe. One that finds it past the
+// watermark scans the stripe's slots sequentially — O(table/shards)
+// regardless of how many leases are due — reclaims what lapsed, in name
+// order rather than deadline order, and resets the watermark to the
+// survivors' true minimum, so a scan runs at most once per advance of the
+// minimum live deadline. Renewals write the slot and, at most, lower the
+// watermark.
 //
 // Acquisition comes in three forms: Acquire (non-cancellable), AcquireCtx
 // (abandons a slow acquisition when the context ends, with the capacity
@@ -79,15 +101,16 @@ type Lease struct {
 	Meta map[string]string
 }
 
-func (l Lease) clone() Lease {
-	if l.Meta != nil {
-		m := make(map[string]string, len(l.Meta))
-		for k, v := range l.Meta {
-			m[k] = v
-		}
-		l.Meta = m
+// cloneMeta copies a metadata map; nil stays nil.
+func cloneMeta(meta map[string]string) map[string]string {
+	if meta == nil {
+		return nil
 	}
-	return l
+	m := make(map[string]string, len(meta))
+	for k, v := range meta {
+		m[k] = v
+	}
+	return m
 }
 
 // Config tunes a Manager.
@@ -221,10 +244,15 @@ type Manager struct {
 	namer renaming.Namer
 	cfg   Config
 
-	// shards is the striped lease table; len(shards) is a power of two
-	// and name & mask routes a name to its stripe.
-	shards []shard
-	mask   int
+	// shards is the striped lease table; len(shards) is 1<<shardBits,
+	// name & mask routes a name to its stripe and name >> shardBits to
+	// its slot there.
+	shards    []shard
+	mask      int
+	shardBits uint
+
+	// epoch is the origin of the table's deadline scale (see since).
+	epoch time.Time
 
 	closed atomic.Bool
 	// inflight counts operations that may touch the table or observer;
@@ -281,10 +309,11 @@ func New(namer renaming.Namer, cfg Config) (*Manager, error) {
 		cfg:    cfg,
 		shards: make([]shard, cfg.Shards),
 		mask:   cfg.Shards - 1,
+		epoch:  cfg.Now(),
 		done:   make(chan struct{}),
 	}
-	for i := range m.shards {
-		m.shards[i].leases = make(map[int]Lease)
+	for 1<<m.shardBits < cfg.Shards {
+		m.shardBits++
 	}
 	m.maxLive.Store(int64(cfg.MaxLive))
 	if cfg.SweepInterval > 0 {
@@ -310,6 +339,16 @@ func (m *Manager) sweepLoop() {
 
 // shard returns the stripe name routes to.
 func (m *Manager) shard(name int) *shard { return &m.shards[name&m.mask] }
+
+// nameAt is the name slot i of stripe holds: slots do not store it.
+func (m *Manager) nameAt(i, stripe int) int { return i<<m.shardBits | stripe }
+
+// stripeSize is the slot-table length that covers one stripe's share of
+// the namer's current namespace. It calls into the namer, so grant paths
+// read it before taking a stripe lock.
+func (m *Manager) stripeSize() int {
+	return (m.namer.Namespace() + len(m.shards) - 1) >> m.shardBits
+}
 
 // clampTTL resolves a caller-requested duration against the config.
 func (m *Manager) clampTTL(ttl time.Duration) time.Duration {
@@ -454,8 +493,11 @@ func (m *Manager) AcquireCtx(ctx context.Context, owner string, ttl time.Duratio
 		Token:     m.token.Add(1),
 		Owner:     owner,
 		ExpiresAt: m.cfg.Now().Add(m.clampTTL(ttl)),
-		Meta:      meta,
-	}.clone()
+		Meta:      cloneMeta(meta), // the table's copy; the caller gets its own below
+	}
+	// Read before the stripe lock: sizing the table must not call into the
+	// namer under it.
+	size := m.stripeSize()
 
 	sh := m.shard(name)
 	sh.mu.Lock()
@@ -467,14 +509,14 @@ func (m *Manager) AcquireCtx(ctx context.Context, owner string, ttl time.Duratio
 		m.rejected.Add(1)
 		return Lease{}, ErrClosed
 	}
-	sh.leases[name] = l
-	sh.expiries.push(heapEntry{at: l.ExpiresAt, name: name, token: l.Token})
+	sh.insert(name, m.shardBits, size, l.Token, m.since(l.ExpiresAt), sh.holderFor(owner, l.Meta))
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.ObserveAcquire(l)
 	}
 	sh.mu.Unlock()
 	m.acquired.Add(1)
-	return l.clone(), nil
+	l.Meta = cloneMeta(l.Meta)
+	return l, nil
 }
 
 // AcquireBatch grants k leases in one call: one capacity reservation of k
@@ -520,31 +562,34 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 		return nil, fmt.Errorf("lease: acquire batch: %w", err)
 	}
 
+	// One owner/metadata record serves all k slots; out carries the
+	// table's copy of meta while the observer sees it and gets per-lease
+	// copies only on the way out to the caller.
+	who := &holder{owner: owner, meta: cloneMeta(meta)}
 	expiresAt := m.cfg.Now().Add(m.clampTTL(ttl))
-	leases := make([]Lease, k)
+	deadline := m.since(expiresAt)
+	firstToken := m.token.Add(uint64(k)) - uint64(k) + 1
+	out := make([]Lease, k)
 	for i, name := range names {
-		leases[i] = Lease{
+		out[i] = Lease{
 			Name:      name,
-			Token:     m.token.Add(1),
+			Token:     firstToken + uint64(i),
 			Owner:     owner,
 			ExpiresAt: expiresAt,
-			Meta:      meta,
-		}.clone()
+			Meta:      who.meta,
+		}
 	}
+	size := m.stripeSize()
 
 	// Bucket the batch by stripe so each involved stripe is locked exactly
 	// once, however many of the k names it received.
-	buckets := make(map[int][]Lease, len(m.shards))
-	order := make([]int, 0, len(m.shards))
-	for _, l := range leases {
-		idx := l.Name & m.mask
-		if _, ok := buckets[idx]; !ok {
-			order = append(order, idx)
+	plan := m.planStripes(func(i int) int { return names[i] }, k)
+	for s := range m.shards {
+		group := plan.group(s)
+		if len(group) == 0 {
+			continue
 		}
-		buckets[idx] = append(buckets[idx], l)
-	}
-	for pos, idx := range order {
-		sh := &m.shards[idx]
+		sh := &m.shards[s]
 		sh.mu.Lock()
 		if m.closed.Load() {
 			// Raced with Close or Shutdown. Nothing may stay half-granted:
@@ -557,51 +602,54 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 			// (and whose name it already handed back) is skipped.
 			sh.mu.Unlock()
 			var removed []int
-			for _, ridx := range order[:pos] {
-				ish := &m.shards[ridx]
-				ish.mu.Lock()
-				for _, l := range buckets[ridx] {
-					cur, ok := ish.leases[l.Name]
-					if !ok || cur.Token != l.Token {
+			for r := 0; r < s; r++ {
+				rgroup := plan.group(r)
+				if len(rgroup) == 0 {
+					continue
+				}
+				rsh := &m.shards[r]
+				rsh.mu.Lock()
+				for _, i := range rgroup {
+					l := &out[i]
+					sl := rsh.lookup(l.Name, m.shardBits)
+					if sl == nil || sl.token != l.Token {
 						continue // Close's drain got here first
 					}
-					delete(ish.leases, l.Name)
+					rsh.remove(sl)
 					if m.cfg.Observer != nil {
 						m.cfg.Observer.ObserveRelease(l.Name, l.Token)
 					}
 					removed = append(removed, l.Name)
 				}
-				ish.mu.Unlock()
+				rsh.mu.Unlock()
 			}
 			// Hand back outside the stripe locks — exactly the names WE
 			// removed (the token check above keeps us off anything Close's
 			// drain already returned).
 			m.releaseNames(removed)
 			// Everything not yet inserted is still ours outright.
-			remaining := 0
-			for _, ridx := range order[pos:] {
-				for _, l := range buckets[ridx] {
-					m.releaseName(l.Name)
-					remaining++
-				}
+			rest := plan.restFrom(s)
+			for _, i := range rest {
+				m.releaseName(names[i])
 			}
-			m.live.Add(-int64(len(removed) + remaining))
+			m.live.Add(-int64(len(removed) + len(rest)))
 			m.rejected.Add(1)
 			return nil, ErrClosed
 		}
-		for _, l := range buckets[idx] {
-			sh.leases[l.Name] = l
-			sh.expiries.push(heapEntry{at: l.ExpiresAt, name: l.Name, token: l.Token})
+		for _, i := range group {
+			l := &out[i]
+			sh.insert(l.Name, m.shardBits, size, l.Token, deadline, who)
 			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveAcquire(l)
+				m.cfg.Observer.ObserveAcquire(*l)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	m.acquired.Add(int64(k))
-	out := make([]Lease, k)
-	for i, l := range leases {
-		out[i] = l.clone()
+	if who.meta != nil {
+		for i := range out {
+			out[i].Meta = cloneMeta(who.meta)
+		}
 	}
 	return out, nil
 }
@@ -627,10 +675,7 @@ func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error
 		m.rejected.Add(1)
 		return Lease{}, ErrClosed
 	}
-	l, expired, err := m.renewLocked(sh, name, token, ttl, m.cfg.Now())
-	if err == nil {
-		sh.maybeCompact()
-	}
+	l, expired, err := m.renewLocked(sh, name, token, m.renewalAt(m.cfg.Now(), ttl))
 	sh.mu.Unlock()
 	if expired {
 		// The lapsed lease was dropped under the lock; the namer hand-back
@@ -641,38 +686,55 @@ func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error
 		return Lease{}, err
 	}
 	m.renewed.Add(1)
-	return l.clone(), nil
+	return l, nil
+}
+
+// renewal is one clock reading resolved against a requested TTL: what a
+// renewal judged at that instant compares with and writes. RenewBatch
+// resolves it once for the whole batch.
+type renewal struct {
+	now       int64     // the instant, on the table's deadline scale
+	deadline  int64     // the extended deadline, same scale
+	expiresAt time.Time // the extended deadline as handed out
+}
+
+func (m *Manager) renewalAt(now time.Time, ttl time.Duration) renewal {
+	d := m.clampTTL(ttl)
+	n := m.since(now)
+	return renewal{now: n, deadline: n + int64(d), expiresAt: now.Add(d)}
 }
 
 // renewLocked applies one renewal against sh — the shared core of Renew
 // and RenewBatch. Refusals settle the rejected counter here; successes
-// leave the renewed counter (and compaction) to the caller, which batches
-// them. When the lease lapsed, it is dropped from the table and expired
-// reports true: the caller MUST hand name back to the namer
-// (m.releaseName) after unlocking the stripe. Callers hold sh.mu and name
-// routes to sh.
-func (m *Manager) renewLocked(sh *shard, name int, token uint64, ttl time.Duration, now time.Time) (l Lease, expired bool, err error) {
-	l, ok := sh.leases[name]
-	if !ok {
+// leave the renewed counter to the caller, which batches them. The
+// returned lease carries its own copy of the metadata. When the lease
+// lapsed, it is dropped from the table and expired reports true: the
+// caller MUST hand name back to the namer (m.releaseName) after unlocking
+// the stripe. Callers hold sh.mu and name routes to sh.
+func (m *Manager) renewLocked(sh *shard, name int, token uint64, r renewal) (l Lease, expired bool, err error) {
+	s := sh.lookup(name, m.shardBits)
+	if s == nil {
 		m.rejected.Add(1)
 		return Lease{}, false, ErrUnknownName
 	}
-	if l.Token != token {
+	if s.token != token {
 		m.rejected.Add(1)
 		return Lease{}, false, ErrWrongToken
 	}
-	if now.After(l.ExpiresAt) {
-		m.expireLocked(sh, name, l.Token)
+	if r.now > s.deadline {
+		m.expireLocked(sh, s, name)
 		m.rejected.Add(1)
 		return Lease{}, true, ErrExpired
 	}
-	l.ExpiresAt = now.Add(m.clampTTL(ttl))
-	sh.leases[name] = l
-	sh.expiries.push(heapEntry{at: l.ExpiresAt, name: name, token: l.Token})
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.ObserveRenew(name, token, l.ExpiresAt)
+	s.deadline = r.deadline
+	if r.deadline < sh.earliest {
+		// A shorter TTL than the one it replaces moves a deadline earlier.
+		sh.earliest = r.deadline
 	}
-	return l, false, nil
+	if m.cfg.Observer != nil {
+		m.cfg.Observer.ObserveRenew(name, token, r.expiresAt)
+	}
+	return Lease{Name: name, Token: token, Owner: s.who.owner, ExpiresAt: r.expiresAt, Meta: cloneMeta(s.who.meta)}, false, nil
 }
 
 // Release ends the lease identified by (name, token) and returns the name
@@ -692,7 +754,7 @@ func (m *Manager) Release(name int, token uint64) error {
 		m.rejected.Add(1)
 		return ErrClosed
 	}
-	handback, err := m.releaseLocked(sh, name, token, m.cfg.Now())
+	handback, err := m.releaseLocked(sh, name, token, m.since(m.cfg.Now()))
 	sh.mu.Unlock()
 	if !handback {
 		return err
@@ -716,26 +778,25 @@ func (m *Manager) Release(name int, token uint64) error {
 // after counting in ReclaimFailed; with err == ErrExpired it is the
 // reclaim of a lapsed lease and its error is only counted. Callers hold
 // sh.mu and name routes to sh.
-func (m *Manager) releaseLocked(sh *shard, name int, token uint64, now time.Time) (handback bool, err error) {
-	l, ok := sh.leases[name]
-	if !ok {
+func (m *Manager) releaseLocked(sh *shard, name int, token uint64, now int64) (handback bool, err error) {
+	s := sh.lookup(name, m.shardBits)
+	if s == nil {
 		m.rejected.Add(1)
 		return false, ErrUnknownName
 	}
-	if l.Token != token {
+	if s.token != token {
 		m.rejected.Add(1)
 		return false, ErrWrongToken
 	}
-	if now.After(l.ExpiresAt) {
-		m.expireLocked(sh, name, l.Token)
+	if now > s.deadline {
+		m.expireLocked(sh, s, name)
 		m.rejected.Add(1)
 		return true, ErrExpired
 	}
-	delete(sh.leases, name)
+	sh.remove(s)
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.ObserveRelease(name, token)
 	}
-	sh.maybeCompact()
 	m.live.Add(-1)
 	m.released.Add(1)
 	return true, nil
@@ -753,24 +814,40 @@ func (m *Manager) Get(name int) (l Lease, ok bool) {
 	}
 	sh := m.shard(name)
 	sh.mu.Lock()
-	l, ok = sh.leases[name]
-	if !ok {
+	s := sh.lookup(name, m.shardBits)
+	if s == nil {
 		sh.mu.Unlock()
 		return Lease{}, false
 	}
-	if m.cfg.Now().After(l.ExpiresAt) {
+	now := m.cfg.Now()
+	if m.since(now) > s.deadline {
 		if !mayReclaim {
 			sh.mu.Unlock()
 			return Lease{}, false
 		}
-		m.expireLocked(sh, name, l.Token)
+		m.expireLocked(sh, s, name)
 		sh.mu.Unlock()
 		m.releaseName(name)
 		return Lease{}, false
 	}
-	l = l.clone()
+	l = m.leaseAt(s, name, now)
 	sh.mu.Unlock()
 	return l, true
+}
+
+// leaseAt snapshots name's occupied slot s as a Lease with its own copy of
+// the metadata. ExpiresAt is rebuilt from the time the lease has left
+// relative to now, the caller's current clock reading, so a step of the
+// wall clock since the grant never accumulates into reported deadlines.
+// Callers hold the slot's stripe lock.
+func (m *Manager) leaseAt(s *slot, name int, now time.Time) Lease {
+	return Lease{
+		Name:      name,
+		Token:     s.token,
+		Owner:     s.who.owner,
+		ExpiresAt: now.Add(time.Duration(s.deadline - m.since(now))),
+		Meta:      cloneMeta(s.who.meta),
+	}
 }
 
 // Leases snapshots all live (unexpired) leases, ordered by name. The
@@ -779,15 +856,15 @@ func (m *Manager) Get(name int) (l Lease, ok bool) {
 // snapshot runs can appear under both or neither.
 func (m *Manager) Leases() []Lease {
 	now := m.cfg.Now()
+	nowD := m.since(now)
 	var out []Lease
-	for i := range m.shards {
-		sh := &m.shards[i]
+	for stripe := range m.shards {
+		sh := &m.shards[stripe]
 		sh.mu.Lock()
-		for _, l := range sh.leases {
-			if now.After(l.ExpiresAt) {
-				continue
+		for i := range sh.slots {
+			if s := &sh.slots[i]; s.who != nil && nowD <= s.deadline {
+				out = append(out, m.leaseAt(s, m.nameAt(i, stripe), now))
 			}
-			out = append(out, l.clone())
 		}
 		sh.mu.Unlock()
 	}
@@ -797,9 +874,9 @@ func (m *Manager) Leases() []Lease {
 
 // SweepOnce reclaims every expired lease now and reports how many it
 // reclaimed. The background sweeper calls this on every tick; tests call
-// it directly for deterministic reclamation. One sweep is O(expired) per
-// shard — it pops each shard's expiry heap until the head is unexpired —
-// rather than a scan of every live lease.
+// it directly for deterministic reclamation. A stripe whose earliest
+// deadline is still ahead costs O(1); a stripe with anything due is
+// scanned once (see scanLocked).
 func (m *Manager) SweepOnce() int {
 	if !m.enterOp() {
 		return 0
@@ -815,12 +892,13 @@ func (m *Manager) SweepOnce() int {
 // calls, which can be arbitrarily slow (and, with a journaling observer
 // gone synchronous, disk-speed).
 func (m *Manager) sweepAll(now time.Time) int {
+	nowD := m.since(now)
 	reclaimed := 0
 	var expired []int
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		expired = m.sweepLocked(sh, now, expired[:0])
+		expired = m.sweepLocked(sh, i, nowD, expired[:0])
 		sh.mu.Unlock()
 		m.releaseNames(expired)
 		reclaimed += len(expired)
@@ -834,20 +912,17 @@ func (m *Manager) sweepAll(now time.Time) int {
 // Leases, the count is per-shard consistent only: under concurrent churn
 // it can transiently read above MaxLive (a holder's old and new names
 // both counted), so don't alert on Live <= capacity as a hard invariant.
-// Computing Live is an O(live/shards) scan per stripe — one stripe locked
-// at a time, never the whole table — so poll at monitoring cadence (a
-// /metrics scrape), not in a tight loop.
+// Computing Live is O(1) per stripe while the clock has not passed the
+// stripe's earliest deadline — no lease there can have lapsed, so its
+// occupied count is its live count — and a scan of the stripe's slots
+// otherwise (one stripe locked at a time, never the whole table).
 func (m *Manager) Metrics() Metrics {
-	now := m.cfg.Now()
+	now := m.since(m.cfg.Now())
 	live := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for _, l := range sh.leases {
-			if !now.After(l.ExpiresAt) {
-				live++
-			}
-		}
+		live += sh.liveLocked(now)
 		sh.mu.Unlock()
 	}
 	return Metrics{
@@ -877,19 +952,23 @@ func (m *Manager) Close() error {
 		return nil
 	}
 	var names []int
-	for i := range m.shards {
-		sh := &m.shards[i]
+	for stripe := range m.shards {
+		sh := &m.shards[stripe]
 		sh.mu.Lock()
 		names = names[:0]
-		for name, l := range sh.leases {
-			delete(sh.leases, name)
+		for i := range sh.slots {
+			s := &sh.slots[i]
+			if s.who == nil {
+				continue
+			}
+			name := m.nameAt(i, stripe)
 			m.live.Add(-1)
 			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveRelease(name, l.Token)
+				m.cfg.Observer.ObserveRelease(name, s.token)
 			}
 			names = append(names, name)
 		}
-		sh.expiries = nil
+		sh.slots, sh.n = nil, 0
 		sh.mu.Unlock()
 		// Namer hand-backs run outside the stripe lock, like every other
 		// reclaim path.
@@ -991,11 +1070,10 @@ type RestoreState struct {
 }
 
 // Restore rebuilds the lease table from recovered state: every still-
-// unexpired lease is re-inserted into its stripe with its original
-// fencing token, its deadline is pushed on the stripe's expiry heap, the
-// live counter is re-established, its name is re-seized in the namer via
-// Adopt, and the fencing-token counter is advanced past the recovered
-// watermark. Leases whose TTL lapsed while the service was down are not
+// unexpired lease is re-inserted into its stripe's slot table with its
+// original fencing token and deadline, the live counter is re-established,
+// its name is re-seized in the namer via Adopt, and the fencing-token
+// counter is advanced past the recovered watermark. Leases whose TTL lapsed while the service was down are not
 // restored; they count as expired (Metrics.Expired, ObserveExpire) and
 // their names stay free in the namer.
 //
@@ -1018,6 +1096,7 @@ func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 		return 0, 0, fmt.Errorf("lease: namer %T cannot adopt restored names", m.namer)
 	}
 	now := m.cfg.Now()
+	size := m.stripeSize()
 	watermark := st.Token
 	for _, l := range st.Leases {
 		if l.Token > watermark {
@@ -1037,11 +1116,11 @@ func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 		if aerr := adopter.Adopt(l.Name); aerr != nil {
 			return restored, expired, fmt.Errorf("lease: restore name %d: %w", l.Name, aerr)
 		}
-		l = l.clone()
+		// Adopt has vouched for the name lying inside the namespace: a name
+		// read off disk never sizes the table.
 		sh := m.shard(l.Name)
 		sh.mu.Lock()
-		sh.leases[l.Name] = l
-		sh.expiries.push(heapEntry{at: l.ExpiresAt, name: l.Name, token: l.Token})
+		sh.insert(l.Name, m.shardBits, size, l.Token, m.since(l.ExpiresAt), sh.holderFor(l.Owner, cloneMeta(l.Meta)))
 		sh.mu.Unlock()
 		m.live.Add(1)
 		restored++

@@ -75,11 +75,10 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 }
 
 // TestHeapBoundedUnderPureHeartbeat drives a renewal-only workload — no
-// acquires, no releases, no sweeper — and checks maybeCompact's
-// guarantee: lazy deletion may strand one stale entry per renewal, but
-// the per-shard expiry heap must stay within 2·live+compactMinHeap
-// entries. Without compaction this workload would grow the heap by
-// live entries per round, unbounded.
+// acquires, no releases, no sweeper: 200 heartbeat rounds over 128 leases.
+// Named for the lazy expiry heap this workload used to grow by one entry
+// per renewal; what it pins now is that renewals only rewrite slots — the
+// table keeps its first size and its occupied count round after round.
 func TestHeapBoundedUnderPureHeartbeat(t *testing.T) {
 	const (
 		live   = 128
@@ -115,16 +114,16 @@ func TestHeapBoundedUnderPureHeartbeat(t *testing.T) {
 				t.Fatalf("round %d item %d: %v", round, i, r.Err)
 			}
 		}
-		sh := &m.shards[0]
-		sh.mu.Lock()
-		heapLen, liveLen := len(sh.expiries), len(sh.leases)
-		sh.mu.Unlock()
-		if heapLen > 2*liveLen+compactMinHeap {
-			t.Fatalf("round %d: heap %d entries > bound 2·%d+%d — compaction not keeping up",
-				round, heapLen, liveLen, compactMinHeap)
+		if slots, occupied := tableStats(m, 0); slots > nm.Namespace() || occupied != live {
+			t.Fatalf("round %d: table has %d slots (namespace %d), %d occupied; want %d",
+				round, slots, nm.Namespace(), occupied, live)
 		}
 	}
 	if mt := m.Metrics(); mt.Renewed != int64(live*rounds) {
 		t.Fatalf("Renewed = %d, want %d", mt.Renewed, live*rounds)
+	}
+	clk.Advance(2 * time.Hour)
+	if n := m.SweepOnce(); n != live {
+		t.Fatalf("SweepOnce after the heartbeats lapsed = %d, want %d", n, live)
 	}
 }
