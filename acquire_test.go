@@ -182,29 +182,27 @@ func TestAcquireNSingleStream(t *testing.T) {
 	}
 }
 
-// TestAcquireMatchesGetNameSequence pins the compatibility contract:
-// sequential Acquire calls with a fixed seed reproduce the exact name
-// sequence GetName produced before the redesign (and still produces).
-func TestAcquireMatchesGetNameSequence(t *testing.T) {
-	mk := func() Namer {
-		nm, err := NewReBatching(64, WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nm
+// TestAcquirePinnedSequence pins stream derivation and probe order:
+// sequential Acquire calls on NewReBatching(64, WithSeed(42)) hand out
+// exactly these names; a change to either fails here.
+func TestAcquirePinnedSequence(t *testing.T) {
+	want := []int{
+		55, 54, 53, 36, 23, 2, 12, 9, 46, 4, 31, 28, 32, 7, 50, 21,
+		22, 37, 47, 40, 1, 25, 42, 16, 35, 43, 18, 58, 60, 19, 8, 39,
+		24, 34, 45, 5, 57, 6, 14, 62, 20, 49, 48, 51, 17, 26, 41, 13,
+		3, 63, 44, 30, 11, 61, 38, 29, 52, 27, 56, 33, 59, 15, 0, 10,
 	}
-	a, b := mk(), mk()
-	for i := 0; i < 64; i++ {
-		ua, err := a.GetName()
+	nm, err := NewReBatching(64, WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		u, err := nm.Acquire(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ub, err := b.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ua != ub {
-			t.Fatalf("call %d: GetName() = %d, Acquire() = %d", i, ua, ub)
+		if u != w {
+			t.Fatalf("call %d: Acquire() = %d, want %d", i, u, w)
 		}
 	}
 }

@@ -6,6 +6,7 @@
 package renaming_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -244,7 +245,7 @@ func BenchmarkF4ConcurrentGetName(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					u, err := nm.GetName()
+					u, err := nm.Acquire(context.Background())
 					if err != nil {
 						b.Error(err)
 						return
@@ -279,7 +280,7 @@ func BenchmarkF4AdaptiveConcurrent(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					u, err := nm.GetName()
+					u, err := nm.Acquire(context.Background())
 					if err != nil {
 						b.Error(err)
 						return
@@ -330,7 +331,7 @@ func BenchmarkF6MoirAnderson(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for j := 0; j < k/8; j++ {
-							u, err := nm.GetName()
+							u, err := nm.Acquire(context.Background())
 							if err != nil {
 								b.Error(err)
 								return
@@ -395,7 +396,7 @@ func BenchmarkF12ResizeChurn(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					u, err := nm.GetName()
+					u, err := nm.Acquire(context.Background())
 					if err != nil {
 						b.Error(err)
 						return
@@ -424,7 +425,7 @@ func BenchmarkGetNameSequential(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, err := nm.GetName()
+		u, err := nm.Acquire(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

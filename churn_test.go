@@ -1,6 +1,7 @@
 package renaming_test
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +41,7 @@ func TestChurnNeverDoubleAllocates(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for c := 0; c < cycles; c++ {
-						u, err := nm.GetName()
+						u, err := nm.Acquire(context.Background())
 						if err != nil {
 							violations.Add(1)
 							return
@@ -63,7 +64,7 @@ func TestChurnNeverDoubleAllocates(t *testing.T) {
 			// 64 (the configured contention) distinct names again.
 			seen := make(map[int]bool)
 			for i := 0; i < 64; i++ {
-				u, err := nm.GetName()
+				u, err := nm.Acquire(context.Background())
 				if err != nil {
 					t.Fatalf("post-churn acquire %d: %v", i, err)
 				}
@@ -88,7 +89,7 @@ func TestConcurrentMixedAcquireRelease(t *testing.T) {
 	// Half the capacity is pinned by long-lived holders.
 	pinned := make([]int, 16)
 	for i := range pinned {
-		u, err := nm.GetName()
+		u, err := nm.Acquire(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestConcurrentMixedAcquireRelease(t *testing.T) {
 					return
 				default:
 				}
-				u, err := nm.GetName()
+				u, err := nm.Acquire(context.Background())
 				if err != nil {
 					t.Error(err)
 					return
@@ -158,7 +159,7 @@ func TestDoubleReleaseExactlyOneWins(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 0; round < 50; round++ {
-				u, err := nm.GetName()
+				u, err := nm.Acquire(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +208,7 @@ func TestLevelArrayCapacityChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for c := 0; c < 200; c++ {
-				u, err := nm.GetName()
+				u, err := nm.Acquire(context.Background())
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,5 +1,5 @@
 // Command renamebench regenerates the reproduction experiments: every
-// table (T1-T7) and figure (F1-F8) recorded in EXPERIMENTS.md. Experiments
+// table (T1-T7) and figure (F1-F7) recorded in EXPERIMENTS.md. Experiments
 // that exercise the concurrent library select their namers through the
 // renaming driver registry — the same DSN surface as renamed's -namer
 // flag — so benchmarked and served configurations stay interchangeable.
@@ -35,8 +35,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("renamebench", flag.ContinueOnError)
 	var (
-		expList = fs.String("exp", "all", "comma-separated experiment ids (T1..T7, F1..F8) or 'all'")
-		seed    = fs.Uint64("seed", 1, "master seed; fixed seed => identical tables")
+		expList = fs.String("exp", "all", "comma-separated experiment ids (T1..T7, F1..F7) or 'all'")
+		seed    = fs.Uint64("seed", 1, "master seed; fixed seed => identical tables (F4, F6, F7 race goroutines)")
 		quick   = fs.Bool("quick", false, "smaller sweeps for smoke runs")
 		csvDir  = fs.String("csv", "", "directory to also write per-experiment CSVs into")
 	)

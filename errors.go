@@ -7,7 +7,7 @@ import (
 )
 
 // The package's error taxonomy. Every error returned by a constructor,
-// Open, Acquire, AcquireN, GetName or Release matches exactly one of these
+// Open, Acquire, AcquireN or Release matches exactly one of these
 // sentinels under errors.Is:
 //
 //   - ErrNamespaceExhausted — the namer has no free name to hand out.

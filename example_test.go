@@ -1,6 +1,7 @@
 package renaming_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,7 +25,7 @@ func ExampleNewReBatching() {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			names[g], _ = namer.GetName()
+			names[g], _ = namer.Acquire(context.Background())
 		}(g)
 	}
 	wg.Wait()
@@ -54,7 +55,7 @@ func ExampleNewAdaptive() {
 	// Only three participants show up.
 	maxName := 0
 	for i := 0; i < 3; i++ {
-		u, err := namer.GetName()
+		u, err := namer.Acquire(context.Background())
 		if err != nil {
 			fmt.Println(err)
 			return
@@ -76,7 +77,7 @@ func ExampleNamer_Release() {
 		fmt.Println(err)
 		return
 	}
-	u, _ := namer.GetName()
+	u, _ := namer.Acquire(context.Background())
 	fmt.Println("release:", namer.Release(u))
 	fmt.Println("double release:", namer.Release(u) != nil)
 	// Output:

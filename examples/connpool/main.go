@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,7 +47,7 @@ func newPool(size int) (*pool, error) {
 
 // acquire claims a free slot via renaming.
 func (p *pool) acquire() (*conn, error) {
-	slot, err := p.namer.GetName()
+	slot, err := p.namer.Acquire(context.Background())
 	if err != nil {
 		return nil, err
 	}

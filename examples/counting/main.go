@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -53,7 +54,7 @@ func run() error {
 		wg.Add(1)
 		go func(weight int64) {
 			defer wg.Done()
-			name, err := namer.GetName()
+			name, err := namer.Acquire(context.Background())
 			if err != nil {
 				panic(err) // unreachable: k <= maxContention
 			}

@@ -9,8 +9,7 @@
 // The example uses the v2 acquisition surface end to end: the namer is
 // constructed from a DSN through the driver registry (renaming.Open), the
 // goroutines acquire through the context-aware Acquire, and a final batch
-// acquisition (AcquireN) grabs a block of names in one call. The legacy
-// GetName() wrapper still works — see examples/connpool for it.
+// acquisition (AcquireN) grabs a block of names in one call.
 //
 // Run with: go run ./examples/quickstart
 package main

@@ -1,6 +1,7 @@
 package renaming_test
 
 import (
+	"context"
 	"testing"
 
 	renaming "repro"
@@ -90,7 +91,7 @@ func TestSimMatchesConcurrentNamespaceUse(t *testing.T) {
 	done := make(chan int, k)
 	for g := 0; g < k; g++ {
 		go func() {
-			u, err := nm.GetName()
+			u, err := nm.Acquire(context.Background())
 			if err != nil {
 				u = -1
 			}
@@ -100,7 +101,7 @@ func TestSimMatchesConcurrentNamespaceUse(t *testing.T) {
 	for g := 0; g < k; g++ {
 		u := <-done
 		if u < 0 {
-			t.Fatal("concurrent GetName failed")
+			t.Fatal("concurrent Acquire failed")
 		}
 		if u > maxConc {
 			maxConc = u

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"sync"
 
 	renaming "repro"
@@ -47,13 +48,13 @@ func runF6(cfg RunConfig) (*Table, error) {
 			adMax,
 			float64(ops)/float64(k))
 	}
-	t.AddNote("both columns measured under real goroutine contention (k concurrent callers)")
+	t.AddNote("both columns measured under real goroutine contention (k concurrent callers), so names and op counts are schedule-dependent")
 	t.AddNote("MA names grow ~quadratically with k; adaptive names stay O(k) — the paper's namespace win")
 	t.AddNote("MA register ops grow with k; adaptive probes stay near their (lglg k)^2 + t0 budget")
 	return t, nil
 }
 
-// concurrentMaxName launches k concurrent GetName calls and returns the
+// concurrentMaxName launches k concurrent Acquire calls and returns the
 // largest acquired name.
 func concurrentMaxName(nm renaming.Namer, k int) (int, error) {
 	var (
@@ -66,7 +67,7 @@ func concurrentMaxName(nm renaming.Namer, k int) (int, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			u, err := nm.GetName()
+			u, err := nm.Acquire(context.Background())
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && firstErr == nil {

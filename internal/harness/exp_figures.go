@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/baseline"
@@ -138,62 +138,49 @@ func runF3(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// runF4 profiles the real concurrent driver: wall-clock latency and probe
-// counts under actual goroutine contention, packed vs padded TAS arrays.
+// runF4 profiles the real concurrent driver: probe counts under actual
+// goroutine contention. Wall-clock cost and the padded/packed layout
+// ablation are BenchmarkF4ConcurrentGetName's (probes do not depend on
+// layout).
 func runF4(cfg RunConfig) (*Table, error) {
 	t := &Table{
 		ID:      "F4",
-		Title:   "Real-concurrency profile",
-		Claim:   "goroutine-contended renaming costs O(lglg n) probes; padding trades 16x memory for fewer cache-line bounces",
-		Columns: []string{"goroutines", "layout", "ns/GetName", "probes/GetName"},
+		Title:   "Real-concurrency probe profile",
+		Claim:   "goroutine-contended renaming costs O(lglg n) probes",
+		Columns: []string{"goroutines", "probes/acquire"},
 	}
 	n := 1 << 14
 	if cfg.Quick {
 		n = 1 << 12
 	}
-	counts := []int{1, 4, 16, 64, 256}
-	layouts := []struct {
-		name string
-		opts []renaming.Option
-	}{
-		{"packed", nil},
-		{"padded", []renaming.Option{renaming.WithPaddedTAS()}},
-	}
-	for _, g := range counts {
-		for _, layout := range layouts {
-			opts := append([]renaming.Option{
-				renaming.WithCounting(),
-				renaming.WithSeed(seedAt(cfg.Seed, g)),
-			}, layout.opts...)
-			nm, err := renaming.NewReBatching(n, opts...)
-			if err != nil {
-				return nil, err
-			}
-			perG := n / g
-			if perG > 64 {
-				perG = 64 // bound wall time; per-call cost is what matters
-			}
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < g; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < perG; i++ {
-						if _, err := nm.GetName(); err != nil {
-							panic(err) // capacity sized to make this impossible
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			calls := int64(g * perG)
-			ops, _, _ := nm.Probes()
-			t.AddRow(g, layout.name, elapsed.Nanoseconds()/calls, float64(ops)/float64(calls))
+	for _, g := range []int{1, 4, 16, 64, 256} {
+		nm, err := renaming.NewReBatching(n,
+			renaming.WithCounting(),
+			renaming.WithSeed(seedAt(cfg.Seed, g)))
+		if err != nil {
+			return nil, err
 		}
+		perG := n / g
+		if perG > 64 {
+			perG = 64 // bound the run; per-call cost is what matters
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < g; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					if _, err := nm.Acquire(context.Background()); err != nil {
+						panic(err) // capacity sized to make this impossible
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		ops, _, _ := nm.Probes()
+		t.AddRow(g, float64(ops)/float64(g*perG))
 	}
-	t.AddNote("namespace n=%d, GOMAXPROCS=%d; probes/GetName is schedule-dependent but stays O(lglg n)+t0 tail", n, runtime.GOMAXPROCS(0))
+	t.AddNote("namespace n=%d, GOMAXPROCS=%d; probes/acquire is schedule-dependent but stays O(lglg n)+t0 tail", n, runtime.GOMAXPROCS(0))
 	return t, nil
 }
 

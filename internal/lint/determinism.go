@@ -7,7 +7,8 @@ import (
 
 // Determinism pins the PR-8 chaos contract: packages whose behavior
 // must replay bit-for-bit from a seed (the chaos harness itself, the
-// session client it drives, and the lease engine under test) draw time
+// session client it drives, the lease engine under test, and the
+// experiment harness with its simulator and lower-bound gadget) draw time
 // and randomness through injected fields — leaseclient.Config.Now/
 // Rand, lease.Config.Now, chaos's rng(seed, label) streams — never
 // through the process globals. A direct time.Now in a heartbeat path
@@ -35,7 +36,8 @@ var Determinism = &Analyzer{
 }
 
 func runDeterminism(pass *Pass) error {
-	if !pass.InScope("repro/internal/chaos", "repro/leaseclient", "repro/lease") {
+	if !pass.InScope("repro/internal/chaos", "repro/leaseclient", "repro/lease",
+		"repro/internal/harness", "repro/internal/sim", "repro/internal/lowerbound") {
 		return nil
 	}
 	for _, file := range pass.Files {

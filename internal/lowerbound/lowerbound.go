@@ -119,20 +119,29 @@ func RunMarking(cfg MarkingConfig) (*MarkingResult, error) {
 	// multiplier γ/λ_loc is the same for all locations and the aggregate
 	// rate evolves deterministically.
 	buckets := make(map[int]int, marked)
+	touched := make([]int, 0, marked) // occupied locations, first-touch order
 	for layer := 1; layer <= cfg.MaxLayers && marked > 0; layer++ {
 		locRate := lambda / float64(cfg.S)
 		gamma := xrand.CouplingRate(locRate)
 
 		// Scatter the marked instances over the S locations.
 		clear(buckets)
+		touched = touched[:0]
 		for i := 0; i < marked; i++ {
-			buckets[rng.Intn(cfg.S)]++
+			loc := rng.Intn(cfg.S)
+			if buckets[loc] == 0 {
+				touched = append(touched, loc)
+			}
+			buckets[loc]++
 		}
 		// Prune each occupied location with the coupled Y | Z draw. (Which
 		// instances survive is irrelevant here because instances are
-		// exchangeable in the uniform model; only counts matter.)
+		// exchangeable in the uniform model; only counts matter.) The draws
+		// consume the seeded stream, so locations are visited in first-touch
+		// order — ranging over the map would reorder them run to run.
 		survivors := 0
-		for _, z := range buckets {
+		for _, loc := range touched {
+			z := buckets[loc]
 			y := rng.CoupledYGivenZ(locRate, z)
 			if y > max(0, z-1) {
 				return nil, fmt.Errorf("lowerbound: coupling violated: Y=%d Z=%d", y, z)

@@ -2,6 +2,7 @@ package lowerbound
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
@@ -30,6 +31,25 @@ func TestRunMarkingBasics(t *testing.T) {
 		if res.Layers[i].Marked > res.Layers[i-1].Marked {
 			t.Fatalf("marked grew at layer %d: %d -> %d",
 				i, res.Layers[i-1].Marked, res.Layers[i].Marked)
+		}
+	}
+}
+
+// TestRunMarkingSeedDeterministic: one seed, one result. Pruning in map
+// order consumed the seeded stream differently on every run.
+func TestRunMarkingSeedDeterministic(t *testing.T) {
+	cfg := MarkingConfig{N: 1 << 12, Seed: 1}
+	want, err := RunMarking(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 5; try++ {
+		got, err := RunMarking(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("try %d: same seed, different layers:\n%+v\n%+v", try, got.Layers, want.Layers)
 		}
 	}
 }

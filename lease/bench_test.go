@@ -184,8 +184,7 @@ func (d *denseNamer) AcquireN(ctx context.Context, k int) ([]int, error) {
 	return names, nil
 }
 
-func (d *denseNamer) GetName() (int, error) { return d.Acquire(context.Background()) }
-func (d *denseNamer) Namespace() int        { return d.n }
+func (d *denseNamer) Namespace() int { return d.n }
 func (d *denseNamer) Release(name int) error {
 	d.free = append(d.free, name)
 	return nil

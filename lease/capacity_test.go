@@ -46,7 +46,7 @@ func TestAcquireSweepsBeforeRejecting(t *testing.T) {
 
 // hookClock is a fakeClock whose Now() can fire a one-shot side effect,
 // used to interleave another operation inside a specific window of an
-// in-flight Acquire (between GetName and the lease-table insert).
+// in-flight Acquire (between the namer call and the lease-table insert).
 type hookClock struct {
 	mu   sync.Mutex
 	t    time.Time
@@ -78,12 +78,12 @@ func (c *hookClock) Advance(d time.Duration) {
 // expired leases, so a name that had already lapsed blocked the grant.
 //
 // The interleaving is reproduced deterministically with a clock hook: the
-// outer Acquire stamps its lease's ExpiresAt via Now() after GetName, and
+// outer Acquire stamps its lease's ExpiresAt via Now() after naming, and
 // the hook uses that window to run a full interloper Acquire and then
 // expire it. The old recheck then saw the table at MaxLive and rejected
 // the outer call even though its sole occupant was expired. Under
 // reservation semantics the outer Acquire already holds the capacity slot
-// before GetName, so it is the interloper that is turned away (after a
+// before naming, so it is the interloper that is turned away (after a
 // sweep found nothing reclaimable), and the outer grant must succeed.
 func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	nm, err := renaming.NewLevelArray(8)

@@ -263,6 +263,5 @@ type bareNamer struct{}
 
 func (bareNamer) Acquire(ctx context.Context) (int, error)           { return 0, errors.New("no") }
 func (bareNamer) AcquireN(ctx context.Context, k int) ([]int, error) { return nil, errors.New("no") }
-func (bareNamer) GetName() (int, error)                              { return 0, errors.New("no") }
 func (bareNamer) Namespace() int                                     { return 8 }
 func (bareNamer) Release(name int) error                             { return nil }

@@ -36,15 +36,6 @@ func NewMoirAnderson(n int) (*MoirAnderson, error) {
 	return &MoirAnderson{grid: g}, nil
 }
 
-// GetName implements Namer.
-func (m *MoirAnderson) GetName() (int, error) {
-	u := m.grid.GetName()
-	if u < 0 {
-		return 0, ErrNamespaceExhausted
-	}
-	return u, nil
-}
-
 // Acquire implements Namer. The splitter grid walk is O(k) register
 // operations with no blocking probe sequence to abandon, so cancellation
 // is honoured only at entry.
@@ -52,7 +43,11 @@ func (m *MoirAnderson) Acquire(ctx context.Context) (int, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return 0, cancelled(ctx)
 	}
-	return m.GetName()
+	u := m.grid.GetName()
+	if u < 0 {
+		return 0, ErrNamespaceExhausted
+	}
+	return u, nil
 }
 
 // AcquireN implements Namer. Moir–Anderson renaming is one-shot: a grid
@@ -60,7 +55,7 @@ func (m *MoirAnderson) Acquire(ctx context.Context) (int, error) {
 // Cancellation is therefore checked before each walk — never mid-batch
 // with names in hand — but a batch that fails on exhaustion has still
 // consumed its partial acquisitions (there is no Release to undo them),
-// exactly as individual failed GetName calls do.
+// exactly as individual failed Acquire calls do.
 func (m *MoirAnderson) AcquireN(ctx context.Context, k int) ([]int, error) {
 	if k < 1 {
 		return nil, badConfig("moiranderson", "AcquireN", "", "need k >= 1")

@@ -1,6 +1,7 @@
 package renaming
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestMoirAndersonConcurrentUnique(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			u, err := nm.GetName()
+			u, err := nm.Acquire(context.Background())
 			if err != nil {
 				t.Error(err)
 				return
@@ -47,7 +48,7 @@ func TestMoirAndersonSoloFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := nm.GetName()
+	u, err := nm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestMoirAndersonReleaseUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := nm.GetName()
+	u, err := nm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ import (
 func Run(t *testing.T, mk func() (renaming.Namer, error)) {
 	t.Helper()
 	t.Run("ConcurrentUnique", func(t *testing.T) { testConcurrentUnique(t, mk) })
-	t.Run("CompatGetName", func(t *testing.T) { testCompatGetName(t, mk) })
 	t.Run("ReleaseSemantics", func(t *testing.T) { testReleaseSemantics(t, mk) })
 	t.Run("BatchDistinct", func(t *testing.T) { testBatchDistinct(t, mk) })
 	t.Run("BatchRollback", func(t *testing.T) { testBatchRollback(t, mk) })
@@ -90,27 +89,6 @@ func testConcurrentUnique(t *testing.T, mk func() (renaming.Namer, error)) {
 		}
 	}
 	assertDistinct(t, names, nm.Namespace())
-}
-
-// testCompatGetName checks the compatibility wrapper: GetName hands out
-// names interchangeable with Acquire's.
-func testCompatGetName(t *testing.T, mk func() (renaming.Namer, error)) {
-	nm := build(t, mk)
-	a, err := nm.GetName()
-	if err != nil {
-		t.Fatalf("GetName: %v", err)
-	}
-	b, err := nm.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	assertDistinct(t, []int{a, b}, nm.Namespace())
-	if err := nm.Release(a); err != nil {
-		t.Fatalf("Release(GetName result): %v", err)
-	}
-	if err := nm.Release(b); err != nil {
-		t.Fatalf("Release(Acquire result): %v", err)
-	}
 }
 
 // testReleaseSemantics checks that a released name returns to the pool and

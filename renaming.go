@@ -28,8 +28,7 @@
 // acquisition gets ErrCancelled (wrapping ctx.Err()) and never leaks a set
 // TAS slot. AcquireN(ctx, k) acquires k distinct names as one batch over a
 // single PRNG stream, releasing everything it took if it cannot deliver
-// all k. GetName() remains as a thin non-cancellable compatibility wrapper
-// around Acquire.
+// all k.
 //
 // Namers can also be constructed from a DSN string through a
 // database/sql-style registry:
@@ -111,9 +110,6 @@ type Namer interface {
 	// cancellation partway through, every name already taken is released
 	// before returning. k < 1 is rejected with ErrBadConfig.
 	AcquireN(ctx context.Context, k int) ([]int, error)
-	// GetName is the non-cancellable compatibility form of Acquire,
-	// equivalent to Acquire(context.Background()).
-	GetName() (int, error)
 	// Namespace returns the exclusive upper bound on names: every name lies
 	// in [0, Namespace()).
 	Namespace() int
@@ -172,7 +168,7 @@ func newNamerOn(alg core.Algorithm, opts options, mem space) *namer {
 // env builds the per-call execution environment: the shared TAS space plus
 // a fresh private PRNG stream (derived from an atomic counter, so calls
 // never contend on randomness). ctx == nil builds a non-cancellable
-// environment (the GetName compatibility path).
+// environment.
 func (n *namer) env(ctx context.Context) *concurrentEnv {
 	return &concurrentEnv{
 		space: n.counted,
@@ -248,12 +244,6 @@ func (n *namer) AcquireN(ctx context.Context, k int) ([]int, error) {
 		names = append(names, u)
 	}
 	return names, nil
-}
-
-// GetName implements Namer as a thin compatibility wrapper over Acquire;
-// it cannot be cancelled.
-func (n *namer) GetName() (int, error) {
-	return n.acquireOne(nil, n.env(nil))
 }
 
 // Namespace implements Namer.

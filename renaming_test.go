@@ -1,6 +1,7 @@
 package renaming
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func gatherConcurrent(t *testing.T, nm Namer, k int) []int {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			names[g], errs[g] = nm.GetName()
+			names[g], errs[g] = nm.Acquire(context.Background())
 		}(g)
 	}
 	wg.Wait()
@@ -73,7 +74,7 @@ func TestReBatchingExhaustion(t *testing.T) {
 	}
 	got := 0
 	for {
-		_, err := nm.GetName()
+		_, err := nm.Acquire(context.Background())
 		if err != nil {
 			if !errors.Is(err, ErrNamespaceExhausted) {
 				t.Fatalf("unexpected error %v", err)
@@ -158,7 +159,7 @@ func TestReleaseAndReacquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := nm.GetName()
+	u, err := nm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSeedReproducibility(t *testing.T) {
 		}
 		out := make([]int, 64)
 		for i := range out {
-			u, err := nm.GetName()
+			u, err := nm.Acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +308,7 @@ func TestAllNamersUniquePropertyQuick(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					names[g], _ = nm.GetName()
+					names[g], _ = nm.Acquire(context.Background())
 				}(g)
 			}
 			wg.Wait()
