@@ -354,11 +354,10 @@ func BenchmarkF6MoirAnderson(b *testing.B) {
 }
 
 // BenchmarkF12ResizeChurn measures the acquire+release cost on a
-// resizable LevelArray while a background driver retargets its capacity
-// (grow and shrink, including shrink-to-a-quarter) every 200µs, against
-// the identical namer left at steady capacity. The delta is the price
-// acquirers pay for geometry snapshots plus the resizes' own CPU; the
-// steady row also bounds what WithResizable costs when nobody resizes.
+// LevelArray while a background driver retargets its capacity (grow and
+// shrink, including shrink-to-a-quarter) every 200µs, against the
+// identical namer left at steady capacity. The delta is the price
+// acquirers pay for geometry snapshots plus the resizes' own CPU.
 func BenchmarkF12ResizeChurn(b *testing.B) {
 	const n = 1 << 12
 	for _, mode := range []struct {
@@ -369,7 +368,7 @@ func BenchmarkF12ResizeChurn(b *testing.B) {
 		{"resizing", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			nm, err := renaming.NewLevelArray(n, renaming.WithResizable())
+			nm, err := renaming.NewLevelArray(n)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	renaming "repro"
 	"repro/internal/wire"
 	"repro/lease"
 )
@@ -19,7 +20,7 @@ import (
 // server, listener) without going through flag parsing.
 func newGracefulStack(t *testing.T, handler http.Handler) (*http.Server, net.Listener, *lease.Manager) {
 	t.Helper()
-	nm, err := buildNamer("levelarray", 64, 1, false)
+	nm, err := renaming.Open("levelarray?n=64&seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //
 // Server mode:
 //
-//	renamed -addr :8077 -capacity 4096 -algo levelarray -ttl 30s
+//	renamed -addr :8077 -capacity 4096 -ttl 30s
 //
 // With -listen-bin the same lease table is additionally served over the
 // length-prefixed binary protocol (persistent pipelined connections,
@@ -31,8 +31,9 @@
 //
 //	renamed -addr :8077 -capacity 4096 -data-dir /var/lib/renamed -fsync interval
 //
-// The namer can also be configured as a DSN through the renaming package's
-// driver registry, which exposes every algorithm tunable as a string:
+// -capacity N alone means the namer 'levelarray?n=N'. Any other namer is a
+// DSN through the renaming package's driver registry, which exposes every
+// algorithm tunable as a string:
 //
 //	renamed -addr :8077 -namer 'levelarray?n=4096&probes=3'
 //	renamed -addr :8077 -namer 'rebatching?n=1024&eps=0.5&t0=6'
@@ -50,7 +51,7 @@
 //	POST /v1/release        {"name":17,"token":42}
 //	POST /v1/release_batch  {"items":[{"name":17,"token":42},...]}
 //	                        -> {"results":[{},{"error":"...","code":"unknown_name"},...]}
-//	POST /v1/resize         {"capacity":8192}   (elastic namers; see -resizable)
+//	POST /v1/resize         {"capacity":8192}   (levelarray namers)
 //	                        -> {"capacity":8192,"max_live":8192,"epoch":3,"draining":false,
 //	                            "results":[{"component":"namer"},{"component":"lease"}]}
 //	GET  /v1/leases         -> {"leases":[...]}
@@ -106,13 +107,10 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr      = fs.String("addr", ":8077", "listen address (server mode)")
 		listenBin = fs.String("listen-bin", "", "additional listen address for the binary protocol (bin:// targets); empty disables (server mode)")
-		capacity  = fs.Int("capacity", 4096, "maximum concurrently leased names (hard cap, enforced; also sizes the namer)")
-		algo      = fs.String("algo", "levelarray", "namer algorithm: levelarray, rebatching, adaptive, fastadaptive, uniform")
-		resizable = fs.Bool("resizable", false, "build an elastic namer (levelarray only): POST /v1/resize and the binary TResize op retarget capacity online (server mode)")
-		namerDSN  = fs.String("namer", "", "namer DSN, e.g. 'levelarray?n=4096&probes=3' or 'rebatching?n=1024&eps=0.5&t0=6'; overrides -algo/-capacity/-seed (see renaming.Open)")
+		capacity  = fs.Int("capacity", 4096, "maximum concurrently leased names (hard cap, enforced; without -namer also sizes the namer, 'levelarray?n=<capacity>')")
+		namerDSN  = fs.String("namer", "", "namer DSN, e.g. 'levelarray?n=4096&probes=3' or 'rebatching?n=1024&eps=0.5&t0=6' (see renaming.Open); an explicit -capacity still caps live leases")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default lease TTL")
 		sweep     = fs.Duration("sweep", 0, "reclamation sweep interval (0 = TTL/4)")
-		seed      = fs.Uint64("seed", 0, "probe-randomness seed (0 = library default)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight requests (server mode)")
 		dataDir   = fs.String("data-dir", "", "durability directory (journal + snapshot); leases survive crash and restart. Empty = in-memory only (server mode)")
 		fsyncStr  = fs.String("fsync", "interval", "journal fsync policy with -data-dir: always (durable before reply), interval (bounded loss), never (OS-paced)")
@@ -136,14 +134,14 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, `
 Namer DSNs (-namer) follow the renaming.Open grammar, driver?key=value&...:
 
-  levelarray?n=4096&gamma=1&probes=2     long-lived, O(1) probes under churn
+  levelarray?n=4096&gamma=1&probes=2     long-lived, O(1) probes under churn, resizes online
   rebatching?n=1024&eps=0.5&t0=6         one-shot, log log n probes
   adaptive?n=65536&t0=6                  names scale with actual contention
   fastadaptive?n=65536                   O(k log log k) total work
   uniform?n=1024&eps=1                   classical baseline
   linearscan?n=1024                      deterministic baseline
 
-All drivers accept seed=<uint64>, padded=<bool>, counting=<bool>.
+All drivers accept seed=<uint64>, counting=<bool>; all but levelarray padded=<bool>.
 `)
 	}
 	if err := fs.Parse(args); err != nil {
@@ -167,7 +165,7 @@ All drivers accept seed=<uint64>, padded=<bool>, counting=<bool>.
 			capacitySet = true
 		}
 	})
-	nm, maxLive, desc, err := buildServerNamer(*namerDSN, *algo, *capacity, capacitySet, *seed, *resizable)
+	nm, maxLive, desc, err := buildServerNamer(*namerDSN, *capacity, capacitySet)
 	if err != nil {
 		return err
 	}
@@ -206,13 +204,13 @@ All drivers accept seed=<uint64>, padded=<bool>, counting=<bool>.
 		}
 	}()
 	if store != nil {
-		restored, lapsed, err := mgr.Restore(store.State())
+		restored, lapsed, widened, err := restoreLeases(mgr, store)
 		if err != nil {
 			return fmt.Errorf("restore from %s: %w", *dataDir, err)
 		}
 		st := store.Stats()
-		fmt.Fprintf(out, "renamed: recovered %d leases (+%d lapsed while down) from %s: journal replayed %d records, %d torn bytes dropped, fsync %s\n",
-			restored, lapsed, *dataDir, st.ReplayedRecords, st.TruncatedBytes, *fsyncStr)
+		fmt.Fprintf(out, "renamed: recovered %d leases (+%d lapsed while down) from %s: journal replayed %d records, %d torn bytes dropped, fsync %s%s\n",
+			restored, lapsed, *dataDir, st.ReplayedRecords, st.TruncatedBytes, *fsyncStr, widened)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -365,46 +363,45 @@ func serveGraceful(ctx context.Context, srv *http.Server, ln net.Listener, mgr *
 	return nil
 }
 
-// buildNamer constructs the requested namer through the renaming driver
-// registry; every registered algorithm is selectable so operators can
-// compare them in situ.
-func buildNamer(algo string, capacity int, seed uint64, resizable bool) (renaming.Namer, error) {
-	dsn := fmt.Sprintf("%s?n=%d", algo, capacity)
-	if seed != 0 {
-		dsn += fmt.Sprintf("&seed=%d", seed)
-	}
-	if resizable {
-		// Only the levelarray driver reads the key; any other -algo fails
-		// loudly through the registry's unused-parameter check.
-		dsn += "&resizable"
-	}
-	return renaming.Open(dsn)
-}
-
-// buildServerNamer resolves the -namer/-algo/-capacity/-seed/-resizable
-// flags into a namer plus the MaxLive cap the lease manager should
-// enforce. A DSN takes precedence; its capacity cap comes from an
+// buildServerNamer resolves the -namer/-capacity flags into a namer plus
+// the MaxLive cap the lease manager should enforce. Without a DSN the
+// namer is a LevelArray of -capacity names. The cap comes from an
 // explicit -capacity flag, else from the namer's own analyzed capacity
 // (LongLivedNamer), else 0 (uncapped — the namespace is the only limit).
-func buildServerNamer(dsn, algo string, capacity int, capacitySet bool, seed uint64, resizable bool) (nm renaming.Namer, maxLive int, desc string, err error) {
+func buildServerNamer(dsn string, capacity int, capacitySet bool) (nm renaming.Namer, maxLive int, desc string, err error) {
 	if dsn == "" {
-		nm, err = buildNamer(algo, capacity, seed, resizable)
-		return nm, capacity, algo, err
-	}
-	if resizable {
-		return nil, 0, "", fmt.Errorf("-resizable does not combine with -namer; put resizable in the DSN (e.g. %q)", dsn+"&resizable")
+		dsn = fmt.Sprintf("levelarray?n=%d", capacity)
 	}
 	nm, err = renaming.Open(dsn)
 	if err != nil {
 		return nil, 0, "", err
 	}
-	switch {
-	case capacitySet:
+	if capacitySet {
 		maxLive = capacity
-	default:
-		if ll, ok := nm.(renaming.LongLivedNamer); ok {
-			maxLive = ll.Capacity()
-		}
+	} else if ll, ok := nm.(renaming.LongLivedNamer); ok {
+		maxLive = ll.Capacity()
 	}
 	return nm, maxLive, dsn, nil
+}
+
+// restoreLeases rebuilds mgr's table from the state the store replayed.
+// Resize is not journaled, so a server that was grown online reboots at
+// its flags' capacity with leases above that namespace, which Restore's
+// Adopt would refuse: a resizable namer's capacity is first doubled until
+// the highest recovered name fits, and widened says so for the recovery
+// banner. MaxLive stays at the flags' value — Restore honours the existing
+// holders, new acquires wait for attrition or the operator's next resize.
+func restoreLeases(mgr *lease.Manager, store *persist.Store) (restored, lapsed int, widened string, err error) {
+	state := store.State() // ordered by name
+	if rn, ok := mgr.Namer().(renaming.ResizableNamer); ok && len(state.Leases) > 0 {
+		top := state.Leases[len(state.Leases)-1].Name
+		for top >= rn.Namespace() {
+			if err := rn.Resize(2 * rn.Capacity()); err != nil {
+				return 0, 0, "", fmt.Errorf("widening the namer to cover recovered name %d: %w", top, err)
+			}
+			widened = fmt.Sprintf("; namer widened to capacity %d to cover recovered name %d", rn.Capacity(), top)
+		}
+	}
+	restored, lapsed, err = mgr.Restore(state)
+	return restored, lapsed, widened, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	renaming "repro"
 	"repro/internal/wire"
 	"repro/lease"
 	"repro/leaseclient"
@@ -23,7 +25,7 @@ import (
 // manager, HTTP handler) on an httptest listener.
 func newTestServer(t *testing.T, capacity int, cfg lease.Config) *httptest.Server {
 	t.Helper()
-	nm, err := buildNamer("levelarray", capacity, 1, false)
+	nm, err := renaming.Open(fmt.Sprintf("levelarray?n=%d&seed=1", capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,16 +342,16 @@ func TestLoadFlagSurface(t *testing.T) {
 
 func TestBuildNamer(t *testing.T) {
 	for _, algo := range []string{"levelarray", "rebatching", "adaptive", "fastadaptive", "uniform"} {
-		nm, err := buildNamer(algo, 16, 0, false)
+		nm, _, _, err := buildServerNamer(algo+"?n=16", 4096, false)
 		if err != nil {
-			t.Errorf("buildNamer(%q): %v", algo, err)
+			t.Errorf("-namer %s?n=16: %v", algo, err)
 			continue
 		}
 		if nm.Namespace() < 16 {
-			t.Errorf("buildNamer(%q) namespace %d < capacity", algo, nm.Namespace())
+			t.Errorf("-namer %s?n=16: namespace %d < capacity", algo, nm.Namespace())
 		}
 	}
-	if _, err := buildNamer("nope", 16, 0, false); err == nil {
+	if _, _, _, err := buildServerNamer("nope?n=16", 4096, false); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -417,7 +419,7 @@ func TestAcquireBatchEndpointErrors(t *testing.T) {
 // derivation rules.
 func TestBuildServerNamer(t *testing.T) {
 	// DSN over a long-lived namer: MaxLive defaults to its capacity.
-	nm, maxLive, desc, err := buildServerNamer("levelarray?n=128", "ignored", 4096, false, 0, false)
+	nm, maxLive, desc, err := buildServerNamer("levelarray?n=128", 4096, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +431,7 @@ func TestBuildServerNamer(t *testing.T) {
 	}
 
 	// Explicit -capacity wins over the namer's own capacity.
-	_, maxLive, _, err = buildServerNamer("levelarray?n=128", "ignored", 32, true, 0, false)
+	_, maxLive, _, err = buildServerNamer("levelarray?n=128", 32, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +440,7 @@ func TestBuildServerNamer(t *testing.T) {
 	}
 
 	// One-shot namers have no analyzed capacity: uncapped unless -capacity.
-	_, maxLive, _, err = buildServerNamer("rebatching?n=64&t0=6", "ignored", 4096, false, 0, false)
+	_, maxLive, _, err = buildServerNamer("rebatching?n=64&t0=6", 4096, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +449,7 @@ func TestBuildServerNamer(t *testing.T) {
 	}
 
 	// A bad DSN fails loudly.
-	if _, _, _, err := buildServerNamer("levelarray?n=128&eps=2", "ignored", 0, false, 0, false); err == nil {
+	if _, _, _, err := buildServerNamer("levelarray?n=128&eps=2", 0, false); err == nil {
 		t.Fatal("DSN with inapplicable eps accepted")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -9,14 +10,16 @@ import (
 	"time"
 
 	renaming "repro"
+	"repro/internal/wire"
 	"repro/lease"
 	"repro/lease/persist"
 	"repro/leaseclient"
 )
 
 // bootPersistentServer assembles the server the way run() does with
-// -data-dir: store → manager(observer) → Restore → HTTP handler, served
-// on the caller's listener so a "restarted" server can reuse the address.
+// -capacity 64 -data-dir: store → manager(observer) → restoreLeases →
+// HTTP handler, served on the caller's listener so a "restarted" server
+// can reuse the address.
 func bootPersistentServer(t *testing.T, dir string, ln net.Listener) (*lease.Manager, *persist.Store, *http.Server) {
 	t.Helper()
 	st, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, CompactEvery: -1})
@@ -27,11 +30,11 @@ func bootPersistentServer(t *testing.T, dir string, ln net.Listener) (*lease.Man
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := lease.New(nm, lease.Config{TTL: 5 * time.Second, SweepInterval: -1, Observer: st})
+	mgr, err := lease.New(nm, lease.Config{TTL: 5 * time.Second, SweepInterval: -1, MaxLive: 64, Observer: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mgr.Restore(st.State()); err != nil {
+	if _, _, _, err := restoreLeases(mgr, st); err != nil {
 		t.Fatal(err)
 	}
 	h := newServer(mgr, st)
@@ -137,5 +140,95 @@ func TestServerRestartSessionsSurvive(t *testing.T) {
 	}
 	if fresh.Token <= preCrashMax {
 		t.Fatalf("post-restart token %d not above pre-crash watermark %d", fresh.Token, preCrashMax)
+	}
+}
+
+// TestServerRestartAfterGrow: resize is not journaled, so a server grown
+// online reboots at its original capacity with leases above that
+// namespace. Boot must widen the namer to re-seat them: every lease
+// restored and renewable, the cap still the flags' (the restored
+// population exceeds it by design), and once the operator re-applies the
+// resize a fresh token lands above the pre-crash watermark.
+func TestServerRestartAfterGrow(t *testing.T) {
+	dir := t.TempDir()
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr1, st1, srv1 := bootPersistentServer(t, dir, ln1)
+	url := "http://" + ln1.Addr().String()
+	bootNamespace := mgr1.Namer().Namespace()
+
+	if resp, body := postJSON(t, url+"/v1/resize", wire.ResizeRequest{Capacity: 1024}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resize = %d, body %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, url+"/v1/acquire_batch", wire.AcquireBatchRequest{Owner: "grown", Count: 600, TTLms: 60_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("acquire_batch = %d, body %s", resp.StatusCode, body)
+	}
+	var granted wire.Leases
+	if err := json.Unmarshal(body, &granted); err != nil {
+		t.Fatal(err)
+	}
+	var top int
+	var watermark uint64
+	items := make([]wire.Item, len(granted.Leases))
+	for i, l := range granted.Leases {
+		top, watermark = max(top, l.Name), max(watermark, l.Token)
+		items[i] = wire.Item{Name: l.Name, Token: l.Token}
+	}
+	if top < bootNamespace {
+		t.Fatalf("highest of 600 names is %d, inside the boot namespace %d: nothing to widen", top, bootNamespace)
+	}
+
+	srv1.Close()
+	if err := st1.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2, st2, srv2 := bootPersistentServer(t, dir, ln2)
+	defer func() {
+		srv2.Close()
+		mgr2.Shutdown()
+		st2.Close()
+	}()
+	url = "http://" + ln2.Addr().String()
+
+	if got := mgr2.Metrics().Live; got != 600 {
+		t.Fatalf("rebooted server restored %d live leases, want 600", got)
+	}
+	if got := mgr2.MaxLive(); got != 64 {
+		t.Fatalf("rebooted cap = %d, want the boot capacity 64", got)
+	}
+	resp, body = postJSON(t, url+"/v1/renew_batch", wire.RenewBatchRequest{TTLms: 60_000, Items: items})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("renew_batch = %d, body %s", resp.StatusCode, body)
+	}
+	var renewed wire.BatchResults
+	if err := json.Unmarshal(body, &renewed); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range renewed.Results {
+		if r.Code != "" {
+			t.Fatalf("restored lease %d not renewable: %s (%s)", items[i].Name, r.Code, r.Error)
+		}
+	}
+
+	if resp, body := postJSON(t, url+"/v1/resize", wire.ResizeRequest{Capacity: 1024}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-applied resize = %d, body %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, url+"/v1/acquire", wire.AcquireRequest{Owner: "fresh"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh acquire = %d, body %s", resp.StatusCode, body)
+	}
+	var fresh wire.Lease
+	if err := json.Unmarshal(body, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Token <= watermark {
+		t.Fatalf("post-restart token %d not above pre-crash watermark %d", fresh.Token, watermark)
 	}
 }

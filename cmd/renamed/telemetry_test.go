@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	renaming "repro"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 	"repro/lease"
@@ -60,7 +61,7 @@ func TestMetricsEndpointGoldenFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := buildNamer("levelarray", 64, 1, false)
+	nm, err := renaming.Open("levelarray?n=64&seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func (rt *ridRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 // carries the SAME id — so one slow heartbeat can be joined across the
 // client and server logs.
 func TestRequestIDRoundTrip(t *testing.T) {
-	nm, err := buildNamer("levelarray", 64, 1, false)
+	nm, err := renaming.Open("levelarray?n=64&seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}

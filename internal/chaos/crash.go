@@ -30,11 +30,6 @@ type ServerConfig struct {
 	TTL time.Duration
 	// Capacity bounds live leases; 0 uses the server default.
 	Capacity int
-	// Resizable builds the server's namer elastic (-resizable): the
-	// /v1/resize endpoint and the binary TResize op retarget Capacity
-	// online. Resize scenarios need it; everything else leaves the
-	// geometry fixed.
-	Resizable bool
 	// Fsync is the journal policy. Crash scenarios use "always": a reply
 	// the client saw is then durable by construction, so the checker may
 	// treat every acknowledged token as surviving the kill.
@@ -96,9 +91,6 @@ func (s *Server) Start() error {
 	}
 	if s.cfg.Capacity > 0 {
 		args = append(args, "-capacity", fmt.Sprint(s.cfg.Capacity))
-	}
-	if s.cfg.Resizable {
-		args = append(args, "-resizable")
 	}
 	cmd := exec.Command(s.cfg.Binary, args...)
 	stdout, err := cmd.StdoutPipe()

@@ -50,10 +50,9 @@ type Scenario struct {
 	Churn float64
 	// Resize, when set, plays an operator retargeting the namespace
 	// online while sessions churn against it: the server starts at
-	// Resize.Base (-capacity, -resizable), cycles through Resize.Steps
-	// during the fault phase, and returns to Base when the heal phase
-	// begins. Every applied retarget feeds the checker's capacity
-	// timeline (invariant 6).
+	// Resize.Base (-capacity), cycles through Resize.Steps during the
+	// fault phase, and returns to Base when the heal phase begins. Every
+	// applied retarget feeds the checker's capacity timeline (invariant 6).
 	Resize *ResizePlan
 }
 
@@ -308,7 +307,6 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("chaos: degenerate resize plan %+v", *sc.Resize)
 		}
 		srvCfg.Capacity = sc.Resize.Base
-		srvCfg.Resizable = true
 	}
 	srv, err := StartServer(srvCfg)
 	if err != nil {

@@ -339,16 +339,6 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 			Draining: drainWord,
 		})
 
-	case binproto.TResize:
-		capacity, err := binproto.DecodeResizeReq(c.payload)
-		if err != nil {
-			opErr = err
-			break
-		}
-		st := b.Resize(int(capacity))
-		ok(binproto.TResize)
-		c.resp = binproto.AppendResizeResp(c.resp, st.Bin())
-
 	default:
 		// A request carrying a response type: protocol misuse, drop.
 		c.writeError(h.ID, binproto.CodeBadRequest, "frame type is not a request")

@@ -253,7 +253,8 @@ func TestBinServerCorruptPayloadRejected(t *testing.T) {
 
 // TestBinServerRetiredFrameTypes: bytes 0x01, 0x03 and 0x05 carried the
 // single-item acquire/renew/release requests until they were folded into
-// their batch forms. An old client still sending one is answered like
+// their batch forms, and 0x08 the resize op until HTTP became its only
+// entrance. An old client still sending one is answered like
 // any unknown frame type — exactly one TError (bad_request), then the
 // connection drops — and the server keeps serving everyone else.
 func TestBinServerRetiredFrameTypes(t *testing.T) {
@@ -267,6 +268,8 @@ func TestBinServerRetiredFrameTypes(t *testing.T) {
 		{0x01, 12}, // acquire: ttlMs | empty owner | no meta
 		{0x03, 24}, // renew: name | token | ttlMs
 		{0x05, 16}, // release: name | token
+		{0x08, 8},  // resize: capacity
+		{0x88, 26}, // resize response: capacity | maxLive | epoch | draining | count
 	}
 	for _, r := range retired {
 		typ := r.typ

@@ -251,27 +251,6 @@ func (s ResizeStatus) Wire() wire.ResizeResponse {
 	return resp
 }
 
-// Bin renders the status as the binary TResize response payload.
-func (s ResizeStatus) Bin() binproto.ResizeResult {
-	res := binproto.ResizeResult{
-		Capacity: int64(s.Capacity),
-		MaxLive:  s.MaxLive,
-		Epoch:    s.Epoch,
-		Draining: s.Draining,
-	}
-	for _, v := range []struct {
-		component string
-		err       error
-	}{{"namer", s.Namer}, {"lease", s.Lease}} {
-		verdict := binproto.ResizeVerdict{Component: v.component, Code: binproto.CodeForErr(v.err)}
-		if v.err != nil {
-			verdict.Msg = v.err.Error()
-		}
-		res.Verdicts = append(res.Verdicts, verdict)
-	}
-	return res
-}
-
 // Ok reports whether every component accepted the resize.
 func (s ResizeStatus) Ok() bool { return s.Namer == nil && s.Lease == nil }
 

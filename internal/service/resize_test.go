@@ -12,26 +12,10 @@ import (
 	"repro/lease"
 )
 
-// newResizableCore builds a core over an elastic levelarray namer with
-// the lease cap seeded to maxLive.
-func newResizableCore(t *testing.T, capacity, maxLive int) *Core {
-	t.Helper()
-	nm, err := renaming.Open("levelarray?n=64&seed=1&resizable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := lease.New(nm, lease.Config{TTL: time.Minute, SweepInterval: -1, MaxLive: maxLive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mgr.Close() })
-	return New(mgr, nil)
-}
-
 // TestBindingResize drives grow and shrink through the service op and
 // checks both components retarget together.
 func TestBindingResize(t *testing.T) {
-	core := newResizableCore(t, 64, 64)
+	core := newCore(t, 64, nil)
 	b := core.Bind("http")
 
 	st := b.Resize(128)
@@ -68,7 +52,7 @@ func TestBindingResize(t *testing.T) {
 // stays uncapped — the resize moves the namespace, not the operator's
 // throttling decision.
 func TestBindingResizeUncapped(t *testing.T) {
-	core := newResizableCore(t, 64, 0)
+	core := newCore(t, 0, nil)
 	b := core.Bind("http")
 	st := b.Resize(128)
 	if !st.Ok() || st.Capacity != 128 {
@@ -79,13 +63,21 @@ func TestBindingResizeUncapped(t *testing.T) {
 	}
 }
 
-// TestBindingResizeNonResizable: against a namer built without the
-// elastic option the namer verdict fails with bad_request while the
-// lease cap still retargets — per-component independence, the batch
-// per-item contract applied to admin ops.
+// TestBindingResizeNonResizable: against a one-shot namer the namer
+// verdict fails with bad_request while the lease cap still retargets —
+// per-component independence, the batch per-item contract applied to
+// admin ops.
 func TestBindingResizeNonResizable(t *testing.T) {
-	core := newCore(t, 64, nil)
-	b := core.Bind("http")
+	nm, err := renaming.Open("rebatching?n=64&seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := lease.New(nm, lease.Config{TTL: time.Minute, SweepInterval: -1, MaxLive: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	b := New(mgr, nil).Bind("http")
 	st := b.Resize(128)
 	if st.Namer == nil || !errors.Is(st.Namer, renaming.ErrBadConfig) {
 		t.Fatalf("namer verdict = %v, want ErrBadConfig", st.Namer)
@@ -93,8 +85,8 @@ func TestBindingResizeNonResizable(t *testing.T) {
 	if st.Lease != nil {
 		t.Fatalf("lease verdict = %v", st.Lease)
 	}
-	if st.Capacity != 64 || st.MaxLive != 128 {
-		t.Fatalf("status = %+v, want unchanged capacity with moved cap", st)
+	if st.Capacity != 0 || st.MaxLive != 128 {
+		t.Fatalf("status = %+v, want no namer capacity with moved cap", st)
 	}
 	resp := st.Wire()
 	if resp.Results[0].Code != "bad_request" || resp.Results[0].Error == "" {
@@ -105,77 +97,32 @@ func TestBindingResizeNonResizable(t *testing.T) {
 	}
 }
 
-// TestBinServerResize exercises TResize and the elastic TStats fields
-// over a real connection.
+// TestBinServerResize: a resize applied through the service op (HTTP is
+// its only wire entrance) shows in the elastic TStats fields over a real
+// binary connection.
 func TestBinServerResize(t *testing.T) {
-	core := newResizableCore(t, 64, 64)
-	srv := NewBinServer(core, BinConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve returned %v", err)
-		}
-	})
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	addr, core := startBinServer(t, 64, BinConfig{})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
 
-	buf, start := binproto.BeginFrame(nil, binproto.TResize, 1)
-	buf = binproto.AppendResizeReq(buf, 256)
+	if st := core.Bind("http").Resize(256); !st.Ok() {
+		t.Fatalf("resize verdicts: namer=%v lease=%v", st.Namer, st.Lease)
+	}
+
+	buf, start := binproto.BeginFrame(nil, binproto.TStats, 2)
 	buf = binproto.EndFrame(buf, start)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	h, p := readFrame(t, br)
-	if h.Type != binproto.TResize|binproto.RespBit || h.ID != 1 {
-		t.Fatalf("resize response header = %+v", h)
-	}
-	res, err := binproto.DecodeResizeResp(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Capacity != 256 || res.MaxLive != 256 || res.Draining {
-		t.Fatalf("resize result = %+v", res)
-	}
-	if len(res.Verdicts) != 2 || res.Verdicts[0].Code != binproto.CodeOK || res.Verdicts[1].Code != binproto.CodeOK {
-		t.Fatalf("resize verdicts = %+v", res.Verdicts)
-	}
-
-	buf, start = binproto.BeginFrame(buf[:0], binproto.TStats, 2)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	h, p = readFrame(t, br)
+	h, p := readFrame(t, bufio.NewReader(conn))
 	if h.Type != binproto.TStats|binproto.RespBit {
 		t.Fatalf("stats response header = %+v", h)
 	}
 	st, err := binproto.DecodeStatsResp(p)
 	if err != nil || st.Capacity != 256 || st.MaxLive != 256 || st.Resizes != 1 || st.Draining != 0 {
 		t.Fatalf("stats = %+v, %v", st, err)
-	}
-
-	// A malformed resize payload is a typed error, not a dropped link.
-	buf, start = binproto.BeginFrame(buf[:0], binproto.TResize, 3)
-	buf = append(buf, 1, 2)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	h, p = readFrame(t, br)
-	if h.Type != binproto.TError || h.ID != 3 {
-		t.Fatalf("truncated resize answered with %+v", h)
-	}
-	if code, _, _ := binproto.DecodeErrorResp(p); code != binproto.CodeBadRequest {
-		t.Fatalf("truncated resize code = %d", code)
 	}
 }

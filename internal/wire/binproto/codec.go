@@ -18,8 +18,6 @@ import (
 //	TStats         req:  empty
 //	               resp: live i64 | acquired i64 | renewed i64 | released i64 | expired i64 | rejected i64
 //	                     | capacity i64 | maxLive i64 | resizes i64 | draining i64 (0/1)
-//	TResize        req:  capacity i64
-//	               resp: capacity i64 | maxLive i64 | epoch u64 | draining u8 | count u8 | count * (code u8 | component str | msg str)
 //	TError         resp: code u8 | msg str
 //
 // Batch counts are validated against the actual payload length BEFORE
@@ -461,118 +459,6 @@ func DecodeStatsResp(p []byte) (Stats, error) {
 	return s, r.done()
 }
 
-// --- resize ---
-
-// ResizeVerdict is one component's outcome inside a TResize response:
-// the admin op touches both the namer and the lease cap, and either can
-// fail independently (e.g. a namer built without WithResizable). Code
-// is a shared result byte; Msg carries the rendered error on failure.
-type ResizeVerdict struct {
-	Component string
-	Code      byte
-	Msg       string
-}
-
-// ResizeResult is a decoded TResize response: the post-resize geometry
-// plus the per-component verdicts.
-type ResizeResult struct {
-	Capacity int64
-	MaxLive  int64
-	Epoch    uint64
-	Draining bool
-	Verdicts []ResizeVerdict
-}
-
-// AppendResizeReq encodes a TResize request payload.
-//
-//renamed:noalloc
-func AppendResizeReq(dst []byte, capacity int64) []byte {
-	return appendI64(dst, capacity)
-}
-
-// DecodeResizeReq decodes a TResize request payload.
-//
-//renamed:noalloc
-func DecodeResizeReq(p []byte) (capacity int64, err error) {
-	r := reader{p: p}
-	capacity, ok := r.i64()
-	if !ok {
-		return 0, ErrTruncated
-	}
-	return capacity, r.done()
-}
-
-// AppendResizeResp encodes a TResize response payload. Resize is a rare
-// admin op; unlike the hot-path codecs it is free to allocate.
-func AppendResizeResp(dst []byte, res ResizeResult) []byte {
-	dst = appendI64(dst, res.Capacity)
-	dst = appendI64(dst, res.MaxLive)
-	dst = appendU64(dst, res.Epoch)
-	var d byte
-	if res.Draining {
-		d = 1
-	}
-	dst = append(dst, d)
-	n := len(res.Verdicts)
-	if n > 0xFF {
-		n = 0xFF
-	}
-	dst = append(dst, byte(n))
-	for _, v := range res.Verdicts[:n] {
-		dst = append(dst, v.Code)
-		dst = appendStr(dst, v.Component)
-		dst = appendStr(dst, v.Msg)
-	}
-	return dst
-}
-
-// DecodeResizeResp decodes a TResize response payload.
-func DecodeResizeResp(p []byte) (ResizeResult, error) {
-	r := reader{p: p}
-	var res ResizeResult
-	var ok bool
-	if res.Capacity, ok = r.i64(); !ok {
-		return ResizeResult{}, ErrTruncated
-	}
-	if res.MaxLive, ok = r.i64(); !ok {
-		return ResizeResult{}, ErrTruncated
-	}
-	if res.Epoch, ok = r.u64(); !ok {
-		return ResizeResult{}, ErrTruncated
-	}
-	d, ok := r.byte()
-	if !ok {
-		return ResizeResult{}, ErrTruncated
-	}
-	res.Draining = d != 0
-	count, ok := r.byte()
-	if !ok {
-		return ResizeResult{}, ErrTruncated
-	}
-	// Each verdict costs at least 5 bytes (code + two length prefixes);
-	// reject a count the remaining bytes cannot carry before allocating.
-	if int(count)*5 > r.remaining() {
-		return ResizeResult{}, ErrTruncated
-	}
-	if count > 0 {
-		res.Verdicts = make([]ResizeVerdict, 0, count)
-	}
-	for i := 0; i < int(count); i++ {
-		var v ResizeVerdict
-		if v.Code, ok = r.byte(); !ok {
-			return ResizeResult{}, ErrTruncated
-		}
-		if v.Component, ok = r.str(); !ok {
-			return ResizeResult{}, ErrTruncated
-		}
-		if v.Msg, ok = r.str(); !ok {
-			return ResizeResult{}, ErrTruncated
-		}
-		res.Verdicts = append(res.Verdicts, v)
-	}
-	return res, r.done()
-}
-
 // --- error ---
 
 // AppendErrorResp encodes a TError response payload.
@@ -617,8 +503,6 @@ func DecodePayload(h Header, p []byte) error {
 		if len(p) != 0 {
 			err = ErrTrailingBytes
 		}
-	case TResize:
-		_, err = DecodeResizeReq(p)
 	case TAcquireBatch | RespBit:
 		_, err = DecodeLeasesResp(p, nil)
 	case TRenewBatch | RespBit:
@@ -627,8 +511,6 @@ func DecodePayload(h Header, p []byte) error {
 		_, err = DecodeReleaseBatchResp(p, nil)
 	case TStats | RespBit:
 		_, err = DecodeStatsResp(p)
-	case TResize | RespBit:
-		_, err = DecodeResizeResp(p)
 	case TError:
 		_, _, err = DecodeErrorResp(p)
 	default:

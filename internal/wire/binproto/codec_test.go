@@ -41,11 +41,14 @@ func TestParseHeaderErrors(t *testing.T) {
 		{"zero type", func(b []byte) []byte { b[3] = 0; return b }, ErrUnknownType},
 		{"type past resize", func(b []byte) []byte { b[3] = 0x09; return b }, ErrUnknownType},
 		{"resp of bad type", func(b []byte) []byte { b[3] = 0x89; return b }, ErrUnknownType},
-		// The single-item request bytes are retired, not reusable.
+		// The single-item request bytes and the resize op are retired, not
+		// reusable.
 		{"retired acquire", func(b []byte) []byte { b[3] = 0x01; return b }, ErrUnknownType},
 		{"retired renew", func(b []byte) []byte { b[3] = 0x03; return b }, ErrUnknownType},
 		{"retired release", func(b []byte) []byte { b[3] = 0x05; return b }, ErrUnknownType},
+		{"retired resize", func(b []byte) []byte { b[3] = 0x08; return b }, ErrUnknownType},
 		{"resp of retired type", func(b []byte) []byte { b[3] = 0x83; return b }, ErrUnknownType},
+		{"resp of retired resize", func(b []byte) []byte { b[3] = 0x88; return b }, ErrUnknownType},
 		{"oversized len", func(b []byte) []byte { b[12] = 0xFF; return b }, ErrTooLarge},
 	}
 	for _, tc := range cases {
@@ -72,8 +75,8 @@ func TestTypeString(t *testing.T) {
 		TRenewBatch:   "renew_batch",
 		TReleaseBatch: "release_batch",
 		TStats:        "stats",
-		TResize:       "resize",
 		0x01:          "type_0x01",
+		0x08:          "type_0x08",
 	} {
 		if got := typ.String(); got != want {
 			t.Errorf("Type(%#02x).String() = %q, want %q", byte(typ), got, want)
@@ -235,39 +238,6 @@ func TestStatsRoundTrip(t *testing.T) {
 	out, err := DecodeStatsResp(p)
 	if err != nil || out != in {
 		t.Fatalf("stats = %+v, %v", out, err)
-	}
-}
-
-func TestResizeRoundTrip(t *testing.T) {
-	p := AppendResizeReq(nil, 4096)
-	capacity, err := DecodeResizeReq(p)
-	if err != nil || capacity != 4096 {
-		t.Fatalf("resize req = (%d, %v)", capacity, err)
-	}
-
-	in := ResizeResult{
-		Capacity: 4096, MaxLive: 2048, Epoch: 3, Draining: true,
-		Verdicts: []ResizeVerdict{
-			{Component: "namer", Code: CodeOK},
-			{Component: "lease", Code: CodeBadRequest, Msg: "cap out of range"},
-		},
-	}
-	out, err := DecodeResizeResp(AppendResizeResp(nil, in))
-	if err != nil {
-		t.Fatalf("resize resp decode: %v", err)
-	}
-	if out.Capacity != in.Capacity || out.MaxLive != in.MaxLive ||
-		out.Epoch != in.Epoch || out.Draining != in.Draining ||
-		len(out.Verdicts) != 2 || out.Verdicts[0] != in.Verdicts[0] || out.Verdicts[1] != in.Verdicts[1] {
-		t.Fatalf("resize resp = %+v, want %+v", out, in)
-	}
-
-	// A verdict count the remaining bytes cannot pay for must be rejected
-	// before any allocation.
-	hostile := AppendResizeResp(nil, ResizeResult{})
-	hostile[len(hostile)-1] = 0xFF
-	if _, err := DecodeResizeResp(hostile); err == nil {
-		t.Fatal("hostile verdict count decoded cleanly")
 	}
 }
 

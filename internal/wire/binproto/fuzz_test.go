@@ -20,10 +20,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		buf = append(buf, payload...)
 		f.Add(EndFrame(buf, start))
 	}
-	// The retired single-item frames (0x01 acquire, 0x03 renew, 0x05
-	// release, and the single-lease response) stay in the corpus in
-	// their old layouts: once well-formed, now inputs ParseHeader must
-	// reject by type.
+	// The retired frames (0x01 acquire, 0x03 renew, 0x05 release, the
+	// single-lease response, 0x08 resize and its response) stay in the
+	// corpus in their old layouts: once well-formed, now inputs
+	// ParseHeader must reject by type.
 	seed(0x01, appendMeta(appendStr(appendI64(nil, 30_000), "owner"), map[string]string{"k": "v"}))
 	seed(TAcquireBatch, AppendAcquireBatchReq(nil, "o", 16, 30_000, nil))
 	seed(0x03, appendI64(appendU64(appendI64(nil, 3), 0xABC), 30_000))
@@ -36,11 +36,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(TRenewBatch|RespBit, AppendRenewResult(AppendBatchRespHeader(nil, 1), CodeOK, 1, 2, 3))
 	seed(TReleaseBatch|RespBit, append(AppendBatchRespHeader(nil, 1), CodeOK))
 	seed(TStats|RespBit, AppendStatsResp(nil, Stats{Live: 1}))
-	seed(TResize, AppendResizeReq(nil, 4096))
-	seed(TResize|RespBit, AppendResizeResp(nil, ResizeResult{
-		Capacity: 4096, MaxLive: 4096, Epoch: 2, Draining: true,
-		Verdicts: []ResizeVerdict{{Component: "namer", Code: CodeOK}},
-	}))
+	seed(0x08, appendI64(nil, 4096))
+	// capacity | maxLive | epoch | draining | count | (code, component, msg)
+	resizeResp := append(appendU64(appendI64(appendI64(nil, 4096), 4096), 2), 1, 1, CodeOK)
+	seed(0x08|RespBit, appendStr(appendStr(resizeResp, "namer"), ""))
 	seed(TError, AppendErrorResp(nil, CodeExhausted, "full"))
 
 	// Hostile seeds: torn frames, oversized declared lengths, truncated
@@ -71,8 +70,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		buf = EndFrame(buf, start)
 		f.Add(buf)
 	}
-	{ // resize-verdict count the bytes don't pay for
-		buf, start := BeginFrame(nil, TResize|RespBit, 1)
+	{ // retired resize response with a verdict count the bytes don't pay for
+		buf, start := BeginFrame(nil, 0x08|RespBit, 1)
 		buf = appendI64(buf, 64)
 		buf = appendI64(buf, 64)
 		buf = appendU64(buf, 1)

@@ -122,7 +122,7 @@ type ResizeRequest struct {
 
 // ResizeResult is one component's outcome inside a resize response,
 // mirroring the batch per-item shape: the namer and the lease cap are
-// adjusted independently and either can fail on its own (a non-elastic
+// adjusted independently and either can fail on its own (a one-shot
 // namer rejects the resize while the cap still moves).
 type ResizeResult struct {
 	Component string `json:"component"`

@@ -323,7 +323,7 @@ func (r *modelRun) cfg() Config {
 }
 
 func (r *modelRun) newNamer(capacity int) error {
-	nm, err := renaming.NewLevelArray(capacity, renaming.WithResizable(), renaming.WithSeed(r.seed))
+	nm, err := renaming.NewLevelArray(capacity, renaming.WithSeed(r.seed))
 	r.nm = nm
 	return err
 }

@@ -214,7 +214,7 @@ func TestRestoredTokenZeroIsOccupied(t *testing.T) {
 // and re-allocated, to the exact new size, only when a grant lands beyond
 // it after the namer grew.
 func TestTableRegrowsAfterResize(t *testing.T) {
-	nm, err := renaming.NewLevelArray(8, renaming.WithResizable())
+	nm, err := renaming.NewLevelArray(8)
 	if err != nil {
 		t.Fatal(err)
 	}

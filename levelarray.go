@@ -14,50 +14,37 @@ import (
 // as long as at most Capacity() names are held at any instant. Create one
 // with NewLevelArray.
 //
-// Built with WithResizable, the capacity is live: Resize grows the level
-// structure online (appending segments over a growable TAS space) or
-// shrinks it by marking the namespace tail drain-only; see ResizableNamer
-// for the contract.
+// The capacity is live: Resize grows the level structure online
+// (appending segments over a growable TAS space) or shrinks it by marking
+// the namespace tail drain-only; see ResizableNamer for the contract.
 type LevelArray struct {
 	*namer
-	alg       *levelarray.LevelArray
-	resizable bool
+	alg *levelarray.LevelArray
 }
 
 // NewLevelArray builds a long-lived namer with capacity n: at most n names
 // held concurrently, out of a namespace of size just under 2(1+γ)n. The
 // per-level slack γ is set with WithGamma (default 1) and the per-level
 // probe count with WithLevelProbes (default 2). The one-shot family's
-// WithEpsilon does not apply here and is rejected with ErrBadConfig.
+// WithEpsilon does not apply here and is rejected with ErrBadConfig, and
+// so is WithPaddedTAS: the growable space underneath is unpadded.
 func NewLevelArray(n int, opts ...Option) (*LevelArray, error) {
 	o, err := collectOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.checkApplicable("levelarray", optGamma, optLevelProbes, optResizable); err != nil {
+	if err := o.checkApplicable("levelarray", optGamma, optLevelProbes); err != nil {
 		return nil, err
 	}
 	if n < 1 {
 		return nil, badConfig("levelarray", "n", fmt.Sprint(n), "need capacity >= 1")
 	}
-	if !o.resizable {
-		alg, err := levelarray.New(levelarray.Config{
-			N:      n,
-			Gamma:  o.gamma,
-			Probes: o.levelProbes,
-		})
-		if err != nil {
-			return nil, wrapConfig("levelarray", err)
-		}
-		return &LevelArray{namer: newNamer(alg, o), alg: alg}, nil
-	}
 	if o.padded {
-		return nil, badConfig("levelarray", optResizable, "",
-			"incompatible with WithPaddedTAS: the growable space is unpadded")
+		return nil, badConfig("levelarray", optPadded, "", "the growable space is unpadded")
 	}
-	// Resizable path: the elastic space must exist before the algorithm,
-	// because Resize extends the space (EnsureSpace) BEFORE publishing the
-	// grown geometry — no probe may ever address a missing location.
+	// The elastic space must exist before the algorithm, because Resize
+	// extends the space (EnsureSpace) BEFORE publishing the grown
+	// geometry — no probe may ever address a missing location.
 	mem := tas.NewElastic(0)
 	alg, err := levelarray.New(levelarray.Config{
 		N:      n,
@@ -72,30 +59,23 @@ func NewLevelArray(n int, opts ...Option) (*LevelArray, error) {
 		return nil, wrapConfig("levelarray", err)
 	}
 	mem.Grow(alg.Namespace())
-	l := &LevelArray{namer: newNamerOn(alg, o, mem), alg: alg, resizable: true}
+	l := &LevelArray{namer: newNamerOn(alg, o, mem), alg: alg}
 	l.namer.allowed = alg.Allowed
 	return l, nil
 }
 
 // Capacity implements LongLivedNamer: the maximum number of concurrently
-// held names for which the constant-probe analysis holds. For a resizable
-// namer this is the capacity of the current resize epoch.
+// held names for which the constant-probe analysis holds, as of the
+// current resize epoch.
 func (l *LevelArray) Capacity() int { return l.alg.MaxConcurrency() }
-
-// Resizable reports whether the namer was built with WithResizable.
-func (l *LevelArray) Resizable() bool { return l.resizable }
 
 // Resize implements ResizableNamer: it sets the capacity to n online.
 // Growing extends the TAS space and appends level segments before the
 // new geometry becomes visible; shrinking takes effect immediately for
 // new acquisitions and leaves names above the bound drain-only (see
-// Draining). It fails with ErrBadConfig on a namer built without
-// WithResizable, or when n is invalid for the namer's γ.
+// Draining). It fails with ErrBadConfig when n is invalid for the
+// namer's γ.
 func (l *LevelArray) Resize(n int) error {
-	if !l.resizable {
-		return badConfig("levelarray", "Resize", fmt.Sprint(n),
-			"namer built without WithResizable")
-	}
 	if err := l.alg.Resize(n); err != nil {
 		return wrapConfig("levelarray", err)
 	}
@@ -103,8 +83,7 @@ func (l *LevelArray) Resize(n int) error {
 }
 
 // Draining implements ResizableNamer: true while any name above the
-// current capacity's allowed bound is still held. Always false for a
-// namer built without WithResizable.
+// current capacity's allowed bound is still held.
 func (l *LevelArray) Draining() bool {
 	return l.alg.Draining(l.namer.mem.IsSet)
 }
@@ -113,7 +92,4 @@ func (l *LevelArray) Draining() bool {
 // applied so far.
 func (l *LevelArray) ResizeEpoch() uint64 { return l.alg.Epoch() }
 
-var (
-	_ LongLivedNamer = (*LevelArray)(nil)
-	_ ResizableNamer = (*LevelArray)(nil)
-)
+var _ ResizableNamer = (*LevelArray)(nil)

@@ -41,11 +41,11 @@ func TestRegisteredNamersConformance(t *testing.T) {
 }
 
 // TestResizableLevelArrayConformance runs both the base suite and the
-// ResizableNamer extension suite against the resizable levelarray
-// driver: a resizable namer must keep every static guarantee AND honour
-// the dynamic-capacity contract.
+// ResizableNamer extension suite against the levelarray driver: every
+// LevelArray is elastic, so it must keep every static guarantee AND
+// honour the dynamic-capacity contract.
 func TestResizableLevelArrayConformance(t *testing.T) {
-	const dsn = "levelarray?n=48&seed=7&resizable"
+	dsn := conformanceDSNs["levelarray"]
 	namertest.Run(t, func() (renaming.Namer, error) {
 		return renaming.Open(dsn)
 	})

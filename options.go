@@ -19,7 +19,6 @@ type options struct {
 	counting    bool
 	levelProbes int
 	gamma       float64
-	resizable   bool
 
 	// set records which options were applied, by option name: the single
 	// source of truth for both "was it set" checks (e.g. fastadaptive's
@@ -64,7 +63,6 @@ const (
 	optGamma       = "WithGamma"
 	optPadded      = "WithPaddedTAS"
 	optCounting    = "WithCounting"
-	optResizable   = "WithResizable"
 )
 
 // universalOptions apply to every namer: they tune the concurrent driver
@@ -183,22 +181,10 @@ func WithGamma(gamma float64) Option {
 	}}
 }
 
-// WithResizable builds the namer over a growable TAS space and enables
-// online capacity changes through the ResizableNamer interface. Applies
-// to NewLevelArray only (the one-shot family's analysis fixes n up
-// front). Incompatible with WithPaddedTAS: the elastic space trades the
-// per-line padding for growability.
-func WithResizable() Option {
-	return optionFunc{optResizable, func(o *options) error {
-		o.resizable = true
-		return nil
-	}}
-}
-
 // WithPaddedTAS places each TAS object on its own cache line (64 bytes
 // instead of 4 per name), eliminating false sharing between adjacent names
 // under heavy multicore contention. See the F4 ablation for measurements.
-// Applies to every namer.
+// Applies to every namer but LevelArray, whose growable space is unpadded.
 func WithPaddedTAS() Option {
 	return optionFunc{optPadded, func(o *options) error {
 		o.padded = true

@@ -54,8 +54,9 @@ func TestOptionConstructorMatrix(t *testing.T) {
 			"levelarray": true, "uniform": true, "linearscan": true,
 		}},
 		{"WithPaddedTAS", WithPaddedTAS(), map[string]bool{
+			// levelarray's growable space is unpadded.
 			"rebatching": true, "adaptive": true, "fastadaptive": true,
-			"levelarray": true, "uniform": true, "linearscan": true,
+			"uniform": true, "linearscan": true,
 		}},
 		{"WithCounting", WithCounting(), map[string]bool{
 			"rebatching": true, "adaptive": true, "fastadaptive": true,

@@ -62,7 +62,7 @@ func Drivers() []string {
 //	rebatching    n (required), eps, beta, t0, seed, padded, counting
 //	adaptive      n (required), eps, beta, t0, seed, padded, counting
 //	fastadaptive  n (required), beta, t0, seed, padded, counting
-//	levelarray    n (required), gamma, probes, resizable, seed, padded, counting
+//	levelarray    n (required), gamma, probes, seed, counting
 //	uniform       n (required), eps, seed, padded, counting
 //	linearscan    n (required), seed, padded, counting
 //
@@ -311,11 +311,6 @@ func init() {
 				return nil, err
 			}
 			opts = append(opts, WithLevelProbes(probes))
-		}
-		if resizable, err := p.Bool("resizable", false); err != nil {
-			return nil, err
-		} else if resizable {
-			opts = append(opts, WithResizable())
 		}
 		return NewLevelArray(n, opts...)
 	})

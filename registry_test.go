@@ -20,7 +20,7 @@ func TestOpenConstructsAllShippedNamers(t *testing.T) {
 		{"levelarray?n=64&gamma=2&probes=3", (*LevelArray)(nil)},
 		{"uniform?n=64&eps=1.5", (*Uniform)(nil)},
 		{"linearscan?n=64", (*LinearScan)(nil)},
-		{"levelarray?n=64&padded=true&counting=true&seed=11", (*LevelArray)(nil)},
+		{"levelarray?n=64&counting=true&seed=11", (*LevelArray)(nil)},
 	}
 	for _, tc := range cases {
 		nm, err := Open(tc.dsn)
@@ -108,6 +108,8 @@ func TestOpenRejections(t *testing.T) {
 		{"malformed query", "rebatching?n=64&;bad=%zz"},
 		{"unknown key", "rebatching?n=64&probez=3"},
 		{"inapplicable key", "levelarray?n=64&eps=0.5"},
+		{"padded levelarray", "levelarray?n=64&padded=true&counting=true&seed=11"},
+		{"retired resizable key", "levelarray?n=64&resizable"},
 		{"inapplicable t0", "uniform?n=64&t0=6"},
 		{"eps on fastadaptive", "fastadaptive?n=64&eps=0.5"},
 		{"invalid value", "rebatching?n=64&eps=-1"},

@@ -80,9 +80,8 @@ type LongLivedNamer interface {
 // new bound stay valid until released, new acquisitions never land
 // there — and Draining reports true until the last such holder lets
 // go. Namespace() never decreases, so every outstanding name remains
-// releasable. Only namers built with WithResizable implement the
-// dynamic behaviour; LevelArray's Resize fails with ErrBadConfig
-// otherwise.
+// releasable. LevelArray is the implementation; the one-shot namers'
+// analysis fixes n up front.
 type ResizableNamer interface {
 	LongLivedNamer
 	// Resize sets the capacity to n online. Concurrent Acquire calls
@@ -152,9 +151,9 @@ func newNamer(alg core.Algorithm, opts options) *namer {
 	return newNamerOn(alg, opts, mem)
 }
 
-// newNamerOn is newNamer over a caller-built space — the resizable
-// path, where the space must exist (and be growable) before the
-// algorithm's resize hook can be wired to it.
+// newNamerOn is newNamer over a caller-built space — LevelArray's path,
+// where the space must exist (and be growable) before the algorithm's
+// resize hook can be wired to it.
 func newNamerOn(alg core.Algorithm, opts options, mem space) *namer {
 	n := &namer{alg: alg, mem: mem, seed: opts.seed}
 	n.counted = mem
