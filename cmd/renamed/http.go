@@ -363,7 +363,6 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 			"persist_fsyncs", st.Syncs,
 			"persist_compactions", st.Compactions,
 			"persist_journal_bytes", st.JournalBytes,
-			"persist_live", st.Live,
 		)
 		if st.Err != nil {
 			attrs = append(attrs, "persist_err", st.Err.Error())

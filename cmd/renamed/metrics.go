@@ -134,8 +134,6 @@ func newServerMetrics(s *server) *serverMetrics {
 			func(st persist.Stats) int64 { return st.JournalBytes })
 		reg.GaugeFunc("renamed_persist_journal_records", "Journal records since the last snapshot — the replay cost of a crash right now.",
 			func() float64 { return float64(persistStats.get().JournalRecords) })
-		reg.GaugeFunc("renamed_persist_live", "Leases the durable mirror believes are held.",
-			func() float64 { return float64(persistStats.get().Live) })
 		reg.GaugeFunc("renamed_persist_replayed_records", "Journal records replayed by the last recovery.",
 			func() float64 { return float64(persistStats.get().ReplayedRecords) })
 		reg.GaugeFunc("renamed_persist_truncated_bytes", "Torn-tail bytes dropped by the last recovery.",

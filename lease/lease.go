@@ -146,15 +146,16 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Observer receives every state transition of the lease table. Callbacks
-// are invoked synchronously under the owning stripe's lock, so the event
-// order per name exactly matches table order: an acquire is always
-// observed before any renewal, release or expiry of the lease it created,
-// and with a write-ahead implementation a grant is durable before the
-// caller sees it. Implementations must therefore be fast, must tolerate
-// concurrent calls (different stripes journal in parallel), and must not
-// call back into the Manager. The persist package's Store is the intended
-// implementation.
+// Observer receives every state transition of the lease table. The four
+// per-item callbacks are invoked synchronously under the owning stripe's
+// lock, so the event order per name exactly matches table order: an
+// acquire is always observed before any renewal, release or expiry of the
+// lease it created, and with a write-ahead implementation a grant is
+// durable before the caller sees it. Implementations must therefore be
+// fast, must tolerate concurrent calls (different stripes journal in
+// parallel), and must not call back into the Manager from them. The table
+// itself is handed over once, by ObserveTable, after Restore. The persist
+// package's Store is the intended implementation.
 type Observer interface {
 	// ObserveAcquire fires after a lease is inserted into the table. The
 	// lease and its Meta map must be treated as read-only.
@@ -169,6 +170,27 @@ type Observer interface {
 	// or lazily on access), and from Restore for leases that lapsed while
 	// the service was down.
 	ObserveExpire(name int, token uint64)
+	// ObserveTable hands the observer the live table, once, as the last
+	// act of a successful Restore and outside every stripe lock. From then
+	// on t holds every lease the callbacks above have described and every
+	// lease Restore re-inserted (which are never re-observed), so an
+	// observer that snapshots can read them from t instead of keeping a
+	// copy of its own. A manager that never runs Restore never calls it.
+	ObserveTable(t Table)
+}
+
+// Table is read access to the occupied slots of a lease table.
+type Table interface {
+	// Walk yields every occupied slot once, in chunks, whether or not its
+	// lease has lapsed. The walk is fuzzy: each chunk is read under one
+	// stripe lock and yielded after that lock is dropped, so a chunk is
+	// exact as of its own read and the table keeps moving between chunks.
+	// The chunk and the Meta maps in it are only valid, and read-only,
+	// until yield returns. A non-nil error from yield stops the walk and
+	// is returned. Walk must not be called from an Observer callback.
+	Walk(yield func(chunk []Lease) error) error
+	// Occupied is the number of occupied slots.
+	Occupied() int
 }
 
 func (c *Config) applyDefaults() {
@@ -872,6 +894,61 @@ func (m *Manager) Leases() []Lease {
 	return out
 }
 
+// walkSpan is how many slots Walk reads per hold of a stripe lock: enough
+// to amortize the lock, few enough that an operation routed to the stripe
+// waits microseconds behind it.
+const walkSpan = 4096
+
+// Walk implements Table over the manager's slot tables. It still walks
+// after Shutdown, which keeps the table; after Close there is nothing left
+// to yield.
+func (m *Manager) Walk(yield func(chunk []Lease) error) error {
+	var chunk []Lease
+	for stripe := range m.shards {
+		sh := &m.shards[stripe]
+		for lo, n := 0, 0; lo == 0 || lo < n; lo += walkSpan {
+			chunk = chunk[:0]
+			sh.mu.Lock()
+			// Re-read every hold: a Resize grow re-allocates the table
+			// between two of them, and what it copied stays at its index.
+			n = len(sh.slots)
+			now := m.cfg.Now()
+			nowD := m.since(now)
+			for i := lo; i < min(lo+walkSpan, n); i++ {
+				if s := &sh.slots[i]; s.who != nil {
+					chunk = append(chunk, Lease{
+						Name:      m.nameAt(i, stripe),
+						Token:     s.token,
+						Owner:     s.who.owner,
+						ExpiresAt: now.Add(time.Duration(s.deadline - nowD)),
+						Meta:      s.who.meta,
+					})
+				}
+			}
+			sh.mu.Unlock()
+			if len(chunk) == 0 {
+				continue
+			}
+			if err := yield(chunk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Occupied implements Table: occupied slots, lapsed leases included.
+func (m *Manager) Occupied() int {
+	n := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		n += sh.n
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // SweepOnce reclaims every expired lease now and reports how many it
 // reclaimed. The background sweeper calls this on every tick; tests call
 // it directly for deterministic reclamation. A stripe whose earliest
@@ -1083,7 +1160,8 @@ type RestoreState struct {
 // across the restart): existing holders are honoured, and new acquires
 // stay rejected until attrition brings the count back under the cap. An
 // Adopt failure aborts the restore mid-way with the manager in a partial
-// state; treat that as fatal and discard the manager.
+// state; treat that as fatal and discard the manager. A Restore that
+// succeeds ends by handing the table to the observer (ObserveTable).
 func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 	if m.closed.Load() {
 		return 0, 0, ErrClosed
@@ -1129,6 +1207,12 @@ func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
 	// everything ever durably issued.
 	if watermark > m.token.Load() {
 		m.token.Store(watermark)
+	}
+	// Only now is the table complete: restored leases are never observed
+	// again, so an observer that snapshotted a half-restored table would
+	// lose the rest. A Restore that failed above hands nothing over.
+	if m.cfg.Observer != nil {
+		m.cfg.Observer.ObserveTable(m)
 	}
 	return restored, expired, nil
 }

@@ -63,8 +63,14 @@ func acquireEvent(l Lease) obsEvent {
 	return obsEvent{kind: 'A', name: l.Name, token: l.Token, exp: l.ExpiresAt.UnixNano(), owner: l.Owner, meta: flatMeta(l.Meta)}
 }
 
-// eventLog records the real manager's observer callbacks.
-type eventLog struct{ events []obsEvent }
+// eventLog records the real manager's observer callbacks, and the table
+// the last Restore handed over.
+type eventLog struct {
+	events []obsEvent
+	table  Table
+}
+
+func (e *eventLog) ObserveTable(t Table) { e.table = t }
 
 func (e *eventLog) ObserveAcquire(l Lease) { e.events = append(e.events, acquireEvent(l)) }
 func (e *eventLog) ObserveRenew(name int, token uint64, at time.Time) {
@@ -575,6 +581,9 @@ func (r *modelRun) step() error {
 		wantRestored, wantExpired := r.ref.restart(snapshot)
 		if err != nil || restored != wantRestored || expired != wantExpired {
 			return fmt.Errorf("Restore: %d restored, %d expired, %v; model %d, %d", restored, expired, err, wantRestored, wantExpired)
+		}
+		if r.log.table != Table(m) || m.Occupied() != restored {
+			return fmt.Errorf("Restore handed over table %v holding %d leases, want the new manager's and %d", r.log.table, m.Occupied(), restored)
 		}
 	}
 	return nil

@@ -4,23 +4,32 @@
 // truncating torn tails, or compacting, so a verifier (the chaos
 // harness's invariant checker, an operator's post-incident shell) can
 // examine exactly what a recovery would see while the files stay
-// byte-identical.
+// byte-identical. The table it reports comes out of the same fold Open
+// uses (recover.go).
 //
-// Beyond the recovered table, the audit replays the journal's record
-// stream through the same per-name fencing rules recovery uses and
-// reports every violation it finds instead of silently tolerating it:
-// an acquire whose token moves a name's token BACKWARD in time (equal
-// tokens are the idempotent replay compaction legitimately produces).
-// A healthy server can never produce one — the token counter is global
-// and strictly increasing, and Restore resumes it above the recovered
-// watermark — so a non-empty Regressions list is evidence of a fencing
-// bug, not noise.
+// Beyond the recovered table, the audit checks the fencing order of the
+// record stream — journal.wal.prev, then journal.wal — and reports every
+// violation it finds instead of silently tolerating it:
+//
+//	(i)  within the stream, a name's acquire tokens strictly increase;
+//	(ii) the snapshot's token for a name is either below every stream
+//	     acquire for that name, or equal to one of them.
+//
+// (ii) is what a fuzzy snapshot allows. A snapshot is read from the live
+// table after the journal was rotated, so it may reflect a LATER acquire
+// of a name than the journal's first records for it (acquire T1, release
+// T1, acquire T2 in the journal; the snapshot holds T2) — but then that
+// acquire is in the stream too, made durable by the compaction's seal
+// before the snapshot was renamed into place. A stream acquire below a
+// snapshot token the stream never mints means the token counter resumed
+// below the watermark after a restart. A healthy server can produce
+// neither violation — the token counter is global and strictly
+// increasing, and Restore resumes it above the recovered watermark — so a
+// non-empty Regressions list is evidence of a fencing bug, not noise.
 package persist
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -33,9 +42,9 @@ import (
 type TokenRegression struct {
 	// Name is the lease name whose token order broke.
 	Name int
-	// PrevToken is the highest token the stream had previously
-	// established for the name; Token is the offending acquire's token,
-	// which moved backward past it.
+	// PrevToken is the token already established for the name — by an
+	// earlier acquire in the stream (rule i) or by the snapshot (rule ii);
+	// Token is the offending acquire's token, which is not above it.
 	PrevToken, Token uint64
 	// Source is the file the offending record came from
 	// ("journal.wal.prev", "journal.wal").
@@ -71,102 +80,68 @@ type Audit struct {
 }
 
 // ReadAudit scans dir without modifying anything. A missing directory or
-// a directory with no durable state yields an empty audit, mirroring
-// what Open would recover from it.
+// a directory with no durable state yields an empty audit, matching
+// what Open would recover from it; a directory Open would refuse (a bad
+// snapshot, a foreign or other-format file) is the same error here.
 func ReadAudit(dir string) (*Audit, error) {
-	mirror, maxToken, err := loadSnapshot(dir)
+	st, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	a := &Audit{MaxToken: maxToken, SnapshotLeases: len(mirror)}
+	a := &Audit{SnapshotLeases: len(st.leases)}
 
-	// Snapshot leases seed the per-name fencing watermarks: a journal
-	// acquire for a name the snapshot already holds must outrank the
-	// snapshot's token (the stale-record guard recovery applies — here a
-	// violation is REPORTED, because a durable journal is fsynced before
-	// the snapshot covering it is renamed, so its surviving records are
-	// never older than the snapshot).
-	perName := make(map[int]uint64, len(mirror))
-	for name, l := range mirror {
-		perName[name] = l.Token
+	// snap is the snapshot token of every name the stream has not yet been
+	// seen to mint it for, top the last acquire token per name within the
+	// stream, below the first stream acquire under a still-unminted
+	// snapshot token: rule (ii)'s violations, if the stream ends that way.
+	snap := make(map[int]uint64, len(st.leases))
+	for name, l := range st.leases {
+		snap[name] = l.Token
 	}
-
-	fold := func(source string, r record) {
-		if r.token > a.MaxToken {
-			a.MaxToken = r.token
+	top := map[int]uint64{}
+	below := map[int]TokenRegression{}
+	scan := func(file string) (records int, torn int64, err error) {
+		body, ok, err := readJournal(filepath.Join(dir, file))
+		if err != nil || !ok {
+			// A crash can tear the magic itself; then everything is tail.
+			return 0, int64(len(body)), err
 		}
-		if r.op == opAcquire {
-			// Strictly-less is a regression; EQUAL is the idempotent replay
-			// a rotated journal legitimately produces over the snapshot that
-			// covers it (the journal is durable before the snapshot lands).
-			if prev, ok := perName[r.name]; ok && r.token < prev {
-				a.Regressions = append(a.Regressions, TokenRegression{
-					Name: r.name, PrevToken: prev, Token: r.token, Source: source,
-				})
-			} else {
-				perName[r.name] = r.token
+		valid, n := scanFrames(body, func(r record) {
+			if r.op == opAcquire {
+				if prev, seen := top[r.name]; seen && r.token <= prev {
+					a.Regressions = append(a.Regressions, TokenRegression{
+						Name: r.name, PrevToken: prev, Token: r.token, Source: file,
+					})
+				} else {
+					top[r.name] = r.token
+				}
+				if s, held := snap[r.name]; held && r.token == s {
+					delete(snap, r.name)
+					delete(below, r.name)
+				} else if _, flagged := below[r.name]; held && r.token < s && !flagged {
+					below[r.name] = TokenRegression{Name: r.name, PrevToken: s, Token: r.token, Source: file}
+				}
 			}
-		}
-		// The mirror fold mirrors applyLocked exactly so the audit's view
-		// of the live table matches what Restore would be handed.
-		switch r.op {
-		case opAcquire:
-			if l, ok := mirror[r.name]; ok && l.Token > r.token {
-				return
-			}
-			mirror[r.name] = leaseFromRecord(r)
-		case opRenew:
-			if l, ok := mirror[r.name]; ok && l.Token == r.token {
-				l.ExpiresAt = leaseFromRecord(r).ExpiresAt
-				mirror[r.name] = l
-			}
-		case opRelease, opExpire:
-			if l, ok := mirror[r.name]; ok && l.Token == r.token {
-				delete(mirror, r.name)
-			}
-		}
+			st.apply(r)
+		})
+		return n, int64(len(body)) - valid, nil
 	}
 
 	// Rotated journal first (strictly older records), then the active
 	// one — the same order Open replays them in.
-	a.PrevRecords, _, err = auditJournal(filepath.Join(dir, journalPrevName), fold)
-	if err != nil {
+	if a.PrevRecords, _, err = scan(journalPrevName); err != nil {
 		return nil, err
 	}
-	var torn int64
-	a.JournalRecords, torn, err = auditJournal(filepath.Join(dir, journalName), fold)
-	if err != nil {
+	if a.JournalRecords, a.TornBytes, err = scan(journalName); err != nil {
 		return nil, err
 	}
-	a.TornBytes = torn
+	unminted := make([]TokenRegression, 0, len(below))
+	for _, r := range below {
+		unminted = append(unminted, r)
+	}
+	sort.Slice(unminted, func(i, j int) bool { return unminted[i].Name < unminted[j].Name })
+	a.Regressions = append(a.Regressions, unminted...)
 
-	a.Leases = make([]lease.Lease, 0, len(mirror))
-	for _, l := range mirror {
-		a.Leases = append(a.Leases, l)
-	}
-	sort.Slice(a.Leases, func(i, j int) bool { return a.Leases[i].Name < a.Leases[j].Name })
+	a.Leases, a.MaxToken = st.sorted(), st.maxToken
 	return a, nil
-}
-
-// auditJournal scans one journal file read-only, returning the valid
-// record count and the invalid tail length. Missing files are empty;
-// a present file with the wrong magic is an error.
-func auditJournal(path string, apply func(source string, r record)) (records int, torn int64, err error) {
-	buf, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("persist: audit: %w", err)
-	}
-	if len(buf) < len(journalMagic) {
-		// A crash can tear the magic itself; everything is tail.
-		return 0, int64(len(buf)), nil
-	}
-	if string(buf[:len(journalMagic)]) != journalMagic {
-		return 0, 0, fmt.Errorf("persist: audit %s: bad journal magic", filepath.Base(path))
-	}
-	source := filepath.Base(path)
-	valid, n := scanFrames(buf[len(journalMagic):], func(r record) { apply(source, r) })
-	return n, int64(len(buf)) - int64(len(journalMagic)) - valid, nil
 }

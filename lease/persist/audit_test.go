@@ -166,8 +166,8 @@ func TestAuditFlagsTokenRegression(t *testing.T) {
 	s.ObserveAcquire(lease.Lease{Name: 5, Token: 9, ExpiresAt: at(100)})
 	s.ObserveRelease(5, 9)
 	// A fencing bug: the name re-acquired with a token that moved BACKWARD.
-	// The store's own mirror tolerates it (release emptied the slot), so
-	// only the audit's order check can see it.
+	// The fold tolerates it (release emptied the entry), so only the
+	// audit's order check can see it.
 	s.ObserveAcquire(lease.Lease{Name: 5, Token: 3, ExpiresAt: at(200)})
 	if err := s.Crash(); err != nil {
 		t.Fatal(err)
@@ -195,8 +195,10 @@ func TestAuditSpansSnapshotAndBothJournals(t *testing.T) {
 	s.ObserveAcquire(lease.Lease{Name: 1, Token: 1, ExpiresAt: at(100)})
 	s.ObserveAcquire(lease.Lease{Name: 2, Token: 2, ExpiresAt: at(100)})
 	// Snapshot covering both leases while the journal keeps its records —
-	// the keep-journal compaction path.
-	if err := s.compactKeepJournal(); err != nil {
+	// the compaction a leftover prev (here an empty one) steers away from
+	// rotating.
+	writeJournalFile(t, filepath.Join(dir, journalPrevName), nil)
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Crash(); err != nil {
@@ -209,12 +211,9 @@ func TestAuditSpansSnapshotAndBothJournals(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, journalName), filepath.Join(dir, journalPrevName)); err != nil {
 		t.Fatal(err)
 	}
-	buf := []byte(journalMagic)
-	buf = appendFrame(buf, appendPayload(nil,
-		recordFromLease(lease.Lease{Name: 3, Token: 3, ExpiresAt: at(100)})))
-	if err := os.WriteFile(filepath.Join(dir, journalName), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJournalFile(t, filepath.Join(dir, journalName), []record{
+		recordFromLease(lease.Lease{Name: 3, Token: 3, ExpiresAt: at(100)}),
+	})
 
 	a, err := ReadAudit(dir)
 	if err != nil {
@@ -247,5 +246,53 @@ func TestAuditEmptyAndMissingDir(t *testing.T) {
 	}
 	if len(a.Leases) != 0 || a.MaxToken != 0 || a.TornBytes != 0 {
 		t.Fatalf("missing dir audit not empty: %+v", a)
+	}
+}
+
+// TestAuditAcceptsFuzzySnapshot: a snapshot is read from the live table
+// after the rotation, so it may hold a LATER acquire of a name than the
+// journal's first records for it. That is healthy as long as the stream
+// mints the snapshot's token too.
+func TestAuditAcceptsFuzzySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	writeSnapshotFile(t, dir, 2, lease.Lease{Name: 5, Token: 2, ExpiresAt: at(200)})
+	writeJournalFile(t, filepath.Join(dir, journalName), []record{
+		{op: opAcquire, name: 5, token: 1, expiresAt: at(100).UnixNano()},
+		{op: opRelease, name: 5, token: 1},
+		{op: opAcquire, name: 5, token: 2, expiresAt: at(200).UnixNano()},
+	})
+	a, err := ReadAudit(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Regressions) != 0 {
+		t.Fatalf("healthy fuzzy snapshot reported regressions: %v", a.Regressions)
+	}
+	if len(a.Leases) != 1 || a.Leases[0].Token != 2 || a.MaxToken != 2 {
+		t.Fatalf("folded state %+v, watermark %d; want name 5 at token 2", a.Leases, a.MaxToken)
+	}
+}
+
+// TestAuditFlagsCounterResumedBelowWatermark: the snapshot holds T9 for a
+// name and the journal acquires it at T3 without ever minting T9 — the
+// token counter restarted below the watermark. Reported once, at the end,
+// against the snapshot's token.
+func TestAuditFlagsCounterResumedBelowWatermark(t *testing.T) {
+	dir := t.TempDir()
+	writeSnapshotFile(t, dir, 9, lease.Lease{Name: 5, Token: 9, ExpiresAt: at(100)})
+	writeJournalFile(t, filepath.Join(dir, journalName), []record{
+		{op: opRelease, name: 5, token: 9},
+		{op: opAcquire, name: 5, token: 3, expiresAt: at(200).UnixNano()},
+		{op: opRenew, name: 5, token: 3, expiresAt: at(300).UnixNano()},
+		{op: opRelease, name: 5, token: 3},
+		{op: opAcquire, name: 5, token: 4, expiresAt: at(200).UnixNano()},
+	})
+	a, err := ReadAudit(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TokenRegression{Name: 5, PrevToken: 9, Token: 3, Source: journalName}
+	if len(a.Regressions) != 1 || a.Regressions[0] != want {
+		t.Fatalf("regressions %v, want exactly %v", a.Regressions, want)
 	}
 }

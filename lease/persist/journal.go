@@ -2,37 +2,90 @@
 // vocabulary (acquire/renew/release/expire), the CRC-framed encoding, and
 // the replay loop with torn-tail truncation.
 //
-// The journal is an append-only sequence of frames after an 8-byte magic:
+// The journal (on-disk format 2) is an append-only sequence of frames
+// after an 8-byte magic:
 //
-//	[4B payload length, LE] [4B CRC-32 (IEEE) of payload] [payload]
+//	[4B payload length, LE] [4B CRC-32C (Castagnoli) of payload] [payload]
 //
-// A crash can tear the tail of the file mid-frame (length header cut
-// short, payload cut short, or a payload whose CRC no longer matches the
-// header written moments earlier). Replay recovers the longest valid
-// prefix: it applies frames until the first one that fails any check and
-// truncates the file there, so the journal is again well-formed for
-// appending. Everything before the torn frame was fully written and CRC-
-// verified; everything after it is unreachable garbage by construction
-// (frames are written with a single buffered write each, in order).
+// CRC-32C is the polynomial binproto already uses, and the one with a
+// hardware path at a journal record's 10–30 bytes. A crash can tear the
+// tail of the file mid-frame (length header cut short, payload cut short,
+// or a payload whose CRC no longer matches the header written moments
+// earlier). Replay recovers the longest valid prefix: it applies frames
+// until the first one that fails any check and truncates the file there,
+// so the journal is again well-formed for appending. Everything before
+// the torn frame was fully written and CRC-verified; everything after it
+// is unreachable garbage by construction (frames are written with a
+// single buffered write each, in order).
 //
 // Records are identified by (name, token): the fencing token makes replay
 // idempotent and order-tolerant across names — a release or expire only
-// deletes the mirror entry whose token it was minted for, so replaying a
-// stale prefix over a newer snapshot cannot resurrect or kill the wrong
-// lease.
+// deletes the entry whose token it was minted for, so replaying a stale
+// prefix over a newer snapshot cannot resurrect or kill the wrong lease
+// (see fold.apply).
 package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 
 	"repro/lease"
 )
 
 // journalMagic identifies a journal file; the trailing digit is the
-// format version.
-const journalMagic = "RLRNJNL1"
+// on-disk format version, shared with snapshotMagic.
+const journalMagic = "RLRNJNL2"
+
+// FormatError reports a data file written in an on-disk format version
+// this build does not read. There is one reader per file, for the current
+// version: retire an older directory by draining the old server (or
+// letting its leases lapse) and starting the new one on an empty one.
+type FormatError struct {
+	File    string // base name of the refused file
+	Version byte   // the version character its magic carries
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("persist: %s is on-disk format %c; this build reads only format %c",
+		e.File, e.Version, journalMagic[len(journalMagic)-1])
+}
+
+// checkMagic verifies that buf, the contents of the data file path, opens
+// with magic: a file of the same family at another version is a
+// *FormatError, anything else that is not magic is foreign.
+func checkMagic(path string, buf []byte, magic string) error {
+	if v := len(magic) - 1; len(buf) > v && string(buf[:v]) == magic[:v] {
+		if buf[v] == magic[v] {
+			return nil
+		}
+		return &FormatError{File: filepath.Base(path), Version: buf[v]}
+	}
+	return fmt.Errorf("persist: %s: bad magic", filepath.Base(path))
+}
+
+// readJournal reads the journal file at path and returns the frames that
+// follow its magic. ok is false, with buf the whole file, when there is no
+// journal to scan: the file is missing, or a crash tore the magic itself.
+func readJournal(path string) (buf []byte, ok bool, err error) {
+	buf, err = os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("persist: journal: %w", err)
+	}
+	if len(buf) < len(journalMagic) {
+		return buf, false, nil
+	}
+	if err := checkMagic(path, buf, journalMagic); err != nil {
+		return nil, false, err
+	}
+	return buf[len(journalMagic):], true, nil
+}
 
 // maxFrame is the sanity cap on a single frame's payload length. A torn
 // or corrupt length header could otherwise claim a multi-gigabyte frame
@@ -99,11 +152,48 @@ func appendPayload(b []byte, r record) []byte {
 	return b
 }
 
-// appendFrame appends the framed form of payload to b.
-func appendFrame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+// castagnoli is the CRC-32C table every frame checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHeader is the length and checksum that precede a frame's payload.
+const frameHeader = 8
+
+// beginFrame reserves a frame header at the end of b. The payload is then
+// appended straight behind it and endFrame fills the header in, so a
+// record is encoded once and copied nowhere.
+func beginFrame(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+// endFrame completes the frame that beginFrame opened at b[start:].
+func endFrame(b []byte, start int) []byte {
+	payload := b[start+frameHeader:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	return b
+}
+
+// appendRecord appends r's frame to b.
+func appendRecord(b []byte, r record) []byte {
+	start := len(b)
+	return endFrame(appendPayload(beginFrame(b), r), start)
+}
+
+// nextFrame pops one checksummed payload off the front of buf. ok is false
+// when what is there is not a whole valid frame: a header or payload cut
+// short, a length beyond maxFrame, a checksum mismatch.
+func nextFrame(buf []byte) (payload, rest []byte, ok bool) {
+	if len(buf) < frameHeader {
+		return nil, buf, false
+	}
+	length := int(binary.LittleEndian.Uint32(buf))
+	sum := binary.LittleEndian.Uint32(buf[4:])
+	if length > maxFrame || len(buf)-frameHeader < length {
+		return nil, buf, false
+	}
+	payload = buf[frameHeader : frameHeader+length]
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, buf, false
+	}
+	return payload, buf[frameHeader+length:], true
 }
 
 // cursor is a bounds-checked reader over a decoded payload.
@@ -180,6 +270,12 @@ func decodePayload(p []byte) (record, error) {
 		r.expiresAt = c.varint("expires_at")
 		r.owner = c.str("owner")
 		if n := c.uvarint("meta count"); n > 0 && c.err == nil {
+			// Each entry is at least its two length bytes: a count read off
+			// disk never sizes the map beyond what the payload can hold.
+			if n > uint64(len(c.b)-c.off)/2 {
+				c.fail("meta count")
+				break
+			}
 			r.meta = make(map[string]string, n)
 			for i := uint64(0); i < n && c.err == nil; i++ {
 				k := c.str("meta key")
@@ -207,26 +303,19 @@ func decodePayload(p []byte) (record, error) {
 // frame that is short, oversized, CRC-mismatched or undecodable ends the
 // scan — that is the torn tail; the caller truncates there.
 func scanFrames(buf []byte, apply func(record)) (valid int64, n int) {
-	off := 0
+	rest := buf
 	for {
-		if len(buf)-off < 8 {
-			return int64(off), n // torn or clean EOF mid-header
-		}
-		length := int(binary.LittleEndian.Uint32(buf[off:]))
-		sum := binary.LittleEndian.Uint32(buf[off+4:])
-		if length > maxFrame || len(buf)-off-8 < length {
-			return int64(off), n // impossible or short payload
-		}
-		payload := buf[off+8 : off+8+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return int64(off), n
+		payload, after, ok := nextFrame(rest)
+		if !ok {
+			break
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return int64(off), n
+			break
 		}
 		apply(rec)
-		off += 8 + length
+		rest = after
 		n++
 	}
+	return int64(len(buf) - len(rest)), n
 }

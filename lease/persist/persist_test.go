@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +16,93 @@ var _ lease.Observer = (*Store)(nil)
 // at builds a deterministic expiry instant.
 func at(sec int64) time.Time { return time.Unix(sec, 0) }
 
+// tableStore is the test double that stands where lease.Manager stands
+// in production: it folds every event it forwards to the store — the
+// mirror the store itself used to keep — and is the lease.Table the store
+// snapshots from. stripe plays the manager's stripe lock: events fold and
+// journal under it, Walk reads under it and yields outside it.
+type tableStore struct {
+	*Store
+	stripe    sync.Mutex
+	table     fold
+	recovered lease.RestoreState
+	// beforeWalk, if set, runs at the start of every Walk: transitions
+	// that land between a compaction's rotation and its read of the table.
+	beforeWalk func()
+}
+
+func (d *tableStore) observe(r record, forward func()) {
+	d.stripe.Lock()
+	defer d.stripe.Unlock()
+	d.table.apply(r)
+	forward()
+}
+
+func (d *tableStore) ObserveAcquire(l lease.Lease) {
+	d.observe(recordFromLease(l), func() { d.Store.ObserveAcquire(l) })
+}
+
+func (d *tableStore) ObserveRenew(name int, token uint64, expiresAt time.Time) {
+	d.observe(record{op: opRenew, name: name, token: token, expiresAt: expiresAt.UnixNano()},
+		func() { d.Store.ObserveRenew(name, token, expiresAt) })
+}
+
+func (d *tableStore) ObserveRelease(name int, token uint64) {
+	d.observe(record{op: opRelease, name: name, token: token}, func() { d.Store.ObserveRelease(name, token) })
+}
+
+func (d *tableStore) ObserveExpire(name int, token uint64) {
+	d.observe(record{op: opExpire, name: name, token: token}, func() { d.Store.ObserveExpire(name, token) })
+}
+
+func (d *tableStore) Walk(yield func([]lease.Lease) error) error {
+	if d.beforeWalk != nil {
+		d.beforeWalk()
+	}
+	d.stripe.Lock()
+	chunk := d.table.sorted()
+	d.stripe.Unlock()
+	return yield(chunk)
+}
+
+func (d *tableStore) Occupied() int {
+	d.stripe.Lock()
+	defer d.stripe.Unlock()
+	return d.table.Occupied()
+}
+
+// State is what Open recovered, read before the double bound itself as
+// the table (which drops the store's copy).
+func (d *tableStore) State() lease.RestoreState { return d.recovered }
+
 // openAlways opens a store under dir with per-record fsync and no
-// background compaction, so tests control exactly what is on disk.
-func openAlways(t *testing.T, dir string) *Store {
+// background compaction, so tests control exactly what is on disk, and
+// does what Manager.Restore would: seeds the double's table with the
+// recovered leases and hands it to the store.
+func openAlways(t testing.TB, dir string) *tableStore {
 	t.Helper()
 	s, err := Open(dir, Options{Fsync: FsyncAlways, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	d := &tableStore{Store: s, table: fold{leases: map[int]lease.Lease{}}, recovered: s.State()}
+	for _, l := range d.recovered.Leases {
+		d.table.leases[l.Name] = l
+	}
+	s.ObserveTable(d)
+	return d
+}
+
+// writeSnapshotFile crafts dir's snapshot.db from leases and a watermark.
+func writeSnapshotFile(t *testing.T, dir string, watermark uint64, leases ...lease.Lease) {
+	t.Helper()
+	tab := &fold{leases: map[int]lease.Lease{}}
+	for _, l := range leases {
+		tab.leases[l.Name] = l
+	}
+	if err := writeSnapshot(dir, tab, func() uint64 { return watermark }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func wantLeases(t *testing.T, st lease.RestoreState, want map[int]uint64) {
@@ -288,5 +367,65 @@ func TestStatsTelemetryFields(t *testing.T) {
 	}
 	if d := r.Stats().RecoveryDuration; d <= 0 {
 		t.Fatalf("RecoveryDuration after replaying = %v, want > 0", d)
+	}
+}
+
+// TestUnboundStoreOnlyJournals: until Restore hands a table over, the
+// store has nothing to snapshot from. It journals; the background
+// compactor skips its passes without poisoning Stats.Err; Compact says
+// ErrNoTable; and Close leaves the files, which describe the table
+// completely, as they are.
+func TestUnboundStoreOnlyJournals(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: FsyncAlways, CompactEvery: time.Millisecond, CompactMinRecords: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		s.ObserveAcquire(lease.Lease{Name: i, Token: uint64(i + 1), ExpiresAt: at(100)})
+	}
+	time.Sleep(20 * time.Millisecond) // several compactor ticks, all due
+	if err := s.Compact(); !errors.Is(err, ErrNoTable) {
+		t.Fatalf("Compact without a table = %v, want ErrNoTable", err)
+	}
+	if st := s.Stats(); st.Err != nil || st.Compactions != 0 {
+		t.Fatalf("unbound store reports err %v, %d compactions; want a healthy store that never compacted", st.Err, st.Compactions)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadAudit(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.SnapshotLeases != 0 || a.JournalRecords != 4 || len(a.Leases) != 4 {
+		t.Fatalf("after Close: snapshot %d leases, journal %d records, %d recovered; want the journal left whole",
+			a.SnapshotLeases, a.JournalRecords, len(a.Leases))
+	}
+}
+
+// TestFailedFlushStaysDirty: under FsyncNever a flush that failed has
+// flushed nothing, so the store must keep saying so.
+func TestFailedFlushStaysDirty(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever, FsyncEvery: time.Millisecond, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Crash()
+	s.mu.Lock()
+	s.f.Close() // every flush from here on fails
+	s.mu.Unlock()
+	s.ObserveAcquire(lease.Lease{Name: 1, Token: 1, ExpiresAt: at(100)})
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Stats().Err == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never reported the failed flush")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.dirty {
+		t.Fatal("a failed flush cleared dirty: the unwritten record is no longer owed a flush")
 	}
 }

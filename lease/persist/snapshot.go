@@ -1,18 +1,21 @@
 // snapshot.go is the compaction half of the durability layer: a snapshot
-// file is the whole lease table (plus the fencing-token watermark) written
-// at one instant, after which the journal restarts empty — recovery cost
-// becomes O(live + records-since-snapshot) instead of O(every record
-// ever).
+// file is the whole lease table (plus the fencing-token watermark), after
+// which the journal restarts empty — recovery cost becomes O(live +
+// records-since-snapshot) instead of O(every record ever).
 //
-// Format: an 8-byte magic, one header frame (token watermark, lease
-// count), then one frame per lease, all using the journal's CRC framing.
+// Format 2: an 8-byte magic, one acquire-shaped frame per lease, then an
+// end frame {0xFF, token watermark, lease count}, all in the journal's
+// CRC-32C framing. The snapshot is streamed out of a live table, so it
+// cannot announce its count up front; instead the end frame must be the
+// last bytes of the file and its count must equal the frames before it.
 // The file is replaced atomically — written to a temp name, fsynced,
 // renamed over the old snapshot, directory fsynced — so a crash mid-
 // compaction leaves the previous snapshot intact. Unlike the journal, a
-// snapshot that fails validation is a hard error, not a truncation: the
-// rename either happened or it didn't, so a half-valid snapshot means
-// real corruption and silently dropping its tail would resurrect stale
-// leases.
+// snapshot that fails validation (a bad frame, a duplicate name, a
+// non-acquire frame, a missing or mismatched end frame) is a hard error,
+// not a truncation: the rename either happened or it didn't, so a
+// half-valid snapshot means real corruption and silently dropping its
+// tail would resurrect stale leases.
 package persist
 
 import (
@@ -20,8 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -29,37 +30,47 @@ import (
 	"repro/lease"
 )
 
-const snapshotMagic = "RLRNSNP1"
+const snapshotMagic = "RLRNSNP2"
 
-// writeSnapshot atomically replaces dir's snapshot with the given table
-// state. The map must be private to the caller (a clone, or the mirror
-// of a store with no concurrency) — it is read without locking.
-func writeSnapshot(dir string, mirror map[int]lease.Lease, maxToken uint64) error {
+// opSnapshotEnd tags the end frame; no record carries it.
+const opSnapshotEnd op = 0xFF
+
+// writerSize buffers the journal and snapshot writers: at 10–30 bytes a
+// record, a 4 KiB buffer is a write syscall every couple of hundred.
+const writerSize = 64 << 10
+
+// writeSnapshot atomically replaces dir's snapshot with what t.Walk
+// yields. seal runs after the walk and before the end frame is written:
+// it returns the token watermark the snapshot records, and is where a
+// runtime compaction makes the journal durable up to everything the walk
+// can have seen (see Store.Compact).
+func writeSnapshot(dir string, t lease.Table, seal func() uint64) error {
 	tmp := filepath.Join(dir, snapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
-	// Frames stream through a buffered writer — at a million live leases
-	// the snapshot is tens of MB, and building it as one []byte would
-	// transiently double the memory the mirror clone already costs.
-	w := bufio.NewWriter(f)
+	w := bufio.NewWriterSize(f, writerSize)
 	_, werr := w.WriteString(snapshotMagic)
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, maxToken)
-	hdr = binary.AppendUvarint(hdr, uint64(len(mirror)))
-	frame := appendFrame(nil, hdr)
+	var frame []byte
+	var count uint64
 	if werr == nil {
-		_, werr = w.Write(frame)
+		werr = t.Walk(func(chunk []lease.Lease) error {
+			for _, l := range chunk {
+				frame = appendRecord(frame[:0], recordFromLease(l))
+				if _, err := w.Write(frame); err != nil {
+					return err
+				}
+			}
+			count += uint64(len(chunk))
+			return nil
+		})
 	}
-	var payload []byte
-	for _, l := range mirror {
-		if werr != nil {
-			break
-		}
-		payload = appendPayload(payload[:0], recordFromLease(l))
-		frame = appendFrame(frame[:0], payload)
-		_, werr = w.Write(frame)
+	if werr == nil {
+		frame = append(beginFrame(frame[:0]), byte(opSnapshotEnd))
+		frame = binary.AppendUvarint(frame, seal())
+		frame = binary.AppendUvarint(frame, count)
+		_, werr = w.Write(endFrame(frame, 0))
 	}
 	if werr == nil {
 		werr = w.Flush()
@@ -81,65 +92,57 @@ func writeSnapshot(dir string, mirror map[int]lease.Lease, maxToken uint64) erro
 	return syncDir(dir)
 }
 
-// loadSnapshot reads dir's snapshot into a fresh mirror. A missing file
-// is an empty state; a present-but-invalid file is an error.
-func loadSnapshot(dir string) (mirror map[int]lease.Lease, maxToken uint64, err error) {
-	buf, err := os.ReadFile(filepath.Join(dir, snapshotName))
+// loadSnapshot reads dir's snapshot into a fresh fold. A missing file is
+// an empty state; a present-but-invalid file is an error. Nothing read
+// from the file sizes an allocation: the map grows one checksummed frame
+// at a time.
+func loadSnapshot(dir string) (*fold, error) {
+	st := &fold{leases: map[int]lease.Lease{}}
+	path := filepath.Join(dir, snapshotName)
+	buf, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return map[int]lease.Lease{}, 0, nil
+		return st, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("persist: snapshot: %w", err)
+		return nil, fmt.Errorf("persist: snapshot: %w", err)
 	}
-	if len(buf) < len(snapshotMagic) || string(buf[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, 0, errors.New("persist: snapshot: bad magic")
+	if err := checkMagic(path, buf, snapshotMagic); err != nil {
+		return nil, err
 	}
 	rest := buf[len(snapshotMagic):]
-	hdr, err := nextSnapshotFrame(&rest)
-	if err != nil {
-		return nil, 0, err
-	}
-	c := &cursor{b: hdr}
-	maxToken = c.uvarint("token watermark")
-	count := c.uvarint("lease count")
-	if c.err != nil {
-		return nil, 0, fmt.Errorf("persist: snapshot header: %w", c.err)
-	}
-	mirror = make(map[int]lease.Lease, count)
-	for i := uint64(0); i < count; i++ {
-		payload, err := nextSnapshotFrame(&rest)
-		if err != nil {
-			return nil, 0, fmt.Errorf("persist: snapshot lease %d/%d: %w", i, count, err)
+	for {
+		payload, after, ok := nextFrame(rest)
+		if !ok {
+			return nil, fmt.Errorf("persist: snapshot: no valid frame at byte %d of %d (after %d leases, no end frame yet)",
+				len(buf)-len(rest), len(buf), len(st.leases))
+		}
+		rest = after
+		if len(payload) > 0 && op(payload[0]) == opSnapshotEnd {
+			c := &cursor{b: payload, off: 1}
+			st.maxToken = c.uvarint("token watermark")
+			count := c.uvarint("lease count")
+			switch {
+			case c.err != nil:
+				return nil, fmt.Errorf("persist: snapshot end frame: %w", c.err)
+			case c.off != len(payload) || len(rest) != 0:
+				return nil, errors.New("persist: snapshot: bytes after the end frame")
+			case count != uint64(len(st.leases)):
+				return nil, fmt.Errorf("persist: snapshot: end frame counts %d leases, file holds %d", count, len(st.leases))
+			}
+			return st, nil
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return nil, 0, fmt.Errorf("persist: snapshot lease %d/%d: %w", i, count, err)
+			return nil, fmt.Errorf("persist: snapshot lease %d: %w", len(st.leases), err)
 		}
 		if rec.op != opAcquire {
-			return nil, 0, fmt.Errorf("persist: snapshot lease %d/%d: op %d", i, count, rec.op)
+			return nil, fmt.Errorf("persist: snapshot lease %d: op %d", len(st.leases), rec.op)
 		}
-		mirror[rec.name] = leaseFromRecord(rec)
+		if _, dup := st.leases[rec.name]; dup {
+			return nil, fmt.Errorf("persist: snapshot: name %d twice", rec.name)
+		}
+		st.leases[rec.name] = leaseFromRecord(rec)
 	}
-	return mirror, maxToken, nil
-}
-
-// nextSnapshotFrame pops one CRC-checked frame payload off *rest.
-func nextSnapshotFrame(rest *[]byte) ([]byte, error) {
-	b := *rest
-	if len(b) < 8 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	length := int(binary.LittleEndian.Uint32(b))
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if length > maxFrame || len(b)-8 < length {
-		return nil, io.ErrUnexpectedEOF
-	}
-	payload := b[8 : 8+length]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, errors.New("persist: snapshot frame CRC mismatch")
-	}
-	*rest = b[8+length:]
-	return payload, nil
 }
 
 // leaseFromRecord rebuilds the in-memory lease an opAcquire record (or a

@@ -20,6 +20,15 @@
 //	mgr.Shutdown() // quiesce WITHOUT releasing names
 //	st.Close()     // final snapshot: next boot replays nothing
 //
+// The manager's table is the only in-memory copy of the live leases. A
+// running store keeps none: an append raises the token watermark, encodes
+// the record and writes it, and a snapshot is streamed out of the
+// manager's own table, which Restore hands over as its last act (see
+// Compact for why a snapshot read from a moving table is sound). Until
+// then — and for a manager that never calls Restore — the store only
+// journals: Compact returns ErrNoTable and Close leaves the files as they
+// are.
+//
 // Durability is as strong as the fsync policy: FsyncAlways makes every
 // record durable before the caller sees the result (a granted token can
 // never be forgotten, at the cost of one fsync per operation, serialized
@@ -28,8 +37,12 @@
 // gone, which can forget the last few renews (restored expiries run a
 // beat stale) or, worst case, re-issue the tokens of just-granted leases;
 // FsyncNever leaves flushing to the OS entirely. Against plain process
-// crashes (kill -9, panics) even FsyncNever loses at most the store's
-// small user-space buffer, because the page cache survives the process.
+// crashes (kill -9, panics) even FsyncNever loses at most what sat in the
+// store's 64 KiB user-space buffer since the last FsyncEvery tick,
+// because the page cache survives the process.
+//
+// The files are on-disk format 2 (journal.go, snapshot.go); Open and
+// ReadAudit refuse a format-1 directory with a *FormatError.
 package persist
 
 import (
@@ -37,8 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,16 +59,14 @@ import (
 
 const (
 	journalName = "journal.wal"
-	// journalPrevName is the rotated-aside journal a compaction is in the
-	// middle of folding into a snapshot. It exists only between a
-	// rotation and that compaction's snapshot rename; finding one at Open
-	// means the process died inside the window, and its records replay
-	// BEFORE the active journal's (they are strictly older).
+	// journalPrevName is the journal a compaction has rotated aside. It
+	// exists only until that compaction's snapshot is in place; finding
+	// one at Open means the process died in between, and its records
+	// replay BEFORE the active journal's (they are strictly older).
 	journalPrevName = "journal.wal.prev"
-	// journalNextName is the staging name for a rotation's replacement
-	// journal, prepared (created, magic written, fsynced) outside the
-	// store mutex and renamed into place under it. One left on disk is a
-	// crashed rotation's garbage; Open removes it.
+	// journalNextName is the staging name of a rotation's replacement
+	// journal, prepared outside the store mutex and renamed into place
+	// under it. One left on disk is a crashed rotation's garbage.
 	journalNextName = "journal.wal.next"
 	snapshotName    = "snapshot.db"
 )
@@ -120,7 +129,8 @@ type Options struct {
 	// CompactMinRecords is the journal-length floor below which a
 	// background compaction pass is skipped: a snapshot costs O(live), so
 	// it only pays once replaying the journal would cost more. The pass
-	// runs when records-since-snapshot >= max(CompactMinRecords, live).
+	// runs when records-since-snapshot >= max(CompactMinRecords, leases in
+	// the table).
 	// Defaults to 4096.
 	CompactMinRecords int
 }
@@ -159,48 +169,54 @@ type Stats struct {
 	// JournalRecords is the journal length since the last snapshot — the
 	// replay cost a crash right now would pay.
 	JournalRecords int64
-	// Live is the mirror size: leases the durable state believes are held.
-	Live int
 	// Err is the sticky first journal-write failure, nil while healthy.
-	// The mirror keeps tracking state after a failure, so the next
-	// successful compaction repairs durability — but until then a crash
-	// loses everything after the error. Alert on it.
+	// The manager's table is unaffected by a journal failure, so the next
+	// successful compaction repairs durability from it — but until then a
+	// crash loses everything after the error. Alert on it.
 	Err error
 }
 
-// Store is the durable lease table: an in-memory mirror of the live
-// leases (maintained through the lease.Observer callbacks), the journal
-// that makes each transition durable, and the snapshot that bounds
-// recovery. All methods are safe for concurrent use.
+// Store is the durable side of a lease table: the journal that makes each
+// transition durable (fed through the lease.Observer callbacks) and the
+// snapshot that bounds recovery. It holds no copy of the leases. All
+// methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
 
-	// compactMu serializes whole compactions (rotate → snapshot →
-	// delete); it is taken before mu and never while holding it. Without
-	// it, a concurrent Compact could rotate the journal over a prev file
-	// whose records no snapshot covers yet.
+	// compactMu serializes whole compactions (rotate → snapshot → delete);
+	// it is taken before mu, never under it. Without it a concurrent Compact
+	// could rotate over a prev whose records no snapshot covers yet.
 	compactMu sync.Mutex
 
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	mirror   map[int]lease.Lease
-	maxToken uint64
-	records  int64 // journal records since the last snapshot
-	dirty    bool  // buffered or written bytes not yet fsynced
-	closed   bool
-	err      error // sticky first journal failure
+	// mu is taken under the manager's stripe locks (the Observe*
+	// callbacks), so nothing that takes a stripe lock — Table.Walk,
+	// Table.Occupied — may run under it.
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
+	// table is the manager's table, nil until ObserveTable: what
+	// snapshots are read from.
+	table lease.Table
+	// recovered is what Open read off disk, for State; its leases are
+	// dropped when the table arrives.
+	recovered *fold
+	maxToken  uint64 // highest token journaled or recovered
+	records   int64  // journal records since the last snapshot
+	dirty     bool   // buffered or written bytes not yet fsynced
+	closed    bool
+	err       error // sticky first journal failure
 
-	// encode scratch, reused under mu so steady-state appends allocate
-	// nothing.
-	payload []byte
-	frame   []byte
+	// frame is encode scratch, reused under mu so steady-state appends
+	// allocate nothing.
+	frame []byte
 
-	appends      atomic.Int64
-	syncs        atomic.Int64
-	compactions  atomic.Int64
-	journalBytes atomic.Int64
+	// Counters for Stats, under mu like the journal they count.
+	appends      int64
+	syncs        int64
+	journalBytes int64
+
+	compactions atomic.Int64 // counted by Compact, which holds only compactMu
 
 	recoveredLeases  int
 	replayedRecords  int
@@ -211,235 +227,70 @@ type Store struct {
 	wg   sync.WaitGroup
 }
 
-// Open recovers the durable state under dir (creating it if needed):
-// load the snapshot, replay the journal over it, truncate any torn tail,
-// and — when the journal held anything — compact immediately so the next
-// recovery starts from a fresh snapshot. The returned store is ready to
-// observe a manager; read the recovered state with State.
-func Open(dir string, opts Options) (*Store, error) {
-	openStart := time.Now()
-	opts.applyDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	mirror, maxToken, err := loadSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		dir:    dir,
-		opts:   opts,
-		mirror: mirror,
-		done:   make(chan struct{}),
-	}
-	s.maxToken = maxToken
-	// A staging journal left by a crashed rotation carries no records —
-	// it is created empty and only ever renamed into place; drop it.
-	os.Remove(filepath.Join(dir, journalNextName))
-	// A journal.wal.prev means the last process died (or errored) inside
-	// a compaction window. Its records are strictly older than the active
-	// journal's, so they fold in first; the snapshot-superset invariant
-	// plus applyLocked's token guards make re-folding records an already-
-	// renamed snapshot covers a no-op.
-	prevReplayed, err := s.replayPrevJournal()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.openJournal(); err != nil {
-		return nil, err
-	}
-	s.replayedRecords += prevReplayed
-	s.recoveredLeases = len(s.mirror)
-	if s.replayedRecords > 0 {
-		// Start the epoch from a fresh snapshot: replay work is not paid
-		// twice, release/expire records stop occupying journal space, and
-		// the prev file (if any) is retired. Boot is single-threaded, so
-		// the simple order — snapshot from the mirror, then clear the
-		// journals — is safe here.
-		if err := s.bootCompact(); err != nil {
-			s.f.Close()
-			return nil, err
-		}
-	}
-	s.recoveryDuration = time.Since(openStart)
-	s.wg.Add(1)
-	go s.flushLoop()
-	if s.opts.CompactEvery > 0 {
-		s.wg.Add(1)
-		go s.compactLoop()
-	}
-	return s, nil
-}
-
-// replayPrevJournal folds a leftover rotated journal into the mirror.
-// The file was fully flushed and fsynced before it was renamed aside, so
-// it should never be torn; scanFrames still stops at the first invalid
-// frame defensively. The file itself is retired by bootCompact.
-func (s *Store) replayPrevJournal() (int, error) {
-	buf, err := os.ReadFile(filepath.Join(s.dir, journalPrevName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("persist: prev journal: %w", err)
-	}
-	if len(buf) < len(journalMagic) {
-		return 0, nil // torn beyond the magic: nothing recoverable
-	}
-	if string(buf[:len(journalMagic)]) != journalMagic {
-		return 0, fmt.Errorf("persist: %s: bad journal magic", journalPrevName)
-	}
-	_, n := scanFrames(buf[len(journalMagic):], s.applyLocked)
-	return n, nil
-}
-
-// openJournal opens, validates, replays and truncates the journal file,
-// leaving s.f positioned for appends. Runs during Open, before any
-// concurrency — no locking needed.
-func (s *Store) openJournal() error {
-	path := filepath.Join(s.dir, journalName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: journal: %w", err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("persist: journal: %w", err)
-	}
-	if len(buf) < len(journalMagic) {
-		// Fresh file, or a crash tore the magic itself: (re)initialize.
-		if err := f.Truncate(0); err == nil {
-			_, err = f.WriteAt([]byte(journalMagic), 0)
-		}
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("persist: journal init: %w", err)
-		}
-		buf = []byte(journalMagic)
-	} else if string(buf[:len(journalMagic)]) != journalMagic {
-		f.Close()
-		return fmt.Errorf("persist: %s: bad journal magic", path)
-	}
-	valid, n := scanFrames(buf[len(journalMagic):], s.applyLocked)
-	end := int64(len(journalMagic)) + valid
-	if torn := int64(len(buf)) - end; torn > 0 {
-		// Torn tail from a mid-write crash: drop it so the file is a
-		// well-formed frame sequence again, and persist the truncation
-		// before anything is appended after it.
-		if err := f.Truncate(end); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("persist: journal truncate: %w", err)
-		}
-		s.truncatedBytes = torn
-	}
-	if _, err := f.Seek(end, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: journal: %w", err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.records = int64(n)
-	s.replayedRecords = n
-	return nil
-}
-
-// applyLocked folds one record into the mirror. Token guards make the
-// fold idempotent and safe against replaying stale records over a newer
-// state: a verdict about an old token never touches a lease minted after
-// it, and an acquire never downgrades a name to an older holder (per-name
-// tokens strictly increase, so a smaller token IS an older record). The
-// compaction protocol already guarantees the durable journal covers every
-// snapshot (rotation syncs before the snapshot is written); the guards
-// are defense in depth for any inversion that slips past it.
-func (s *Store) applyLocked(r record) {
-	if r.token > s.maxToken {
-		s.maxToken = r.token
-	}
-	switch r.op {
-	case opAcquire:
-		if l, ok := s.mirror[r.name]; ok && l.Token > r.token {
-			return
-		}
-		s.mirror[r.name] = leaseFromRecord(r)
-	case opRenew:
-		if l, ok := s.mirror[r.name]; ok && l.Token == r.token {
-			l.ExpiresAt = time.Unix(0, r.expiresAt)
-			s.mirror[r.name] = l
-		}
-	case opRelease, opExpire:
-		if l, ok := s.mirror[r.name]; ok && l.Token == r.token {
-			delete(s.mirror, r.name)
-		}
-	}
-}
-
-// ObserveAcquire implements lease.Observer.
+// ObserveAcquire, ObserveRenew, ObserveRelease and ObserveExpire implement
+// lease.Observer: one journal record each.
 func (s *Store) ObserveAcquire(l lease.Lease) { s.append(recordFromLease(l)) }
-
-// ObserveRenew implements lease.Observer.
 func (s *Store) ObserveRenew(name int, token uint64, expiresAt time.Time) {
 	s.append(record{op: opRenew, name: name, token: token, expiresAt: expiresAt.UnixNano()})
 }
-
-// ObserveRelease implements lease.Observer.
 func (s *Store) ObserveRelease(name int, token uint64) {
 	s.append(record{op: opRelease, name: name, token: token})
 }
-
-// ObserveExpire implements lease.Observer.
 func (s *Store) ObserveExpire(name int, token uint64) {
 	s.append(record{op: opExpire, name: name, token: token})
 }
 
-// append journals one record and folds it into the mirror. The Observer
-// contract carries no error channel, so journal failures go sticky (see
-// Stats.Err): the mirror stays correct regardless, and the next
-// successful compaction restores durability.
+// ObserveTable implements lease.Observer: from here on snapshots are read
+// from t, and the leases Open recovered — now in t — are dropped.
+func (s *Store) ObserveTable(t lease.Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.table = t
+	s.recovered.leases = nil
+}
+
+// append journals one record: raise the watermark, encode, write. The
+// Observer contract carries no error channel, so journal failures go
+// sticky (see Stats.Err); the manager's table is correct regardless, and
+// the next successful compaction restores durability from it.
 func (s *Store) append(rec record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.applyLocked(rec)
+	if rec.token > s.maxToken {
+		s.maxToken = rec.token
+	}
 	if s.closed {
 		s.failLocked(errors.New("persist: append after Close"))
 		return
 	}
-	s.payload = appendPayload(s.payload[:0], rec)
-	s.frame = appendFrame(s.frame[:0], s.payload)
+	s.frame = appendRecord(s.frame[:0], rec)
 	if _, err := s.w.Write(s.frame); err != nil {
 		s.failLocked(err)
 		return
 	}
 	s.records++
-	s.appends.Add(1)
-	s.journalBytes.Add(int64(len(s.frame)))
+	s.appends++
+	s.journalBytes += int64(len(s.frame))
 	if s.opts.Fsync == FsyncAlways {
-		if err := s.syncLocked(); err != nil {
-			s.failLocked(err)
-			return
-		}
+		s.syncLocked()
 	} else {
 		s.dirty = true
 	}
 }
 
-// syncLocked flushes the buffered writer and fsyncs the journal.
-func (s *Store) syncLocked() error {
-	if err := s.w.Flush(); err != nil {
-		return err
+// syncLocked flushes the buffered writer and fsyncs the journal; a failure
+// goes sticky.
+func (s *Store) syncLocked() {
+	err := s.w.Flush()
+	if err == nil {
+		err = s.f.Sync()
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
+	if err != nil {
+		s.failLocked(err)
+		return
 	}
 	s.dirty = false
-	s.syncs.Add(1)
-	return nil
+	s.syncs++
 }
 
 func (s *Store) failLocked(err error) {
@@ -462,300 +313,17 @@ func (s *Store) flushLoop() {
 		case <-ticker.C:
 			s.mu.Lock()
 			if s.dirty && !s.closed {
-				var err error
-				if s.opts.Fsync == FsyncNever {
-					err = s.w.Flush()
-					s.dirty = false
+				if s.opts.Fsync != FsyncNever {
+					s.syncLocked()
+				} else if err := s.w.Flush(); err != nil {
+					s.failLocked(err)
 				} else {
-					err = s.syncLocked()
-				}
-				if err != nil {
-					s.failLocked(err)
+					s.dirty = false
 				}
 			}
 			s.mu.Unlock()
 		}
 	}
-}
-
-// compactLoop periodically snapshots once the journal is long enough
-// that replaying it would cost more than writing the table out.
-func (s *Store) compactLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.CompactEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-			s.mu.Lock()
-			threshold := int64(s.opts.CompactMinRecords)
-			if live := int64(len(s.mirror)); live > threshold {
-				threshold = live
-			}
-			due := !s.closed && s.records >= threshold
-			s.mu.Unlock()
-			if due {
-				// Losing the race to Close is not a durability failure —
-				// poisoning the sticky error with it would make a clean
-				// graceful shutdown report itself FAILED.
-				if err := s.compact(); err != nil && !errors.Is(err, errStoreClosed) {
-					s.mu.Lock()
-					s.failLocked(err)
-					s.mu.Unlock()
-				}
-			}
-		}
-	}
-}
-
-// Compact forces a snapshot now: the table state is written out
-// atomically and the journal restarts empty.
-func (s *Store) Compact() error {
-	return s.compact()
-}
-
-// compact is the runtime compaction. It must NOT hold the store mutex
-// across the O(live) snapshot serialization and its fsyncs — observer
-// appends run under the manager's stripe locks and block on that mutex,
-// so a held-through-disk-write compaction would stall every lease
-// operation on every stripe for its whole duration. Protocol:
-//
-//  1. Under the mutex (cheap, memory-speed): flush+fsync the active
-//     journal — establishing the invariant that the DURABLE journal
-//     covers every record in the mirror, which is what makes replaying
-//     journals past an already-renamed snapshot idempotent — rotate it
-//     aside as journal.wal.prev, start a fresh journal, clone the
-//     mirror.
-//  2. Outside the mutex: serialize the clone into the snapshot (atomic
-//     tmp+rename+dir-fsync) and delete the rotated file.
-//
-// A crash anywhere in the window leaves prev + active on disk; Open
-// replays prev before active. compactMu serializes whole compactions.
-// errStoreClosed is compaction's benign loser-of-the-race-with-Close
-// outcome; callers that retry in the background must not treat it as a
-// durability failure.
-var errStoreClosed = errors.New("persist: store closed")
-
-func (s *Store) compact() error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-
-	// A leftover prev means an earlier compaction failed after rotating
-	// (its snapshot write errored). Rotating again would orphan those
-	// records, so finish the pending fold instead: snapshot the current
-	// mirror — which covers prev and everything since — without
-	// rotating. The active journal keeps its records; they are covered
-	// by the new snapshot and re-folding them at recovery is idempotent.
-	// Only a definite not-exist takes the rotate path: a Stat that fails
-	// any other way (EIO, EACCES) must be treated as "prev may exist",
-	// because rotating over an un-snapshotted prev orphans its records.
-	if _, err := os.Stat(filepath.Join(s.dir, journalPrevName)); !errors.Is(err, os.ErrNotExist) {
-		return s.compactKeepJournal()
-	}
-
-	// Prepare the replacement journal BEFORE taking the store mutex: its
-	// creation, magic write and fsync are independent of store state, and
-	// every fsync held under s.mu is a stall for every lease operation on
-	// every stripe.
-	next, err := prepareJournal(s.dir)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		next.Close()
-		os.Remove(filepath.Join(s.dir, journalNextName))
-		return errStoreClosed
-	}
-	clone, watermark, err := s.rotateLocked(next)
-	s.mu.Unlock()
-	if err != nil {
-		next.Close()
-		os.Remove(filepath.Join(s.dir, journalNextName))
-		return err
-	}
-	// Make the renames durable before the snapshot that depends on them;
-	// writeSnapshot's own directory fsync would cover the same entries,
-	// but the explicit ordering costs one cheap fsync and reads clearly.
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	if err := writeSnapshot(s.dir, clone, watermark); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(s.dir, journalPrevName)); err != nil {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	s.compactions.Add(1)
-	return nil
-}
-
-// prepareJournal creates a fresh, fsynced journal file under the
-// staging name, ready to be renamed into place during rotation.
-func prepareJournal(dir string) (*os.File, error) {
-	path := filepath.Join(dir, journalNextName)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("persist: rotate: %w", err)
-	}
-	if _, err := f.Write([]byte(journalMagic)); err == nil {
-		err = f.Sync()
-	} else {
-		err = fmt.Errorf("persist: rotate: %w", err)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return f, nil
-}
-
-// compactKeepJournal writes a snapshot of the current mirror without
-// touching the journals — the recovery move for a half-finished earlier
-// compaction. The journal stays long until the next healthy compaction
-// rotates it.
-func (s *Store) compactKeepJournal() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errStoreClosed
-	}
-	if err := s.syncLocked(); err != nil {
-		// A broken journal writer must not block the snapshot — the
-		// snapshot is written from the mirror and is exactly how
-		// durability gets restored after a journal failure.
-		s.failLocked(err)
-	}
-	clone, watermark := s.cloneLocked()
-	s.mu.Unlock()
-	if err := writeSnapshot(s.dir, clone, watermark); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(s.dir, journalPrevName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	s.compactions.Add(1)
-	return nil
-}
-
-// rotateLocked flushes and fsyncs the active journal, moves it aside as
-// journal.wal.prev, renames the caller-prepared fresh journal into
-// place, and returns a snapshot-stable clone of the mirror plus the
-// token watermark. Under s.mu this is one (usually small) journal fsync
-// plus two renames and a map copy — the expensive parts of rotation
-// (fresh-journal creation and its fsync, the O(live) snapshot, the
-// directory fsync) happen outside in compact(). The old handle is
-// closed only AFTER its replacement is fully secured: a rotation that
-// fails partway renames the file back and leaves the store appending to
-// the original handle — degraded to a longer journal, not wedged on a
-// closed fd. Callers hold s.mu (and compactMu around the surrounding
-// compaction); on error the caller owns cleaning up `next`.
-func (s *Store) rotateLocked(next *os.File) (map[int]lease.Lease, uint64, error) {
-	if err := s.syncLocked(); err != nil {
-		// The journal writer is broken — bufio errors are sticky, so some
-		// buffered records will never reach this file and every future
-		// flush would fail the same way. Wedging the compaction on it
-		// would make the breakage permanent; rotating FORWARD is strictly
-		// better: the mirror still holds every record, the snapshot about
-		// to be written covers them, and w.Reset onto the fresh journal
-		// clears the writer. The sticky Stats.Err keeps the incident (and
-		// its loss window) visible.
-		s.failLocked(err)
-	}
-	path := filepath.Join(s.dir, journalName)
-	prev := filepath.Join(s.dir, journalPrevName)
-	// The renames do not disturb open handles: each follows its inode,
-	// so until the swap below every fallback path still has a live
-	// journal under s.f.
-	if err := os.Rename(path, prev); err != nil {
-		return nil, 0, fmt.Errorf("persist: rotate: %w", err)
-	}
-	if err := os.Rename(filepath.Join(s.dir, journalNextName), path); err != nil {
-		// Best-effort restore of the original layout; if even the
-		// rename-back fails, prev remains and the next compaction takes
-		// the keep-journal path, which never rotates over it.
-		os.Rename(prev, path)
-		return nil, 0, fmt.Errorf("persist: rotate: %w", err)
-	}
-	// Replacement secured: swap handles and retire the old one. Its data
-	// is already synced, so a close error is only worth recording.
-	old := s.f
-	s.f = next
-	s.w.Reset(next)
-	s.records = 0
-	s.dirty = false
-	if err := old.Close(); err != nil {
-		s.failLocked(err)
-	}
-	clone, watermark := s.cloneLocked()
-	return clone, watermark, nil
-}
-
-// cloneLocked copies the mirror for out-of-lock serialization. Lease
-// values are shared (never mutated in place), so this is an O(live)
-// memory copy, not a deep clone.
-func (s *Store) cloneLocked() (map[int]lease.Lease, uint64) {
-	clone := make(map[int]lease.Lease, len(s.mirror))
-	for k, v := range s.mirror {
-		clone[k] = v
-	}
-	return clone, s.maxToken
-}
-
-// bootCompact is the Open-time (single-threaded) compaction: snapshot
-// straight from the mirror, then truncate the active journal and retire
-// any prev. The order matters — the snapshot must be durable before the
-// journals that fed it are cleared.
-func (s *Store) bootCompact() error {
-	if err := writeSnapshot(s.dir, s.mirror, s.maxToken); err != nil {
-		return err
-	}
-	if err := s.resetJournalLocked(); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(s.dir, journalPrevName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	s.compactions.Add(1)
-	return nil
-}
-
-// resetJournalLocked truncates the active journal back to its magic and
-// fsyncs the truncation before any append can land after it, so a crash
-// cannot surface stale frames past the new tail. Callers hold s.mu (or
-// own the store exclusively).
-func (s *Store) resetJournalLocked() error {
-	if err := s.f.Truncate(int64(len(journalMagic))); err != nil {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	if _, err := s.f.Seek(int64(len(journalMagic)), 0); err != nil {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("persist: compact: %w", err)
-	}
-	s.w.Reset(s.f)
-	s.records = 0
-	s.dirty = false
-	return nil
-}
-
-// State returns the recovered (and since-maintained) durable state in
-// the shape lease.Manager.Restore consumes: every lease the store
-// believes is live, ordered by name, plus the fencing-token watermark.
-func (s *Store) State() lease.RestoreState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	leases := make([]lease.Lease, 0, len(s.mirror))
-	for _, l := range s.mirror {
-		leases = append(leases, l)
-	}
-	sort.Slice(leases, func(i, j int) bool { return leases[i].Name < leases[j].Name })
-	return lease.RestoreState{Leases: leases, Token: s.maxToken}
 }
 
 // Stats snapshots the store's counters.
@@ -767,45 +335,56 @@ func (s *Store) Stats() Stats {
 		ReplayedRecords:  s.replayedRecords,
 		TruncatedBytes:   s.truncatedBytes,
 		RecoveryDuration: s.recoveryDuration,
-		Appends:          s.appends.Load(),
-		Syncs:            s.syncs.Load(),
+		Appends:          s.appends,
+		Syncs:            s.syncs,
 		Compactions:      s.compactions.Load(),
-		JournalBytes:     s.journalBytes.Load(),
+		JournalBytes:     s.journalBytes,
 		JournalRecords:   s.records,
-		Live:             len(s.mirror),
 		Err:              s.err,
 	}
 }
 
-// Close stops the background goroutines, writes a final snapshot (the
-// graceful-shutdown snapshot: the next Open replays nothing) and closes
-// the journal. Quiesce the manager (lease.Manager.Shutdown) BEFORE
-// closing the store, or late observer callbacks land in the sticky
-// error. Idempotent; returns the sticky journal error if one occurred.
-func (s *Store) Close() error {
+// stop marks the store closed and waits out its goroutines; it reports
+// false when that had already happened.
+func (s *Store) stop() bool {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	was := s.closed
 	s.closed = true
 	s.mu.Unlock()
-	close(s.done)
-	s.wg.Wait()
-	// Final snapshot — the graceful-shutdown snapshot. The store is
-	// closed and the goroutines are gone, so the boot-style order is
-	// safe: flush what's buffered (preserving the journal if the
-	// snapshot write fails), snapshot from the mirror, clear journals.
-	// A broken journal writer does NOT skip the snapshot — the snapshot
-	// comes from the mirror and is what rescues a failed journal.
+	if !was {
+		close(s.done)
+		s.wg.Wait()
+	}
+	return !was
+}
+
+// Close stops the background goroutines, writes a final snapshot from
+// the table (the graceful-shutdown snapshot: the next Open replays
+// nothing) and closes the journal. Quiesce the manager
+// (lease.Manager.Shutdown) BEFORE closing the store, or late observer
+// callbacks land in the sticky error. A store no table was ever handed to
+// has nothing to snapshot from: it flushes, fsyncs and leaves the files —
+// which describe the table completely — as they are. Idempotent; returns
+// the sticky journal error if one occurred.
+func (s *Store) Close() error {
+	if !s.stop() {
+		return nil
+	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+	// Flush what's buffered first, so the journal is whole even if the
+	// snapshot write fails. A broken journal writer does NOT skip the
+	// snapshot, which comes from the table and is what rescues it.
+	s.seal()
+	s.mu.Lock()
+	table := s.table
+	s.mu.Unlock()
+	var err error
+	if table != nil {
+		err = s.snapshotAndClear(table)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if serr := s.syncLocked(); serr != nil {
-		s.failLocked(serr)
-	}
-	err := s.bootCompact()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -821,19 +400,10 @@ func (s *Store) Close() error {
 // what the fsync policy had made durable. Recovery tests and the crash
 // experiment use it; production code wants Close.
 func (s *Store) Crash() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.stop() {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.done)
-	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }

@@ -49,6 +49,8 @@ func (o *recordingObserver) ObserveRelease(name int, token uint64) {
 
 func (o *recordingObserver) ObserveExpire(int, uint64) {}
 
+func (o *recordingObserver) ObserveTable(Table) {}
+
 // TestAcquireBatchShutdownRaceUnwindsInsertedLeases pins the batch
 // unwind against Shutdown: when a multi-stripe AcquireBatch loses the
 // race to Shutdown partway through its stripe walk, the leases it
