@@ -70,7 +70,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveGraceful did not return after context cancellation")
 	}
-	if _, err := mgr.Acquire("late", 0, nil); !errors.Is(err, lease.ErrClosed) {
+	if _, err := mgr.AcquireBatch(context.Background(), "late", 1, 0, nil); !errors.Is(err, lease.ErrClosed) {
 		t.Fatalf("manager not closed after shutdown: %v", err)
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
@@ -114,7 +114,7 @@ func TestServeGracefulDrainTimeout(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveGraceful hung past its drain timeout")
 	}
-	if _, err := mgr.Acquire("late", 0, nil); !errors.Is(err, lease.ErrClosed) {
+	if _, err := mgr.AcquireBatch(context.Background(), "late", 1, 0, nil); !errors.Is(err, lease.ErrClosed) {
 		t.Fatalf("manager not closed after forced shutdown: %v", err)
 	}
 }

@@ -48,7 +48,7 @@ type ReleaseItem struct {
 
 // ReleaseResult is the per-item outcome of a ReleaseBatch. A lease that
 // was removed but whose name the namer refused to take back (e.g.
-// ErrOneShot) carries that namer error, matching Release.
+// ErrOneShot) carries that namer error.
 type ReleaseResult struct {
 	Err error
 }
@@ -166,7 +166,7 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 		}
 		sh.mu.Unlock()
 		// Lapsed leases were dropped under the lock; their names go back
-		// to the namer out here so a slow Release never stalls the stripe.
+		// to the namer out here so a slow namer.Release never stalls the stripe.
 		m.releaseNames(lapsed)
 	}
 	m.renewed.Add(renewed)
@@ -219,7 +219,7 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 		// handbacks are the names this stripe visit removed from the table;
 		// the namer gets them back only after the stripe unlocks. For a
 		// successful release (expired == false) the namer's verdict is the
-		// item's outcome, matching Release.
+		// item's outcome.
 		type handback struct {
 			idx     int
 			expired bool

@@ -67,10 +67,10 @@ func TestAcquireBatchGrantsDistinctLeases(t *testing.T) {
 	// Every batch lease is individually renewable and releasable with its
 	// own token.
 	for _, l := range got {
-		if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+		if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 			t.Fatalf("renew batch lease %d: %v", l.Name, err)
 		}
-		if err := m.Release(l.Name, l.Token); err != nil {
+		if err := release1(m, l.Name, l.Token); err != nil {
 			t.Fatalf("release batch lease %d: %v", l.Name, err)
 		}
 	}
@@ -120,14 +120,14 @@ func TestAcquireBatchExhaustionRollsBack(t *testing.T) {
 	// Genuine mid-batch exhaustion: with one name held, a namespace-sized
 	// batch passes the size check, takes real names, runs out, and must
 	// roll back every one of them.
-	held, err := m.Acquire("holder", 0, nil)
+	held, err := acquire1(m, "holder", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.AcquireBatch(context.Background(), "w", 8, 0, nil); !errors.Is(err, renaming.ErrNamespaceExhausted) {
 		t.Fatalf("batch over partly-full namer err = %v, want ErrNamespaceExhausted", err)
 	}
-	if err := m.Release(held.Name, held.Token); err != nil {
+	if err := release1(m, held.Name, held.Token); err != nil {
 		t.Fatalf("release held lease after failed batch: %v", err)
 	}
 	leases, err := m.AcquireBatch(context.Background(), "w", 8, 0, nil)
@@ -143,12 +143,12 @@ func TestAcquireCtxCancelled(t *testing.T) {
 	m, _ := newCappedManager(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := m.AcquireCtx(ctx, "w", 0, nil)
+	_, err := m.AcquireBatch(ctx, "w", 1, 0, nil)
 	if !errors.Is(err, renaming.ErrCancelled) {
-		t.Fatalf("cancelled AcquireCtx err = %v, want ErrCancelled", err)
+		t.Fatalf("cancelled one-item AcquireBatch err = %v, want ErrCancelled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled AcquireCtx err = %v, want it to wrap context.Canceled", err)
+		t.Fatalf("cancelled one-item AcquireBatch err = %v, want it to wrap context.Canceled", err)
 	}
 	if _, err := m.AcquireBatch(ctx, "w", 4, 0, nil); !errors.Is(err, renaming.ErrCancelled) {
 		t.Fatalf("cancelled AcquireBatch err = %v, want ErrCancelled", err)
@@ -198,7 +198,7 @@ func TestAcquireBatchConcurrent(t *testing.T) {
 					mu.Lock()
 					delete(held, l.Name)
 					mu.Unlock()
-					if err := m.Release(l.Name, l.Token); err != nil {
+					if err := release1(m, l.Name, l.Token); err != nil {
 						t.Errorf("release %d: %v", l.Name, err)
 						return
 					}

@@ -24,7 +24,7 @@ func TestAcquireSweepsBeforeRejecting(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := m.Acquire("w", time.Second, nil); err != nil {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -32,11 +32,11 @@ func TestAcquireSweepsBeforeRejecting(t *testing.T) {
 	// Both leases are expired but unreclaimed; both capacity slots must be
 	// recoverable without SweepOnce.
 	for i := 0; i < 2; i++ {
-		if _, err := m.Acquire("w", 0, nil); err != nil {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
 			t.Fatalf("acquire over expired leases %d: %v", i, err)
 		}
 	}
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("acquire over live leases = %v, want ErrCapacity", err)
 	}
 	if mt := m.Metrics(); mt.Expired != 2 || mt.Live != 2 {
@@ -100,12 +100,12 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	var innerErr error
 	clk.mu.Lock()
 	clk.hook = func() {
-		_, innerErr = m.Acquire("interloper", time.Second, nil)
+		_, innerErr = acquire1(m, "interloper", time.Second, nil)
 		clk.Advance(2 * time.Second)
 	}
 	clk.mu.Unlock()
 
-	l, err := m.Acquire("outer", 0, nil)
+	l, err := acquire1(m, "outer", 0, nil)
 	if err != nil {
 		t.Fatalf("outer Acquire = %v; capacity race rejected a grant while holding the reservation", err)
 	}
@@ -137,7 +137,7 @@ func TestReclaimFailedCounted(t *testing.T) {
 	defer m.Close()
 
 	// Sweep-path reclaim of an expired lease.
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
@@ -149,11 +149,11 @@ func TestReclaimFailedCounted(t *testing.T) {
 	}
 
 	// Explicit Release propagates the namer error and counts it too.
-	l, err := m.Acquire("w", 0, nil)
+	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(l.Name, l.Token); !errors.Is(err, renaming.ErrOneShot) {
+	if err := release1(m, l.Name, l.Token); !errors.Is(err, renaming.ErrOneShot) {
 		t.Fatalf("Release over one-shot namer = %v, want ErrOneShot", err)
 	}
 	if mt := m.Metrics(); mt.ReclaimFailed != 2 {
@@ -161,7 +161,7 @@ func TestReclaimFailedCounted(t *testing.T) {
 	}
 
 	// Close drains live leases through the same accounting.
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -189,7 +189,7 @@ func TestSetMaxLiveShrinkWithExpiredPending(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 4; i++ {
-		if _, err := m.Acquire("w", time.Second, nil); err != nil {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -200,11 +200,11 @@ func TestSetMaxLiveShrinkWithExpiredPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Acquire("w", 0, nil); err != nil {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
 			t.Fatalf("acquire %d over expired leases after shrink: %v", i, err)
 		}
 	}
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("acquire over the shrunk cap = %v, want ErrCapacity", err)
 	}
 	mt := m.Metrics()
@@ -230,7 +230,7 @@ func TestSetMaxLiveShrinkBelowLive(t *testing.T) {
 	defer m.Close()
 	leases := make([]Lease, 0, 4)
 	for i := 0; i < 4; i++ {
-		l, err := m.Acquire("w", 0, nil)
+		l, err := acquire1(m, "w", 0, nil)
 		if err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
@@ -241,27 +241,27 @@ func TestSetMaxLiveShrinkBelowLive(t *testing.T) {
 	}
 	// All four holders survive the shrink and can still renew.
 	for _, l := range leases {
-		if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+		if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 			t.Fatalf("Renew(%d) after shrink: %v", l.Name, err)
 		}
 	}
 	if mt := m.Metrics(); mt.Live != 4 || mt.MaxLive != 2 {
 		t.Fatalf("metrics = %+v, want 4 riders over a cap of 2", mt)
 	}
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("acquire with live > cap = %v, want ErrCapacity", err)
 	}
 	// Attrition: releasing down to the cap is not enough (live == cap is
 	// full); one below opens exactly one slot.
 	for i := 0; i < 3; i++ {
-		if err := m.Release(leases[i].Name, leases[i].Token); err != nil {
+		if err := release1(m, leases[i].Name, leases[i].Token); err != nil {
 			t.Fatalf("Release %d: %v", i, err)
 		}
 	}
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatalf("acquire after attrition under the cap: %v", err)
 	}
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("acquire at the refilled cap = %v, want ErrCapacity", err)
 	}
 }
@@ -289,14 +289,14 @@ func TestSetMaxLiveRacesReserveAndSweep(t *testing.T) {
 			defer wg.Done()
 			var held []Lease
 			for i := 0; i < 300; i++ {
-				l, err := m.Acquire("w", 0, nil)
+				l, err := acquire1(m, "w", 0, nil)
 				if err != nil {
 					if !errors.Is(err, ErrCapacity) {
 						t.Errorf("Acquire: %v", err)
 						return
 					}
 					for _, h := range held {
-						if err := m.Release(h.Name, h.Token); err != nil {
+						if err := release1(m, h.Name, h.Token); err != nil {
 							t.Errorf("Release: %v", err)
 						}
 					}
@@ -306,7 +306,7 @@ func TestSetMaxLiveRacesReserveAndSweep(t *testing.T) {
 				held = append(held, l)
 			}
 			for _, h := range held {
-				if err := m.Release(h.Name, h.Token); err != nil {
+				if err := release1(m, h.Name, h.Token); err != nil {
 					t.Errorf("Release: %v", err)
 				}
 			}
@@ -357,7 +357,7 @@ func TestMetricsExposesSweepAndReservedCounters(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := m.Acquire("w", time.Second, nil); err != nil {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestMetricsExposesSweepAndReservedCounters(t *testing.T) {
 	}
 	clk.Advance(2 * time.Second)
 	// This acquire finds the table full and runs the at-capacity sweep.
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatalf("acquire over expired leases: %v", err)
 	}
 	mt := m.Metrics()

@@ -32,15 +32,15 @@ func TestDefaultTTLNeverExceedsMaxTTL(t *testing.T) {
 	defer m.Close()
 
 	now := clk.Now()
-	byDefault, err := m.Acquire("default", 0, nil)
+	byDefault, err := acquire1(m, "default", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := m.Acquire("explicit", 45*time.Second, nil)
+	explicit, err := acquire1(m, "explicit", 45*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := m.Acquire("over", 2*time.Hour, nil)
+	over, err := acquire1(m, "over", 2*time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDefaultTTLNeverExceedsMaxTTL(t *testing.T) {
 
 	// Renewals follow the same rule: a default renewal must not outlive
 	// the ceiling the explicit path enforces.
-	ren, err := m.Renew(byDefault.Name, byDefault.Token, 0)
+	ren, err := renew1(m, byDefault.Name, byDefault.Token, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // "Asynchronous Exclusive Selection": at every instant each name has at
 // most one live holder, and a holder that stalls past its TTL loses the
 // name without any action on its part. Fencing tokens make the loss safe
-// to detect: a stale holder's Renew or Release fails with ErrWrongToken
+// to detect: a stale holder's renewal or release fails with ErrWrongToken
 // because the token was minted for a lease that no longer exists.
 //
 // Internally the manager is sharded (the lock-striping idiom of Alistarh,
@@ -42,11 +42,12 @@
 // minimum live deadline. Renewals write the slot and, at most, lower the
 // watermark.
 //
-// Acquisition comes in three forms: Acquire (non-cancellable), AcquireCtx
-// (abandons a slow acquisition when the context ends, with the capacity
-// reservation and any won TAS slot handed back) and AcquireBatch (k leases
-// through one capacity reservation, one batched namer call and one lock
-// visit per involved stripe — all-or-nothing).
+// There is one request shape, the batch, and a single lease is a batch of
+// one: AcquireBatch grants k leases through one capacity reservation, one
+// batched namer call and one lock visit per involved stripe — all-or-
+// nothing, and abandoned with the reservation and every won TAS slot handed
+// back when the context ends. RenewBatch and ReleaseBatch bucket their items
+// by stripe the same way and report a typed outcome per item (see batch.go).
 //
 // The package layers on any Namer; pair it with renaming.NewLevelArray to
 // get constant expected probes under sustained lease churn.
@@ -72,15 +73,15 @@ var (
 	// ErrWrongToken is returned when the caller's fencing token does not
 	// match the live lease — the caller is a stale holder.
 	ErrWrongToken = errors.New("lease: fencing token mismatch")
-	// ErrExpired is returned by Renew when the lease's TTL elapsed before
-	// the renewal arrived; the name has been (or is about to be) reclaimed.
+	// ErrExpired is the outcome of a renewal or release that arrived after
+	// the lease's TTL elapsed; the name has been (or is about to be) reclaimed.
 	ErrExpired = errors.New("lease: lease expired before renewal")
 	// ErrClosed is returned by operations on a closed Manager.
 	ErrClosed = errors.New("lease: manager closed")
-	// ErrCapacity is returned by Acquire when MaxLive leases are already
-	// held. Distinct from namespace exhaustion: the namer still has slots,
-	// but granting more would void its probe guarantees. Acquire reclaims
-	// expired leases before giving up, so ErrCapacity means the capacity
+	// ErrCapacity is returned by AcquireBatch when the batch does not fit
+	// under MaxLive. Distinct from namespace exhaustion: the namer still has
+	// slots, but granting more would void its probe guarantees. The grant
+	// path reclaims expired leases before giving up, so ErrCapacity means the capacity
 	// is genuinely full of live holders (or of in-flight acquisitions).
 	ErrCapacity = errors.New("lease: live-lease capacity reached")
 )
@@ -91,7 +92,7 @@ type Lease struct {
 	// Name is the integer name held, in [0, Namespace()).
 	Name int
 	// Token is the fencing token minted at acquisition, unique across the
-	// manager's lifetime. Renew and Release require it.
+	// manager's lifetime. Renewing and releasing require it.
 	Token uint64
 	// Owner is the caller-supplied identity that acquired the lease.
 	Owner string
@@ -115,7 +116,7 @@ func cloneMeta(meta map[string]string) map[string]string {
 
 // Config tunes a Manager.
 type Config struct {
-	// TTL is the lease duration granted by Acquire and Renew when the
+	// TTL is the lease duration grants and renewals carry when the
 	// caller does not request one. Defaults to 30 seconds.
 	TTL time.Duration
 	// MaxTTL caps caller-requested durations. Defaults to 10×TTL.
@@ -128,7 +129,7 @@ type Config struct {
 	SweepInterval time.Duration
 	// MaxLive, if positive, caps the number of concurrently live leases.
 	// Long-lived namers guarantee their probe bounds only up to a
-	// capacity; set MaxLive to that capacity to enforce it (Acquire then
+	// capacity; set MaxLive to that capacity to enforce it (AcquireBatch then
 	// fails with ErrCapacity instead of degrading). 0 means uncapped —
 	// the namer's namespace is the only limit. This is the INITIAL cap;
 	// SetMaxLive changes it at runtime.
@@ -247,7 +248,7 @@ type Metrics struct {
 	CapacitySweeps     int64
 	CapacitySweepJoins int64
 	// Reserved is the raw capacity counter: live leases plus in-flight
-	// Acquire reservations that have not yet materialized as leases.
+	// AcquireBatch reservations that have not yet materialized as leases.
 	// Reserved - Live is the instantaneous acquisition in-flight depth
 	// (plus any expired-but-unreclaimed leases still holding capacity).
 	Reserved int64
@@ -292,11 +293,11 @@ type Manager struct {
 	capSweepsRun   atomic.Int64
 	capSweepJoined atomic.Int64
 
-	// live counts held names plus in-flight Acquire reservations.
-	// Acquire reserves capacity here *before* probing the namer, so
+	// live counts held names plus in-flight AcquireBatch reservations.
+	// A grant reserves capacity here *before* probing the namer, so
 	// MaxLive is enforced without any lock — and without the
 	// grant-then-recheck race the single-mutex design had, where an
-	// Acquire could fail with ErrCapacity while expired leases sat
+	// acquire could fail with ErrCapacity while expired leases sat
 	// unreclaimed.
 	live atomic.Int64
 	// maxLive is the runtime live-lease cap (0 = uncapped), seeded from
@@ -386,7 +387,7 @@ func (m *Manager) clampTTL(ttl time.Duration) time.Duration {
 // reserve claims k units of MaxLive capacity before the namer is probed.
 // Over the cap it reclaims expired leases (the eager sweep the pre-shard
 // design ran under its lock) and retries; ErrCapacity is returned only
-// after a sweep found nothing to reclaim, so an Acquire can no longer be
+// after a sweep found nothing to reclaim, so an acquire can no longer be
 // rejected while expired leases sit unreclaimed. The cap itself is an
 // atomic (SetMaxLive mutates it online), so the whole path stays
 // lock-free; a reservation racing a cap change lands under whichever
@@ -475,70 +476,6 @@ func (m *Manager) reclaimForCapacity() int {
 	m.capSweepMu.Unlock()
 	close(c.done)
 	return c.reclaimed
-}
-
-// Acquire grants a lease on a fresh name for owner. ttl <= 0 means the
-// configured default; larger requests are capped at MaxTTL. meta is copied.
-// When the namer cannot assign a name the error wraps
-// renaming.ErrNamespaceExhausted. Acquire cannot be cancelled; use
-// AcquireCtx when the caller may abandon a slow acquisition.
-func (m *Manager) Acquire(owner string, ttl time.Duration, meta map[string]string) (Lease, error) {
-	//lint:ctx Acquire is the documented uncancellable convenience form of AcquireCtx
-	return m.AcquireCtx(context.Background(), owner, ttl, meta)
-}
-
-// AcquireCtx is Acquire with cancellation: if ctx ends while the namer is
-// still probing, the acquisition aborts with an error matching
-// renaming.ErrCancelled (wrapping ctx.Err()), the capacity reservation is
-// returned, and no name or TAS slot stays held.
-func (m *Manager) AcquireCtx(ctx context.Context, owner string, ttl time.Duration, meta map[string]string) (Lease, error) {
-	if !m.enterOp() {
-		m.rejected.Add(1)
-		return Lease{}, ErrClosed
-	}
-	defer m.exitOp()
-	if err := m.reserve(1); err != nil {
-		m.rejected.Add(1)
-		return Lease{}, err
-	}
-
-	// Acquire is lock-free on the TAS array; the capacity slot is already
-	// reserved, so acquisitions scale with the namer, not the bookkeeping.
-	name, err := m.namer.Acquire(ctx)
-	if err != nil {
-		m.live.Add(-1)
-		m.rejected.Add(1)
-		return Lease{}, fmt.Errorf("lease: acquire: %w", err)
-	}
-	l := Lease{
-		Name:      name,
-		Token:     m.token.Add(1),
-		Owner:     owner,
-		ExpiresAt: m.cfg.Now().Add(m.clampTTL(ttl)),
-		Meta:      cloneMeta(meta), // the table's copy; the caller gets its own below
-	}
-	// Read before the stripe lock: sizing the table must not call into the
-	// namer under it.
-	size := m.stripeSize()
-
-	sh := m.shard(name)
-	sh.mu.Lock()
-	if m.closed.Load() {
-		// Raced with Close: hand the name straight back.
-		sh.mu.Unlock()
-		m.live.Add(-1)
-		m.releaseName(name)
-		m.rejected.Add(1)
-		return Lease{}, ErrClosed
-	}
-	sh.insert(name, m.shardBits, size, l.Token, m.since(l.ExpiresAt), sh.holderFor(owner, l.Meta))
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.ObserveAcquire(l)
-	}
-	sh.mu.Unlock()
-	m.acquired.Add(1)
-	l.Meta = cloneMeta(l.Meta)
-	return l, nil
 }
 
 // AcquireBatch grants k leases in one call: one capacity reservation of k
@@ -676,41 +613,6 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 	return out, nil
 }
 
-// Renew extends the lease identified by (name, token) by ttl (<= 0 means
-// the configured default). A renewal that arrives after expiry fails with
-// ErrExpired and reclaims the name immediately. Holders heartbeating many
-// leases should prefer RenewBatch, which pays one lock visit per involved
-// stripe instead of one per lease.
-func (m *Manager) Renew(name int, token uint64, ttl time.Duration) (Lease, error) {
-	if !m.enterOp() {
-		m.rejected.Add(1)
-		return Lease{}, ErrClosed
-	}
-	defer m.exitOp()
-	sh := m.shard(name)
-	sh.mu.Lock()
-	// Re-check under the shard lock: a renewal racing Close must not
-	// succeed after Close has started, or the caller would hold a
-	// "renewed" lease on a name the drain is about to hand back.
-	if m.closed.Load() {
-		sh.mu.Unlock()
-		m.rejected.Add(1)
-		return Lease{}, ErrClosed
-	}
-	l, expired, err := m.renewLocked(sh, name, token, m.renewalAt(m.cfg.Now(), ttl))
-	sh.mu.Unlock()
-	if expired {
-		// The lapsed lease was dropped under the lock; the namer hand-back
-		// happens out here, where a slow Release cannot stall the stripe.
-		m.releaseName(name)
-	}
-	if err != nil {
-		return Lease{}, err
-	}
-	m.renewed.Add(1)
-	return l, nil
-}
-
 // renewal is one clock reading resolved against a requested TTL: what a
 // renewal judged at that instant compares with and writes. RenewBatch
 // resolves it once for the whole batch.
@@ -726,9 +628,9 @@ func (m *Manager) renewalAt(now time.Time, ttl time.Duration) renewal {
 	return renewal{now: n, deadline: n + int64(d), expiresAt: now.Add(d)}
 }
 
-// renewLocked applies one renewal against sh — the shared core of Renew
-// and RenewBatch. Refusals settle the rejected counter here; successes
-// leave the renewed counter to the caller, which batches them. The
+// renewLocked applies one item of RenewBatch's walk against sh. Refusals
+// settle the rejected counter here; successes leave the renewed counter to
+// the caller, which settles it once per batch. The
 // returned lease carries its own copy of the metadata. When the lease
 // lapsed, it is dropped from the table and expired reports true: the
 // caller MUST hand name back to the namer (m.releaseName) after unlocking
@@ -759,40 +661,8 @@ func (m *Manager) renewLocked(sh *shard, name int, token uint64, r renewal) (l L
 	return Lease{Name: name, Token: token, Owner: s.who.owner, ExpiresAt: r.expiresAt, Meta: cloneMeta(s.who.meta)}, false, nil
 }
 
-// Release ends the lease identified by (name, token) and returns the name
-// to the namer's pool. A release that arrives after expiry fails with
-// ErrExpired — the holder already lost the name — and reclaims it
-// immediately, so the outcome does not depend on sweeper timing.
-func (m *Manager) Release(name int, token uint64) error {
-	if !m.enterOp() {
-		m.rejected.Add(1)
-		return ErrClosed
-	}
-	defer m.exitOp()
-	sh := m.shard(name)
-	sh.mu.Lock()
-	if m.closed.Load() {
-		sh.mu.Unlock()
-		m.rejected.Add(1)
-		return ErrClosed
-	}
-	handback, err := m.releaseLocked(sh, name, token, m.since(m.cfg.Now()))
-	sh.mu.Unlock()
-	if !handback {
-		return err
-	}
-	rerr := m.releaseName(name)
-	if err != nil {
-		// Expired-lease reclaim: the holder already lost the name, so the
-		// namer's verdict on the hand-back is only counted (ReclaimFailed),
-		// not surfaced.
-		return err
-	}
-	return rerr
-}
-
-// releaseLocked applies one release against sh — the shared core of
-// Release and ReleaseBatch. Refusals settle the rejected counter. The
+// releaseLocked applies one item of ReleaseBatch's walk against sh.
+// Refusals settle the rejected counter. The
 // namer hand-back itself happens OUTSIDE the stripe lock: when handback
 // reports true the caller must invoke m.releaseName(name) after
 // unlocking — with err == nil that hand-back is the successful release,
@@ -1125,7 +995,7 @@ func (m *Manager) exitOp() {
 }
 
 // Adopter is the namer surface Restore needs: re-seizing the exact names
-// the restored leases hold, so a fresh Acquire cannot be granted a name
+// the restored leases hold, so a fresh grant cannot be handed a name
 // that already has a live holder. Every namer constructed by the renaming
 // package implements it.
 type Adopter interface {

@@ -54,7 +54,7 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *fakeClock) {
 
 func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 	m, clk := newTestManager(t, 8)
-	l, err := m.Acquire("worker-1", 0, map[string]string{"zone": "a"})
+	l, err := acquire1(m, "worker-1", 0, map[string]string{"zone": "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 		t.Fatalf("ExpiresAt = %v, want %v", l.ExpiresAt, want)
 	}
 	clk.Advance(5 * time.Second)
-	renewed, err := m.Renew(l.Name, l.Token, 0)
+	renewed, err := renew1(m, l.Name, l.Token, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 	if got, ok := m.Get(l.Name); !ok || got.Token != l.Token {
 		t.Fatalf("Get = %+v, %v", got, ok)
 	}
-	if err := m.Release(l.Name, l.Token); err != nil {
+	if err := release1(m, l.Name, l.Token); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.Get(l.Name); ok {
@@ -90,7 +90,7 @@ func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 func TestTTLClamping(t *testing.T) {
 	m, clk := newTestManager(t, 4)
 	// Requested TTL beyond MaxTTL (10×TTL = 100s) is capped.
-	l, err := m.Acquire("w", time.Hour, nil)
+	l, err := acquire1(m, "w", time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTTLClamping(t *testing.T) {
 		t.Fatalf("capped ExpiresAt = %v, want %v", l.ExpiresAt, want)
 	}
 	// Explicit short TTL is honored.
-	l2, err := m.Acquire("w", time.Second, nil)
+	l2, err := acquire1(m, "w", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTTLClamping(t *testing.T) {
 
 func TestExpiryReclaimedBySweep(t *testing.T) {
 	m, clk := newTestManager(t, 4)
-	l, err := m.Acquire("w", time.Second, nil)
+	l, err := acquire1(m, "w", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExpiryReclaimedBySweep(t *testing.T) {
 	}
 	// The name is back in the pool: with capacity 4 we can hold 4 again.
 	for i := 0; i < 4; i++ {
-		if _, err := m.Acquire("w", 0, nil); err != nil {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
 			t.Fatalf("post-reclaim acquire %d: %v", i, err)
 		}
 	}
@@ -133,12 +133,12 @@ func TestExpiryReclaimedBySweep(t *testing.T) {
 
 func TestRenewAfterExpiryFails(t *testing.T) {
 	m, clk := newTestManager(t, 4)
-	l, err := m.Acquire("w", time.Second, nil)
+	l, err := acquire1(m, "w", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if _, err := m.Renew(l.Name, l.Token, 0); !errors.Is(err, ErrExpired) {
+	if _, err := renew1(m, l.Name, l.Token, 0); !errors.Is(err, ErrExpired) {
 		t.Fatalf("Renew after expiry = %v, want ErrExpired", err)
 	}
 	// The late renewal itself reclaimed the name.
@@ -149,43 +149,43 @@ func TestRenewAfterExpiryFails(t *testing.T) {
 
 func TestFencingTokens(t *testing.T) {
 	m, _ := newTestManager(t, 4)
-	l, err := m.Acquire("w", 0, nil)
+	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Renew(l.Name, l.Token+1, 0); !errors.Is(err, ErrWrongToken) {
+	if _, err := renew1(m, l.Name, l.Token+1, 0); !errors.Is(err, ErrWrongToken) {
 		t.Fatalf("Renew with bad token = %v, want ErrWrongToken", err)
 	}
-	if err := m.Release(l.Name, l.Token+1); !errors.Is(err, ErrWrongToken) {
+	if err := release1(m, l.Name, l.Token+1); !errors.Is(err, ErrWrongToken) {
 		t.Fatalf("Release with bad token = %v, want ErrWrongToken", err)
 	}
-	if err := m.Release(l.Name, l.Token); err != nil {
+	if err := release1(m, l.Name, l.Token); err != nil {
 		t.Fatal(err)
 	}
 	// A re-acquired name gets a fresh token; the stale one stays dead.
-	l2, err := m.Acquire("w2", 0, nil)
+	l2, err := acquire1(m, "w2", 0, nil)
 	for err != nil || l2.Name != l.Name {
 		// LevelArray probes randomly; drain acquisitions until the slot
 		// recycles (bounded by the namespace size).
 		if err != nil {
 			t.Fatal(err)
 		}
-		l2, err = m.Acquire("w2", 0, nil)
+		l2, err = acquire1(m, "w2", 0, nil)
 	}
 	if l2.Token == l.Token {
 		t.Fatal("recycled name reused fencing token")
 	}
-	if _, err := m.Renew(l.Name, l.Token, 0); !errors.Is(err, ErrWrongToken) {
+	if _, err := renew1(m, l.Name, l.Token, 0); !errors.Is(err, ErrWrongToken) {
 		t.Fatalf("stale holder renewed a recycled name: %v", err)
 	}
 }
 
 func TestUnknownName(t *testing.T) {
 	m, _ := newTestManager(t, 4)
-	if _, err := m.Renew(0, 1, 0); !errors.Is(err, ErrUnknownName) {
+	if _, err := renew1(m, 0, 1, 0); !errors.Is(err, ErrUnknownName) {
 		t.Fatalf("Renew unknown = %v", err)
 	}
-	if err := m.Release(0, 1); !errors.Is(err, ErrUnknownName) {
+	if err := release1(m, 0, 1); !errors.Is(err, ErrUnknownName) {
 		t.Fatalf("Release unknown = %v", err)
 	}
 }
@@ -194,11 +194,11 @@ func TestNamespaceExhausted(t *testing.T) {
 	m, _ := newTestManager(t, 1)
 	// Capacity 1 => namespace 2; the pool is dry after two acquisitions.
 	for i := 0; i < m.Namespace(); i++ {
-		if _, err := m.Acquire("w", 0, nil); err != nil {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
 	}
-	_, err := m.Acquire("w", 0, nil)
+	_, err := acquire1(m, "w", 0, nil)
 	if !errors.Is(err, renaming.ErrNamespaceExhausted) {
 		t.Fatalf("over-capacity acquire = %v, want ErrNamespaceExhausted", err)
 	}
@@ -220,40 +220,40 @@ func TestMaxLiveCapEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	l1, err := m.Acquire("w", 0, nil)
+	l1, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The namer has ~16 free slots, but the cap says no.
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("over-cap acquire = %v, want ErrCapacity", err)
 	}
 	// Releasing frees a cap slot immediately.
-	if err := m.Release(l1.Name, l1.Token); err != nil {
+	if err := release1(m, l1.Name, l1.Token); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
 	// Capacity pressure reclaims expired leases without waiting for the
 	// sweeper: advance past TTL and the cap opens up again.
 	clk.Advance(time.Minute)
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatalf("acquire under pressure after expiry: %v", err)
 	}
 }
 
 func TestReleaseAfterExpiryFails(t *testing.T) {
 	m, clk := newTestManager(t, 4)
-	l, err := m.Acquire("w", time.Second, nil)
+	l, err := acquire1(m, "w", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
-	if err := m.Release(l.Name, l.Token); !errors.Is(err, ErrExpired) {
+	if err := release1(m, l.Name, l.Token); !errors.Is(err, ErrExpired) {
 		t.Fatalf("Release after expiry = %v, want ErrExpired", err)
 	}
 	// The failed release reclaimed the name (counted as expired, not
@@ -267,7 +267,7 @@ func TestLeasesSnapshotSortedAndIsolated(t *testing.T) {
 	m, _ := newTestManager(t, 8)
 	meta := map[string]string{"k": "v"}
 	for i := 0; i < 5; i++ {
-		if _, err := m.Acquire("w", 0, meta); err != nil {
+		if _, err := acquire1(m, "w", 0, meta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +300,7 @@ func TestBackgroundSweeper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -324,7 +324,7 @@ func TestCloseReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := m.Acquire("w", 0, nil)
+	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,10 @@ func TestCloseReleasesEverything(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal("second Close not idempotent:", err)
 	}
-	if _, err := m.Acquire("w", 0, nil); !errors.Is(err, ErrClosed) {
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Acquire after Close = %v", err)
 	}
-	if _, err := m.Renew(l.Name, l.Token, 0); !errors.Is(err, ErrClosed) {
+	if _, err := renew1(m, l.Name, l.Token, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Renew after Close = %v", err)
 	}
 	// The namer got its name back: a fresh manager can hand out capacity.
@@ -347,7 +347,7 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 	defer m2.Close()
 	for i := 0; i < 4; i++ {
-		if _, err := m2.Acquire("w", 0, nil); err != nil {
+		if _, err := acquire1(m2, "w", 0, nil); err != nil {
 			t.Fatalf("acquire %d on reused namer: %v", i, err)
 		}
 	}
@@ -376,18 +376,18 @@ func TestConcurrentLeaseChurn(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for c := 0; c < cycles; c++ {
-				l, err := m.Acquire("worker", 0, nil)
+				l, err := acquire1(m, "worker", 0, nil)
 				if err != nil {
 					t.Errorf("worker %d acquire: %v", id, err)
 					return
 				}
 				for r := 0; r < 3; r++ {
-					if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+					if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 						t.Errorf("worker %d renew: %v", id, err)
 						return
 					}
 				}
-				if err := m.Release(l.Name, l.Token); err != nil {
+				if err := release1(m, l.Name, l.Token); err != nil {
 					t.Errorf("worker %d release: %v", id, err)
 					return
 				}

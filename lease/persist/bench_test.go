@@ -33,17 +33,17 @@ func BenchmarkJournaledChurn(b *testing.B) {
 		}
 		defer mgr.Close()
 		for i := 0; i < standing; i++ {
-			if _, err := mgr.Acquire("bench-standing", 0, nil); err != nil {
+			if _, err := acquire1(mgr, "bench-standing", 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l, err := mgr.Acquire("bench-churn", 0, nil)
+			l, err := acquire1(mgr, "bench-churn", 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := mgr.Release(l.Name, l.Token); err != nil {
+			if err := release1(mgr, l.Name, l.Token); err != nil {
 				b.Fatal(err)
 			}
 		}

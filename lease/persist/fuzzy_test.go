@@ -120,7 +120,7 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 					held = append(held, got...)
 				case op == 1 && pick < len(held):
 					l := held[pick]
-					if err := mgr.Release(l.Name, l.Token); err != nil {
+					if err := release1(mgr, l.Name, l.Token); err != nil {
 						errs <- err
 						return
 					}
@@ -128,7 +128,7 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 					held = held[:len(held)-1]
 				case pick < len(held):
 					l := held[pick]
-					if _, err := mgr.Renew(l.Name, l.Token, time.Duration(1+rng.IntN(59))*time.Minute); err != nil {
+					if _, err := renew1(mgr, l.Name, l.Token, time.Duration(1+rng.IntN(59))*time.Minute); err != nil {
 						errs <- err
 						return
 					}
@@ -264,9 +264,9 @@ func crashLoop(dir string, seed uint64, steps int) error {
 			}
 		case op < 55 && pick < len(held):
 			// A lapsed lease refuses these; both outcomes are journaled.
-			mgr.Renew(held[pick].Name, held[pick].Token, time.Duration(1+rng.IntN(20))*time.Second)
+			renew1(mgr, held[pick].Name, held[pick].Token, time.Duration(1+rng.IntN(20))*time.Second)
 		case op < 75 && pick < len(held):
-			mgr.Release(held[pick].Name, held[pick].Token)
+			release1(mgr, held[pick].Name, held[pick].Token)
 			held[pick] = held[len(held)-1]
 			held = held[:len(held)-1]
 		case op < 85:

@@ -74,14 +74,14 @@ func TestRestartRoundTrip(t *testing.T) {
 	if restored != 0 || expired != 0 {
 		t.Fatalf("fresh boot restored %d / expired %d, want 0/0", restored, expired)
 	}
-	short, err := mgr1.Acquire("doomed", 2*time.Second, nil)
+	short, err := acquire1(mgr1, "doomed", 2*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var held []lease.Lease
 	var maxToken uint64
 	for i := 0; i < 8; i++ {
-		l, err := mgr1.Acquire("survivor", 0, map[string]string{"i": "x"})
+		l, err := acquire1(mgr1, "survivor", 0, map[string]string{"i": "x"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	}
 	// Renew one lease so its replayed expiry is the extended one.
 	clk.Advance(1 * time.Second)
-	renewed, err := mgr1.Renew(held[0].Name, held[0].Token, 0)
+	renewed, err := renew1(mgr1, held[0].Name, held[0].Token, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestRestartRoundTrip(t *testing.T) {
 	// Restored tokens keep renewing — the heartbeat of a client that
 	// never noticed the crash.
 	for _, l := range held {
-		if _, err := mgr2.Renew(l.Name, l.Token, 0); err != nil {
+		if _, err := renew1(mgr2, l.Name, l.Token, 0); err != nil {
 			t.Fatalf("restored token for name %d refused renewal: %v", l.Name, err)
 		}
 	}
 
 	// Token monotonicity: everything minted post-restart outranks
 	// everything minted pre-crash (including the expired lease's token).
-	fresh, err := mgr2.Acquire("post-crash", 0, nil)
+	fresh, err := acquire1(mgr2, "post-crash", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	// The adopted names are really held in the fresh namer: a released
 	// restored name is re-acquirable, and no fresh acquire collided with
 	// a restored one (Get above proved each restored name had its lease).
-	if err := mgr2.Release(held[1].Name, held[1].Token); err != nil {
+	if err := release1(mgr2, held[1].Name, held[1].Token); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -163,7 +163,7 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
 	mgr1, st1, _, _ := bootManager(t, dir, clk)
-	l, err := mgr1.Acquire("w", 0, nil)
+	l, err := acquire1(mgr1, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 	if restored != 1 {
 		t.Fatalf("restored %d leases after graceful shutdown, want 1", restored)
 	}
-	if _, err := mgr2.Renew(l.Name, l.Token, 0); err != nil {
+	if _, err := renew1(mgr2, l.Name, l.Token, 0); err != nil {
 		t.Fatalf("restored token refused renewal: %v", err)
 	}
 	// And the recovery replayed zero journal records: the shutdown
@@ -196,7 +196,7 @@ func TestCloseDrainsDurableState(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
 	mgr1, st1, _, _ := bootManager(t, dir, clk)
-	if _, err := mgr1.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(mgr1, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr1.Close(); err != nil {
@@ -221,7 +221,7 @@ func TestRestoreRejectsUsedManager(t *testing.T) {
 	mgr, st, _, _ := bootManager(t, dir, clk)
 	defer mgr.Close()
 	defer st.Close()
-	if _, err := mgr.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(mgr, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := mgr.Restore(st.State()); err == nil {

@@ -49,11 +49,11 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 		m.Close()
 	}()
 
-	doomed, err := m.Acquire("doomed", 2*time.Second, nil)
+	doomed, err := acquire1(m, "doomed", 2*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alive, err := m.Acquire("alive", time.Hour, nil)
+	alive, err := acquire1(m, "alive", time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 	// release on the surviving lease all complete.
 	opsDone := make(chan error, 1)
 	go func() {
-		if _, err := m.Renew(alive.Name, alive.Token, 0); err != nil {
+		if _, err := renew1(m, alive.Name, alive.Token, 0); err != nil {
 			opsDone <- err
 			return
 		}
@@ -133,11 +133,11 @@ func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 		close(bn.gate)
 		m.Close()
 	}()
-	doomed, err := m.Acquire("doomed", 2*time.Second, nil)
+	doomed, err := acquire1(m, "doomed", 2*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alive, err := m.Acquire("alive", time.Hour, nil)
+	alive, err := acquire1(m, "alive", time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 
 	renewErr := make(chan error)
 	go func() {
-		_, err := m.Renew(doomed.Name, doomed.Token, 0) // lazy reclaim: ErrExpired + hand-back
+		_, err := renew1(m, doomed.Name, doomed.Token, 0) // lazy reclaim: ErrExpired + hand-back
 		renewErr <- err
 	}()
 	select {
@@ -155,7 +155,7 @@ func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 	}
 	opsDone := make(chan error, 1)
 	go func() {
-		_, err := m.Renew(alive.Name, alive.Token, 0)
+		_, err := renew1(m, alive.Name, alive.Token, 0)
 		opsDone <- err
 	}()
 	select {
@@ -187,10 +187,10 @@ func TestReclaimFailedAccountingPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Acquire("a", 2*time.Second, nil); err != nil {
+	if _, err := acquire1(m, "a", 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Acquire("b", time.Hour, nil)
+	b, err := acquire1(m, "b", time.Hour, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

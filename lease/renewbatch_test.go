@@ -19,15 +19,15 @@ func TestRenewBatchMixedResults(t *testing.T) {
 	m, clk := newTestManager(t, 32)
 	ctx := context.Background()
 
-	good, err := m.Acquire("s", 0, nil) // default 10s TTL
+	good, err := acquire1(m, "s", 0, nil) // default 10s TTL
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := m.Acquire("s", 0, nil)
+	stale, err := acquire1(m, "s", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dying, err := m.Acquire("s", time.Second, nil)
+	dying, err := acquire1(m, "s", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRenewBatchMixedResults(t *testing.T) {
 		t.Fatal("expired lease still live after its batch renewal failed")
 	}
 	// The stale-token attack left the real holder untouched.
-	if _, err := m.Renew(stale.Name, stale.Token, 0); err != nil {
+	if _, err := renew1(m, stale.Name, stale.Token, 0); err != nil {
 		t.Fatalf("true holder renew after stale-token batch item: %v", err)
 	}
 }
@@ -91,15 +91,15 @@ func TestReleaseBatchMixedResults(t *testing.T) {
 	m, clk := newTestManager(t, 32)
 	ctx := context.Background()
 
-	good, err := m.Acquire("s", 0, nil)
+	good, err := acquire1(m, "s", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := m.Acquire("s", 0, nil)
+	stale, err := acquire1(m, "s", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dying, err := m.Acquire("s", time.Second, nil)
+	dying, err := acquire1(m, "s", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReleaseBatchMixedResults(t *testing.T) {
 // from the same now), never a corruption.
 func TestRenewBatchDuplicateItems(t *testing.T) {
 	m, _ := newTestManager(t, 8)
-	l, err := m.Acquire("s", 0, nil)
+	l, err := acquire1(m, "s", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRenewBatchDuplicateItems(t *testing.T) {
 // renaming.ErrCancelled.
 func TestRenewBatchCancelled(t *testing.T) {
 	m, _ := newTestManager(t, 8)
-	l, err := m.Acquire("s", 0, nil)
+	l, err := acquire1(m, "s", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRenewBatchCancelled(t *testing.T) {
 		t.Fatalf("cancelled ReleaseBatch err = %v, want ErrCancelled", err)
 	}
 	// Nothing was touched: the lease still renews with its token.
-	if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+	if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 		t.Fatalf("renew after cancelled batches: %v", err)
 	}
 }
@@ -272,7 +272,7 @@ func TestRenewBatchConcurrentHeartbeat(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < churnIter; i++ {
-				l, err := m.Acquire("churn", time.Millisecond, nil)
+				l, err := acquire1(m, "churn", time.Millisecond, nil)
 				if err != nil {
 					t.Errorf("churn acquire: %v", err)
 					return

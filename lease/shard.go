@@ -49,9 +49,9 @@ type shard struct {
 	// raises it. While now <= earliest nothing in the stripe can have
 	// lapsed, which keeps idle sweeps and Metrics scrapes O(1).
 	earliest int64
-	// last is the record of the stripe's most recent meta-less grant,
-	// reused while the same owner keeps acquiring so steady churn by one
-	// owner does not allocate a record per lease.
+	// last is the record of the stripe's most recent meta-less restored
+	// lease, reused while Restore keeps seeing the same owner so a boot
+	// does not allocate a record per lease.
 	last *holder
 
 	_ [8]byte // pad to 64 bytes: mutex(8) + slice header(24) + 3 words(24)
@@ -93,8 +93,8 @@ func (sh *shard) touch(names []int, bits uint) (sum uint64) {
 	return sum
 }
 
-// holderFor returns the record to store for a grant by owner; meta is
-// already the table's own copy. Callers hold sh.mu.
+// holderFor returns the record to store for a restored lease of owner's;
+// meta is already the table's own copy. Callers hold sh.mu.
 func (sh *shard) holderFor(owner string, meta map[string]string) *holder {
 	if meta != nil {
 		return &holder{owner: owner, meta: meta}
@@ -156,7 +156,7 @@ func (sh *shard) liveLocked(now int64) int {
 // deliberately NOT done here: namer.Release is outside this package's
 // control and can be arbitrarily slow, and one sweep used to hold the
 // stripe mutex across O(expired) such calls, stalling every
-// Acquire/Renew/Get routed to the stripe. Callers hold sh.mu and must
+// grant, renewal and Get routed to the stripe. Callers hold sh.mu and must
 // pass the returned names to m.releaseNames AFTER unlocking.
 //
 //renamed:noalloc

@@ -1,0 +1,34 @@
+package lease
+
+import (
+	"context"
+	"time"
+)
+
+// The manager speaks batches only; acquire1, renew1 and release1 are the
+// one-item batch for tests that are about a single lease. Each returns the
+// call-level error, or else the item's own outcome.
+
+func acquire1(m *Manager, owner string, ttl time.Duration, meta map[string]string) (Lease, error) {
+	ls, err := m.AcquireBatch(context.Background(), owner, 1, ttl, meta)
+	if err != nil {
+		return Lease{}, err
+	}
+	return ls[0], nil
+}
+
+func renew1(m *Manager, name int, token uint64, ttl time.Duration) (Lease, error) {
+	res, err := m.RenewBatch(context.Background(), []RenewItem{{Name: name, Token: token}}, ttl)
+	if err != nil {
+		return Lease{}, err
+	}
+	return res[0].Lease, res[0].Err
+}
+
+func release1(m *Manager, name int, token uint64) error {
+	res, err := m.ReleaseBatch(context.Background(), []ReleaseItem{{Name: name, Token: token}})
+	if err != nil {
+		return err
+	}
+	return res[0].Err
+}

@@ -34,7 +34,7 @@ func TestCapacitySweepSingleFlight(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < maxLive; i++ {
-		if _, err := m.Acquire("holder", 0, nil); err != nil {
+		if _, err := acquire1(m, "holder", 0, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestCapacitySweepSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				_, waitErrs[i] = m.Acquire("straggler", 0, nil)
+				_, waitErrs[i] = acquire1(m, "straggler", 0, nil)
 			}(i)
 		}
 		deadline := time.Now().Add(10 * time.Second)
@@ -61,7 +61,7 @@ func TestCapacitySweepSingleFlight(t *testing.T) {
 	}
 	clk.mu.Unlock()
 
-	if _, err := m.Acquire("leader", 0, nil); !errors.Is(err, ErrCapacity) {
+	if _, err := acquire1(m, "leader", 0, nil); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("leader acquire = %v, want ErrCapacity", err)
 	}
 	wg.Wait()
@@ -101,7 +101,7 @@ func TestCapacitySweepWorkBounded(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < maxLive; i++ {
-		if _, err := m.Acquire("holder", time.Hour, nil); err != nil {
+		if _, err := acquire1(m, "holder", time.Hour, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestCapacitySweepWorkBounded(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if _, err := m.Acquire("storm", 0, nil); !errors.Is(err, ErrCapacity) {
+				if _, err := acquire1(m, "storm", 0, nil); !errors.Is(err, ErrCapacity) {
 					t.Errorf("storm acquire = %v, want ErrCapacity", err)
 					return
 				}
@@ -138,7 +138,7 @@ func TestCapacitySweepWorkBounded(t *testing.T) {
 // post-Close operation must now bump it exactly once.
 func TestClosedOperationsCountRejected(t *testing.T) {
 	m, _ := newTestManager(t, 8)
-	l, err := m.Acquire("w", 0, nil)
+	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,8 @@ func TestClosedOperationsCountRejected(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"Acquire", func() error { _, err := m.Acquire("w", 0, nil); return err }},
-		{"AcquireCtx", func() error { _, err := m.AcquireCtx(ctx, "w", 0, nil); return err }},
-		{"AcquireBatch", func() error { _, err := m.AcquireBatch(ctx, "w", 2, 0, nil); return err }},
-		{"Renew", func() error { _, err := m.Renew(l.Name, l.Token, 0); return err }},
-		{"Release", func() error { return m.Release(l.Name, l.Token) }},
+		{"AcquireBatch(1)", func() error { _, err := m.AcquireBatch(ctx, "w", 1, 0, nil); return err }},
+		{"AcquireBatch(2)", func() error { _, err := m.AcquireBatch(ctx, "w", 2, 0, nil); return err }},
 		{"RenewBatch", func() error {
 			_, err := m.RenewBatch(ctx, []RenewItem{{Name: l.Name, Token: l.Token}}, 0)
 			return err

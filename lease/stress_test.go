@@ -45,7 +45,7 @@ func TestCapacityBoundaryStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (id + i) % 4 {
 				case 0, 1: // hold exclusively, renew, release
-					l, err := m.Acquire("holder", time.Minute, nil)
+					l, err := acquire1(m, "holder", time.Minute, nil)
 					if errors.Is(err, ErrCapacity) {
 						continue // legitimately full of live holders
 					}
@@ -59,7 +59,7 @@ func TestCapacityBoundaryStress(t *testing.T) {
 					}
 					held[l.Name] = l.Token
 					heldMu.Unlock()
-					if _, err := m.Renew(l.Name, l.Token, time.Minute); err != nil {
+					if _, err := renew1(m, l.Name, l.Token, time.Minute); err != nil {
 						t.Errorf("renew held lease: %v", err)
 					}
 					// Drop the tracking entry before Release: the manager
@@ -67,11 +67,11 @@ func TestCapacityBoundaryStress(t *testing.T) {
 					heldMu.Lock()
 					delete(held, l.Name)
 					heldMu.Unlock()
-					if err := m.Release(l.Name, l.Token); err != nil {
+					if err := release1(m, l.Name, l.Token); err != nil {
 						t.Errorf("release held lease: %v", err)
 					}
 				case 2: // abandon: a crashed client whose lease must lapse
-					l, err := m.Acquire("abandoner", time.Millisecond, nil)
+					l, err := acquire1(m, "abandoner", time.Millisecond, nil)
 					if errors.Is(err, ErrCapacity) {
 						continue
 					}
@@ -105,7 +105,7 @@ func TestCapacityBoundaryStress(t *testing.T) {
 	}
 
 	for name, tok := range held {
-		if err := m.Release(name, tok); err != nil {
+		if err := release1(m, name, tok); err != nil {
 			t.Errorf("post-storm release of %d: %v", name, err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestCapacityBoundaryStress(t *testing.T) {
 	}
 	// No namer slot may have leaked: the full capacity is re-acquirable.
 	for i := 0; i < maxLive; i++ {
-		if _, err := m.Acquire("final", time.Minute, nil); err != nil {
+		if _, err := acquire1(m, "final", time.Minute, nil); err != nil {
 			t.Fatalf("slot leak: re-acquire %d/%d: %v", i+1, maxLive, err)
 		}
 	}

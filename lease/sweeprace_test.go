@@ -32,7 +32,7 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	l, err := m.Acquire("hb", 10*time.Second, nil)
+	l, err := acquire1(m, "hb", 10*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 		go func() {
 			defer close(done)
 			var rerr error
-			renewed, rerr = m.Renew(l.Name, l.Token, 10*time.Second)
+			renewed, rerr = renew1(m, l.Name, l.Token, 10*time.Second)
 			if rerr != nil {
 				t.Errorf("renew racing sweep: %v", rerr)
 			}
@@ -69,7 +69,7 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 		t.Fatalf("metrics = %+v, want Expired 0 and the renewed lease live", mt)
 	}
 	// The holder's token still fences: a follow-up heartbeat succeeds.
-	if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+	if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 		t.Fatalf("heartbeat after the race: %v", err)
 	}
 }

@@ -52,12 +52,12 @@ func TestHeapCompactionBoundsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	l, err := m.Acquire("w", 0, nil)
+	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+		if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestHeapCompactionOnLazyReclaim(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 5000; i++ {
-		l, err := m.Acquire("w", 0, nil)
+		l, err := acquire1(m, "w", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,8 @@ func TestHeapCompactionOnLazyReclaim(t *testing.T) {
 }
 
 // TestHostileNames: names off the table are ErrUnknownName on every lookup
-// path — no panic, no allocation, and above all no growth of the table.
+// path — no panic, no allocation beyond a one-item batch call's own two,
+// and above all no growth of the table.
 func TestHostileNames(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -125,21 +126,21 @@ func TestHostileNames(t *testing.T) {
 			before := tableLen()
 			ctx := context.Background()
 			for _, name := range hostileNames(m) {
-				if _, err := m.Renew(name, 1, 0); !errors.Is(err, ErrUnknownName) {
+				if _, err := renew1(m, name, 1, 0); !errors.Is(err, ErrUnknownName) {
 					t.Errorf("Renew(%d) = %v, want ErrUnknownName", name, err)
 				}
-				if err := m.Release(name, 1); !errors.Is(err, ErrUnknownName) {
+				if err := release1(m, name, 1); !errors.Is(err, ErrUnknownName) {
 					t.Errorf("Release(%d) = %v, want ErrUnknownName", name, err)
 				}
 				if l, ok := m.Get(name); ok {
 					t.Errorf("Get(%d) = %+v, want no lease", name, l)
 				}
 				if got := testing.AllocsPerRun(20, func() {
-					m.Renew(name, 1, 0)
-					m.Release(name, 1)
+					renew1(m, name, 1, 0)
+					release1(m, name, 1)
 					m.Get(name)
-				}); got != 0 {
-					t.Errorf("Renew+Release+Get(%d) allocate %v times, want 0", name, got)
+				}); got != 4 {
+					t.Errorf("Renew+Release+Get(%d) allocate %v times, want 4 (two per batch call)", name, got)
 				}
 			}
 			names := hostileNames(m)
@@ -205,7 +206,7 @@ func TestRestoredTokenZeroIsOccupied(t *testing.T) {
 	if !ok || l.Token != 0 || l.Owner != "w" || !l.ExpiresAt.Equal(exp) {
 		t.Fatalf("Get(3) = %+v, %v; want the restored token-0 lease", l, ok)
 	}
-	if _, err := m.Renew(3, 0, 0); err != nil {
+	if _, err := renew1(m, 3, 0, 0); err != nil {
 		t.Fatalf("Renew with token 0: %v", err)
 	}
 }
@@ -239,7 +240,7 @@ func TestTableRegrowsAfterResize(t *testing.T) {
 	}
 	beyond := false
 	for i := 0; i < 200; i++ {
-		l, err := m.Acquire("w", 0, nil)
+		l, err := acquire1(m, "w", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestTableRegrowsAfterResize(t *testing.T) {
 		t.Fatalf("table has %d slots, %d occupied; want the grown namespace %d and 208", slots, occupied, nm.Namespace())
 	}
 	for _, l := range first {
-		if _, err := m.Renew(l.Name, l.Token, 0); err != nil {
+		if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
 			t.Fatalf("lease %d lost across the re-allocation: %v", l.Name, err)
 		}
 	}

@@ -37,7 +37,7 @@ func walkAll(t *testing.T, tab Table) map[int]Lease {
 // snapshot must not, their expire records are still to come).
 func TestWalkYieldsOccupiedSlots(t *testing.T) {
 	m, clk := newTestManager(t, 64)
-	short, err := m.Acquire("short", time.Second, nil)
+	short, err := acquire1(m, "short", time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestWalkYieldsOccupiedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(held[0].Name, held[0].Token); err != nil {
+	if err := release1(m, held[0].Name, held[0].Token); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second) // short has lapsed; nothing has reclaimed it
-	renewed, err := m.Renew(held[1].Name, held[1].Token, 0)
+	renewed, err := renew1(m, held[1].Name, held[1].Token, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestWalkUnderResizeGrow(t *testing.T) {
 				return
 			default:
 			}
-			if l, err := m.Acquire("churn", 0, nil); err == nil {
-				m.Release(l.Name, l.Token)
+			if l, err := acquire1(m, "churn", 0, nil); err == nil {
+				release1(m, l.Name, l.Token)
 			}
 		}
 	}()
@@ -126,7 +126,7 @@ func TestWalkUnderResizeGrow(t *testing.T) {
 			// Grants until some land beyond the old namespace, which
 			// re-allocates their stripes' tables.
 			for beyond := 0; beyond < 64; {
-				l, err := m.Acquire("grown", 0, nil)
+				l, err := acquire1(m, "grown", 0, nil)
 				if err != nil {
 					return err
 				}
@@ -270,7 +270,7 @@ func TestRestoreHandsOverTheTable(t *testing.T) {
 	// A manager that never restores never hands its table over.
 	never := &tableObserver{}
 	m, _ = boot(never)
-	if _, err := m.Acquire("w", 0, nil); err != nil {
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if never.table != nil {

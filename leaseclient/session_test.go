@@ -549,7 +549,7 @@ func releaseTargets(t *testing.T) map[string]releaseTarget {
 			// The name is released behind the session's back.
 			revoke: func(name int) {
 				if l, ok := mgr.Get(name); ok {
-					mgr.Release(name, l.Token)
+					mgr.ReleaseBatch(context.Background(), []lease.ReleaseItem{{Name: name, Token: l.Token}})
 				}
 			},
 			refusal: lease.ErrUnknownName,
