@@ -279,9 +279,9 @@ type Manager struct {
 
 	closed atomic.Bool
 	// inflight counts operations that may touch the table or observer;
-	// Shutdown drains it (see enterOp) so no record can chase a closed
-	// store. Every mutating public op pays one Add pair — consistent
-	// with the live/rejected counters already on those paths.
+	// Shutdown drains it (see enterOp) so no straggler moves the table, and
+	// no record chases a closed store, after it returns. Every mutating
+	// public op pays one Add pair per call.
 	inflight atomic.Int64
 
 	// Single-flight state for the capacity-pressure sweep in reserve: at
@@ -935,18 +935,16 @@ func (m *Manager) Close() error {
 // terminal shutdown. Shutdown and Close are mutually idempotent
 // (whichever wins the closed transition defines the semantics).
 //
-// With an Observer attached, Shutdown is additionally a quiescence
-// barrier: it flips closed and then drains the in-flight operation
-// counter, so a grant (or a batch walk, including its unwind) that
-// registered before the flip finishes completely — insert, journal
-// records and all — before Shutdown returns, and everything arriving
-// after the flip backs out at enterOp. A stripe-lock sweep alone would
-// not give this: a multi-stripe batch BETWEEN stripes holds no lock yet
-// still owes the journal its unwind records. This barrier is what makes
-// "Shutdown, then store.Close" lose nothing. (Observer-less managers
-// skip the registration — there is nothing downstream to lose a record
-// to — so there a straggler may still brush the in-memory table after
-// Shutdown returns.)
+// Shutdown is additionally a quiescence barrier: it flips closed and
+// then drains the in-flight operation counter, so a grant (or a batch
+// walk, including its unwind) that registered before the flip finishes
+// completely — insert, journal records and all — before Shutdown returns,
+// and everything arriving after the flip backs out at enterOp. A
+// stripe-lock sweep alone would not give this: a multi-stripe batch
+// BETWEEN stripes holds no lock yet still owes the table, and any journal
+// behind it, its unwind. This barrier is what makes "Shutdown, then
+// store.Close" lose nothing, and what lets a caller read the table and
+// the counters after Shutdown and find them final.
 func (m *Manager) Shutdown() error {
 	if !m.closed.CompareAndSwap(false, true) {
 		return nil
@@ -970,15 +968,8 @@ func (m *Manager) Shutdown() error {
 // BEFORE the closed check, so the flip-then-drain in Shutdown cannot
 // miss anyone: an operation either sees closed here and backs out, or
 // its registration is visible to the drain and Shutdown waits for it.
-//
-// Without an observer there is nothing downstream a straggler could
-// lose a record to — the barrier exists so "Shutdown, then store.Close"
-// is loss-free — so the journaling-disabled hot path skips the counter
-// entirely and pays only the closed load it always paid.
+// The pair of atomic adds is paid once per call, whatever the batch size.
 func (m *Manager) enterOp() bool {
-	if m.cfg.Observer == nil {
-		return !m.closed.Load()
-	}
 	m.inflight.Add(1)
 	if m.closed.Load() {
 		m.inflight.Add(-1)
@@ -987,12 +978,7 @@ func (m *Manager) enterOp() bool {
 	return true
 }
 
-func (m *Manager) exitOp() {
-	if m.cfg.Observer == nil {
-		return
-	}
-	m.inflight.Add(-1)
-}
+func (m *Manager) exitOp() { m.inflight.Add(-1) }
 
 // Adopter is the namer surface Restore needs: re-seizing the exact names
 // the restored leases hold, so a fresh grant cannot be handed a name

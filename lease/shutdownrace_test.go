@@ -138,3 +138,65 @@ func TestAcquireBatchShutdownRaceUnwindsInsertedLeases(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownRaceWithoutObserver pins the quiescence barrier for a
+// manager with no observer: a multi-stripe AcquireBatch caught between
+// its stripes when Shutdown flips closed must finish its unwind before
+// Shutdown returns, so the table and the capacity counter a caller reads
+// afterwards are final. The barrier used to be skipped without an
+// observer, and Shutdown returned with the first stripe's leases still in
+// the table and the whole reservation still held.
+func TestShutdownRaceWithoutObserver(t *testing.T) {
+	nm, err := renaming.Open("linearscan?n=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the second stripe: the batch inserts its three even names into
+	// stripe 0 and parks on stripe 1's lock, holding none itself.
+	m.shards[1].mu.Lock()
+	batchErr := make(chan error, 1)
+	go func() {
+		_, err := m.AcquireBatch(context.Background(), "race", 6, 0, nil)
+		batchErr <- err
+	}()
+	for {
+		if _, occupied := tableStats(m, 0); occupied == 3 {
+			break
+		}
+		runtime.Gosched()
+	}
+	shutdownDone := make(chan struct{})
+	go func() {
+		m.Shutdown()
+		close(shutdownDone)
+	}()
+	for !m.closed.Load() {
+		runtime.Gosched()
+	}
+	select {
+	case <-shutdownDone:
+		t.Fatal("Shutdown returned with a batch still between its stripes")
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.shards[1].mu.Unlock()
+	select {
+	case <-shutdownDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown never finished draining the in-flight batch")
+	}
+	// What Shutdown's caller sees is already what the straggler leaves.
+	occupied, reserved := m.Occupied(), m.Metrics().Reserved
+	if err := <-batchErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("AcquireBatch racing Shutdown = %v, want ErrClosed", err)
+	}
+	if occupied != 0 || reserved != 0 {
+		t.Fatalf("at Shutdown's return: %d occupied, %d reserved; want the unwound batch's 0, 0", occupied, reserved)
+	}
+	if o, r := m.Occupied(), m.Metrics().Reserved; o != occupied || r != reserved {
+		t.Fatalf("table moved after Shutdown returned: occupied %d -> %d, reserved %d -> %d", occupied, o, reserved, r)
+	}
+}
