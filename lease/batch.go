@@ -100,6 +100,141 @@ func (m *Manager) planStripes(name func(i int) int, n int) stripePlan {
 	return stripePlan{idxs: idxs, names: names, starts: starts}
 }
 
+// AcquireBatch grants k leases in one call: one capacity reservation of k
+// units, one batched namer acquisition (renaming.AcquireN, which amortizes
+// its PRNG-stream setup across the batch), and one lock-stripe visit per
+// involved stripe instead of one per lease. Either all k leases are
+// granted or none: on exhaustion, cancellation or a race with Close, every
+// name already taken is handed back and the reservation undone. Each lease
+// carries its own fencing token; ttl and meta apply to all of them.
+func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl time.Duration, meta map[string]string) ([]Lease, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("lease: AcquireBatch(%d): %w", k, renaming.ErrBadConfig)
+	}
+	if !m.enterOp() {
+		m.rejected.Add(1)
+		return nil, ErrClosed
+	}
+	defer m.exitOp()
+	// Reject impossible batch sizes before touching any shared state: a k
+	// beyond the namespace can never complete, and a k beyond MaxLive must
+	// not transiently inflate the live counter — reserve(k) adds k before
+	// checking the cap, so without this guard one doomed oversized request
+	// would make concurrent legitimate acquires spuriously hit ErrCapacity
+	// (and k is client-controlled in cmd/renamed, so it must also never
+	// size an allocation).
+	if k > m.namer.Namespace() {
+		m.rejected.Add(1)
+		return nil, fmt.Errorf("lease: acquire batch of %d exceeds namespace %d: %w",
+			k, m.namer.Namespace(), renaming.ErrNamespaceExhausted)
+	}
+	if max := m.maxLive.Load(); max > 0 && int64(k) > max {
+		m.rejected.Add(1)
+		return nil, ErrCapacity
+	}
+	if err := m.reserve(k); err != nil {
+		m.rejected.Add(1)
+		return nil, err
+	}
+	names, err := m.namer.AcquireN(ctx, k)
+	if err != nil {
+		m.live.Add(-int64(k))
+		m.rejected.Add(1)
+		return nil, fmt.Errorf("lease: acquire batch: %w", err)
+	}
+
+	// One owner/metadata record serves all k slots; out carries the
+	// table's copy of meta while the observer sees it and gets per-lease
+	// copies only on the way out to the caller.
+	who := &holder{owner: owner, meta: cloneMeta(meta)}
+	expiresAt := m.cfg.Now().Add(m.clampTTL(ttl))
+	deadline := m.since(expiresAt)
+	firstToken := m.token.Add(uint64(k)) - uint64(k) + 1
+	out := make([]Lease, k)
+	for i, name := range names {
+		out[i] = Lease{
+			Name:      name,
+			Token:     firstToken + uint64(i),
+			Owner:     owner,
+			ExpiresAt: expiresAt,
+			Meta:      who.meta,
+		}
+	}
+	size := m.stripeSize()
+
+	// Bucket the batch by stripe so each involved stripe is locked exactly
+	// once, however many of the k names it received.
+	plan := m.planStripes(func(i int) int { return names[i] }, k)
+	for s := range m.shards {
+		group := plan.group(s)
+		if len(group) == 0 {
+			continue
+		}
+		sh := &m.shards[s]
+		sh.mu.Lock()
+		if m.closed.Load() {
+			// Raced with Close or Shutdown. Nothing may stay half-granted:
+			// the caller is told ErrClosed, so every lease this batch
+			// already inserted into earlier stripes must come back OUT of
+			// the table — under Shutdown there is no drain to return it,
+			// and leaving it would persist a durable ghost lease whose
+			// owner thinks the acquisition failed. Removal is token-
+			// guarded: a lease Close's concurrent drain already removed
+			// (and whose name it already handed back) is skipped.
+			sh.mu.Unlock()
+			var removed []int
+			for r := 0; r < s; r++ {
+				rgroup := plan.group(r)
+				if len(rgroup) == 0 {
+					continue
+				}
+				rsh := &m.shards[r]
+				rsh.mu.Lock()
+				for _, i := range rgroup {
+					l := &out[i]
+					sl := rsh.lookup(l.Name, m.shardBits)
+					if sl == nil || sl.token != l.Token {
+						continue // Close's drain got here first
+					}
+					rsh.remove(sl)
+					if m.cfg.Observer != nil {
+						m.cfg.Observer.ObserveRelease(l.Name, l.Token)
+					}
+					removed = append(removed, l.Name)
+				}
+				rsh.mu.Unlock()
+			}
+			// Hand back outside the stripe locks — exactly the names WE
+			// removed (the token check above keeps us off anything Close's
+			// drain already returned).
+			m.releaseNames(removed)
+			// Everything not yet inserted is still ours outright.
+			rest := plan.restFrom(s)
+			for _, i := range rest {
+				m.releaseName(names[i])
+			}
+			m.live.Add(-int64(len(removed) + len(rest)))
+			m.rejected.Add(1)
+			return nil, ErrClosed
+		}
+		for _, i := range group {
+			l := &out[i]
+			sh.insert(l.Name, m.shardBits, size, l.Token, deadline, who)
+			if m.cfg.Observer != nil {
+				m.cfg.Observer.ObserveAcquire(*l)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	m.acquired.Add(int64(k))
+	if who.meta != nil {
+		for i := range out {
+			out[i].Meta = cloneMeta(who.meta)
+		}
+	}
+	return out, nil
+}
+
 // RenewBatch extends every lease in items by ttl (<= 0 means the
 // configured default) through one lock visit per involved stripe. The
 // returned slice is index-aligned with items; the call-level error is

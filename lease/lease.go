@@ -54,9 +54,7 @@
 package lease
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -384,234 +382,12 @@ func (m *Manager) clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
-// reserve claims k units of MaxLive capacity before the namer is probed.
-// Over the cap it reclaims expired leases (the eager sweep the pre-shard
-// design ran under its lock) and retries; ErrCapacity is returned only
-// after a sweep found nothing to reclaim, so an acquire can no longer be
-// rejected while expired leases sit unreclaimed. The cap itself is an
-// atomic (SetMaxLive mutates it online), so the whole path stays
-// lock-free; a reservation racing a cap change lands under whichever
-// cap it observed, which is indistinguishable from it having run just
-// before or after the resize.
-//
-//renamed:noalloc
-func (m *Manager) reserve(k int) error {
-	for {
-		n := m.live.Add(int64(k))
-		if max := m.maxLive.Load(); max <= 0 || n <= max {
-			return nil
-		}
-		m.live.Add(-int64(k))
-		if m.reclaimForCapacity() == 0 {
-			return ErrCapacity
-		}
-	}
-}
-
-// SetMaxLive changes the live-lease cap online: n > 0 caps concurrently
-// live leases at n, n == 0 uncaps. Raising the cap takes effect for the
-// next reservation. Lowering it below the current live population does
-// NOT revoke anything — existing leases ride to their expiry (the same
-// honoured-holders semantics Restore documents for a capacity cut
-// across a restart) and new acquires fail with ErrCapacity until
-// attrition brings live back under the cap. Negative n is rejected.
-func (m *Manager) SetMaxLive(n int) error {
-	if n < 0 {
-		return fmt.Errorf("lease: SetMaxLive(%d): %w", n, renaming.ErrBadConfig)
-	}
-	if !m.enterOp() {
-		m.rejected.Add(1)
-		return ErrClosed
-	}
-	defer m.exitOp()
-	m.maxLive.Store(int64(n))
-	m.resizes.Add(1)
-	return nil
-}
-
-// MaxLive returns the instantaneous live-lease cap (0 = uncapped).
-//
-//renamed:noalloc
-func (m *Manager) MaxLive() int { return int(m.maxLive.Load()) }
-
 // Namer exposes the underlying namer for process-level concerns the
 // manager does not mediate — capacity inspection and online resize
 // (renaming.ResizableNamer). Data-path namer calls stay behind the
 // manager; going around it for acquire/release would corrupt the
 // live accounting.
 func (m *Manager) Namer() renaming.Namer { return m.namer }
-
-// capSweepCall is one in-flight capacity-pressure sweep; latecomers block
-// on done and share reclaimed instead of sweeping again themselves.
-type capSweepCall struct {
-	done      chan struct{}
-	reclaimed int
-}
-
-// reclaimForCapacity runs — or joins — a single capacity-pressure sweep
-// and reports how many leases it reclaimed. Pre-fix, every reserve that
-// lost the MaxLive race ran its own sweepAll, so a rejection storm at
-// capacity had each loser serialize on all O(shards) stripe locks over
-// and over; single-flighting means one loser pays the sweep and the rest
-// wait for its verdict. A joiner's verdict is computed from a clock read
-// that may slightly predate its own failure — acceptable, since the
-// capacity check is inherently a race against concurrent expiry.
-func (m *Manager) reclaimForCapacity() int {
-	m.capSweepMu.Lock()
-	if c := m.capSweepActive; c != nil {
-		m.capSweepMu.Unlock()
-		m.capSweepJoined.Add(1)
-		<-c.done
-		return c.reclaimed
-	}
-	c := &capSweepCall{done: make(chan struct{})}
-	m.capSweepActive = c
-	m.capSweepMu.Unlock()
-
-	m.capSweepsRun.Add(1)
-	c.reclaimed = m.sweepAll(m.cfg.Now())
-
-	m.capSweepMu.Lock()
-	m.capSweepActive = nil
-	m.capSweepMu.Unlock()
-	close(c.done)
-	return c.reclaimed
-}
-
-// AcquireBatch grants k leases in one call: one capacity reservation of k
-// units, one batched namer acquisition (renaming.AcquireN, which amortizes
-// its PRNG-stream setup across the batch), and one lock-stripe visit per
-// involved stripe instead of one per lease. Either all k leases are
-// granted or none: on exhaustion, cancellation or a race with Close, every
-// name already taken is handed back and the reservation undone. Each lease
-// carries its own fencing token; ttl and meta apply to all of them.
-func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl time.Duration, meta map[string]string) ([]Lease, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("lease: AcquireBatch(%d): %w", k, renaming.ErrBadConfig)
-	}
-	if !m.enterOp() {
-		m.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	defer m.exitOp()
-	// Reject impossible batch sizes before touching any shared state: a k
-	// beyond the namespace can never complete, and a k beyond MaxLive must
-	// not transiently inflate the live counter — reserve(k) adds k before
-	// checking the cap, so without this guard one doomed oversized request
-	// would make concurrent legitimate acquires spuriously hit ErrCapacity
-	// (and k is client-controlled in cmd/renamed, so it must also never
-	// size an allocation).
-	if k > m.namer.Namespace() {
-		m.rejected.Add(1)
-		return nil, fmt.Errorf("lease: acquire batch of %d exceeds namespace %d: %w",
-			k, m.namer.Namespace(), renaming.ErrNamespaceExhausted)
-	}
-	if max := m.maxLive.Load(); max > 0 && int64(k) > max {
-		m.rejected.Add(1)
-		return nil, ErrCapacity
-	}
-	if err := m.reserve(k); err != nil {
-		m.rejected.Add(1)
-		return nil, err
-	}
-	names, err := m.namer.AcquireN(ctx, k)
-	if err != nil {
-		m.live.Add(-int64(k))
-		m.rejected.Add(1)
-		return nil, fmt.Errorf("lease: acquire batch: %w", err)
-	}
-
-	// One owner/metadata record serves all k slots; out carries the
-	// table's copy of meta while the observer sees it and gets per-lease
-	// copies only on the way out to the caller.
-	who := &holder{owner: owner, meta: cloneMeta(meta)}
-	expiresAt := m.cfg.Now().Add(m.clampTTL(ttl))
-	deadline := m.since(expiresAt)
-	firstToken := m.token.Add(uint64(k)) - uint64(k) + 1
-	out := make([]Lease, k)
-	for i, name := range names {
-		out[i] = Lease{
-			Name:      name,
-			Token:     firstToken + uint64(i),
-			Owner:     owner,
-			ExpiresAt: expiresAt,
-			Meta:      who.meta,
-		}
-	}
-	size := m.stripeSize()
-
-	// Bucket the batch by stripe so each involved stripe is locked exactly
-	// once, however many of the k names it received.
-	plan := m.planStripes(func(i int) int { return names[i] }, k)
-	for s := range m.shards {
-		group := plan.group(s)
-		if len(group) == 0 {
-			continue
-		}
-		sh := &m.shards[s]
-		sh.mu.Lock()
-		if m.closed.Load() {
-			// Raced with Close or Shutdown. Nothing may stay half-granted:
-			// the caller is told ErrClosed, so every lease this batch
-			// already inserted into earlier stripes must come back OUT of
-			// the table — under Shutdown there is no drain to return it,
-			// and leaving it would persist a durable ghost lease whose
-			// owner thinks the acquisition failed. Removal is token-
-			// guarded: a lease Close's concurrent drain already removed
-			// (and whose name it already handed back) is skipped.
-			sh.mu.Unlock()
-			var removed []int
-			for r := 0; r < s; r++ {
-				rgroup := plan.group(r)
-				if len(rgroup) == 0 {
-					continue
-				}
-				rsh := &m.shards[r]
-				rsh.mu.Lock()
-				for _, i := range rgroup {
-					l := &out[i]
-					sl := rsh.lookup(l.Name, m.shardBits)
-					if sl == nil || sl.token != l.Token {
-						continue // Close's drain got here first
-					}
-					rsh.remove(sl)
-					if m.cfg.Observer != nil {
-						m.cfg.Observer.ObserveRelease(l.Name, l.Token)
-					}
-					removed = append(removed, l.Name)
-				}
-				rsh.mu.Unlock()
-			}
-			// Hand back outside the stripe locks — exactly the names WE
-			// removed (the token check above keeps us off anything Close's
-			// drain already returned).
-			m.releaseNames(removed)
-			// Everything not yet inserted is still ours outright.
-			rest := plan.restFrom(s)
-			for _, i := range rest {
-				m.releaseName(names[i])
-			}
-			m.live.Add(-int64(len(removed) + len(rest)))
-			m.rejected.Add(1)
-			return nil, ErrClosed
-		}
-		for _, i := range group {
-			l := &out[i]
-			sh.insert(l.Name, m.shardBits, size, l.Token, deadline, who)
-			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveAcquire(*l)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	m.acquired.Add(int64(k))
-	if who.meta != nil {
-		for i := range out {
-			out[i].Meta = cloneMeta(who.meta)
-		}
-	}
-	return out, nil
-}
 
 // renewal is one clock reading resolved against a requested TTL: what a
 // renewal judged at that instant compares with and writes. RenewBatch
@@ -819,40 +595,6 @@ func (m *Manager) Occupied() int {
 	return n
 }
 
-// SweepOnce reclaims every expired lease now and reports how many it
-// reclaimed. The background sweeper calls this on every tick; tests call
-// it directly for deterministic reclamation. A stripe whose earliest
-// deadline is still ahead costs O(1); a stripe with anything due is
-// scanned once (see scanLocked).
-func (m *Manager) SweepOnce() int {
-	if !m.enterOp() {
-		return 0
-	}
-	defer m.exitOp()
-	return m.sweepAll(m.cfg.Now())
-}
-
-// sweepAll sweeps every shard, locking each in turn (never two at once).
-// Expired names are collected under each stripe's lock but handed back to
-// the namer only after that stripe is unlocked: one sweep over O(expired)
-// leases must not hold a shard hostage across O(expired) namer.Release
-// calls, which can be arbitrarily slow (and, with a journaling observer
-// gone synchronous, disk-speed).
-func (m *Manager) sweepAll(now time.Time) int {
-	nowD := m.since(now)
-	reclaimed := 0
-	var expired []int
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		expired = m.sweepLocked(sh, i, nowD, expired[:0])
-		sh.mu.Unlock()
-		m.releaseNames(expired)
-		reclaimed += len(expired)
-	}
-	return reclaimed
-}
-
 // Metrics returns a snapshot of the operation counters. Live excludes
 // leases that have expired but not yet been reclaimed, matching Leases(),
 // so dashboards don't show phantom holders when the sweeper is off. Like
@@ -890,185 +632,3 @@ func (m *Manager) Metrics() Metrics {
 
 // Namespace exposes the underlying namer's namespace bound.
 func (m *Manager) Namespace() int { return m.namer.Namespace() }
-
-// Close stops the sweeper, releases every live lease back to the namer and
-// rejects all further operations. Close is idempotent. Releases the namer
-// refuses are counted in Metrics.ReclaimFailed.
-func (m *Manager) Close() error {
-	if !m.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var names []int
-	for stripe := range m.shards {
-		sh := &m.shards[stripe]
-		sh.mu.Lock()
-		names = names[:0]
-		for i := range sh.slots {
-			s := &sh.slots[i]
-			if s.who == nil {
-				continue
-			}
-			name := m.nameAt(i, stripe)
-			m.live.Add(-1)
-			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveRelease(name, s.token)
-			}
-			names = append(names, name)
-		}
-		sh.slots, sh.n = nil, 0
-		sh.mu.Unlock()
-		// Namer hand-backs run outside the stripe lock, like every other
-		// reclaim path.
-		m.releaseNames(names)
-	}
-	close(m.done)
-	m.wg.Wait()
-	return nil
-}
-
-// Shutdown quiesces the manager for a durable restart: it stops the
-// sweeper and rejects all further operations like Close, but does NOT
-// release live leases back to the namer and records no releases with the
-// observer — on disk the lease table keeps describing the held names, and
-// the next process rebuilds them via Restore. Without a persistence layer
-// Shutdown just leaks the names until process exit; use Close for a
-// terminal shutdown. Shutdown and Close are mutually idempotent
-// (whichever wins the closed transition defines the semantics).
-//
-// Shutdown is additionally a quiescence barrier: it flips closed and
-// then drains the in-flight operation counter, so a grant (or a batch
-// walk, including its unwind) that registered before the flip finishes
-// completely — insert, journal records and all — before Shutdown returns,
-// and everything arriving after the flip backs out at enterOp. A
-// stripe-lock sweep alone would not give this: a multi-stripe batch
-// BETWEEN stripes holds no lock yet still owes the table, and any journal
-// behind it, its unwind. This barrier is what makes "Shutdown, then
-// store.Close" lose nothing, and what lets a caller read the table and
-// the counters after Shutdown and find them final.
-func (m *Manager) Shutdown() error {
-	if !m.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	for i := 0; m.inflight.Load() != 0; i++ {
-		if i < 1000 {
-			runtime.Gosched()
-		} else {
-			// An in-flight acquire can legitimately sit in a long namer
-			// probe sequence; stop burning the core while it finishes.
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	close(m.done)
-	m.wg.Wait()
-	return nil
-}
-
-// enterOp registers an operation against Shutdown's quiescence barrier
-// and reports whether the manager is still open. The counter increments
-// BEFORE the closed check, so the flip-then-drain in Shutdown cannot
-// miss anyone: an operation either sees closed here and backs out, or
-// its registration is visible to the drain and Shutdown waits for it.
-// The pair of atomic adds is paid once per call, whatever the batch size.
-func (m *Manager) enterOp() bool {
-	m.inflight.Add(1)
-	if m.closed.Load() {
-		m.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (m *Manager) exitOp() { m.inflight.Add(-1) }
-
-// Adopter is the namer surface Restore needs: re-seizing the exact names
-// the restored leases hold, so a fresh grant cannot be handed a name
-// that already has a live holder. Every namer constructed by the renaming
-// package implements it.
-type Adopter interface {
-	// Adopt marks name as held, as if acquired.
-	Adopt(name int) error
-}
-
-// RestoreState is recovered durable state handed to Restore — typically
-// persist.Store.State() after snapshot load and journal replay.
-type RestoreState struct {
-	// Leases are the leases live as of the crash or shutdown.
-	Leases []Lease
-	// Token is the fencing-token watermark: the highest token durably
-	// recorded before the restart. The manager's counter resumes strictly
-	// above it (and above every restored lease's token), so tokens minted
-	// after restart never collide with pre-crash tokens — a stale
-	// pre-crash holder can never outrank a post-crash one.
-	Token uint64
-}
-
-// Restore rebuilds the lease table from recovered state: every still-
-// unexpired lease is re-inserted into its stripe's slot table with its
-// original fencing token and deadline, the live counter is re-established,
-// its name is re-seized in the namer via Adopt, and the fencing-token
-// counter is advanced past the recovered watermark. Leases whose TTL lapsed while the service was down are not
-// restored; they count as expired (Metrics.Expired, ObserveExpire) and
-// their names stay free in the namer.
-//
-// Restore must run on a fresh manager — after New, before any grant; a
-// manager that already minted tokens or holds leases rejects it. The
-// restored population may exceed MaxLive (e.g. after a capacity cut
-// across the restart): existing holders are honoured, and new acquires
-// stay rejected until attrition brings the count back under the cap. An
-// Adopt failure aborts the restore mid-way with the manager in a partial
-// state; treat that as fatal and discard the manager. A Restore that
-// succeeds ends by handing the table to the observer (ObserveTable).
-func (m *Manager) Restore(st RestoreState) (restored, expired int, err error) {
-	if m.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	if m.token.Load() != 0 || m.live.Load() != 0 {
-		return 0, 0, errors.New("lease: Restore on a manager that already granted leases")
-	}
-	adopter, ok := m.namer.(Adopter)
-	if !ok && len(st.Leases) > 0 {
-		return 0, 0, fmt.Errorf("lease: namer %T cannot adopt restored names", m.namer)
-	}
-	now := m.cfg.Now()
-	size := m.stripeSize()
-	watermark := st.Token
-	for _, l := range st.Leases {
-		if l.Token > watermark {
-			watermark = l.Token
-		}
-		if now.After(l.ExpiresAt) {
-			// Lapsed while the service was down: not restored, never
-			// adopted (the name stays free in the namer), and the observer
-			// hears the expiry so the durable state drops it too.
-			m.expired.Add(1)
-			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveExpire(l.Name, l.Token)
-			}
-			expired++
-			continue
-		}
-		if aerr := adopter.Adopt(l.Name); aerr != nil {
-			return restored, expired, fmt.Errorf("lease: restore name %d: %w", l.Name, aerr)
-		}
-		// Adopt has vouched for the name lying inside the namespace: a name
-		// read off disk never sizes the table.
-		sh := m.shard(l.Name)
-		sh.mu.Lock()
-		sh.insert(l.Name, m.shardBits, size, l.Token, m.since(l.ExpiresAt), sh.holderFor(l.Owner, cloneMeta(l.Meta)))
-		sh.mu.Unlock()
-		m.live.Add(1)
-		restored++
-	}
-	// Monotonic fencing across restart: resume the counter strictly above
-	// everything ever durably issued.
-	if watermark > m.token.Load() {
-		m.token.Store(watermark)
-	}
-	// Only now is the table complete: restored leases are never observed
-	// again, so an observer that snapshotted a half-restored table would
-	// lose the rest. A Restore that failed above hands nothing over.
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.ObserveTable(m)
-	}
-	return restored, expired, nil
-}
