@@ -51,7 +51,7 @@ var (
 // rejected which option, the offending value, and why. It matches
 // ErrBadConfig under errors.Is.
 type ConfigError struct {
-	// Namer is the constructor or registry driver, e.g. "rebatching".
+	// Namer is the constructor or DSN driver, e.g. "rebatching".
 	// Empty when the rejection is not tied to one namer (a malformed DSN).
 	Namer string
 	// Option is the rejected option or DSN parameter, e.g. "WithLevelProbes"

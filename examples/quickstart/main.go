@@ -7,7 +7,7 @@
 // in O(log log n) test-and-set probes.
 //
 // The example uses the v2 acquisition surface end to end: the namer is
-// constructed from a DSN through the driver registry (renaming.Open), the
+// constructed from a DSN (renaming.Open), the
 // goroutines acquire through the context-aware Acquire, and a final batch
 // acquisition (AcquireN) grabs a block of names in one call.
 //

@@ -7,7 +7,7 @@ import (
 	"repro/namertest"
 )
 
-// conformanceDSNs maps every registered driver to the DSN the conformance
+// conformanceDSNs maps every name in renaming.Drivers() to the DSN the conformance
 // suite runs it with. The t0=6 override on the ReBatching family keeps the
 // exhaustion-path subtests fast (the paper's t₀ = 53 constant multiplies
 // every probe sequence) without changing any semantics under test.
@@ -21,8 +21,8 @@ var conformanceDSNs = map[string]string{
 }
 
 // TestRegisteredNamersConformance runs the shared suite against every
-// registered driver. The registry is the source of truth: a newly
-// registered namer fails this test until it gets a conformance DSN, so no
+// name in renaming.Drivers(). The driver table is the source of truth: a
+// namer added to it fails this test until it gets a conformance DSN, so no
 // driver ships unexercised.
 func TestRegisteredNamersConformance(t *testing.T) {
 	for _, name := range renaming.Drivers() {

@@ -1,9 +1,9 @@
 // Package namertest provides a conformance suite for renaming.Namer
 // implementations: uniqueness under concurrency, release semantics,
 // context cancellation, and the batch invariants of AcquireN (k distinct
-// names or an error with zero names retained). Every namer registered with
-// renaming.Register should pass it; the package's own tests run the suite
-// against all registered drivers, and CI runs them under -race.
+// names or an error with zero names retained). The package's own tests run
+// the suite against every name in renaming.Drivers(), and CI runs them
+// under -race.
 //
 // Use it for a new namer like any shared test helper:
 //

@@ -3,7 +3,13 @@ package renaming
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -114,6 +120,8 @@ func TestOpenRejections(t *testing.T) {
 		{"eps on fastadaptive", "fastadaptive?n=64&eps=0.5"},
 		{"invalid value", "rebatching?n=64&eps=-1"},
 		{"zero n", "rebatching?n=0"},
+		{"repeated n", "rebatching?n=64&n=4096"},
+		{"repeated key", "rebatching?n=64&eps=1&eps=0.25"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,23 +136,80 @@ func TestOpenRejections(t *testing.T) {
 	}
 }
 
-// TestRegisterValidation pins the database/sql-style registration
-// contract: empty names, nil drivers and duplicates panic.
-func TestRegisterValidation(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
+// TestOpenRejectsLikeConstructor: the constructor decides which option
+// applies to which namer, so a misapplied DSN key fails with the very
+// error the direct call returns.
+func TestOpenRejectsLikeConstructor(t *testing.T) {
+	_, dsnErr := Open("rebatching?n=64&gamma=2")
+	_, callErr := NewReBatching(64, WithGamma(2))
+	var fromDSN, fromCall *ConfigError
+	if !errors.As(dsnErr, &fromDSN) || !errors.As(callErr, &fromCall) {
+		t.Fatalf("errors = %v / %v, want *ConfigError from both", dsnErr, callErr)
 	}
-	mustPanic("empty name", func() { Register("", func(*Params) (Namer, error) { return nil, nil }) })
-	mustPanic("nil driver", func() { Register("nil-driver", nil) })
-	mustPanic("duplicate", func() { Register("rebatching", func(*Params) (Namer, error) { return nil, nil }) })
+	if *fromDSN != *fromCall {
+		t.Fatalf("Open: %+v, NewReBatching: %+v", *fromDSN, *fromCall)
+	}
 }
 
-// TestDriversListsBuiltins keeps the registry's contents explicit.
+// TestOpenKeyTableCoversOptions keeps the three spellings of the key set
+// in step: every opt* name in options.go is reached by exactly one dsnKeys
+// entry, and the table in Open's doc comment lists those pairs.
+func TestOpenKeyTableCoversOptions(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(file string) *ast.File {
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	unreached := map[string]bool{}
+	ast.Inspect(parse("options.go"), func(n ast.Node) bool {
+		if spec, ok := n.(*ast.ValueSpec); ok && strings.HasPrefix(spec.Names[0].Name, "opt") && len(spec.Values) == 1 {
+			if lit, ok := spec.Values[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				unreached[name] = true
+			}
+		}
+		return true
+	})
+	if len(unreached) == 0 {
+		t.Fatal("found no opt* constants in options.go")
+	}
+	var table []string
+	for key, parseValue := range dsnKeys {
+		opt, err := parseValue("1") // a valid value of every key's type
+		if err != nil || opt == nil {
+			t.Fatalf("dsnKeys[%q](\"1\") = %v, %v", key, opt, err)
+		}
+		name := opt.(optionFunc).name
+		if !unreached[name] {
+			t.Errorf("key %q spells %s, which is no opt* name or already has a key", key, name)
+		}
+		delete(unreached, name)
+		table = append(table, key+" "+name)
+	}
+	for name := range unreached {
+		t.Errorf("%s has no DSN key", name)
+	}
+	var documented []string
+	for _, decl := range parse("registry.go").Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "Open" {
+			for _, line := range strings.Split(fn.Doc.Text(), "\n") {
+				if f := strings.Fields(line); len(f) == 2 && strings.HasPrefix(f[1], "With") {
+					documented = append(documented, f[0]+" "+f[1])
+				}
+			}
+		}
+	}
+	sort.Strings(table)
+	sort.Strings(documented)
+	if !reflect.DeepEqual(documented, table) {
+		t.Errorf("Open's doc comment lists %v, dsnKeys is %v", documented, table)
+	}
+}
+
+// TestDriversListsBuiltins keeps the driver table's contents explicit.
 func TestDriversListsBuiltins(t *testing.T) {
 	want := []string{"adaptive", "fastadaptive", "levelarray", "linearscan", "rebatching", "uniform"}
 	if got := Drivers(); !reflect.DeepEqual(got, want) {

@@ -30,12 +30,11 @@
 // single PRNG stream, releasing everything it took if it cannot deliver
 // all k.
 //
-// Namers can also be constructed from a DSN string through a
-// database/sql-style registry:
+// Namers can also be constructed from a DSN string:
 //
 //	nm, err := renaming.Open("rebatching?n=1024&eps=0.5")
 //
-// See Open for the grammar and Register for adding drivers.
+// See Open for the grammar and Drivers for the names it accepts.
 //
 // Construction-time misconfiguration — an invalid option value, an option
 // that does not apply to the chosen namer, a malformed DSN — is rejected
