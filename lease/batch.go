@@ -8,17 +8,18 @@ import (
 	renaming "repro"
 )
 
-// At production scale renewal — not acquisition — is the dominant lease
+// The manager's data path: AcquireBatch, RenewBatch and ReleaseBatch, the
+// only request shape there is (one lease is a batch of one). All three
+// bucket their items by lock stripe so each involved shard is locked
+// exactly once however many items it received, read the clock once per
+// call and settle the counters once per batch instead of once per lease.
+// At production scale renewal — not acquisition — is the dominant
 // traffic: every live holder heartbeats every TTL/3, so a standing
-// population of a million holders means a million renew operations per
-// heartbeat interval while the acquire path idles. RenewBatch and
-// ReleaseBatch mirror AcquireBatch's shape for that hot path: items are
-// bucketed by lock stripe so each involved shard is locked exactly once
-// however many items it received, the clock is read once per call, and
-// the renewed counter settles once per batch instead of once per lease.
+// population of a million holders means a million renewals per heartbeat
+// interval while the acquire path idles.
 //
-// Unlike AcquireBatch the batch forms are NOT all-or-nothing: each item
-// carries its own typed outcome (ErrUnknownName, ErrWrongToken,
+// AcquireBatch is all-or-nothing. RenewBatch and ReleaseBatch are NOT:
+// each item carries its own typed outcome (ErrUnknownName, ErrWrongToken,
 // ErrExpired, ...), because a heartbeating session must learn exactly
 // which of its leases it lost — fencing would be useless if one stale
 // token poisoned the whole heartbeat.
