@@ -133,7 +133,7 @@ func Open(dsn string) (Namer, error) {
 	}
 	nm, err := construct(n, opts...)
 	if err != nil {
-		return nil, err
+		return nil, err // not nm: a constructor's nil pointer would make a non-nil Namer
 	}
 	return nm, nil
 }
