@@ -12,11 +12,13 @@ import (
 	"time"
 
 	renaming "repro"
+	"repro/internal/service"
 	"repro/internal/wire"
 	"repro/lease"
+	"repro/leaseclient"
 )
 
-// newGracefulStack builds the server-mode pieces (namer, manager, HTTP
+// newGracefulStack builds the server's pieces (namer, manager, HTTP
 // server, listener) without going through flag parsing.
 func newGracefulStack(t *testing.T, handler http.Handler) (*http.Server, net.Listener, *lease.Manager) {
 	t.Helper()
@@ -78,6 +80,55 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shutdown complete") {
 		t.Fatalf("shutdown log incomplete: %q", out.String())
+	}
+}
+
+// TestShutdownSnapshotSeesBinaryWire: a server whose renewals all rode
+// bin:// must log their p99 in the shutdown snapshot, per transport.
+func TestShutdownSnapshotSeesBinaryWire(t *testing.T) {
+	srv, ln, mgr := newGracefulStack(t, nil)
+	h := srv.Handler.(*server)
+	h.binSrv = service.NewBinServer(h.core, service.BinConfig{})
+	lnBin, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go h.binSrv.Serve(lnBin)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() { done <- serveGraceful(ctx, srv, ln, mgr, nil, 2*time.Second, &out) }()
+
+	tr, err := leaseclient.NewTransport("bin://" + lnBin.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	got, err := tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := got.Leases[0]
+	res, err := tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: []wire.Item{{Name: l.Name, Token: l.Token}}})
+	if err != nil || res.Results[0].Code != "" {
+		t.Fatalf("renew over bin:// = %+v, %v", res, err)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serveGraceful = %v, want clean shutdown", err)
+	}
+	fields := map[string]string{} // the snapshot line's key=value attrs
+	for _, kv := range strings.Fields(out.String()) {
+		k, v, _ := strings.Cut(kv, "=")
+		fields[k] = v
+	}
+	if v, ok := fields["renew_p99_us_bin"]; !ok || v == "0" {
+		t.Errorf("renew_p99_us_bin = %q, want non-zero after a bin:// renewal", v)
+	}
+	if v := fields["renew_p99_us_http"]; v != "0" {
+		t.Errorf("renew_p99_us_http = %q, want 0 with no HTTP renewal", v)
 	}
 }
 

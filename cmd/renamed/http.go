@@ -111,19 +111,14 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// mountTimed mounts fn as "POST /v1/<op>" with the per-op instrumentation:
-// request counter, latency histogram and the slow-operation log line
-// carrying the request's X-Request-Id.
+// mountTimed mounts fn as "POST /v1/<op>", timed for the slow-operation
+// log line carrying the request's X-Request-Id. Request counts and
+// latency are the service core's (renamed_requests_total{transport="http"}).
 func (s *server) mountTimed(op string, fn http.HandlerFunc) {
-	h := s.met.latency.With(op)
-	reqs := s.met.requests.With(op)
 	s.mux.HandleFunc("POST /v1/"+op, func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
 		start := time.Now()
 		fn(w, r)
-		d := time.Since(start)
-		h.Observe(d)
-		if s.slowThreshold > 0 && d >= s.slowThreshold {
+		if d := time.Since(start); s.slowThreshold > 0 && d >= s.slowThreshold {
 			s.slowLog.Warn("slow operation",
 				"op", op,
 				"duration_ms", float64(d)/float64(time.Millisecond),
@@ -354,7 +349,12 @@ func (s *server) logFinalSnapshot(out io.Writer) {
 		"live", lm.Live,
 		"max_live", lm.MaxLive,
 		"resizes", lm.Resizes,
-		"renew_p99_us", float64(s.met.renewBatchLat.Quantile(0.99)) / 1e3,
+	}
+	// Per transport: heartbeats ride bin:// on a production server, and
+	// one blended figure would hide which wire is slow.
+	for _, tr := range []string{"http", "bin"} {
+		attrs = append(attrs, "renew_p99_us_"+tr,
+			float64(s.met.svc.Quantile(tr, "renew_batch", 0.99))/1e3)
 	}
 	if s.store != nil {
 		st := s.store.Stats()

@@ -11,8 +11,6 @@
 // expected probe bound is built for exactly this sustained
 // acquire/release traffic.
 //
-// Server mode:
-//
 //	renamed -addr :8077 -capacity 4096 -ttl 30s
 //
 // With -listen-bin the same lease table is additionally served over the
@@ -66,15 +64,9 @@
 // so results are index-aligned with the request and carry typed codes
 // (the leaseclient package wraps all of this in a Session).
 //
-// Load-generator mode is a soak, not a benchmark (throughput and latency
-// numbers are owned by the benchmark/ module): it keeps -sessions n
-// heartbeating holders alive through leaseclient sessions, with -churn c
-// acquire/release clients alongside, and reports lost leases (must be 0)
-// and the highest fencing token seen. -target accepts either scheme
-// (http://host:port or bin://host:port):
-//
-//	renamed -load -target http://localhost:8077 -duration 5s
-//	renamed -load -target bin://localhost:9077 -sessions 10000 -churn 4 -lease-ttl 3s
+// To soak a running stack use the chaos harness, which checks what it
+// drives (go run ./cmd/chaos -scenario healthy); throughput and latency
+// numbers are owned by the benchmark/ module.
 package main
 
 import (
@@ -105,27 +97,18 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("renamed", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", ":8077", "listen address (server mode)")
-		listenBin = fs.String("listen-bin", "", "additional listen address for the binary protocol (bin:// targets); empty disables (server mode)")
+		addr      = fs.String("addr", ":8077", "listen address")
+		listenBin = fs.String("listen-bin", "", "additional listen address for the binary protocol (bin:// targets); empty disables")
 		capacity  = fs.Int("capacity", 4096, "maximum concurrently leased names (hard cap, enforced; without -namer also sizes the namer, 'levelarray?n=<capacity>')")
 		namerDSN  = fs.String("namer", "", "namer DSN, e.g. 'levelarray?n=4096&probes=3' or 'rebatching?n=1024&eps=0.5&t0=6' (see renaming.Open); an explicit -capacity still caps live leases")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default lease TTL")
 		sweep     = fs.Duration("sweep", 0, "reclamation sweep interval (0 = TTL/4)")
-		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight requests (server mode)")
-		dataDir   = fs.String("data-dir", "", "durability directory (journal + snapshot); leases survive crash and restart. Empty = in-memory only (server mode)")
+		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight requests")
+		dataDir   = fs.String("data-dir", "", "durability directory (journal + snapshot); leases survive crash and restart. Empty = in-memory only")
 		fsyncStr  = fs.String("fsync", "interval", "journal fsync policy with -data-dir: always (durable before reply), interval (bounded loss), never (OS-paced)")
 		compact   = fs.Duration("compact-every", 0, "snapshot-compaction check cadence with -data-dir (0 = 1m, negative disables)")
-		slowOp    = fs.Duration("slow-op", 250*time.Millisecond, "log a structured slow-operation line (with the request's X-Request-Id) for /v1 handlers slower than this; 0 disables (server mode)")
-		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (server mode)")
-
-		load     = fs.Bool("load", false, "run as load generator instead of server")
-		target   = fs.String("target", "http://localhost:8077", "server base URL, http:// or bin:// (load mode)")
-		clients  = fs.Int("clients", 16, "leaseclient sessions the -sessions holders are spread across (load mode)")
-		duration = fs.Duration("duration", 5*time.Second, "how long to generate load (load mode)")
-
-		sessionsN = fs.Int("sessions", 64, "standing heartbeating holders kept alive through leaseclient sessions; must be >= 1 (load mode)")
-		churn     = fs.Int("churn", 0, "churning acquire/release clients running alongside the -sessions holders (load mode)")
-		leaseTTL  = fs.Duration("lease-ttl", 3*time.Second, "requested lease TTL for -sessions holders; heartbeats run at a third of it (load mode)")
+		slowOp    = fs.Duration("slow-op", 250*time.Millisecond, "log a structured slow-operation line (with the request's X-Request-Id) for /v1 handlers slower than this; 0 disables")
+		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	)
 	fs.SetOutput(out)
 	fs.Usage = func() {
@@ -147,18 +130,6 @@ All drivers accept seed=<uint64>, counting=<bool>; all but levelarray padded=<bo
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *load {
-		if *sessionsN < 1 {
-			return fmt.Errorf("usage: -load needs -sessions >= 1, got %d", *sessionsN)
-		}
-		rep, err := runSessionLoad(*target, *sessionsN, *clients, *churn, *leaseTTL, *duration)
-		if err != nil {
-			return err
-		}
-		rep.print(out)
-		return nil
-	}
-
 	capacitySet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "capacity" {

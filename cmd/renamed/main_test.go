@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -274,7 +275,9 @@ func TestHugeTTLCappedNotWrapped(t *testing.T) {
 	}
 }
 
-func TestHealthAndVars(t *testing.T) {
+// TestHealthAndMetrics: /healthz answers, and a single-item /v1/acquire
+// counts under the batch op it adapts onto in the one request family.
+func TestHealthAndMetrics(t *testing.T) {
 	srv := newTestServer(t, 4, lease.Config{TTL: time.Minute, SweepInterval: -1})
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -287,7 +290,7 @@ func TestHealthAndVars(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
 	exposition := string(scrapeMetrics(t, srv.URL))
 	for _, series := range []string{
-		`renamed_http_requests_total{op="acquire"} 1`,
+		`renamed_requests_total{transport="http",op="acquire_batch"} 1`,
 		`renamed_lease_acquired_total 1`,
 		`renamed_lease_live 1`,
 	} {
@@ -297,46 +300,30 @@ func TestHealthAndVars(t *testing.T) {
 	}
 }
 
-func TestLoadTargetUnreachable(t *testing.T) {
-	if _, err := runSessionLoad("http://127.0.0.1:1", 1, 1, 0, time.Second, time.Millisecond); err == nil {
-		t.Fatal("runSessionLoad against a dead target did not error")
+// TestServerFlagSurface pins renamed's flags to the server's twelve: the
+// load generator's are gone and fail flag parsing instead of being
+// silently ignored.
+func TestServerFlagSurface(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
 	}
-}
-
-// TestLoadFlagSurface pins -load to one shape at the run() level: no
-// -sessions takes the session path at its default, -sessions 0 is a
-// usage error rather than a different program, and the classic cycle's
-// knobs fail flag parsing instead of being silently ignored.
-func TestLoadFlagSurface(t *testing.T) {
-	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: -1})
-	base := []string{"-load", "-target", srv.URL, "-duration", "50ms"}
-	for _, tc := range []struct {
-		name    string
-		extra   []string
-		wantOut string // prefix of the report
-		wantErr string // non-empty: run must fail with this in the error
-	}{
-		{name: "default sessions", wantOut: "session load: 64 holders"},
-		{name: "sessions 0", extra: []string{"-sessions", "0"}, wantErr: "-sessions >= 1"},
-		{name: "batch removed", extra: []string{"-batch", "8"}, wantErr: "flag provided but not defined: -batch"},
-		{name: "renews removed", extra: []string{"-renews", "2"}, wantErr: "flag provided but not defined: -renews"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var out bytes.Buffer
-			err := run(slices.Concat(base, tc.extra), &out)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.HasPrefix(out.String(), tc.wantOut) {
-				t.Fatalf("report = %q, want prefix %q", out.String(), tc.wantOut)
-			}
-		})
+	var got []string
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := []string{"addr", "capacity", "compact-every", "data-dir", "drain", "fsync",
+		"listen-bin", "namer", "pprof", "slow-op", "sweep", "ttl"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %v, want %v", got, want)
+	}
+	for _, gone := range []string{"-load", "-target", "-sessions"} {
+		err := run([]string{gone, "1"}, io.Discard)
+		if want := "flag provided but not defined: " + gone; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%s) = %v, want %q", gone, err, want)
+		}
 	}
 }
 
@@ -612,44 +599,5 @@ func TestSessionAgainstRealServer(t *testing.T) {
 	listResp.Body.Close()
 	if len(listing.Leases) != 0 {
 		t.Fatalf("server still lists %d leases after session Close", len(listing.Leases))
-	}
-}
-
-// TestLoadGeneratorSessionsMode drives the load generator against a
-// test server: holders heartbeat through leaseclient while churners
-// cycle alongside, and nothing may be lost or fail.
-func TestLoadGeneratorSessionsMode(t *testing.T) {
-	srv := newTestServer(t, 256, lease.Config{TTL: time.Minute, SweepInterval: 20 * time.Millisecond})
-	const configured = 1500 * time.Millisecond
-	rep, err := runSessionLoad(srv.URL, 64, 4, 2, 500*time.Millisecond, configured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Throughput is over the measured window, never the configured one.
-	if rep.Elapsed < configured {
-		t.Fatalf("Elapsed %v < configured %v; not measured wall time", rep.Elapsed, configured)
-	}
-	if want := float64(rep.Renews) / rep.Elapsed.Seconds(); math.Abs(rep.RenewsPerS-want) > 1e-6*want {
-		t.Fatalf("RenewsPerS = %v, want renews/elapsed = %v", rep.RenewsPerS, want)
-	}
-	if rep.Lost != 0 {
-		t.Fatalf("session load lost %d leases: %+v", rep.Lost, rep)
-	}
-	if rep.Holders != 64 || rep.Sessions != 4 {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-	if rep.Renews < 64 {
-		t.Fatalf("renews = %d, want at least one full round for 64 holders", rep.Renews)
-	}
-	if rep.Heartbeats == 0 || rep.Renews < rep.Heartbeats {
-		t.Fatalf("heartbeats %d / renews %d not coalesced: %+v", rep.Heartbeats, rep.Renews, rep)
-	}
-	if rep.ChurnAcquires == 0 || rep.ChurnFailures != 0 {
-		t.Fatalf("churn traffic unhealthy: %+v", rep)
-	}
-	var out bytes.Buffer
-	rep.print(&out)
-	if !strings.Contains(out.String(), "renewal throughput") {
-		t.Fatalf("report output missing throughput: %q", out.String())
 	}
 }

@@ -12,11 +12,9 @@ import (
 
 // serverMetrics is the server's Prometheus surface: one registry, all
 // series registered up front so the exposition is stable from the first
-// scrape, and every hot-path handle (per-op counters, latency
-// histograms) pre-resolved — the request path does lookups on its own
-// locals, never on the registry. The per-transport request series and
-// the batch-item verdict counters live in svc (service.NewTelemetry),
-// registered on the same registry so /metrics stays one exposition.
+// scrape. The request series and the batch-item verdict counters live in
+// svc (service.NewTelemetry), registered on the same registry so
+// /metrics stays one exposition.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
@@ -25,12 +23,6 @@ type serverMetrics struct {
 	// renamed_batch_item_verdicts_total counters; the service core
 	// increments them for every transport, including this HTTP surface.
 	svc *service.Telemetry
-
-	requests *telemetry.CounterVec
-	latency  *telemetry.HistogramVec
-	// renewBatchLat is latency's renew_batch child, pre-resolved for the
-	// shutdown snapshot's renew_p99_us.
-	renewBatchLat *telemetry.Histogram
 }
 
 // cachedStats memoizes an expensive stats snapshot for ttl, so a scrape
@@ -62,15 +54,7 @@ func (c *cachedStats[T]) get() T {
 // registry panics on violations at startup, not at scrape time).
 func newServerMetrics(s *server) *serverMetrics {
 	reg := telemetry.NewRegistry()
-	m := &serverMetrics{
-		reg: reg,
-		svc: service.NewTelemetry(reg),
-		requests: reg.CounterVec("renamed_http_requests_total",
-			"HTTP requests served, by /v1 operation.", "op"),
-		latency: reg.HistogramVec("renamed_http_request_duration_seconds",
-			"Wall-clock handler latency, by /v1 operation.", "op"),
-	}
-	m.renewBatchLat = m.latency.With("renew_batch")
+	m := &serverMetrics{reg: reg, svc: service.NewTelemetry(reg)}
 
 	reg.CounterFunc("renamed_http_errors_total",
 		"Requests answered with an error status.", s.errors.Load)

@@ -128,8 +128,7 @@ func TestMetricsEndpointLintCleanUnderTraffic(t *testing.T) {
 		t.Fatalf("lint problems in live exposition: %v", problems)
 	}
 	for _, series := range []string{
-		`renamed_http_requests_total{op="acquire"} 1`,
-		`renamed_http_requests_total{op="renew_batch"} 1`,
+		`renamed_requests_total{transport="http",op="acquire_batch"} 1`,
 		// The single /v1/renew above is a renew_batch of one to the core:
 		// it counts beside the batch item.
 		`renamed_batch_item_verdicts_total{op="renew_batch",code="ok"} 2`,
@@ -143,7 +142,7 @@ func TestMetricsEndpointLintCleanUnderTraffic(t *testing.T) {
 		}
 	}
 	// The histogram for an op we exercised carries its observation.
-	if !strings.Contains(string(exposition), `renamed_http_request_duration_seconds_count{op="acquire"} 1`) {
+	if !strings.Contains(string(exposition), `renamed_request_duration_seconds_count{transport="http",op="acquire_batch"} 1`) {
 		t.Errorf("acquire latency histogram did not record the request")
 	}
 }

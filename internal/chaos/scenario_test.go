@@ -24,8 +24,8 @@ func buildRenamed(t *testing.T) string {
 
 // TestScenarioHealthySmoke drives the WHOLE pipeline — real server
 // process, proxy, sessions, checker, post-run audit — through a short
-// fault-free run. Every invariant must hold trivially; a violation here
-// is a harness bug, not a server bug.
+// fault-free run on each wire. Every invariant must hold trivially; a
+// violation here is a harness bug, not a server bug.
 func TestScenarioHealthySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real server process")
@@ -36,29 +36,35 @@ func TestScenarioHealthySmoke(t *testing.T) {
 		Clients:     2, LeasesEach: 4, TTL: time.Second,
 		Churn: 0.3,
 	}
-	rep, err := Run(context.Background(), sc, Options{
-		Seed:     1,
-		Duration: 4 * time.Second,
-		Binary:   buildRenamed(t),
-		WorkDir:  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("healthy run failed: %+v", rep.Violations)
-	}
-	if rep.Checker.Acquired < 8 {
-		t.Fatalf("only %d leases acquired; sessions never got going", rep.Checker.Acquired)
-	}
-	if rep.Proxy.Chunks == 0 {
-		t.Fatal("no traffic flowed through the proxy")
-	}
-	if rep.AuditTorn != 0 {
-		t.Fatalf("graceful shutdown left %d torn journal bytes", rep.AuditTorn)
-	}
-	if rep.AuditToken < rep.Checker.MaxToken {
-		t.Fatalf("audit watermark %d below client-observed max token %d", rep.AuditToken, rep.Checker.MaxToken)
+	binary := buildRenamed(t)
+	for _, transport := range []string{"bin", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			rep, err := Run(context.Background(), sc, Options{
+				Seed:      1,
+				Duration:  4 * time.Second,
+				Transport: transport,
+				Binary:    binary,
+				WorkDir:   t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Pass {
+				t.Fatalf("healthy run failed: %+v", rep.Violations)
+			}
+			if rep.Checker.Acquired < 8 {
+				t.Fatalf("only %d leases acquired; sessions never got going", rep.Checker.Acquired)
+			}
+			if rep.Proxy.Chunks == 0 {
+				t.Fatal("no traffic flowed through the proxy")
+			}
+			if rep.AuditTorn != 0 {
+				t.Fatalf("graceful shutdown left %d torn journal bytes", rep.AuditTorn)
+			}
+			if rep.AuditToken < rep.Checker.MaxToken {
+				t.Fatalf("audit watermark %d below client-observed max token %d", rep.AuditToken, rep.Checker.MaxToken)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"time"
+
 	"repro/internal/telemetry"
 )
 
@@ -57,9 +59,9 @@ func (v *verdictSet) inc(code string) {
 
 // Telemetry is the service core's metric surface: request counts and
 // latency labeled by (transport, op), and the per-item batch verdict
-// counters shared by every transport. The legacy renamed_http_* series
-// remain with the HTTP adapter — they predate the second transport and
-// dashboards depend on them byte-for-byte.
+// counters shared by every transport. These are the only request
+// series: the HTTP adapter keeps no family of its own, so its
+// single-item routes count under the batch op they adapt onto.
 type Telemetry struct {
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec
@@ -93,6 +95,12 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		t.verdicts[op] = set
 	}
 	return t
+}
+
+// Quantile reads an upper bound on the q-quantile of one (transport,
+// op)'s latency (see telemetry.Histogram.Quantile); 0 with no samples.
+func (t *Telemetry) Quantile(transport, op string, q float64) time.Duration {
+	return t.handle(transport, op).lat.Quantile(q)
 }
 
 // handle resolves one (transport, op) instrumentation pair.

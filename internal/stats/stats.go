@@ -55,15 +55,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts is Summarize for integer samples.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted
 // sample using linear interpolation. It panics on an empty sample.
 func Quantile(sorted []float64, q float64) float64 {

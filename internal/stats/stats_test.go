@@ -24,13 +24,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{2, 2, 2})
-	if s.Mean != 2 || s.Std != 0 {
-		t.Fatalf("unexpected summary %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40}
 	tests := []struct {

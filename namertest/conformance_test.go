@@ -40,15 +40,13 @@ func TestRegisteredNamersConformance(t *testing.T) {
 	}
 }
 
-// TestResizableLevelArrayConformance runs both the base suite and the
-// ResizableNamer extension suite against the levelarray driver: every
-// LevelArray is elastic, so it must keep every static guarantee AND
-// honour the dynamic-capacity contract.
+// TestResizableLevelArrayConformance runs the ResizableNamer extension
+// suite against the levelarray driver — on top of, not instead of, the
+// base suite, which TestRegisteredNamersConformance/levelarray runs over
+// this same DSN: every LevelArray is elastic, so it must keep every
+// static guarantee AND honour the dynamic-capacity contract.
 func TestResizableLevelArrayConformance(t *testing.T) {
 	dsn := conformanceDSNs["levelarray"]
-	namertest.Run(t, func() (renaming.Namer, error) {
-		return renaming.Open(dsn)
-	})
 	namertest.RunResizable(t, func() (renaming.ResizableNamer, error) {
 		nm, err := renaming.Open(dsn)
 		if err != nil {
