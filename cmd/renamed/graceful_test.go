@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -54,14 +53,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- serveGraceful(ctx, srv, ln, mgr, nil, 2*time.Second, &out) }()
 
 	// Prove the server is up and holding a lease before the shutdown.
-	resp, body := postJSON(t, base+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-shutdown acquire = %d, body %s", resp.StatusCode, body)
-	}
-	var l wire.Lease
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
-	}
+	acquireOne(t, base, wire.AcquireBatchRequest{Owner: "w"})
 
 	cancel()
 	select {

@@ -20,13 +20,16 @@ import (
 )
 
 // server is the HTTP front end over the shared service core: JSON
-// adapters around the same transport-neutral operations the binary
-// protocol serves, plus the observability surfaces (/metrics, pprof)
-// that only make sense over HTTP.
+// adapters around the same three batch operations the binary protocol
+// serves, plus the admin and observability surfaces (/v1/resize,
+// /v1/leases, /healthz, /metrics, pprof) that only exist over HTTP.
 type server struct {
-	mgr   *lease.Manager
-	mux   *http.ServeMux
-	start time.Time
+	mgr *lease.Manager
+	mux *http.ServeMux
+	// patterns lists everything handle mounted on mux, which cannot
+	// enumerate itself: the whole HTTP surface, in mount order.
+	patterns []string
+	start    time.Time
 	// store is the optional durability layer; non-nil only with -data-dir.
 	// The handlers never touch it (the manager's observer hook does the
 	// journaling); it is here for the persistence gauges.
@@ -66,18 +69,15 @@ func newServer(mgr *lease.Manager, store *persist.Store) *server {
 	s.met = newServerMetrics(s)
 	s.core = service.New(mgr, s.met.svc)
 	s.bind = s.core.Bind("http")
-	s.mountTimed("acquire", s.handleAcquire)
 	s.mountTimed("acquire_batch", s.handleAcquireBatch)
-	s.mountTimed("renew", s.handleRenew)
 	s.mountTimed("renew_batch", s.handleRenewBatch)
-	s.mountTimed("release", s.handleRelease)
 	s.mountTimed("release_batch", s.handleReleaseBatch)
 	s.mountTimed("resize", s.handleResize)
-	s.mux.HandleFunc("GET /v1/leases", s.handleLeases)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	s.handle("GET /v1/leases", s.handleLeases)
+	s.handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+	s.handle("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", telemetry.ContentType)
 		s.met.reg.WritePrometheus(w)
 	})
@@ -89,11 +89,17 @@ func newServer(mgr *lease.Manager, store *persist.Store) *server {
 // server never serves). Profiling endpoints cost CPU and reveal internal
 // state, so they are opt-in via -pprof.
 func (s *server) enablePprof() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	s.handle("GET /debug/pprof/", pprof.Index)
+	s.handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+	s.handle("GET /debug/pprof/profile", pprof.Profile)
+	s.handle("GET /debug/pprof/symbol", pprof.Symbol)
+	s.handle("GET /debug/pprof/trace", pprof.Trace)
+}
+
+// handle is the one way onto the mux.
+func (s *server) handle(pattern string, fn http.HandlerFunc) {
+	s.patterns = append(s.patterns, pattern)
+	s.mux.HandleFunc(pattern, fn)
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -115,7 +121,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // log line carrying the request's X-Request-Id. Request counts and
 // latency are the service core's (renamed_requests_total{transport="http"}).
 func (s *server) mountTimed(op string, fn http.HandlerFunc) {
-	s.mux.HandleFunc("POST /v1/"+op, func(w http.ResponseWriter, r *http.Request) {
+	s.handle("POST /v1/"+op, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		fn(w, r)
 		if d := time.Since(start); s.slowThreshold > 0 && d >= s.slowThreshold {
@@ -129,24 +135,9 @@ func (s *server) mountTimed(op string, fn http.HandlerFunc) {
 
 // The JSON wire types live in internal/wire, shared with the leaseclient
 // session layer so server and client cannot drift; the handlers below
-// are thin JSON adapters over the service core's bindings. The core has
-// batch operations only: handleAcquire, handleRenew and handleRelease
-// keep the single-item routes for curl and scripts by calling the batch
-// operation with one item and answering with that item's verdict.
-
-func (s *server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	var req wire.AcquireRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ls, err := s.bind.AcquireBatch(r.Context(),
-		&wire.AcquireBatchRequest{Owner: req.Owner, Count: 1, TTLms: req.TTLms, Meta: req.Meta})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, ls[0])
-}
+// are thin JSON adapters over the service core's bindings. Like the core,
+// the routes are batch-shaped only: one lease is acquire_batch with
+// "count":1, and a refused item arrives as its per-item code.
 
 func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.AcquireBatchRequest
@@ -159,25 +150,6 @@ func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, wire.Leases{Leases: ls})
-}
-
-func (s *server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req wire.RenewRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	verdicts, err := s.bind.RenewBatch(r.Context(), wire.TTLFromMs(req.TTLms),
-		[]lease.RenewItem{{Name: req.Name, Token: req.Token}}, nil)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	v := verdicts[0]
-	if v.Code != "" {
-		s.writeVerdict(w, v)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, v.Lease)
 }
 
 // handleRenewBatch is the heartbeat hot path: one request renews every
@@ -213,24 +185,6 @@ func (s *server) handleRenewBatch(w http.ResponseWriter, r *http.Request) {
 		out.Results[i].Lease = &l
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req wire.ReleaseRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	verdicts, err := s.bind.ReleaseBatch(r.Context(),
-		[]lease.ReleaseItem{{Name: req.Name, Token: req.Token}}, nil)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if v := verdicts[0]; v.Code != "" {
-		s.writeVerdict(w, v)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleReleaseBatch ends many leases in one request with per-item
@@ -315,14 +269,6 @@ func errorStatus(err error) int {
 func (s *server) writeError(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
 	s.writeJSON(w, errorStatus(err), wire.Error{Error: err.Error()})
-}
-
-// writeVerdict answers a single-item route whose one item was refused:
-// the status comes from the verdict's typed error, the body keeps the
-// message the manager rendered.
-func (s *server) writeVerdict(w http.ResponseWriter, v service.Verdict) {
-	s.errors.Add(1)
-	s.writeJSON(w, errorStatus(wire.ErrFor(v.Code, "")), wire.Error{Error: v.Msg})
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -37,16 +37,15 @@
 //	renamed -addr :8077 -namer 'rebatching?n=1024&eps=0.5&t0=6'
 //	renamed -addr :8077 -namer 'fastadaptive?n=65536&seed=7'
 //
-// Endpoints (JSON over POST unless noted):
+// The protocol is one table. The binary port carries the first three
+// ops and nothing else; HTTP carries the same three plus the admin and
+// observability routes (JSON over POST unless noted). One lease is
+// acquire_batch with "count":1:
 //
-//	POST /v1/acquire        {"owner":"w1","ttl_ms":5000,"meta":{...}}
-//	                        -> {"name":17,"token":42,"expires_at_ms":...}
 //	POST /v1/acquire_batch  {"owner":"w1","count":8,"ttl_ms":5000,"meta":{...}}
 //	                        -> {"leases":[{"name":17,"token":42,...},...]}
-//	POST /v1/renew          {"name":17,"token":42,"ttl_ms":5000}
 //	POST /v1/renew_batch    {"ttl_ms":5000,"items":[{"name":17,"token":42},...]}
 //	                        -> {"results":[{"lease":{...}},{"error":"...","code":"expired"},...]}
-//	POST /v1/release        {"name":17,"token":42}
 //	POST /v1/release_batch  {"items":[{"name":17,"token":42},...]}
 //	                        -> {"results":[{},{"error":"...","code":"unknown_name"},...]}
 //	POST /v1/resize         {"capacity":8192}   (levelarray namers)
@@ -55,6 +54,7 @@
 //	GET  /v1/leases         -> {"leases":[...]}
 //	GET  /healthz           -> ok
 //	GET  /metrics           -> Prometheus text exposition (renamed_* series)
+//	GET  /debug/pprof/...   (with -pprof)
 //
 // Acquisitions are tied to the request context: a client that disconnects
 // mid-acquire cancels the probe sequence instead of holding a name nobody

@@ -43,11 +43,15 @@ func newTestServer(t *testing.T, capacity int, cfg lease.Config) *httptest.Serve
 	return srv
 }
 
+// postJSON posts body as JSON; a string body is sent as it is.
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raw, ok := body.(string); ok {
+		buf = []byte(raw)
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
@@ -61,146 +65,181 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
+// acquireBatch posts acquire_batch; the leases are nil unless the
+// answer is 200, which must then grant exactly req.Count of them.
+func acquireBatch(t *testing.T, base string, req wire.AcquireBatchRequest) (*http.Response, []wire.Lease) {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/acquire_batch", req)
+	if resp.StatusCode != http.StatusOK {
+		return resp, nil
+	}
+	var granted wire.Leases
+	if err := json.Unmarshal(body, &granted); err != nil || len(granted.Leases) != req.Count {
+		t.Fatalf("acquire_batch count %d = %s (%v)", req.Count, body, err)
+	}
+	return resp, granted.Leases
+}
+
+// acquireOne leases one name the way HTTP offers it, acquire_batch with
+// "count":1, and fails the test unless it is granted.
+func acquireOne(t *testing.T, base string, req wire.AcquireBatchRequest) wire.Lease {
+	t.Helper()
+	req.Count = 1
+	resp, ls := acquireBatch(t, base, req)
+	if ls == nil {
+		t.Fatalf("acquire_batch count 1 = %d", resp.StatusCode)
+	}
+	return ls[0]
+}
+
+// batchOne posts a one-item batch and returns that item's result: a
+// refusal is its per-item code inside a 200, never a status.
+func batchOne(t *testing.T, url string, req any) wire.BatchResult {
+	t.Helper()
+	resp, body := postJSON(t, url, req)
+	var rs wire.BatchResults
+	if err := json.Unmarshal(body, &rs); err != nil || resp.StatusCode != http.StatusOK || len(rs.Results) != 1 {
+		t.Fatalf("POST %s = %d %s (%v), want 200 with one result", url, resp.StatusCode, body, err)
+	}
+	return rs.Results[0]
+}
+
+func renewReq(name int, token uint64) wire.RenewBatchRequest {
+	return wire.RenewBatchRequest{Items: []wire.Item{{Name: name, Token: token}}}
+}
+
+func releaseReq(name int, token uint64) wire.ReleaseBatchRequest {
+	return wire.ReleaseBatchRequest{Items: []wire.Item{{Name: name, Token: token}}}
+}
+
+func renewOne(t *testing.T, base string, name int, token uint64) wire.BatchResult {
+	t.Helper()
+	return batchOne(t, base+"/v1/renew_batch", renewReq(name, token))
+}
+
+func releaseOne(t *testing.T, base string, name int, token uint64) wire.BatchResult {
+	t.Helper()
+	return batchOne(t, base+"/v1/release_batch", releaseReq(name, token))
+}
+
+// listLeases reads GET /v1/leases.
+func listLeases(t *testing.T, base string) []wire.Lease {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/leases")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing wire.Leases
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	return listing.Leases
+}
+
 func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
 
-	resp, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{
-		Owner: "w1", Meta: map[string]string{"zone": "a"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("acquire status = %d, body %s", resp.StatusCode, body)
-	}
-	var l wire.Lease
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
-	}
+	l := acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "w1", Meta: map[string]string{"zone": "a"}})
 	if l.Owner != "w1" || l.Meta["zone"] != "a" || l.ExpiresAtMs == 0 {
 		t.Fatalf("acquire response incomplete: %+v", l)
 	}
 
-	resp, body = postJSON(t, srv.URL+"/v1/renew", wire.RenewRequest{Name: l.Name, Token: l.Token})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("renew status = %d, body %s", resp.StatusCode, body)
+	renewed := renewOne(t, srv.URL, l.Name, l.Token)
+	if renewed.Lease == nil {
+		t.Fatalf("renew = %+v, want a lease", renewed)
 	}
-	var renewed wire.Lease
-	if err := json.Unmarshal(body, &renewed); err != nil {
-		t.Fatal(err)
-	}
-	if renewed.ExpiresAtMs < l.ExpiresAtMs {
-		t.Fatalf("renewal moved expiry backwards: %d -> %d", l.ExpiresAtMs, renewed.ExpiresAtMs)
+	if renewed.Lease.ExpiresAtMs < l.ExpiresAtMs {
+		t.Fatalf("renewal moved expiry backwards: %d -> %d", l.ExpiresAtMs, renewed.Lease.ExpiresAtMs)
 	}
 
 	// The lease shows up in the listing.
-	listResp, err := http.Get(srv.URL + "/v1/leases")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Leases []wire.Lease `json:"leases"`
-	}
-	if err := json.NewDecoder(listResp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	listResp.Body.Close()
-	if len(listing.Leases) != 1 || listing.Leases[0].Name != l.Name {
+	listing := listLeases(t, srv.URL)
+	if len(listing) != 1 || listing[0].Name != l.Name {
 		t.Fatalf("listing = %+v", listing)
 	}
 	// Fencing tokens are holder-only capabilities and must never appear in
 	// the listing, or any client could hijack any lease.
-	if listing.Leases[0].Token != 0 {
-		t.Fatalf("listing leaked fencing token %d", listing.Leases[0].Token)
+	if listing[0].Token != 0 {
+		t.Fatalf("listing leaked fencing token %d", listing[0].Token)
 	}
 
-	resp, body = postJSON(t, srv.URL+"/v1/release", wire.ReleaseRequest{Name: l.Name, Token: l.Token})
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("release status = %d, body %s", resp.StatusCode, body)
+	if r := releaseOne(t, srv.URL, l.Name, l.Token); r.Code != "" {
+		t.Fatalf("release = %+v, want success", r)
 	}
-	// Releasing again is a 404: the lease is gone.
-	resp, _ = postJSON(t, srv.URL+"/v1/release", wire.ReleaseRequest{Name: l.Name, Token: l.Token})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("double release status = %d, want 404", resp.StatusCode)
+	// Releasing again is unknown_name: the lease is gone.
+	if r := releaseOne(t, srv.URL, l.Name, l.Token); r.Code != wire.CodeUnknownName {
+		t.Fatalf("double release = %+v, want %s", r, wire.CodeUnknownName)
 	}
 }
 
-// TestErrorStatusMapping walks the three single-item routes — adapters
-// over the one-item case of the batch operations — through every status
-// they answer, checking the body shape of each: a lease on 200, nothing
-// on 204, {"error": ...} on everything else. Rows run in order against
-// one capacity-3 server; the sweeper is off so a lapsed lease stays in
-// the table to answer 410.
+// TestErrorStatusMapping walks the three batch routes through every
+// outcome one item can have. A refused item is a per-item code inside a
+// 200; only a request that could not be processed at all — malformed
+// body, no capacity — is a status with an {"error": ...} body. Rows run
+// in order against one capacity-3 server; the sweeper is off so a lapsed
+// lease stays in the table to answer "expired".
 func TestErrorStatusMapping(t *testing.T) {
 	srv := newTestServer(t, 3, lease.Config{TTL: time.Minute, SweepInterval: -1})
 	acquire := func(ttlMs int64) wire.Lease {
-		t.Helper()
-		resp, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w", TTLms: ttlMs})
-		var l wire.Lease
-		if err := json.Unmarshal(body, &l); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("setup acquire = %d %s (%v)", resp.StatusCode, body, err)
-		}
-		return l
+		return acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "w", TTLms: ttlMs})
 	}
 	held, lapsedA, lapsedB := acquire(0), acquire(1), acquire(1)
 	time.Sleep(20 * time.Millisecond) // both 1ms leases lapse
 
 	const malformed = "{nope"
+	one := wire.AcquireBatchRequest{Owner: "w", Count: 1}
 	cases := []struct {
 		name   string
 		route  string
-		body   any // a string is sent raw
+		body   any
 		status int
+		code   string // the one item's code on a 200 from renew/release
 	}{
-		{"acquire malformed body", "/v1/acquire", malformed, http.StatusBadRequest},
-		{"renew ok", "/v1/renew", wire.RenewRequest{Name: held.Name, Token: held.Token}, http.StatusOK},
-		{"renew unknown name", "/v1/renew", wire.RenewRequest{Name: -1, Token: 1}, http.StatusNotFound},
-		{"renew wrong token", "/v1/renew", wire.RenewRequest{Name: held.Name, Token: held.Token + 99}, http.StatusConflict},
-		{"renew expired", "/v1/renew", wire.RenewRequest{Name: lapsedA.Name, Token: lapsedA.Token}, http.StatusGone},
-		{"renew malformed body", "/v1/renew", malformed, http.StatusBadRequest},
-		{"release unknown name", "/v1/release", wire.ReleaseRequest{Name: -1, Token: 1}, http.StatusNotFound},
-		{"release wrong token", "/v1/release", wire.ReleaseRequest{Name: held.Name, Token: held.Token + 99}, http.StatusConflict},
-		{"release expired", "/v1/release", wire.ReleaseRequest{Name: lapsedB.Name, Token: lapsedB.Token}, http.StatusGone},
-		{"release malformed body", "/v1/release", malformed, http.StatusBadRequest},
-		// Both lapsed leases were reclaimed by the 410s above: two slots free.
-		{"acquire ok", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusOK},
-		{"acquire ok to capacity", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusOK},
-		{"acquire exhausted", "/v1/acquire", wire.AcquireRequest{Owner: "w"}, http.StatusServiceUnavailable},
-		{"release ok", "/v1/release", wire.ReleaseRequest{Name: held.Name, Token: held.Token}, http.StatusNoContent},
+		{"acquire malformed body", "/v1/acquire_batch", malformed, http.StatusBadRequest, ""},
+		{"renew ok", "/v1/renew_batch", renewReq(held.Name, held.Token), http.StatusOK, ""},
+		{"renew unknown name", "/v1/renew_batch", renewReq(-1, 1), http.StatusOK, wire.CodeUnknownName},
+		{"renew wrong token", "/v1/renew_batch", renewReq(held.Name, held.Token+99), http.StatusOK, wire.CodeWrongToken},
+		{"renew expired", "/v1/renew_batch", renewReq(lapsedA.Name, lapsedA.Token), http.StatusOK, wire.CodeExpired},
+		{"renew malformed body", "/v1/renew_batch", malformed, http.StatusBadRequest, ""},
+		{"release unknown name", "/v1/release_batch", releaseReq(-1, 1), http.StatusOK, wire.CodeUnknownName},
+		{"release wrong token", "/v1/release_batch", releaseReq(held.Name, held.Token+99), http.StatusOK, wire.CodeWrongToken},
+		{"release expired", "/v1/release_batch", releaseReq(lapsedB.Name, lapsedB.Token), http.StatusOK, wire.CodeExpired},
+		{"release malformed body", "/v1/release_batch", malformed, http.StatusBadRequest, ""},
+		// Both lapsed leases were reclaimed by the refusals above: two slots free.
+		{"acquire ok", "/v1/acquire_batch", one, http.StatusOK, ""},
+		{"acquire ok to capacity", "/v1/acquire_batch", one, http.StatusOK, ""},
+		{"acquire exhausted", "/v1/acquire_batch", one, http.StatusServiceUnavailable, ""},
+		{"release ok", "/v1/release_batch", releaseReq(held.Name, held.Token), http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, ok := tc.body.(string)
-			if !ok {
-				buf, err := json.Marshal(tc.body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw = string(buf)
-			}
-			resp, err := http.Post(srv.URL+tc.route, "application/json", strings.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp, body := postJSON(t, srv.URL+tc.route, tc.body)
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.status, body)
 			}
-			switch tc.status {
-			case http.StatusOK:
-				var l wire.Lease
-				if err := json.Unmarshal(body, &l); err != nil || l.Token == 0 || l.ExpiresAtMs == 0 {
-					t.Fatalf("200 body is not a lease: %s (%v)", body, err)
-				}
-			case http.StatusNoContent:
-				if len(body) != 0 {
-					t.Fatalf("204 carried a body: %s", body)
-				}
-			default:
+			switch {
+			case tc.status != http.StatusOK:
 				var we wire.Error
 				if err := json.Unmarshal(body, &we); err != nil || we.Error == "" {
 					t.Fatalf("error body is not {\"error\": ...}: %s (%v)", body, err)
+				}
+			case tc.route == "/v1/acquire_batch":
+				var ls wire.Leases
+				if err := json.Unmarshal(body, &ls); err != nil || len(ls.Leases) != 1 || ls.Leases[0].Token == 0 {
+					t.Fatalf("200 body is not one lease: %s (%v)", body, err)
+				}
+			default:
+				var rs wire.BatchResults
+				if err := json.Unmarshal(body, &rs); err != nil || len(rs.Results) != 1 {
+					t.Fatalf("200 body is not one result: %s (%v)", body, err)
+				}
+				r := rs.Results[0]
+				if r.Code != tc.code || (r.Code != "") != (r.Error != "") {
+					t.Fatalf("result = %+v, want code %q with a message iff refused", r, tc.code)
+				}
+				if renewed := tc.route == "/v1/renew_batch" && tc.code == ""; renewed != (r.Lease != nil) {
+					t.Fatalf("result = %+v, a lease must come back iff a renewal succeeded", r)
 				}
 			}
 		})
@@ -216,37 +255,28 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 		SweepInterval: 5 * time.Millisecond,
 	})
 
-	_, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "crasher"})
-	var l wire.Lease
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
-	}
+	l := acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "crasher"})
 
 	// Wait out the TTL plus sweeps. Capacity 1 is fully held by the
 	// crashed client, so a fresh acquisition succeeding proves its lease
 	// was reclaimed and the capacity slot freed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "fresh", TTLms: 60_000})
-		if resp.StatusCode == http.StatusOK {
-			var nl wire.Lease
-			if err := json.Unmarshal(body, &nl); err != nil {
-				t.Fatal(err)
-			}
+		resp, ls := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{Owner: "fresh", Count: 1, TTLms: 60_000})
+		if ls != nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("expired lease never reclaimed; last acquire = %d %s", resp.StatusCode, body)
+			t.Fatalf("expired lease never reclaimed; last acquire = %d", resp.StatusCode)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// The crashed holder's token is dead: renewing with it is 404 or 410
-	// (depending on whether the sweeper or a re-acquisition got there first).
-	resp, _ := postJSON(t, srv.URL+"/v1/renew", wire.RenewRequest{Name: l.Name, Token: l.Token})
-	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusGone &&
-		resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale renew = %d, want 404/409/410", resp.StatusCode)
+	// The crashed holder's token is dead: which refusal depends on whether
+	// the sweeper or a re-acquisition of the name got there first.
+	r := renewOne(t, srv.URL, l.Name, l.Token)
+	if r.Code != wire.CodeUnknownName && r.Code != wire.CodeExpired && r.Code != wire.CodeWrongToken {
+		t.Fatalf("stale renew = %+v, want unknown_name/expired/wrong_token", r)
 	}
 }
 
@@ -255,16 +285,9 @@ func TestExpiredLeaseReclaimed(t *testing.T) {
 // not defaulted (negative wrap) or arbitrary.
 func TestHugeTTLCappedNotWrapped(t *testing.T) {
 	srv := newTestServer(t, 4, lease.Config{TTL: time.Second, SweepInterval: -1})
-	resp, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{
+	l := acquireOne(t, srv.URL, wire.AcquireBatchRequest{
 		Owner: "greedy", TTLms: 9_300_000_000_000_000, // ~295k years in ms
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("huge-ttl acquire = %d, body %s", resp.StatusCode, body)
-	}
-	var l wire.Lease
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
-	}
 	// MaxTTL defaults to 10×TTL = 10s; allow slack for wall-clock skew.
 	capAt := time.Now().Add(11 * time.Second).UnixMilli()
 	if l.ExpiresAtMs > capAt {
@@ -275,8 +298,8 @@ func TestHugeTTLCappedNotWrapped(t *testing.T) {
 	}
 }
 
-// TestHealthAndMetrics: /healthz answers, and a single-item /v1/acquire
-// counts under the batch op it adapts onto in the one request family.
+// TestHealthAndMetrics: /healthz answers, and a request shows in the one
+// request family and the lease counters.
 func TestHealthAndMetrics(t *testing.T) {
 	srv := newTestServer(t, 4, lease.Config{TTL: time.Minute, SweepInterval: -1})
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -287,7 +310,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
-	postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "w"})
+	acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "w"})
 	exposition := string(scrapeMetrics(t, srv.URL))
 	for _, series := range []string{
 		`renamed_requests_total{transport="http",op="acquire_batch"} 1`,
@@ -327,6 +350,29 @@ func TestServerFlagSurface(t *testing.T) {
 	}
 }
 
+// TestHTTPRouteSurface pins the HTTP surface to the op table: the three
+// batch verbs bin:// also carries, plus the admin and observability
+// routes. The single-item routes are gone, not aliased.
+func TestHTTPRouteSurface(t *testing.T) {
+	srv := newTestServer(t, 4, lease.Config{TTL: time.Minute, SweepInterval: -1})
+	s := srv.Config.Handler.(*server)
+	s.enablePprof()
+	want := []string{
+		"GET /debug/pprof/", "GET /debug/pprof/cmdline", "GET /debug/pprof/profile",
+		"GET /debug/pprof/symbol", "GET /debug/pprof/trace",
+		"GET /healthz", "GET /metrics", "GET /v1/leases",
+		"POST /v1/acquire_batch", "POST /v1/release_batch", "POST /v1/renew_batch", "POST /v1/resize",
+	}
+	if got := slices.Sorted(slices.Values(s.patterns)); !slices.Equal(got, want) {
+		t.Fatalf("routes = %q, want %q", got, want)
+	}
+	for _, gone := range []string{"/v1/acquire", "/v1/renew", "/v1/release"} {
+		if resp, _ := postJSON(t, srv.URL+gone, wire.Item{}); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", gone, resp.StatusCode)
+		}
+	}
+}
+
 func TestBuildNamer(t *testing.T) {
 	for _, algo := range []string{"levelarray", "rebatching", "adaptive", "fastadaptive", "uniform"} {
 		nm, _, _, err := buildServerNamer(algo+"?n=16", 4096, false)
@@ -348,21 +394,14 @@ func TestBuildNamer(t *testing.T) {
 func TestAcquireBatchEndpoint(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
 
-	resp, body := postJSON(t, srv.URL+"/v1/acquire_batch", wire.AcquireBatchRequest{
+	resp, granted := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{
 		Owner: "batcher", Count: 8, Meta: map[string]string{"job": "j1"},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch acquire status = %d, body %s", resp.StatusCode, body)
-	}
-	var granted wire.Leases
-	if err := json.Unmarshal(body, &granted); err != nil {
-		t.Fatal(err)
-	}
-	if len(granted.Leases) != 8 {
-		t.Fatalf("granted %d leases, want 8", len(granted.Leases))
+	if granted == nil {
+		t.Fatalf("batch acquire status = %d", resp.StatusCode)
 	}
 	seen := map[int]bool{}
-	for _, l := range granted.Leases {
+	for _, l := range granted {
 		if seen[l.Name] {
 			t.Fatalf("duplicate name %d in batch response", l.Name)
 		}
@@ -371,10 +410,9 @@ func TestAcquireBatchEndpoint(t *testing.T) {
 			t.Fatalf("batch lease incomplete: %+v", l)
 		}
 	}
-	for _, l := range granted.Leases {
-		resp, body := postJSON(t, srv.URL+"/v1/release", wire.ReleaseRequest{Name: l.Name, Token: l.Token})
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("release batch lease %d = %d, body %s", l.Name, resp.StatusCode, body)
+	for _, l := range granted {
+		if r := releaseOne(t, srv.URL, l.Name, l.Token); r.Code != "" {
+			t.Fatalf("release batch lease %d = %+v", l.Name, r)
 		}
 	}
 }
@@ -448,12 +486,7 @@ func TestBuildServerNamer(t *testing.T) {
 func TestRenewBatchEndpoint(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
 
-	_, body := postJSON(t, srv.URL+"/v1/acquire_batch", wire.AcquireBatchRequest{Owner: "hb", Count: 3, TTLms: 5_000})
-	var granted wire.Leases
-	if err := json.Unmarshal(body, &granted); err != nil {
-		t.Fatal(err)
-	}
-	ls := granted.Leases
+	_, ls := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{Owner: "hb", Count: 3, TTLms: 5_000})
 
 	resp, body := postJSON(t, srv.URL+"/v1/renew_batch", wire.RenewBatchRequest{
 		TTLms: 30_000,
@@ -503,13 +536,9 @@ func TestRenewBatchEndpoint(t *testing.T) {
 func TestReleaseBatchEndpoint(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
 
-	_, body := postJSON(t, srv.URL+"/v1/acquire_batch", wire.AcquireBatchRequest{Owner: "bye", Count: 4})
-	var granted wire.Leases
-	if err := json.Unmarshal(body, &granted); err != nil {
-		t.Fatal(err)
-	}
+	_, granted := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{Owner: "bye", Count: 4})
 	items := make([]wire.Item, 0, 5)
-	for _, l := range granted.Leases {
+	for _, l := range granted {
 		items = append(items, wire.Item{Name: l.Name, Token: l.Token})
 	}
 	items = append(items, wire.Item{Name: -1, Token: 9}) // never granted
@@ -572,32 +601,14 @@ func TestSessionAgainstRealServer(t *testing.T) {
 	if lost.Load() != 0 {
 		t.Fatalf("lost %d leases with on-time renewals", lost.Load())
 	}
-	listResp, err := http.Get(srv.URL + "/v1/leases")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing wire.Leases
-	if err := json.NewDecoder(listResp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	listResp.Body.Close()
-	if len(listing.Leases) != k {
-		t.Fatalf("server lists %d live leases mid-session, want %d", len(listing.Leases), k)
+	if n := len(listLeases(t, srv.URL)); n != k {
+		t.Fatalf("server lists %d live leases mid-session, want %d", n, k)
 	}
 
 	if err := s.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
-	listResp, err = http.Get(srv.URL + "/v1/leases")
-	if err != nil {
-		t.Fatal(err)
-	}
-	listing = wire.Leases{}
-	if err := json.NewDecoder(listResp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	listResp.Body.Close()
-	if len(listing.Leases) != 0 {
-		t.Fatalf("server still lists %d leases after session Close", len(listing.Leases))
+	if n := len(listLeases(t, srv.URL)); n != 0 {
+		t.Fatalf("server still lists %d leases after session Close", n)
 	}
 }

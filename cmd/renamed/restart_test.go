@@ -162,18 +162,14 @@ func TestServerRestartAfterGrow(t *testing.T) {
 	if resp, body := postJSON(t, url+"/v1/resize", wire.ResizeRequest{Capacity: 1024}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resize = %d, body %s", resp.StatusCode, body)
 	}
-	resp, body := postJSON(t, url+"/v1/acquire_batch", wire.AcquireBatchRequest{Owner: "grown", Count: 600, TTLms: 60_000})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("acquire_batch = %d, body %s", resp.StatusCode, body)
-	}
-	var granted wire.Leases
-	if err := json.Unmarshal(body, &granted); err != nil {
-		t.Fatal(err)
+	resp, granted := acquireBatch(t, url, wire.AcquireBatchRequest{Owner: "grown", Count: 600, TTLms: 60_000})
+	if granted == nil {
+		t.Fatalf("acquire_batch = %d", resp.StatusCode)
 	}
 	var top int
 	var watermark uint64
-	items := make([]wire.Item, len(granted.Leases))
-	for i, l := range granted.Leases {
+	items := make([]wire.Item, len(granted))
+	for i, l := range granted {
 		top, watermark = max(top, l.Name), max(watermark, l.Token)
 		items[i] = wire.Item{Name: l.Name, Token: l.Token}
 	}
@@ -203,7 +199,7 @@ func TestServerRestartAfterGrow(t *testing.T) {
 	if got := mgr2.MaxLive(); got != 64 {
 		t.Fatalf("rebooted cap = %d, want the boot capacity 64", got)
 	}
-	resp, body = postJSON(t, url+"/v1/renew_batch", wire.RenewBatchRequest{TTLms: 60_000, Items: items})
+	resp, body := postJSON(t, url+"/v1/renew_batch", wire.RenewBatchRequest{TTLms: 60_000, Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("renew_batch = %d, body %s", resp.StatusCode, body)
 	}
@@ -220,14 +216,7 @@ func TestServerRestartAfterGrow(t *testing.T) {
 	if resp, body := postJSON(t, url+"/v1/resize", wire.ResizeRequest{Capacity: 1024}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-applied resize = %d, body %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, url+"/v1/acquire", wire.AcquireRequest{Owner: "fresh"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh acquire = %d, body %s", resp.StatusCode, body)
-	}
-	var fresh wire.Lease
-	if err := json.Unmarshal(body, &fresh); err != nil {
-		t.Fatal(err)
-	}
+	fresh := acquireOne(t, url, wire.AcquireBatchRequest{Owner: "fresh"})
 	if fresh.Token <= watermark {
 		t.Fatalf("post-restart token %d not above pre-crash watermark %d", fresh.Token, watermark)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"io"
 	"log/slog"
@@ -109,12 +108,8 @@ func TestMetricsEndpointGoldenFamilies(t *testing.T) {
 func TestMetricsEndpointLintCleanUnderTraffic(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
 
-	var l wire.Lease
-	_, body := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "m"})
-	if err := json.Unmarshal(body, &l); err != nil {
-		t.Fatal(err)
-	}
-	postJSON(t, srv.URL+"/v1/renew", wire.RenewRequest{Name: l.Name, Token: l.Token})
+	l := acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "m"})
+	renewOne(t, srv.URL, l.Name, l.Token)
 	postJSON(t, srv.URL+"/v1/renew_batch", wire.RenewBatchRequest{Items: []wire.Item{
 		{Name: l.Name, Token: l.Token},
 		{Name: -1, Token: 9}, // unknown_name verdict
@@ -265,7 +260,7 @@ func TestRequestIDRoundTrip(t *testing.T) {
 // slow-op log never carries an empty id.
 func TestServerMintsRequestID(t *testing.T) {
 	srv := newTestServer(t, 64, lease.Config{TTL: time.Minute, SweepInterval: -1})
-	resp, _ := postJSON(t, srv.URL+"/v1/acquire", wire.AcquireRequest{Owner: "bare"})
+	resp, _ := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{Owner: "bare", Count: 1})
 	rid := resp.Header.Get(wire.HeaderRequestID)
 	if len(rid) != 16 {
 		t.Fatalf("minted request id = %q, want 16 hex digits", rid)

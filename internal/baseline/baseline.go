@@ -8,8 +8,6 @@
 //     wait-free solution.
 //   - SegScan: segmented scanning in the style of randomized naming à la
 //     Panconesi et al. — pick a random segment, scan it, move on.
-//   - AdaptiveUniform: the natural adaptive strawman — uniform probing
-//     into doubling namespaces, giving O(k) names at Θ(log k) steps.
 //
 // All types implement core.Algorithm, so they run under both the
 // concurrent driver and the adversarial simulator.
@@ -209,79 +207,8 @@ func (s *SegScan) GetName(env core.Env) int {
 // Namespace implements core.Algorithm.
 func (s *SegScan) Namespace() int { return s.m }
 
-// AdaptiveUniform is the adaptive strawman: level ℓ = 0, 1, ... owns a
-// fresh namespace of size 2^(ℓ+1) (laid out consecutively), and a process
-// performs ProbesPerLevel uniform probes at each level before climbing.
-// Names are O(k) w.h.p. and step complexity is Θ(log k): the baseline that
-// AdaptiveReBatching's O((log log k)²) is compared against.
-type AdaptiveUniform struct {
-	probesPerLevel int
-	maxLevel       int
-}
-
-// NewAdaptiveUniform builds the adaptive strawman. probesPerLevel <= 0
-// selects 2. maxLevel bounds the address space (0 selects 40, addressing
-// up to ~2^41 locations lazily).
-func NewAdaptiveUniform(probesPerLevel, maxLevel int) (*AdaptiveUniform, error) {
-	if probesPerLevel <= 0 {
-		probesPerLevel = 2
-	}
-	if maxLevel == 0 {
-		maxLevel = 40
-	}
-	if maxLevel < 1 || maxLevel > 60 {
-		return nil, fmt.Errorf("baseline: AdaptiveUniform maxLevel = %d, need 1..60", maxLevel)
-	}
-	return &AdaptiveUniform{probesPerLevel: probesPerLevel, maxLevel: maxLevel}, nil
-}
-
-// MustAdaptiveUniform is NewAdaptiveUniform for statically-valid arguments.
-func MustAdaptiveUniform(probesPerLevel, maxLevel int) *AdaptiveUniform {
-	a, err := NewAdaptiveUniform(probesPerLevel, maxLevel)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// GetName implements core.Algorithm. Level ℓ occupies locations
-// [2^(ℓ+1)-2, 2^(ℓ+2)-2). Interruptible environments are polled on level
-// boundaries and every core.InterruptStride locations of the final scan.
-func (a *AdaptiveUniform) GetName(env core.Env) int {
-	for ell := 0; ell < a.maxLevel; ell++ {
-		if core.Interrupted(env) {
-			return core.Cancelled
-		}
-		base := 1<<(ell+1) - 2
-		size := 1 << (ell + 1)
-		for j := 0; j < a.probesPerLevel; j++ {
-			x := base + env.Intn(size)
-			if env.TAS(x) {
-				return x
-			}
-		}
-	}
-	// Exhausted every level: scan the top level to stay wait-free. With
-	// maxLevel chosen sensibly this is unreachable in practice.
-	base := 1<<a.maxLevel - 2
-	for x := base; x < base+(1<<a.maxLevel); x++ {
-		if (x-base)%core.InterruptStride == 0 && core.Interrupted(env) {
-			return core.Cancelled
-		}
-		if env.TAS(x) {
-			return x
-		}
-	}
-	return core.NoName
-}
-
-// Namespace implements core.Algorithm: the exclusive upper bound of the
-// bounded address space.
-func (a *AdaptiveUniform) Namespace() int { return 1<<(a.maxLevel+1) - 2 }
-
 var (
 	_ core.Algorithm = (*Uniform)(nil)
 	_ core.Algorithm = (*LinearScan)(nil)
 	_ core.Algorithm = (*SegScan)(nil)
-	_ core.Algorithm = (*AdaptiveUniform)(nil)
 )

@@ -92,25 +92,6 @@ func TestSegScanValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveUniformNamesAreOk(t *testing.T) {
-	for _, k := range []int{1, 8, 64, 300} {
-		a := MustAdaptiveUniform(2, 0)
-		res := runAll(t, a, k, 12)
-		if res.MaxName() > 16*k+64 {
-			t.Errorf("k=%d: max name %d not O(k)", k, res.MaxName())
-		}
-	}
-}
-
-func TestAdaptiveUniformValidation(t *testing.T) {
-	if _, err := NewAdaptiveUniform(1, 61); err == nil {
-		t.Error("maxLevel=61 accepted")
-	}
-	if _, err := NewAdaptiveUniform(1, -1); err == nil {
-		t.Error("maxLevel=-1 accepted")
-	}
-}
-
 // TestF1ShapeUniformGrowsReBatchingFlat is the F1 claim at test scale.
 //
 // With the paper's literal constants, ReBatching's max steps are dominated
@@ -161,7 +142,6 @@ func TestBaselinesUniquePropertyQuick(t *testing.T) {
 			MustUniform(n, 1, 0),
 			MustLinearScan(n),
 			MustSegScan(n, 1, 0),
-			MustAdaptiveUniform(2, 0),
 		} {
 			res, err := sim.Run(sim.Config{N: n, Algorithm: alg, Seed: seed})
 			if err != nil {

@@ -86,22 +86,6 @@ func TestSegScanReturnsNoNameWhenFull(t *testing.T) {
 	}
 }
 
-func TestAdaptiveUniformClimbsPastFullLevels(t *testing.T) {
-	// Fill the first few levels entirely; the process must climb and win
-	// at a higher level.
-	a := MustAdaptiveUniform(2, 8)
-	space := tas.NewDense(a.Namespace())
-	// Levels 0..2 occupy locations [0, 2^4-2).
-	for loc := 0; loc < 1<<4-2; loc++ {
-		space.TAS(loc)
-	}
-	env := &seqEnv{space: space, rng: xrand.New(11)}
-	got := a.GetName(env)
-	if got < 1<<4-2 {
-		t.Fatalf("GetName = %d, expected a name above the filled levels", got)
-	}
-}
-
 func TestMustConstructorsPanicOnBadInput(t *testing.T) {
 	cases := []struct {
 		name string
@@ -110,7 +94,6 @@ func TestMustConstructorsPanicOnBadInput(t *testing.T) {
 		{"uniform", func() { MustUniform(0, 1, 0) }},
 		{"linscan", func() { MustLinearScan(0) }},
 		{"segscan", func() { MustSegScan(0, 1, 0) }},
-		{"adaptiveuniform", func() { MustAdaptiveUniform(1, 99) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

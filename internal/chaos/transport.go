@@ -137,6 +137,4 @@ func (t *FaultTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatc
 	return res, err
 }
 
-func (t *FaultTransport) Ping(ctx context.Context) error { return t.inner.Ping(ctx) }
-
 func (t *FaultTransport) Close() error { return t.inner.Close() }

@@ -26,8 +26,7 @@ func (f *countingTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseB
 	f.releaseBatches.Add(1)
 	return wire.BatchResults{}, nil
 }
-func (f *countingTransport) Ping(ctx context.Context) error { return nil }
-func (f *countingTransport) Close() error                   { return nil }
+func (f *countingTransport) Close() error { return nil }
 
 var _ leaseclient.Transport = (*countingTransport)(nil)
 

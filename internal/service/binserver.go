@@ -26,9 +26,10 @@ type BinConfig struct {
 	// IdleTimeout drops a connection that sends no frame for this long;
 	// 0 means 2 minutes (matching the HTTP server's IdleTimeout).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush; 0 means 30 seconds.
-	WriteTimeout time.Duration
 }
+
+// writeTimeout bounds each response flush.
+const writeTimeout = 30 * time.Second
 
 // BinServer serves the binproto framing over persistent TCP
 // connections: the -listen-bin port. Each connection's frames are
@@ -38,7 +39,6 @@ type BinConfig struct {
 // response frames, flushing only when the connection goes quiet, so a
 // burst of N heartbeats costs one syscall out, not N.
 type BinServer struct {
-	core *Core
 	bind *Binding
 	cfg  BinConfig
 
@@ -60,13 +60,9 @@ func NewBinServer(core *Core, cfg BinConfig) *BinServer {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 2 * time.Minute
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	//lint:ctx the server root context is the process's serve lifetime, created at bind time and cancelled by Close
 	ctx, cancel := context.WithCancel(context.Background())
 	return &BinServer{
-		core:   core,
 		bind:   core.Bind("bin"),
 		cfg:    cfg,
 		ctx:    ctx,
@@ -226,7 +222,7 @@ func (c *binConn) armIdle() {
 
 // flush pushes buffered response frames to the socket.
 func (c *binConn) flush() bool {
-	c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return c.bw.Flush() == nil
 }
 
@@ -313,31 +309,6 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 		for i := range verdicts {
 			c.resp = append(c.resp, binproto.CodeByte(verdicts[i].Code))
 		}
-
-	case binproto.TStats:
-		if len(c.payload) != 0 {
-			opErr = binproto.ErrTrailingBytes
-			break
-		}
-		m := b.StatsCounted()
-		capacity, draining, _ := c.srv.core.NamespaceInfo()
-		var drainWord int64
-		if draining {
-			drainWord = 1
-		}
-		ok(binproto.TStats)
-		c.resp = binproto.AppendStatsResp(c.resp, binproto.Stats{
-			Live:     int64(m.Live),
-			Acquired: m.Acquired,
-			Renewed:  m.Renewed,
-			Released: m.Released,
-			Expired:  m.Expired,
-			Rejected: m.Rejected,
-			Capacity: int64(capacity),
-			MaxLive:  m.MaxLive,
-			Resizes:  m.Resizes,
-			Draining: drainWord,
-		})
 
 	default:
 		// A request carrying a response type: protocol misuse, drop.

@@ -13,10 +13,11 @@ import (
 	"repro/internal/wire/binproto"
 )
 
-// appendStats appends a TStats request, the smallest whole frame.
-func appendStats(buf []byte, id uint64) []byte {
-	buf, start := binproto.BeginFrame(buf, binproto.TStats, id)
-	return binproto.EndFrame(buf, start)
+// appendEmptyRenew appends a zero-item TRenewBatch request: a whole frame
+// that touches no lease.
+func appendEmptyRenew(buf []byte, id uint64) []byte {
+	buf, start := binproto.BeginFrame(buf, binproto.TRenewBatch, id)
+	return binproto.EndFrame(binproto.AppendRenewBatchReq(buf, 0, nil), start)
 }
 
 // expectIdleDrop waits for the server to close conn on its own and fails
@@ -40,12 +41,12 @@ func TestBinServerIdleAfterFrameIdlesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(appendStats(nil, 1)); err != nil {
+	if _, err := conn.Write(appendEmptyRenew(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
 	if h, _ := readFrame(t, br); h.ID != 1 {
-		t.Fatalf("stats response = %+v", h)
+		t.Fatalf("renew response = %+v", h)
 	}
 	expectIdleDrop(t, conn, "idle after a served frame")
 }
@@ -61,13 +62,13 @@ func TestBinServerBufferedHeaderStallIdlesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	buf := appendStats(nil, 1)
+	buf := appendEmptyRenew(nil, 1)
 	whole := len(buf)
 	buf = appendAcquire(buf, 2, "stall")
 	if _, err := conn.Write(buf[:whole+binproto.HeaderLen]); err != nil {
 		t.Fatal(err)
 	}
-	// No response to wait for first: write coalescing holds the stats
+	// No response to wait for first: write coalescing holds the renew
 	// answer back while a later frame is partly buffered, and the drop
 	// discards it.
 	expectIdleDrop(t, conn, "header then stall")
@@ -121,7 +122,7 @@ func TestBinServerPipelinedBurstArmsPerSocketRead(t *testing.T) {
 	const frames = 32
 	var burst []byte
 	for id := uint64(1); id <= frames; id++ {
-		burst = appendStats(burst, id)
+		burst = appendEmptyRenew(burst, id)
 	}
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)

@@ -65,14 +65,12 @@ func TestBinServerHalfHeaderStallIdlesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	buf, start := binproto.BeginFrame(nil, binproto.TStats, 1)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn2.Write(buf); err != nil {
+	if _, err := conn2.Write(appendEmptyRenew(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := readFrame(t, bufio.NewReader(conn2))
-	if h.Type != binproto.TStats|binproto.RespBit || h.ID != 1 {
-		t.Fatalf("stats after stalled peer = %+v", h)
+	if h.Type != binproto.TRenewBatch|binproto.RespBit || h.ID != 1 {
+		t.Fatalf("renew after stalled peer = %+v", h)
 	}
 }
 
@@ -131,8 +129,8 @@ func TestBinServerMidPipelineReset(t *testing.T) {
 	}
 
 	// The resets must not have corrupted shared state: a fresh connection
-	// gets exact frames back and the stats reflect every acquire that was
-	// dispatched before each reset landed.
+	// gets exact frames back and the table counts no acquire that was not
+	// sent.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -147,34 +145,14 @@ func TestBinServerMidPipelineReset(t *testing.T) {
 		t.Fatalf("acquire after resets = %+v", h)
 	}
 	decodeOneLease(t, p)
-	// The reset connections may still be draining their bursts into the
-	// core, so the stats frame and the core agree only once they settle.
-	deadline := time.Now().Add(3 * time.Second)
-	for id := uint64(100); ; id++ {
-		buf, start := binproto.BeginFrame(nil, binproto.TStats, id)
-		buf = binproto.EndFrame(buf, start)
-		if _, err := conn.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		h, p = readFrame(t, br)
-		if h.Type != binproto.TStats|binproto.RespBit || h.ID != id {
-			t.Fatalf("stats after resets = %+v", h)
-		}
-		st, err := binproto.DecodeStatsResp(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Acquired < 1 || st.Acquired > 16*8+1 {
-			t.Fatalf("stats after resets = %+v, implausible acquire count", st)
-		}
-		got := core.Stats().Live
-		if int64(got) == st.Live {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("core live %d != stats frame live %d", got, st.Live)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := conn.Write(appendEmptyRenew(nil, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ = readFrame(t, br); h.Type != binproto.TRenewBatch|binproto.RespBit || h.ID != 100 {
+		t.Fatalf("renew after resets = %+v", h)
+	}
+	if got := core.Manager().Metrics().Acquired; got < 1 || got > 16*8+1 {
+		t.Fatalf("%d acquires after resets, implausible", got)
 	}
 }
 
@@ -253,7 +231,8 @@ func TestBinServerCorruptPayloadRejected(t *testing.T) {
 
 // TestBinServerRetiredFrameTypes: bytes 0x01, 0x03 and 0x05 carried the
 // single-item acquire/renew/release requests until they were folded into
-// their batch forms, and 0x08 the resize op until HTTP became its only
+// their batch forms, 0x07 the stats op until /metrics became the only
+// counter surface, and 0x08 the resize op until HTTP became its only
 // entrance. An old client still sending one is answered like
 // any unknown frame type — exactly one TError (bad_request), then the
 // connection drops — and the server keeps serving everyone else.
@@ -268,6 +247,7 @@ func TestBinServerRetiredFrameTypes(t *testing.T) {
 		{0x01, 12}, // acquire: ttlMs | empty owner | no meta
 		{0x03, 24}, // renew: name | token | ttlMs
 		{0x05, 16}, // release: name | token
+		{0x07, 0},  // stats: empty
 		{0x08, 8},  // resize: capacity
 		{0x88, 26}, // resize response: capacity | maxLive | epoch | draining | count
 	}

@@ -72,7 +72,7 @@ func decodeOneLease(t *testing.T, p []byte) binproto.Lease {
 
 // TestBinServerRoundTrip exercises the full op set over one connection.
 func TestBinServerRoundTrip(t *testing.T) {
-	addr, _ := startBinServer(t, 64, BinConfig{})
+	addr, core := startBinServer(t, 64, BinConfig{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -122,15 +122,9 @@ func TestBinServerRoundTrip(t *testing.T) {
 		t.Fatalf("result 1 = %+v", results[1])
 	}
 
-	// Stats sees the traffic.
-	send(binproto.TStats, 4, func(b []byte) []byte { return b })
-	h, p = readFrame(t, br)
-	if h.Type != binproto.TStats|binproto.RespBit {
-		t.Fatalf("stats response header = %+v", h)
-	}
-	st, err := binproto.DecodeStatsResp(p)
-	if err != nil || st.Acquired != 1 || st.Renewed != 1 || st.Live != 1 {
-		t.Fatalf("stats = %+v, %v", st, err)
+	// The table saw the traffic.
+	if m := core.Manager().Metrics(); m.Acquired != 1 || m.Renewed != 1 || m.Live != 1 {
+		t.Fatalf("metrics = %+v", m)
 	}
 
 	// Release it, then again: the frame succeeds both times and the
@@ -267,14 +261,12 @@ func TestBinServerMalformedPayloadKeepsConn(t *testing.T) {
 	}
 
 	// The same connection still serves requests.
-	buf, start = binproto.BeginFrame(buf[:0], binproto.TStats, 8)
-	buf = binproto.EndFrame(buf, start)
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(appendEmptyRenew(buf[:0], 8)); err != nil {
 		t.Fatal(err)
 	}
 	h, _ = readFrame(t, br)
-	if h.Type != binproto.TStats|binproto.RespBit || h.ID != 8 {
-		t.Fatalf("post-error stats response = %+v", h)
+	if h.Type != binproto.TRenewBatch|binproto.RespBit || h.ID != 8 {
+		t.Fatalf("post-error renew response = %+v", h)
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package service is the transport-neutral core of cmd/renamed: every
 // operation the daemon offers — AcquireBatch, RenewBatch, ReleaseBatch,
-// Stats, Resize — lives here once, and the HTTP/JSON surface and the
-// binary protocol (internal/wire/binproto, served by BinServer) are
-// thin adapters over the same Core. The lease operations have one
-// shape, the batch: a single acquire, renew or release is a batch of
-// one item (the HTTP /v1/acquire, /v1/renew and /v1/release routes
-// adapt to it at the edge). Per-item verdicts, verdict counters and
-// per-transport telemetry are computed in the core, so the two surfaces
-// cannot drift: a renew_batch item that reads "wrong_token" over HTTP
-// reads wrong_token over the binary port, and both increment the same
+// Resize — lives here once, and the HTTP/JSON surface and the binary
+// protocol (internal/wire/binproto, served by BinServer) are thin
+// adapters over the same Core. The lease operations have one shape on
+// both wires, the batch: a single acquire, renew or release is a batch
+// of one item. Per-item verdicts, verdict counters and per-transport
+// telemetry are computed in the core, so the two surfaces cannot drift:
+// a renew_batch item that reads "wrong_token" over HTTP reads
+// wrong_token over the binary port, and both increment the same
 // renamed_batch_item_verdicts_total series.
 package service
 
@@ -39,10 +38,6 @@ func New(mgr *lease.Manager, tel *Telemetry) *Core {
 // Manager exposes the underlying lease manager for lifecycle calls
 // (Restore, Shutdown, Metrics) that are process concerns, not requests.
 func (c *Core) Manager() *lease.Manager { return c.mgr }
-
-// Stats snapshots the lease-table counters: one lock visit per stripe,
-// plus a scan of any stripe with a lease past its deadline.
-func (c *Core) Stats() lease.Metrics { return c.mgr.Metrics() }
 
 // Leases lists the live table for read-only inspection. Fencing tokens
 // are capabilities — only the holder may renew or release — so they are
@@ -174,15 +169,6 @@ func (b *Binding) ReleaseBatch(ctx context.Context, items []lease.ReleaseItem, o
 		out = append(out, Verdict{})
 	}
 	return out, nil
-}
-
-// StatsCounted is Stats with the binding's request accounting — the
-// transport-facing stats op (the binary TStats frame), as opposed to
-// internal scrapes.
-func (b *Binding) StatsCounted() lease.Metrics {
-	start := time.Now()
-	defer b.observe(opStats, start)
-	return b.mgr.Metrics()
 }
 
 // Capacity reads the namer's instantaneous capacity: one atomic

@@ -98,8 +98,9 @@ func TestBindingResizeNonResizable(t *testing.T) {
 }
 
 // TestBinServerResize: a resize applied through the service op (HTTP is
-// its only wire entrance) shows in the elastic TStats fields over a real
-// binary connection.
+// its only wire entrance) reaches a live binary connection: an
+// acquire_batch past the old capacity is granted, and the core reports
+// the new geometry.
 func TestBinServerResize(t *testing.T) {
 	addr, core := startBinServer(t, 64, BinConfig{})
 	conn, err := net.Dial("tcp", addr)
@@ -108,21 +109,25 @@ func TestBinServerResize(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if st := core.Bind("http").Resize(256); !st.Ok() {
-		t.Fatalf("resize verdicts: namer=%v lease=%v", st.Namer, st.Lease)
+	st := core.Bind("http").Resize(256)
+	if !st.Ok() || st.Capacity != 256 || st.MaxLive != 256 || st.Draining {
+		t.Fatalf("resize status = %+v (namer=%v lease=%v)", st, st.Namer, st.Lease)
 	}
 
-	buf, start := binproto.BeginFrame(nil, binproto.TStats, 2)
-	buf = binproto.EndFrame(buf, start)
+	buf, start := binproto.BeginFrame(nil, binproto.TAcquireBatch, 2)
+	buf = binproto.EndFrame(binproto.AppendAcquireBatchReq(buf, "wide", 200, 60_000, nil), start)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
 	h, p := readFrame(t, bufio.NewReader(conn))
-	if h.Type != binproto.TStats|binproto.RespBit {
-		t.Fatalf("stats response header = %+v", h)
+	if h.Type != binproto.TAcquireBatch|binproto.RespBit {
+		t.Fatalf("acquire_batch response header = %+v", h)
 	}
-	st, err := binproto.DecodeStatsResp(p)
-	if err != nil || st.Capacity != 256 || st.MaxLive != 256 || st.Resizes != 1 || st.Draining != 0 {
-		t.Fatalf("stats = %+v, %v", st, err)
+	if ls, err := binproto.DecodeLeasesResp(p, nil); err != nil || len(ls) != 200 {
+		t.Fatalf("acquire_batch past the old capacity = %d leases, %v", len(ls), err)
+	}
+	capacity, draining, epoch := core.NamespaceInfo()
+	if capacity != 256 || draining || epoch != st.Epoch || core.Manager().Metrics().Resizes != 1 {
+		t.Fatalf("namespace = (%d, %v, %d), resizes %d", capacity, draining, epoch, core.Manager().Metrics().Resizes)
 	}
 }

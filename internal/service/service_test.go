@@ -82,7 +82,7 @@ func TestBindingLifecycle(t *testing.T) {
 		t.Fatalf("release verdicts = %+v", verdicts)
 	}
 
-	m := b.StatsCounted()
+	m := core.Manager().Metrics()
 	if m.Acquired != 4 || m.Renewed != 1 || m.Released != 1 {
 		t.Fatalf("stats = %+v", m)
 	}
@@ -95,7 +95,6 @@ func TestBindingLifecycle(t *testing.T) {
 	for _, want := range []string{
 		`renamed_requests_total{transport="bin",op="acquire_batch"} 2`,
 		`renamed_requests_total{transport="bin",op="renew_batch"} 1`,
-		`renamed_requests_total{transport="bin",op="stats"} 1`,
 		`renamed_requests_total{transport="http",op="renew_batch"} 0`,
 		`renamed_batch_item_verdicts_total{op="renew_batch",code="ok"} 1`,
 		`renamed_batch_item_verdicts_total{op="renew_batch",code="unknown_name"} 1`,
@@ -106,8 +105,8 @@ func TestBindingLifecycle(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The retired single-item ops left no children behind.
-	for _, gone := range []string{`op="acquire"`, `op="renew"`, `op="release"`} {
+	// The retired single-item and stats ops left no children behind.
+	for _, gone := range []string{`op="acquire"`, `op="renew"`, `op="release"`, `op="stats"`} {
 		if strings.Contains(expo, gone) {
 			t.Errorf("exposition still carries a %s series", gone)
 		}

@@ -11,16 +11,14 @@ const (
 	opAcquireBatch = iota
 	opRenewBatch
 	opReleaseBatch
-	opStats
 	opResize
 	opCount
 )
 
 // opName maps the indices onto the label values shared with the HTTP
-// route names; "stats" exists only on transports that serve it as a
-// request (the binary TStats frame).
+// route names.
 var opName = [opCount]string{
-	"acquire_batch", "renew_batch", "release_batch", "stats", "resize",
+	"acquire_batch", "renew_batch", "release_batch", "resize",
 }
 
 // Transports are the label values the per-transport series are
@@ -60,8 +58,7 @@ func (v *verdictSet) inc(code string) {
 // Telemetry is the service core's metric surface: request counts and
 // latency labeled by (transport, op), and the per-item batch verdict
 // counters shared by every transport. These are the only request
-// series: the HTTP adapter keeps no family of its own, so its
-// single-item routes count under the batch op they adapt onto.
+// series: the HTTP adapter keeps no family of its own.
 type Telemetry struct {
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec

@@ -9,7 +9,7 @@
 //	offset size  field
 //	0      2     magic "RB"
 //	2      1     version (2)
-//	3      1     frame type (request 0x02, 0x04, 0x06, 0x07; response =
+//	3      1     frame type (request 0x02, 0x04, 0x06; response =
 //	             type|0x80; error response 0xFF)
 //	4      8     request ID (uint64, big-endian) — echoed verbatim on
 //	             the response, and rendered %016x it is the same shape
@@ -81,16 +81,16 @@ const (
 // Type discriminates frames. A successful response echoes the request
 // type with the high bit set; TError is the whole-request failure
 // response. Acquire, renew and release exist in batch shape only — one
-// item is a batch of one. Bytes 0x01, 0x03, 0x05 (the single-item forms)
-// and 0x08 (resize, now HTTP /v1/resize only) are retired: they are never
-// reused, and ParseHeader rejects them as ErrUnknownType.
+// item is a batch of one. Bytes 0x01, 0x03, 0x05 (the single-item forms),
+// 0x07 (stats, now HTTP /metrics only) and 0x08 (resize, now HTTP
+// /v1/resize only) are retired: they are never reused, and ParseHeader
+// rejects them as ErrUnknownType.
 type Type byte
 
 const (
 	TAcquireBatch Type = 0x02
 	TRenewBatch   Type = 0x04
 	TReleaseBatch Type = 0x06
-	TStats        Type = 0x07
 
 	// RespBit marks a response frame: response type = request | RespBit.
 	RespBit Type = 0x80
@@ -306,7 +306,7 @@ func validType(t Type) bool {
 		return true
 	}
 	switch t &^ RespBit {
-	case TAcquireBatch, TRenewBatch, TReleaseBatch, TStats:
+	case TAcquireBatch, TRenewBatch, TReleaseBatch:
 		return true
 	}
 	return false
@@ -322,8 +322,6 @@ func (t Type) String() string {
 		return "renew_batch"
 	case TReleaseBatch:
 		return "release_batch"
-	case TStats:
-		return "stats"
 	default:
 		return fmt.Sprintf("type_0x%02x", byte(t))
 	}

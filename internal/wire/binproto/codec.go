@@ -15,9 +15,6 @@ import (
 //	               resp: count u32 | count * (code u8 | name i64 | token u64 | expiresMs i64)
 //	TReleaseBatch  req:  count u32 | count * (name i64 | token u64)
 //	               resp: count u32 | count * code u8
-//	TStats         req:  empty
-//	               resp: live i64 | acquired i64 | renewed i64 | released i64 | expired i64 | rejected i64
-//	                     | capacity i64 | maxLive i64 | resizes i64 | draining i64 (0/1)
 //	TError         resp: code u8 | msg str
 //
 // Batch counts are validated against the actual payload length BEFORE
@@ -405,60 +402,6 @@ func DecodeReleaseBatchResp(p []byte, out []byte) ([]byte, error) {
 	return out, nil
 }
 
-// --- stats ---
-
-// Stats is the binary stats response: the lease-table counters a
-// monitoring client (or a transport-level health check) reads in one
-// round trip. Capacity, MaxLive, Resizes and Draining describe the
-// elastic namespace: the namer's current capacity, the lease cap, how
-// many times either has been resized, and (0/1) whether a shrink is
-// still draining held names above the new bound.
-type Stats struct {
-	Live     int64
-	Acquired int64
-	Renewed  int64
-	Released int64
-	Expired  int64
-	Rejected int64
-	Capacity int64
-	MaxLive  int64
-	Resizes  int64
-	Draining int64
-}
-
-// AppendStatsResp encodes a TStats response payload.
-//
-//renamed:noalloc
-func AppendStatsResp(dst []byte, s Stats) []byte {
-	dst = appendI64(dst, s.Live)
-	dst = appendI64(dst, s.Acquired)
-	dst = appendI64(dst, s.Renewed)
-	dst = appendI64(dst, s.Released)
-	dst = appendI64(dst, s.Expired)
-	dst = appendI64(dst, s.Rejected)
-	dst = appendI64(dst, s.Capacity)
-	dst = appendI64(dst, s.MaxLive)
-	dst = appendI64(dst, s.Resizes)
-	return appendI64(dst, s.Draining)
-}
-
-// DecodeStatsResp decodes a TStats response payload.
-//
-//renamed:noalloc
-func DecodeStatsResp(p []byte) (Stats, error) {
-	r := reader{p: p}
-	var s Stats
-	for _, f := range []*int64{&s.Live, &s.Acquired, &s.Renewed, &s.Released, &s.Expired,
-		&s.Rejected, &s.Capacity, &s.MaxLive, &s.Resizes, &s.Draining} {
-		v, ok := r.i64()
-		if !ok {
-			return Stats{}, ErrTruncated
-		}
-		*f = v
-	}
-	return s, r.done()
-}
-
 // --- error ---
 
 // AppendErrorResp encodes a TError response payload.
@@ -499,18 +442,12 @@ func DecodePayload(h Header, p []byte) error {
 		_, _, err = DecodeRenewBatchReq(p, nil)
 	case TReleaseBatch:
 		_, err = DecodeReleaseBatchReq(p, nil)
-	case TStats:
-		if len(p) != 0 {
-			err = ErrTrailingBytes
-		}
 	case TAcquireBatch | RespBit:
 		_, err = DecodeLeasesResp(p, nil)
 	case TRenewBatch | RespBit:
 		_, err = DecodeRenewBatchResp(p, nil)
 	case TReleaseBatch | RespBit:
 		_, err = DecodeReleaseBatchResp(p, nil)
-	case TStats | RespBit:
-		_, err = DecodeStatsResp(p)
 	case TError:
 		_, _, err = DecodeErrorResp(p)
 	default:

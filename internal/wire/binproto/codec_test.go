@@ -41,13 +41,15 @@ func TestParseHeaderErrors(t *testing.T) {
 		{"zero type", func(b []byte) []byte { b[3] = 0; return b }, ErrUnknownType},
 		{"type past resize", func(b []byte) []byte { b[3] = 0x09; return b }, ErrUnknownType},
 		{"resp of bad type", func(b []byte) []byte { b[3] = 0x89; return b }, ErrUnknownType},
-		// The single-item request bytes and the resize op are retired, not
-		// reusable.
+		// The single-item request bytes, stats and the resize op are retired,
+		// not reusable.
 		{"retired acquire", func(b []byte) []byte { b[3] = 0x01; return b }, ErrUnknownType},
 		{"retired renew", func(b []byte) []byte { b[3] = 0x03; return b }, ErrUnknownType},
 		{"retired release", func(b []byte) []byte { b[3] = 0x05; return b }, ErrUnknownType},
+		{"retired stats", func(b []byte) []byte { b[3] = 0x07; return b }, ErrUnknownType},
 		{"retired resize", func(b []byte) []byte { b[3] = 0x08; return b }, ErrUnknownType},
 		{"resp of retired type", func(b []byte) []byte { b[3] = 0x83; return b }, ErrUnknownType},
+		{"resp of retired stats", func(b []byte) []byte { b[3] = 0x87; return b }, ErrUnknownType},
 		{"resp of retired resize", func(b []byte) []byte { b[3] = 0x88; return b }, ErrUnknownType},
 		{"oversized len", func(b []byte) []byte { b[12] = 0xFF; return b }, ErrTooLarge},
 	}
@@ -74,8 +76,8 @@ func TestTypeString(t *testing.T) {
 		TAcquireBatch: "acquire_batch",
 		TRenewBatch:   "renew_batch",
 		TReleaseBatch: "release_batch",
-		TStats:        "stats",
 		0x01:          "type_0x01",
+		0x07:          "type_0x07",
 		0x08:          "type_0x08",
 	} {
 		if got := typ.String(); got != want {
@@ -108,11 +110,11 @@ func TestBeginEndFrame(t *testing.T) {
 
 	// Two frames in one buffer (pipelining): the second begins where the
 	// first's declared length ends.
-	buf, start2 := BeginFrame(buf, TStats, 43)
-	buf = EndFrame(buf, start2)
+	buf, start2 := BeginFrame(buf, TReleaseBatch, 43)
+	buf = EndFrame(AppendReleaseBatchReq(buf, nil), start2)
 	second := buf[HeaderLen+int(h.Len):]
 	h2, err := ParseHeader(second)
-	if err != nil || h2.Type != TStats || h2.ID != 43 || h2.Len != 0 {
+	if err != nil || h2.Type != TReleaseBatch || h2.ID != 43 || h2.Len != 4 {
 		t.Fatalf("second frame = %+v, %v", h2, err)
 	}
 }
@@ -228,16 +230,6 @@ func TestReleaseRoundTrip(t *testing.T) {
 	codes, err := DecodeReleaseBatchResp(resp, nil)
 	if err != nil || len(codes) != 2 || codes[0] != CodeOK || codes[1] != CodeUnknownName {
 		t.Fatalf("release batch resp = %v, %v", codes, err)
-	}
-}
-
-func TestStatsRoundTrip(t *testing.T) {
-	in := Stats{Live: 1, Acquired: 2, Renewed: 3, Released: 4, Expired: 5, Rejected: 6,
-		Capacity: 7, MaxLive: 8, Resizes: 9, Draining: 1}
-	p := AppendStatsResp(nil, in)
-	out, err := DecodeStatsResp(p)
-	if err != nil || out != in {
-		t.Fatalf("stats = %+v, %v", out, err)
 	}
 }
 

@@ -21,21 +21,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(EndFrame(buf, start))
 	}
 	// The retired frames (0x01 acquire, 0x03 renew, 0x05 release, the
-	// single-lease response, 0x08 resize and its response) stay in the
-	// corpus in their old layouts: once well-formed, now inputs
-	// ParseHeader must reject by type.
+	// single-lease response, 0x07 stats, 0x08 resize and their responses)
+	// stay in the corpus in their old layouts: once well-formed, now
+	// inputs ParseHeader must reject by type.
 	seed(0x01, appendMeta(appendStr(appendI64(nil, 30_000), "owner"), map[string]string{"k": "v"}))
 	seed(TAcquireBatch, AppendAcquireBatchReq(nil, "o", 16, 30_000, nil))
 	seed(0x03, appendI64(appendU64(appendI64(nil, 3), 0xABC), 30_000))
 	seed(TRenewBatch, AppendRenewBatchReq(nil, 30_000, []wire.Item{{Name: 1, Token: 2}, {Name: 3, Token: 4}}))
 	seed(0x05, appendU64(appendI64(nil, 3), 0xABC))
 	seed(TReleaseBatch, AppendReleaseBatchReq(nil, []wire.Item{{Name: 1, Token: 2}}))
-	seed(TStats, nil)
+	seed(0x07, nil)
 	seed(0x01|RespBit, AppendLease(nil, 1, 2, 3))
 	seed(TAcquireBatch|RespBit, AppendLease(AppendLeasesRespHeader(nil, 1), 1, 2, 3))
 	seed(TRenewBatch|RespBit, AppendRenewResult(AppendBatchRespHeader(nil, 1), CodeOK, 1, 2, 3))
 	seed(TReleaseBatch|RespBit, append(AppendBatchRespHeader(nil, 1), CodeOK))
-	seed(TStats|RespBit, AppendStatsResp(nil, Stats{Live: 1}))
+	seed(0x07|RespBit, make([]byte, 80)) // ten i64 counters
 	seed(0x08, appendI64(nil, 4096))
 	// capacity | maxLive | epoch | draining | count | (code, component, msg)
 	resizeResp := append(appendU64(appendI64(appendI64(nil, 4096), 4096), 2), 1, 1, CodeOK)

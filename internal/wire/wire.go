@@ -37,32 +37,12 @@ func NewRequestID() string {
 	return fmt.Sprintf("%016x", rand.Uint64())
 }
 
-// AcquireRequest is the body of POST /v1/acquire.
-type AcquireRequest struct {
-	Owner string            `json:"owner"`
-	TTLms int64             `json:"ttl_ms,omitempty"`
-	Meta  map[string]string `json:"meta,omitempty"`
-}
-
 // AcquireBatchRequest is the body of POST /v1/acquire_batch.
 type AcquireBatchRequest struct {
 	Owner string            `json:"owner"`
 	Count int               `json:"count"`
 	TTLms int64             `json:"ttl_ms,omitempty"`
 	Meta  map[string]string `json:"meta,omitempty"`
-}
-
-// RenewRequest is the body of POST /v1/renew.
-type RenewRequest struct {
-	Name  int    `json:"name"`
-	Token uint64 `json:"token"`
-	TTLms int64  `json:"ttl_ms,omitempty"`
-}
-
-// ReleaseRequest is the body of POST /v1/release.
-type ReleaseRequest struct {
-	Name  int    `json:"name"`
-	Token uint64 `json:"token"`
 }
 
 // Item identifies one lease inside a batch renew/release request.

@@ -518,24 +518,25 @@ func (m *Manager) leaseAt(s *slot, name int, now time.Time) Lease {
 	}
 }
 
-// Leases snapshots all live (unexpired) leases, ordered by name. The
-// snapshot is per-shard consistent, not global: shards are locked one at
-// a time, so a holder releasing one name and acquiring another while the
-// snapshot runs can appear under both or neither.
+// Leases snapshots all live (unexpired) leases, ordered by name, each
+// with its own copy of the metadata: Walk with the lapsed leases left
+// out. The snapshot is per-chunk consistent, not global: a stripe is
+// locked for walkSpan slots at a time, so a holder releasing one name and
+// acquiring another while the snapshot runs can appear under both or
+// neither.
 func (m *Manager) Leases() []Lease {
-	now := m.cfg.Now()
-	nowD := m.since(now)
 	var out []Lease
-	for stripe := range m.shards {
-		sh := &m.shards[stripe]
-		sh.mu.Lock()
-		for i := range sh.slots {
-			if s := &sh.slots[i]; s.who != nil && nowD <= s.deadline {
-				out = append(out, m.leaseAt(s, m.nameAt(i, stripe), now))
+	// Walk fails only with yield's error, and this yield has none.
+	_ = m.Walk(func(chunk []Lease) error {
+		now := m.cfg.Now()
+		for _, l := range chunk {
+			if !l.ExpiresAt.Before(now) {
+				l.Meta = cloneMeta(l.Meta)
+				out = append(out, l)
 			}
 		}
-		sh.mu.Unlock()
-	}
+		return nil
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -597,8 +598,8 @@ func (m *Manager) Occupied() int {
 
 // Metrics returns a snapshot of the operation counters. Live excludes
 // leases that have expired but not yet been reclaimed, matching Leases(),
-// so dashboards don't show phantom holders when the sweeper is off. Like
-// Leases, the count is per-shard consistent only: under concurrent churn
+// so dashboards don't show phantom holders when the sweeper is off. The
+// count is per-shard consistent only: under concurrent churn
 // it can transiently read above MaxLive (a holder's old and new names
 // both counted), so don't alert on Live <= capacity as a hard invariant.
 // Computing Live is O(1) per stripe while the clock has not passed the

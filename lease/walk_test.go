@@ -73,6 +73,76 @@ func TestWalkYieldsOccupiedSlots(t *testing.T) {
 	}
 }
 
+// TestLeasesIsTheFilteredSortedWalk: Leases is Walk's table with the
+// lapsed leases left out, metadata copied and names in order — read
+// walkSpan slots per hold, so renewals landing between two holds move
+// deadlines but never the set of names and tokens it reports.
+func TestLeasesIsTheFilteredSortedWalk(t *testing.T) {
+	nm, err := renaming.NewLevelArray(4 * walkSpan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	m, err := New(nm, Config{TTL: time.Hour, SweepInterval: -1, Shards: 2, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	if _, err := m.AcquireBatch(ctx, "lapsing", 100, time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	standing, err := m.AcquireBatch(ctx, "standing", 2*walkSpan, 0, map[string]string{"k": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second) // the hundred have lapsed; nothing reclaims them
+
+	items := make([]RenewItem, len(standing))
+	for i, l := range standing {
+		items[i] = RenewItem{Name: l.Name, Token: l.Token}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := m.RenewBatch(ctx, items, 0); err != nil {
+				t.Errorf("RenewBatch: %v", err)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 5; round++ {
+		walked := walkAll(t, m)
+		unlapsed := 0
+		for _, l := range walked {
+			if !l.ExpiresAt.Before(clk.Now()) {
+				unlapsed++
+			}
+		}
+		got := m.Leases()
+		if len(got) != unlapsed || unlapsed != len(standing) {
+			t.Fatalf("Leases() = %d leases, the walk has %d unlapsed, %d are held", len(got), unlapsed, len(standing))
+		}
+		for i, g := range got {
+			w := walked[g.Name]
+			if g.Token != w.Token || g.Owner != w.Owner || g.Meta["k"] != "v" || (i > 0 && got[i-1].Name >= g.Name) {
+				t.Fatalf("Leases()[%d] = %+v: out of name order, or not the walk's %+v", i, g, w)
+			}
+			g.Meta["k"] = "scribbled" // the caller's own copy: the table must not see it
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestWalkUnderResizeGrow: a stripe's table is re-allocated, longer,
 // between two holds of a walk that is half-way through it — from inside
 // yield, which runs with the stripe unlocked, and by a goroutine churning

@@ -3,16 +3,16 @@
 // them alive for you — the etcd-style session idiom.
 //
 // A Session owns a background heartbeat goroutine that renews every held
-// lease at a configurable fraction of the TTL (default 1/3, with jitter
-// so fleets of sessions don't thunder in phase), coalescing all due
-// renewals into single /v1/renew_batch calls. Transient failures —
-// connection errors, 5xx — are retried with exponential backoff inside
-// the remaining TTL budget. A renewal the server refuses outright
+// lease at a third of the remaining TTL (with jitter so fleets of
+// sessions don't thunder in phase), coalescing all due renewals into
+// single renew_batch calls. Transient failures — connection errors,
+// 5xx — are retried with exponential backoff inside the remaining TTL
+// budget. A renewal the server refuses outright
 // (unknown name, fencing token mismatch, expired) means the lease is
 // LOST: it is dropped from the session and reported through the OnLost
 // callback, typed so errors.Is against lease.ErrWrongToken /
 // lease.ErrExpired / lease.ErrUnknownName tells you why. Close releases
-// everything in one /v1/release_batch round trip.
+// everything in one release_batch round trip.
 //
 //	s, err := leaseclient.NewSession(leaseclient.Config{
 //		Target: "http://localhost:8077",
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +47,20 @@ var ErrSessionClosed = errors.New("leaseclient: session closed")
 // probing at least every 2s through a server restart, or leases expire
 // while the client politely waits.
 const maxBackoff = 2 * time.Second
+
+const (
+	// heartbeatFraction is the fraction of the soonest remaining TTL to
+	// wait between renewals: a lease gets two more chances if a heartbeat
+	// round fails transiently.
+	heartbeatFraction = 1.0 / 3
+	// heartbeatJitter spreads each heartbeat interval by ±10% so many
+	// sessions started together don't renew in phase forever.
+	heartbeatJitter = 0.1
+	// maxBatch caps the items per renew_batch (and release_batch)
+	// request: at the wire's ~25 bytes per item this stays well inside
+	// the server's 1 MiB body limit.
+	maxBatch = 4096
+)
 
 // Lease is one name the session holds. Copies are handed out; the
 // session keeps renewing the lease regardless of what the caller does
@@ -67,9 +80,10 @@ type Lease struct {
 // Config tunes a Session. Target is required (unless Transport is
 // injected); everything else defaults.
 type Config struct {
-	// Target selects the server and the wire: "http://host:8077" for the
-	// JSON surface, "bin://host:9077" for the binary protocol on a
-	// persistent connection. The Session itself is transport-neutral.
+	// Target selects the server and the wire: "http://host:8077" (or
+	// https://) for the JSON surface, "bin://host:9077" for the binary
+	// protocol on a persistent connection; NewSession refuses anything
+	// else. The Session itself is transport-neutral.
 	Target string
 	// Transport overrides Target with a caller-built transport (tests,
 	// custom wiring). The caller keeps ownership: Close does not close an
@@ -83,18 +97,6 @@ type Config struct {
 	// from the expiry the server actually granted, so either way renewals
 	// land well before the deadline.
 	TTL time.Duration
-	// HeartbeatFraction is the fraction of the remaining TTL to wait
-	// between renewals. Default 1/3: a lease gets two more chances if a
-	// heartbeat round fails transiently.
-	HeartbeatFraction float64
-	// Jitter spreads each heartbeat interval by ±Jitter (a fraction of
-	// the interval, default 0.1) so many sessions started together don't
-	// renew in phase forever.
-	Jitter float64
-	// MaxBatch caps the items per /v1/renew_batch (and release_batch)
-	// request. Default 4096 — at the wire's ~25 bytes per item this
-	// stays well inside the server's 1 MiB body limit.
-	MaxBatch int
 	// CallTimeout bounds every round trip whose context carries no
 	// deadline (the heartbeat loop's context never does). Without it a
 	// wedged server — one that accepts a connection and never replies —
@@ -118,37 +120,14 @@ type Config struct {
 	// session no longer holds the name, and err matches
 	// lease.ErrUnknownName, lease.ErrWrongToken or lease.ErrExpired.
 	OnLost func(name int, err error)
-	// OnHeartbeat, if set, observes every renew_batch round trip: the
-	// number of items sent, the wall-clock latency, and the transport
-	// error if the round failed (nil on success, even if items were
-	// lost). Load generators hang latency histograms off this.
-	OnHeartbeat func(items int, d time.Duration, err error)
 }
 
 func (c *Config) applyDefaults() error {
 	if c.Target == "" && c.Transport == nil {
 		return errors.New("leaseclient: Config.Target required")
 	}
-	if c.HeartbeatFraction <= 0 || c.HeartbeatFraction >= 1 {
-		if c.HeartbeatFraction != 0 {
-			return fmt.Errorf("leaseclient: HeartbeatFraction %v outside (0,1)", c.HeartbeatFraction)
-		}
-		c.HeartbeatFraction = 1.0 / 3
-	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
-		return fmt.Errorf("leaseclient: Jitter %v outside [0,1)", c.Jitter)
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = DefaultCallTimeout
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: maxDuration(c.CallTimeout, 0)}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -169,9 +148,8 @@ func maxDuration(d, floor time.Duration) time.Duration {
 }
 
 // Stats is a snapshot of a session's lifetime counters. Everything a
-// monitoring scrape wants is here — no OnHeartbeat callback needed:
-// the session maintains its own per-batch latency histogram and
-// transport-failure counter internally.
+// monitoring scrape wants is here: the session maintains its own
+// per-batch latency histogram and transport-failure counter internally.
 type Stats struct {
 	Renewed    int64 // successful single-lease renewals (across batches)
 	Heartbeats int64 // renew_batch round trips attempted
@@ -235,17 +213,12 @@ func NewSession(cfg Config) (*Session, error) {
 		done:   make(chan struct{}),
 		hbLat:  telemetry.NewHistogram(),
 	}
-	switch {
-	case cfg.Transport != nil:
-		s.tr = cfg.Transport
-	case strings.HasPrefix(cfg.Target, binScheme):
-		s.tr = newBinTransport(strings.TrimPrefix(cfg.Target, binScheme), cfg.CallTimeout)
-		s.ownTransport = true
-	default:
-		// http:// and https:// — and bare host:port for compatibility
-		// with URL-shaped targets that worked before transports existed.
-		s.tr = newHTTPTransport(cfg.Target, cfg.HTTPClient)
-		s.ownTransport = true
+	if s.tr = cfg.Transport; s.tr == nil {
+		tr, err := newTransport(cfg.Target, cfg.CallTimeout, cfg.HTTPClient)
+		if err != nil {
+			return nil, err
+		}
+		s.tr, s.ownTransport = tr, true
 	}
 	s.wg.Add(1)
 	go s.loop()
@@ -408,14 +381,14 @@ func (s *Session) Close() error {
 	return err
 }
 
-// releaseItems hands names back via /v1/release_batch in MaxBatch
+// releaseItems hands names back via release_batch in maxBatch
 // chunks, tolerating already-gone leases.
 func (s *Session) releaseItems(ctx context.Context, items []wire.Item) error {
 	var first error
 	for len(items) > 0 {
 		chunk := items
-		if len(chunk) > s.cfg.MaxBatch {
-			chunk = chunk[:s.cfg.MaxBatch]
+		if len(chunk) > maxBatch {
+			chunk = chunk[:maxBatch]
 		}
 		items = items[len(chunk):]
 		results, err := s.tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: chunk})
@@ -472,7 +445,7 @@ func (s *Session) loop() {
 }
 
 // nextWait computes how long to sleep before the next heartbeat round:
-// the configured fraction of the soonest remaining TTL, jittered, or the
+// heartbeatFraction of the soonest remaining TTL, jittered, or the
 // current retry backoff when the last round failed transport.
 func (s *Session) nextWait() (wait time.Duration, idle bool) {
 	s.mu.Lock()
@@ -490,20 +463,20 @@ func (s *Session) nextWait() (wait time.Duration, idle bool) {
 	if soonest < 0 {
 		soonest = 0
 	}
-	wait = time.Duration(float64(soonest) * s.cfg.HeartbeatFraction)
+	wait = time.Duration(float64(soonest) * heartbeatFraction)
 	if s.backoff > 0 && s.backoff < wait {
 		wait = s.backoff
 	}
 	// Jitter de-phases fleets of sessions; floor keeps a pathological
 	// clock (or an already-expired lease) from spinning the loop hot.
-	wait = time.Duration(float64(wait) * (1 + s.cfg.Jitter*(2*s.cfg.Rand()-1)))
+	wait = time.Duration(float64(wait) * (1 + heartbeatJitter*(2*s.cfg.Rand()-1)))
 	if wait < time.Millisecond {
 		wait = time.Millisecond
 	}
 	return wait, false
 }
 
-// heartbeat renews every held lease in MaxBatch chunks.
+// heartbeat renews every held lease in maxBatch chunks.
 func (s *Session) heartbeat() {
 	s.mu.Lock()
 	items := make([]wire.Item, 0, len(s.leases))
@@ -520,8 +493,8 @@ func (s *Session) heartbeat() {
 	failed := false
 	for len(items) > 0 {
 		chunk := items
-		if len(chunk) > s.cfg.MaxBatch {
-			chunk = chunk[:s.cfg.MaxBatch]
+		if len(chunk) > maxBatch {
+			chunk = chunk[:maxBatch]
 		}
 		items = items[len(chunk):]
 
@@ -537,14 +510,9 @@ func (s *Session) heartbeat() {
 		elapsed := s.cfg.Now().Sub(start)
 		s.hbLat.Observe(elapsed)
 		if err != nil {
-			s.transportErrs.Add(1)
-		}
-		if s.cfg.OnHeartbeat != nil {
-			s.cfg.OnHeartbeat(len(chunk), elapsed, err)
-		}
-		if err != nil {
 			// Transport-level failure: every lease in the chunk is still
 			// plausibly held; retry sooner with backoff.
+			s.transportErrs.Add(1)
 			failed = true
 			continue
 		}

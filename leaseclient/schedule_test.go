@@ -65,7 +65,7 @@ func TestHeartbeatScheduleDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical schedules; jitter is not drawing from the injected RNG")
 	}
 
-	// The base interval is HeartbeatFraction (1/3) of the soonest
+	// The base interval is heartbeatFraction (1/3) of the soonest
 	// remaining TTL (3s → 1s), jittered by ±10%: every wait must stay
 	// inside [0.9s, 1.1s]. A wait outside the band means the schedule
 	// stopped honoring the injected clock.

@@ -376,17 +376,29 @@ func TestSessionReleaseStopsHeartbeating(t *testing.T) {
 	}
 }
 
-// TestSessionConfigValidation: bad fractions and a missing target fail
-// construction loudly.
+// TestSessionConfigValidation: a missing target, and a target whose
+// scheme no transport speaks, fail construction loudly — not on the
+// first round trip.
 func TestSessionConfigValidation(t *testing.T) {
-	if _, err := NewSession(Config{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := NewSession(Config{Target: "http://x", HeartbeatFraction: 1.5}); err == nil {
-		t.Fatal("HeartbeatFraction 1.5 accepted")
-	}
-	if _, err := NewSession(Config{Target: "http://x", Jitter: 1}); err == nil {
-		t.Fatal("Jitter 1 accepted")
+	for _, tc := range []struct {
+		target string
+		ok     bool
+	}{
+		{"", false},
+		{"127.0.0.1:8077", false},
+		{"bins://h:1", false},
+		{"ftp://x", false},
+		{"http://x", true},
+		{"https://x", true},
+		{"bin://x:1", true},
+	} {
+		s, err := NewSession(Config{Target: tc.target})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewSession(Target: %q) error = %v, want ok = %v", tc.target, err, tc.ok)
+		}
+		if s != nil {
+			s.Close()
+		}
 	}
 	s, err := NewSession(Config{Target: "http://x"})
 	if err != nil {
@@ -636,18 +648,16 @@ func TestReleaseRefusalTyped(t *testing.T) {
 	}
 }
 
-// TestSessionStatsScrapeableWithoutCallbacks: a monitoring scrape must
-// be able to read heartbeat health — latency distribution and transport
-// failures — straight off Stats(), with NO OnHeartbeat or OnLost
-// callbacks wired. The callbacks are for reacting; Stats is for
-// observing, and observing must not require instrumenting construction.
+// TestSessionStatsScrapeableWithoutCallbacks: a monitoring scrape reads
+// heartbeat health — latency distribution and transport failures —
+// straight off Stats(), the only place they are reported, with no
+// OnLost wired: observing must not require instrumenting construction.
 func TestSessionStatsScrapeableWithoutCallbacks(t *testing.T) {
 	f := newFakeServer(t, 30*time.Second)
 	s, err := NewSession(Config{
 		Target: f.url(),
 		Owner:  "scrape",
 		TTL:    300 * time.Millisecond,
-		// Deliberately no OnHeartbeat, no OnLost.
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,6 @@ type Transport interface {
 	AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error)
 	RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error)
 	ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchRequest) (wire.BatchResults, error)
-	// Ping checks reachability: GET /healthz over HTTP, a stats round
-	// trip over the binary protocol.
-	Ping(ctx context.Context) error
 	// Close releases the transport's connections. The Session closes the
 	// transport it constructed; injected transports are the caller's.
 	Close() error
@@ -42,9 +39,8 @@ const DefaultCallTimeout = 10 * time.Second
 
 // NewTransport selects a transport by target scheme: "bin://host:port"
 // speaks the binary protocol on a persistent connection, "http://" /
-// "https://" the JSON surface. This is the one place the scheme is
-// interpreted — everything above it is transport-neutral. Round trips
-// are bounded by DefaultCallTimeout; NewTransportTimeout overrides it.
+// "https://" the JSON surface. Round trips are bounded by
+// DefaultCallTimeout; NewTransportTimeout overrides it.
 func NewTransport(target string) (Transport, error) {
 	return NewTransportTimeout(target, DefaultCallTimeout)
 }
@@ -54,11 +50,22 @@ func NewTransport(target string) (Transport, error) {
 // disables the bound (fault-injection harnesses only — a production
 // client should always keep one).
 func NewTransportTimeout(target string, timeout time.Duration) (Transport, error) {
+	return newTransport(target, timeout, nil)
+}
+
+// newTransport is the one place the scheme is interpreted — NewSession
+// and the exported constructors both come through it, and everything
+// above it is transport-neutral. A nil client means a fresh http.Client
+// bounded by timeout; bin:// ignores it.
+func newTransport(target string, timeout time.Duration, client *http.Client) (Transport, error) {
 	switch {
 	case strings.HasPrefix(target, binScheme):
 		return newBinTransport(strings.TrimPrefix(target, binScheme), timeout), nil
 	case strings.HasPrefix(target, "http://"), strings.HasPrefix(target, "https://"):
-		return newHTTPTransport(target, &http.Client{Timeout: maxDuration(timeout, 0)}), nil
+		if client == nil {
+			client = &http.Client{Timeout: maxDuration(timeout, 0)}
+		}
+		return newHTTPTransport(target, client), nil
 	default:
 		return nil, fmt.Errorf("leaseclient: target %q: unsupported scheme (want http://, https:// or bin://)", target)
 	}

@@ -114,21 +114,6 @@ func (t *binTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchR
 	return out, nil
 }
 
-// Ping is a stats round trip — the cheapest full-stack request the
-// binary surface offers.
-func (t *binTransport) Ping(ctx context.Context) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, err := t.roundTrip(ctx, binproto.TStats, func(b []byte) []byte { return b })
-	if err != nil {
-		return err
-	}
-	if _, err := binproto.DecodeStatsResp(p); err != nil {
-		return t.corrupt("stats", err)
-	}
-	return nil
-}
-
 func (t *binTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

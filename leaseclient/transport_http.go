@@ -45,23 +45,6 @@ func (t *httpTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatch
 	return rs, err
 }
 
-func (t *httpTransport) Ping(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+"/healthz", nil)
-	if err != nil {
-		return fmt.Errorf("leaseclient: healthz: %w", err)
-	}
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("leaseclient: healthz: %w", err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("leaseclient: healthz: HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // Close is a no-op: the http.Client's pooled connections outlive any
 // one transport by design.
 func (t *httpTransport) Close() error { return nil }
