@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	renaming "repro"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -146,7 +144,7 @@ func (s *server) handleAcquireBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ls, err := s.bind.AcquireBatch(r.Context(), &req)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, wire.CodeOf(err), err.Error())
 		return
 	}
 	s.writeJSON(w, http.StatusOK, wire.Leases{Leases: ls})
@@ -172,7 +170,7 @@ func (s *server) handleRenewBatch(w http.ResponseWriter, r *http.Request) {
 	// session that is gone.
 	verdicts, err := s.bind.RenewBatch(r.Context(), wire.TTLFromMs(req.TTLms), items, nil)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, wire.CodeOf(err), err.Error())
 		return
 	}
 	out := wire.BatchResults{Results: make([]wire.BatchResult, len(verdicts))}
@@ -201,7 +199,7 @@ func (s *server) handleReleaseBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	verdicts, err := s.bind.ReleaseBatch(r.Context(), items, nil)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, wire.CodeOf(err), err.Error())
 		return
 	}
 	out := wire.BatchResults{Results: make([]wire.BatchResult, len(verdicts))}
@@ -234,41 +232,17 @@ func (s *server) handleLeases(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(into); err != nil {
-		s.errors.Add(1)
-		s.writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad request body: " + err.Error()})
+		s.writeError(w, wire.ParseCode(wire.CodeBadRequest), "bad request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// errorStatus maps lease/namer errors onto HTTP status codes:
-// exhaustion is 503 (retryable), stale tokens are 409, expiry is 410,
-// unknown names are 404, bad batch parameters are 400, and an acquisition
-// the client itself abandoned is 408 (the response is usually unread —
-// the status mostly serves the error counter and access logs).
-func errorStatus(err error) int {
-	switch {
-	case errors.Is(err, renaming.ErrNamespaceExhausted), errors.Is(err, lease.ErrCapacity):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, renaming.ErrCancelled):
-		return http.StatusRequestTimeout
-	case errors.Is(err, renaming.ErrBadConfig):
-		return http.StatusBadRequest
-	case errors.Is(err, lease.ErrWrongToken):
-		return http.StatusConflict
-	case errors.Is(err, lease.ErrExpired):
-		return http.StatusGone
-	case errors.Is(err, lease.ErrUnknownName):
-		return http.StatusNotFound
-	case errors.Is(err, lease.ErrClosed):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-func (s *server) writeError(w http.ResponseWriter, err error) {
+// writeError refuses a whole request with code's row of wire's code
+// table: its HTTP status, and the code itself in the body.
+func (s *server) writeError(w http.ResponseWriter, code wire.Code, msg string) {
 	s.errors.Add(1)
-	s.writeJSON(w, errorStatus(err), wire.Error{Error: err.Error()})
+	s.writeJSON(w, code.Status(), wire.Error{Error: msg, Code: code.String()})
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {

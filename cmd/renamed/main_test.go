@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	renaming "repro"
+	"repro/internal/service"
 	"repro/internal/wire"
 	"repro/lease"
 	"repro/leaseclient"
@@ -437,6 +439,98 @@ func TestAcquireBatchEndpointErrors(t *testing.T) {
 	resp, body := postJSON(t, srv.URL+"/v1/acquire_batch", wire.AcquireBatchRequest{Owner: "w", Count: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("full-capacity batch after failed batch = %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestRefusalsAgreeAcrossWires drives one capacity-1 server over both
+// wires: each refusal must be a ServerError for the same op that unwraps
+// to the same sentinel, with the status of its code's row over HTTP, and
+// per-item codes must rebuild the same sentinels too.
+func TestRefusalsAgreeAcrossWires(t *testing.T) {
+	nm, err := renaming.Open("levelarray?n=1&seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := lease.New(nm, lease.Config{TTL: time.Minute, SweepInterval: -1, MaxLive: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(mgr, nil)
+	httpSrv := httptest.NewServer(s)
+	defer httpSrv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binSrv := service.NewBinServer(s.core, service.BinConfig{})
+	go binSrv.Serve(ln)
+	defer binSrv.Close()
+
+	ctx := context.Background()
+	refused := func(target string, err error, op, code string, want error) {
+		t.Helper()
+		var se *leaseclient.ServerError
+		if !errors.As(err, &se) || se.Op != op || !errors.Is(err, want) {
+			t.Fatalf("%s %s = %v, want a ServerError matching %v", target, op, err, want)
+		}
+		if status := wire.ParseCode(code).Status(); strings.HasPrefix(target, "http") && se.Status != status {
+			t.Fatalf("%s %s status = %d, want %d", target, op, se.Status, status)
+		}
+	}
+	targets := []string{httpSrv.URL, "bin://" + ln.Addr().String()}
+	for _, target := range targets {
+		tr, err := leaseclient.NewTransport(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		// One batch: unknown_name, wrong_token, then expired (which reclaims the name).
+		ls, err := tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 1, TTLms: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := ls.Leases[0]
+		time.Sleep(10 * time.Millisecond)
+		rs, err := tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: []wire.Item{{Name: -1, Token: 1}, {Name: l.Name, Token: l.Token + 99}, {Name: l.Name, Token: l.Token}}})
+		if err != nil || len(rs.Results) != 3 {
+			t.Fatalf("%s renew_batch = %+v, %v", target, rs, err)
+		}
+		for i, want := range []error{lease.ErrUnknownName, lease.ErrWrongToken, lease.ErrExpired} {
+			if r := rs.Results[i]; !errors.Is(wire.ParseCode(r.Code).Err(r.Error), want) {
+				t.Fatalf("%s item %d = %+v, want %v", target, i, r, want)
+			}
+		}
+		ls, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 1})
+		refused(target, err, "acquire_batch", wire.CodeExhausted, lease.ErrCapacity)
+		_, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 0})
+		refused(target, err, "acquire_batch", wire.CodeBadRequest, renaming.ErrBadConfig)
+		l = ls.Leases[0]
+		if _, err := tr.ReleaseBatch(ctx, &wire.ReleaseBatchRequest{Items: []wire.Item{{Name: l.Name, Token: l.Token}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A 404 from a wrong base URL is not the server's unknown_name.
+	tr, err := leaseclient.NewTransport(httpSrv.URL + "/wrong-prefix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tr.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: "w", Count: 1})
+	var se *leaseclient.ServerError
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound || se.Err != nil || errors.Is(err, lease.ErrUnknownName) {
+		t.Fatalf("wrong prefix = %v, want an unclassified 404", err)
+	}
+
+	mgr.Close()
+	for _, target := range targets {
+		tr, _ := leaseclient.NewTransport(target)
+		defer tr.Close()
+		_, err := tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: []wire.Item{{Name: -1, Token: 1}}})
+		refused(target, err, "renew_batch", wire.CodeClosed, lease.ErrClosed)
 	}
 }
 

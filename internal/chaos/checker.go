@@ -180,12 +180,18 @@ func (c *Checker) Fault(from, to time.Time, kind string) {
 	c.faults = append(c.faults, faultWindow{from: from, to: to, kind: kind})
 }
 
+// clock is the checker's one clock. Belief intervals and violation stamps
+// are judged on real time: sessions may run skewed clocks, the checker
+// never does.
+//
+//lint:wallclock the checker judges on real time, never a session's skewed clock
+func clock() time.Time { return time.Now() }
+
 func (c *Checker) violate(inv, format string, args ...any) {
 	c.violations = append(c.violations, Violation{
 		Invariant: inv,
 		Detail:    fmt.Sprintf(format, args...),
-		//lint:wallclock violation timestamps are checker observations; sessions may run skewed clocks, the checker never does
-		Time: time.Now(),
+		Time:      clock(),
 	})
 }
 
@@ -202,8 +208,7 @@ func (c *Checker) Client(id int) *Client { return &Client{c: c, id: id} }
 // name (the server serializes them), so a token at or below the name's
 // previous grant is a fencing regression no matter what else happens.
 func (cl *Client) Acquired(leases ...leaseclient.Lease) {
-	//lint:wallclock belief intervals are judged on the checker's real clock, never a session's skewed one
-	now := time.Now()
+	now := clock()
 	c := cl.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,8 +297,7 @@ func (cl *Client) ReleaseSent(name int, token uint64) {
 	defer c.mu.Unlock()
 	k := claimKey{client: cl.id, name: name, token: token}
 	if cm, ok := c.open[k]; ok {
-		//lint:wallclock belief intervals are judged on the checker's real clock, never a session's skewed one
-		cm.end = time.Now()
+		cm.end = clock()
 		cm.why = "released"
 		delete(c.open, k)
 		c.released++
@@ -310,8 +314,7 @@ func (cl *Client) LostFunc() func(name int, err error) {
 		defer c.mu.Unlock()
 		for k, cm := range c.open {
 			if k.client == cl.id && k.name == name {
-				//lint:wallclock belief intervals are judged on the checker's real clock, never a session's skewed one
-				cm.end = time.Now()
+				cm.end = clock()
 				cm.why = "lost"
 				delete(c.open, k)
 				c.lost++
@@ -341,8 +344,7 @@ func (cl *Client) Closed() {
 	c := cl.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//lint:wallclock belief intervals are judged on the checker's real clock, never a session's skewed one
-	now := time.Now()
+	now := clock()
 	for k, cm := range c.open {
 		if k.client != cl.id {
 			continue

@@ -41,7 +41,7 @@ type ServerConfig struct {
 
 // Server manages one renamed process: start (waiting for its serving
 // banners), SIGKILL, graceful stop, restart. Safe for one controlling
-// goroutine plus observers of Starts/Kills.
+// goroutine plus observers of Kills.
 type Server struct {
 	cfg ServerConfig
 
@@ -49,8 +49,7 @@ type Server struct {
 	cmd     *exec.Cmd
 	waitErr chan error
 
-	starts atomic.Int64
-	kills  atomic.Int64
+	kills atomic.Int64
 }
 
 // StartServer launches the process and blocks until it is serving (all
@@ -66,9 +65,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Starts and Kills count process launches and SIGKILLs delivered.
-func (s *Server) Starts() int64 { return s.starts.Load() }
-func (s *Server) Kills() int64  { return s.kills.Load() }
+// Kills counts the SIGKILLs delivered.
+func (s *Server) Kills() int64 { return s.kills.Load() }
 
 // Start launches (or relaunches) the process against the same data
 // directory and waits until every configured listener has printed its
@@ -148,7 +146,6 @@ func (s *Server) Start() error {
 	}
 	s.cmd = cmd
 	s.waitErr = waitErr
-	s.starts.Add(1)
 	return nil
 }
 

@@ -37,9 +37,6 @@ type Faults struct {
 	// proxy corrupted chunks but no endpoint reported an error means
 	// damaged data was accepted silently — the checker fails it.
 	Corrupt float64
-	// ByteRate throttles each direction to roughly this many bytes per
-	// second. 0 = unthrottled.
-	ByteRate int
 	// Groups is how many client groups partitions select over;
 	// connections are assigned round-robin by accept order. 0 or 1 means
 	// every connection is in group 0.
@@ -83,9 +80,10 @@ type Proxy struct {
 	ln     net.Listener
 	start  time.Time
 
-	// active gates every probabilistic fault; partitions are windows and
-	// gate themselves. The scenario flips it off for the heal phase.
-	active atomic.Bool
+	// active gates every probabilistic fault (nil: always on); partitions
+	// are windows and gate themselves. The scenario flips it off for the
+	// heal phase.
+	active *atomic.Bool
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{} // client-side conns, for SeverConns
@@ -107,7 +105,9 @@ type Proxy struct {
 // NewProxy listens on 127.0.0.1 (an ephemeral port) and relays every
 // accepted connection to target, applying faults on both directions.
 // The fault schedule for connection i is a pure function of (seed, i).
-func NewProxy(target string, seed uint64, faults Faults) (*Proxy, error) {
+// active gates the probabilistic faults exactly as it gates
+// WrapTransport's: the scenario shares one flag between them.
+func NewProxy(target string, seed uint64, faults Faults, active *atomic.Bool) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("chaos: proxy listen: %w", err)
@@ -122,24 +122,19 @@ func NewProxy(target string, seed uint64, faults Faults) (*Proxy, error) {
 		target: target,
 		seed:   seed,
 		faults: faults,
+		active: active,
 		ln:     ln,
 		//lint:wallclock the proxy shapes real traffic in real time; elapsed-since-start only phases fault groups, decisions stay seeded
 		start:    time.Now(),
 		conns:    map[net.Conn]struct{}{},
 		upstream: map[net.Conn]struct{}{},
 	}
-	p.active.Store(true)
 	go p.acceptLoop()
 	return p, nil
 }
 
 // Addr is the proxy's listen address, host:port.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// SetActive toggles every probabilistic fault at once; partition windows
-// expire on their own. The scenario runner turns faults off for the
-// heal phase so sessions can prove they recover.
-func (p *Proxy) SetActive(on bool) { p.active.Store(on) }
 
 // SeverConns closes every connection currently relayed, both sides,
 // while the listener keeps accepting. A client wedged on a response the
@@ -327,7 +322,7 @@ func (pl *pipePlan) next(sinceStart time.Duration, group int, active bool) decis
 // it (or discarded if the stream ends first — a tail byte lost in
 // flight).
 //
-//lint:wallclock pacing (throttle windows, delivery delays) is real-time behavior; every decision that shapes the schedule comes from the seeded plan
+//lint:wallclock pacing (partition windows, delivery delays) is real-time behavior; every decision that shapes the schedule comes from the seeded plan
 func (p *Proxy) pump(src, dst net.Conn, plan *pipePlan, group int, sever func()) {
 	defer func() {
 		// Half-close propagation: a finished direction closes both ends;
@@ -337,12 +332,10 @@ func (p *Proxy) pump(src, dst net.Conn, plan *pipePlan, group int, sever func())
 	}()
 	buf := make([]byte, 32<<10)
 	var held []byte
-	throttleStart := time.Now()
-	var throttled int64
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			d := plan.next(time.Since(p.start), group, p.active.Load())
+			d := plan.next(time.Since(p.start), group, gateOn(p.active))
 			chunk := buf[:n]
 			switch {
 			case d.blackhole:
@@ -365,13 +358,6 @@ func (p *Proxy) pump(src, dst net.Conn, plan *pipePlan, group int, sever func())
 				if d.delay > 0 {
 					p.delayed.Add(1)
 					time.Sleep(d.delay)
-				}
-				if p.faults.ByteRate > 0 {
-					throttled += int64(n)
-					due := throttleStart.Add(time.Duration(throttled * int64(time.Second) / int64(p.faults.ByteRate)))
-					if ahead := time.Until(due); ahead > 0 {
-						time.Sleep(ahead)
-					}
 				}
 				if d.reorder && held == nil {
 					held = append([]byte(nil), chunk...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -93,21 +94,16 @@ func echoServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func TestProxyPassThrough(t *testing.T) {
-	upstream := echoServer(t)
-	p, err := NewProxy(upstream, 1, Faults{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
+// echoThrough sends msg to the echo server through p and returns what
+// came back.
+func echoThrough(t *testing.T, p *Proxy, msg string) string {
+	t.Helper()
 	conn, err := net.Dial("tcp", p.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	msg := []byte("through the quiet proxy")
-	if _, err := conn.Write(msg); err != nil {
+	if _, err := conn.Write([]byte(msg)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, len(msg))
@@ -115,11 +111,38 @@ func TestProxyPassThrough(t *testing.T) {
 	if _, err := readFull(conn, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatalf("echoed %q, want %q", buf, msg)
+	return string(buf)
+}
+
+func TestProxyPassThrough(t *testing.T) {
+	p, err := NewProxy(echoServer(t), 1, Faults{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := echoThrough(t, p, "through the quiet proxy"); got != "through the quiet proxy" {
+		t.Fatalf("echoed %q", got)
 	}
 	if st := p.Stats(); st.Conns != 1 || st.Chunks < 2 {
 		t.Fatalf("stats %+v, want 1 conn and >= 2 chunks", st)
+	}
+}
+
+// TestProxyGate: with the shared gate off — the heal phase — a proxy
+// told to drop, reset and corrupt every chunk relays bytes intact and
+// counts no fault.
+func TestProxyGate(t *testing.T) {
+	var active atomic.Bool
+	p, err := NewProxy(echoServer(t), 1, Faults{Drop: 1, Reset: 1, Corrupt: 1}, &active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got := echoThrough(t, p, "healed"); got != "healed" {
+		t.Fatalf("echoed %q through a gated-off proxy", got)
+	}
+	if st := p.Stats(); st.Dropped+st.Resets+st.Corrupted != 0 {
+		t.Fatalf("stats %+v, want no faults with the gate off", st)
 	}
 }
 
@@ -130,7 +153,7 @@ func TestProxyPartitionBlackholes(t *testing.T) {
 	upstream := echoServer(t)
 	p, err := NewProxy(upstream, 1, Faults{
 		Partitions: []Window{{At: 0, For: 600 * time.Millisecond, Group: -1}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,27 +196,13 @@ func TestProxyPartitionBlackholes(t *testing.T) {
 // binproto CRC gate; here we only prove the proxy actually flips bytes
 // and keeps the framing (byte count) intact.
 func TestProxyCorruptFlipsBytes(t *testing.T) {
-	upstream := echoServer(t)
-	p, err := NewProxy(upstream, 1, Faults{Corrupt: 1})
+	p, err := NewProxy(echoServer(t), 1, Faults{Corrupt: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-
-	conn, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	msg := []byte("checksums exist for a reason")
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(msg))
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFull(conn, buf); err != nil {
-		t.Fatal(err)
-	}
+	msg := "checksums exist for a reason"
+	buf := echoThrough(t, p, msg)
 	diff := 0
 	for i := range msg {
 		if buf[i] != msg[i] {
@@ -215,7 +224,7 @@ func TestProxyCorruptFlipsBytes(t *testing.T) {
 // that will never come — the teardown path for wedged unbounded calls.
 func TestProxySeverConns(t *testing.T) {
 	upstream := echoServer(t)
-	p, err := NewProxy(upstream, 1, Faults{Drop: 1}) // every chunk dropped
+	p, err := NewProxy(upstream, 1, Faults{Drop: 1}, nil) // every chunk dropped
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,7 +340,11 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		}
 	}
 
-	proxy, err := NewProxy(upstream, opts.Seed, proxyFaults)
+	// The shared fault gate, proxy and call wrappers alike: flipped off
+	// at heal time.
+	var active atomic.Bool
+	active.Store(true)
+	proxy, err := NewProxy(upstream, opts.Seed, proxyFaults, &active)
 	if err != nil {
 		srv.Stop(5 * time.Second)
 		return nil, err
@@ -358,7 +362,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	// Probabilistic faults cover the whole fault phase; windows and
 	// crashes register themselves as they happen.
 	probabilistic := sc.Proxy.Drop > 0 || sc.Proxy.Delay > 0 || sc.Proxy.Reorder > 0 ||
-		sc.Proxy.Reset > 0 || sc.Proxy.Corrupt > 0 || sc.Proxy.ByteRate > 0 ||
+		sc.Proxy.Reset > 0 || sc.Proxy.Corrupt > 0 ||
 		sc.Transport.DupRenew > 0 || sc.Transport.DupRelease > 0 || sc.Transport.Defer > 0
 	if probabilistic {
 		checker.Fault(start, start.Add(faultPhase).Add(sc.TTL), "probabilistic")
@@ -375,10 +379,6 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 			break
 		}
 	}
-
-	// The shared fault gate: flipped off at heal time.
-	var active atomic.Bool
-	active.Store(true)
 
 	// Sessions, each with its own seeded jitter stream and (possibly
 	// skewed) clock, all dialing through the proxy.
@@ -573,7 +573,7 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 
 	<-faultCtx.Done()
 	active.Store(false)
-	logf("fault phase over (%v); healing", faultPhase.Round(time.Millisecond))
+	logf("fault phase over (%v); healing from proxy %+v", faultPhase.Round(time.Millisecond), proxy.Stats())
 	<-runCtx.Done()
 	wg.Wait()
 	if crashErr != nil {

@@ -67,6 +67,9 @@ func WrapTransport(inner leaseclient.Transport, seed uint64, label string, f Tra
 	return &FaultTransport{inner: inner, f: f, active: active, r: rng(seed, "transport/"+label)}
 }
 
+// gateOn reads a shared fault gate; nil means always on.
+func gateOn(active *atomic.Bool) bool { return active == nil || active.Load() }
+
 // Stats snapshots the fault counters.
 func (t *FaultTransport) Stats() TransportStats {
 	return TransportStats{
@@ -84,7 +87,7 @@ func (t *FaultTransport) draw() (dup bool, dupRelease bool, wait time.Duration) 
 	deferDraw := t.r.Float64()
 	amtDraw := t.r.Float64()
 	t.mu.Unlock()
-	if t.active != nil && !t.active.Load() {
+	if !gateOn(t.active) {
 		return false, false, 0
 	}
 	if deferDraw < t.f.Defer {

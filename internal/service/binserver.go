@@ -31,6 +31,10 @@ type BinConfig struct {
 // writeTimeout bounds each response flush.
 const writeTimeout = 30 * time.Second
 
+// badRequest is the code of a frame that does not decode: this server
+// is the one place a binproto error becomes a wire code.
+var badRequest = wire.ParseCode(wire.CodeBadRequest)
+
 // BinServer serves the binproto framing over persistent TCP
 // connections: the -listen-bin port. Each connection's frames are
 // processed strictly in order (the pipelining contract — clients may
@@ -178,7 +182,7 @@ func (s *BinServer) serveConn(conn net.Conn) {
 		if err != nil {
 			// A bad header means the stream is desynchronized: frame
 			// boundaries are gone, so answer once and drop the link.
-			c.writeError(h.ID, binproto.CodeBadRequest, err.Error())
+			c.writeError(h.ID, badRequest, err.Error())
 			c.flush()
 			return
 		}
@@ -197,7 +201,7 @@ func (s *BinServer) serveConn(conn net.Conn) {
 			// cannot be trusted past this point. Same treatment as a
 			// bad header — answer once, then drop the link so the
 			// client redials onto a clean stream.
-			c.writeError(h.ID, binproto.CodeBadRequest, err.Error())
+			c.writeError(h.ID, badRequest, err.Error())
 			c.flush()
 			return
 		}
@@ -227,11 +231,11 @@ func (c *binConn) flush() bool {
 }
 
 // writeError appends a TError frame for request id.
-func (c *binConn) writeError(id uint64, code byte, msg string) {
+func (c *binConn) writeError(id uint64, code wire.Code, msg string) {
 	c.resp = c.resp[:0]
 	var start int
 	c.resp, start = binproto.BeginFrame(c.resp, binproto.TError, id)
-	c.resp = binproto.AppendErrorResp(c.resp, code, msg)
+	c.resp = binproto.AppendErrorResp(c.resp, byte(code), msg)
 	c.resp = binproto.EndFrame(c.resp, start)
 	c.bw.Write(c.resp)
 }
@@ -246,18 +250,22 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 	ok := func(t binproto.Type) {
 		c.resp, frameStart = binproto.BeginFrame(c.resp, t|binproto.RespBit, h.ID)
 	}
-	var opErr error
+	// A refused request: its code and the error that refused it.
+	var (
+		refusal wire.Code
+		opErr   error
+	)
 
 	switch h.Type {
 	case binproto.TAcquireBatch:
 		owner, count, ttlMs, meta, err := binproto.DecodeAcquireBatchReq(c.payload)
 		if err != nil {
-			opErr = err
+			refusal, opErr = badRequest, err
 			break
 		}
 		ls, err := b.AcquireBatch(ctx, &wire.AcquireBatchRequest{Owner: owner, Count: count, TTLms: ttlMs, Meta: meta})
 		if err != nil {
-			opErr = err
+			refusal, opErr = wire.CodeOf(err), err
 			break
 		}
 		ok(binproto.TAcquireBatch)
@@ -270,13 +278,13 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 		ttlMs, items, err := binproto.DecodeRenewBatchReq(c.payload, c.renewItems)
 		c.renewItems = items
 		if err != nil {
-			opErr = err
+			refusal, opErr = badRequest, err
 			break
 		}
 		verdicts, err := b.RenewBatch(ctx, wire.TTLFromMs(ttlMs), items, c.verdicts)
 		c.verdicts = verdicts
 		if err != nil {
-			opErr = err
+			refusal, opErr = wire.CodeOf(err), err
 			break
 		}
 		ok(binproto.TRenewBatch)
@@ -295,13 +303,13 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 		items, err := binproto.DecodeReleaseBatchReq(c.payload, c.releaseItems)
 		c.releaseItems = items
 		if err != nil {
-			opErr = err
+			refusal, opErr = badRequest, err
 			break
 		}
 		verdicts, err := b.ReleaseBatch(ctx, items, c.verdicts)
 		c.verdicts = verdicts
 		if err != nil {
-			opErr = err
+			refusal, opErr = wire.CodeOf(err), err
 			break
 		}
 		ok(binproto.TReleaseBatch)
@@ -312,13 +320,13 @@ func (c *binConn) dispatch(ctx context.Context, h binproto.Header) bool {
 
 	default:
 		// A request carrying a response type: protocol misuse, drop.
-		c.writeError(h.ID, binproto.CodeBadRequest, "frame type is not a request")
+		c.writeError(h.ID, badRequest, "frame type is not a request")
 		c.flush()
 		return false
 	}
 
 	if opErr != nil {
-		c.writeError(h.ID, binproto.CodeForErr(opErr), opErr.Error())
+		c.writeError(h.ID, refusal, opErr.Error())
 	} else {
 		c.resp = binproto.EndFrame(c.resp, frameStart)
 		if _, err := c.bw.Write(c.resp); err != nil {

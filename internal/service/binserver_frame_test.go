@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/wire/binproto"
 )
 
@@ -218,7 +219,7 @@ func TestBinServerCorruptPayloadRejected(t *testing.T) {
 		t.Fatalf("corrupt frame answer = %+v, want TError echoing id 9", h)
 	}
 	code, msg, derr := binproto.DecodeErrorResp(payload)
-	if derr != nil || code != binproto.CodeBadRequest {
+	if derr != nil || code != binproto.CodeByte(wire.CodeBadRequest) {
 		t.Fatalf("error resp = (%d, %q, %v), want bad_request", code, msg, derr)
 	}
 	if !strings.Contains(msg, "checksum") {
@@ -272,7 +273,7 @@ func TestBinServerRetiredFrameTypes(t *testing.T) {
 			t.Fatalf("type %#02x answered with %+v, want TError", typ, h)
 		}
 		code, msg, err := binproto.DecodeErrorResp(p)
-		if err != nil || code != binproto.CodeBadRequest || !strings.Contains(msg, "unknown frame type") {
+		if err != nil || code != binproto.CodeByte(wire.CodeBadRequest) || !strings.Contains(msg, "unknown frame type") {
 			t.Fatalf("type %#02x error = (%d, %q, %v), want bad_request naming the unknown type", typ, code, msg, err)
 		}
 		// One answer, then dropped: EOF, or a reset if the server closed

@@ -153,7 +153,7 @@ func TestBinServerRoundTrip(t *testing.T) {
 		t.Fatalf("count-0 acquire header = %+v", h)
 	}
 	code, msg, err := binproto.DecodeErrorResp(p)
-	if err != nil || code != binproto.CodeBadRequest || msg == "" {
+	if err != nil || code != binproto.CodeByte(wire.CodeBadRequest) || msg == "" {
 		t.Fatalf("count-0 acquire error = (%d, %q, %v)", code, msg, err)
 	}
 }
@@ -224,7 +224,7 @@ func TestBinServerBadHeaderDropsConn(t *testing.T) {
 		t.Fatalf("bad header answered with %+v", h)
 	}
 	code, _, err := binproto.DecodeErrorResp(p)
-	if err != nil || code != binproto.CodeBadRequest {
+	if err != nil || code != binproto.CodeByte(wire.CodeBadRequest) {
 		t.Fatalf("bad header error = (%d, %v)", code, err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -256,7 +256,7 @@ func TestBinServerMalformedPayloadKeepsConn(t *testing.T) {
 	if h.Type != binproto.TError || h.ID != 7 {
 		t.Fatalf("malformed payload header = %+v", h)
 	}
-	if code, _, _ := binproto.DecodeErrorResp(p); code != binproto.CodeBadRequest {
+	if code, _, _ := binproto.DecodeErrorResp(p); code != binproto.CodeByte(wire.CodeBadRequest) {
 		t.Fatalf("malformed payload code = %d", code)
 	}
 

@@ -18,7 +18,6 @@ import (
 
 	renaming "repro"
 	"repro/internal/wire"
-	"repro/internal/wire/binproto"
 	"repro/lease"
 )
 
@@ -55,8 +54,8 @@ func (c *Core) Leases() []wire.Lease {
 
 // Verdict is one item's outcome in a batch operation: Code "" means
 // success and Lease carries the extended deadline; otherwise Code is a
-// wire code (wire.CodeUnknownName, ...) and Msg the server-rendered
-// error text.
+// JSON code from wire's code table (wire.CodeUnknownName, ...) and Msg
+// the server-rendered error text.
 type Verdict struct {
 	Code  string
 	Msg   string
@@ -73,8 +72,8 @@ type Binding struct {
 	ops  [opCount]opHandle
 	// verdict counters are shared across transports (the op label is the
 	// batch endpoint, not the wire) — kept here pre-resolved.
-	renewVerdicts   *verdictSet
-	releaseVerdicts *verdictSet
+	renewVerdicts   verdictSet
+	releaseVerdicts verdictSet
 }
 
 // Bind returns the Core's operations instrumented under the given
@@ -135,13 +134,13 @@ func (b *Binding) RenewBatch(ctx context.Context, ttl time.Duration, items []lea
 	}
 	out = out[:0]
 	for i := range results {
-		if rerr := results[i].Err; rerr != nil {
-			code := wire.CodeFor(rerr)
-			b.renewVerdicts.inc(code)
-			out = append(out, Verdict{Code: code, Msg: rerr.Error()})
+		rerr := results[i].Err
+		code := wire.CodeOf(rerr)
+		b.renewVerdicts.inc(code)
+		if rerr != nil {
+			out = append(out, Verdict{Code: code.String(), Msg: rerr.Error()})
 			continue
 		}
-		b.renewVerdicts.inc("ok")
 		out = append(out, Verdict{Lease: wire.FromLease(results[i].Lease)})
 	}
 	return out, nil
@@ -159,13 +158,13 @@ func (b *Binding) ReleaseBatch(ctx context.Context, items []lease.ReleaseItem, o
 	}
 	out = out[:0]
 	for i := range results {
-		if rerr := results[i].Err; rerr != nil {
-			code := wire.CodeFor(rerr)
-			b.releaseVerdicts.inc(code)
-			out = append(out, Verdict{Code: code, Msg: rerr.Error()})
+		rerr := results[i].Err
+		code := wire.CodeOf(rerr)
+		b.releaseVerdicts.inc(code)
+		if rerr != nil {
+			out = append(out, Verdict{Code: code.String(), Msg: rerr.Error()})
 			continue
 		}
-		b.releaseVerdicts.inc("ok")
 		out = append(out, Verdict{})
 	}
 	return out, nil
@@ -213,9 +212,8 @@ type ResizeStatus struct {
 	Lease    error // lease live-cap retarget outcome
 }
 
-// Wire renders the status as the JSON /v1/resize response body. Codes
-// come from the binary taxonomy's string forms so a bad-config verdict
-// reads "bad_request" on both surfaces.
+// Wire renders the status as the JSON /v1/resize response body, each
+// component's error classified by wire's code table.
 func (s ResizeStatus) Wire() wire.ResizeResponse {
 	resp := wire.ResizeResponse{
 		Capacity: s.Capacity,
@@ -229,7 +227,7 @@ func (s ResizeStatus) Wire() wire.ResizeResponse {
 	}{{"namer", s.Namer}, {"lease", s.Lease}} {
 		r := wire.ResizeResult{Component: v.component}
 		if v.err != nil {
-			r.Code = binproto.CodeString(binproto.CodeForErr(v.err))
+			r.Code = wire.CodeOf(v.err).String()
 			r.Error = v.err.Error()
 		}
 		resp.Results = append(resp.Results, r)

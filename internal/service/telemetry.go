@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Operation indices for pre-resolved per-op instrumentation handles.
@@ -26,32 +27,20 @@ var opName = [opCount]string{
 // whether or not a transport has seen traffic.
 var transports = []string{"http", "bin"}
 
-// verdictCodes are the per-item outcomes a batch endpoint can report;
-// "ok" is the success code (the wire sends success as an absent code).
-var verdictCodes = []string{
-	"ok",
-	"unknown_name", "wrong_token", "expired", "closed", "cancelled", "internal",
-}
-
 // opHandle is one (transport, op)'s pre-resolved instrumentation.
 type opHandle struct {
 	reqs *telemetry.Counter
 	lat  *telemetry.Histogram
 }
 
-// verdictSet pre-resolves one batch op's per-code verdict counters;
-// indexing a plain map is lock-free, CounterVec.With is not. A nil set
+// verdictSet pre-resolves one batch op's verdict counters, indexed by
+// code; indexing a slice is lock-free, CounterVec.With is not. A nil set
 // (telemetry disabled) ignores increments.
-type verdictSet struct {
-	byCode map[string]*telemetry.Counter
-}
+type verdictSet []*telemetry.Counter
 
-func (v *verdictSet) inc(code string) {
-	if v == nil {
-		return
-	}
-	if c, ok := v.byCode[code]; ok {
-		c.Inc()
+func (v verdictSet) inc(code wire.Code) {
+	if int(code) < len(v) {
+		v[code].Inc()
 	}
 }
 
@@ -62,7 +51,7 @@ func (v *verdictSet) inc(code string) {
 type Telemetry struct {
 	requests *telemetry.CounterVec
 	latency  *telemetry.HistogramVec
-	verdicts map[string]*verdictSet
+	verdicts map[string]verdictSet
 }
 
 // NewTelemetry registers the service families on reg. Every
@@ -74,7 +63,7 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 			"Requests served by the service core, by transport and operation.", "transport", "op"),
 		latency: reg.HistogramVec("renamed_request_duration_seconds",
 			"Service-core operation latency, by transport and operation.", "transport", "op"),
-		verdicts: map[string]*verdictSet{},
+		verdicts: map[string]verdictSet{},
 	}
 	for _, tr := range transports {
 		for _, op := range opName {
@@ -85,9 +74,15 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 	vec := reg.CounterVec("renamed_batch_item_verdicts_total",
 		"Per-item outcomes inside renew_batch/release_batch responses.", "op", "code")
 	for _, op := range []string{"renew_batch", "release_batch"} {
-		set := &verdictSet{byCode: map[string]*telemetry.Counter{}}
-		for _, code := range verdictCodes {
-			set.byCode[code] = vec.With(op, code)
+		var set verdictSet
+		// The per-item codes are the first rows of wire's code table;
+		// success, which the JSON wire leaves unnamed, is labeled "ok".
+		for code := wire.Code(0); code.PerItem(); code++ {
+			label := code.String()
+			if label == "" {
+				label = "ok"
+			}
+			set = append(set, vec.With(op, label))
 		}
 		t.verdicts[op] = set
 	}

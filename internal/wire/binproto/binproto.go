@@ -1,7 +1,7 @@
 // Package binproto is the length-prefixed binary wire protocol of
 // cmd/renamed's -listen-bin port: the fast transport counterpart of the
-// JSON /v1 surface, sharing the same operations and per-item result
-// codes (wire.CodeFor round-trips through CodeByte/CodeString) so the
+// JSON /v1 surface, sharing the same operations and result codes. A code
+// travels as its byte in internal/wire's code table (wire.Code), so the
 // two surfaces cannot drift semantically.
 //
 // Every frame is a fixed 20-byte header followed by a payload:
@@ -52,9 +52,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	renaming "repro"
 	"repro/internal/wire"
-	"repro/lease"
 )
 
 const (
@@ -112,118 +110,14 @@ var (
 	ErrChecksum      = errors.New("binproto: payload checksum mismatch")
 )
 
-// Per-item and whole-request result codes, one byte on the wire.
-// CodeOK..CodeInternal mirror internal/wire's string codes exactly;
-// CodeExhausted and CodeBadRequest cover the request-level failures the
-// HTTP surface expresses as 503 and 400.
-const (
-	CodeOK          byte = 0
-	CodeUnknownName byte = 1
-	CodeWrongToken  byte = 2
-	CodeExpired     byte = 3
-	CodeClosed      byte = 4
-	CodeCancelled   byte = 5
-	CodeInternal    byte = 6
-	CodeExhausted   byte = 7
-	CodeBadRequest  byte = 8
-)
+// CodeOK is the success byte: row 0 of wire's code table.
+const CodeOK = byte(0)
 
-// CodeByte maps a wire string code ("" = ok) onto its byte.
-func CodeByte(code string) byte {
-	switch code {
-	case "":
-		return CodeOK
-	case wire.CodeUnknownName:
-		return CodeUnknownName
-	case wire.CodeWrongToken:
-		return CodeWrongToken
-	case wire.CodeExpired:
-		return CodeExpired
-	case wire.CodeClosed:
-		return CodeClosed
-	case wire.CodeCancelled:
-		return CodeCancelled
-	default:
-		return CodeInternal
-	}
-}
+// CodeByte is a JSON code's byte ("" = ok).
+func CodeByte(code string) byte { return byte(wire.ParseCode(code)) }
 
-// CodeString is CodeByte's inverse for the codes shared with the JSON
-// surface; the binary-only codes render as themselves.
-func CodeString(b byte) string {
-	switch b {
-	case CodeOK:
-		return ""
-	case CodeUnknownName:
-		return wire.CodeUnknownName
-	case CodeWrongToken:
-		return wire.CodeWrongToken
-	case CodeExpired:
-		return wire.CodeExpired
-	case CodeClosed:
-		return wire.CodeClosed
-	case CodeCancelled:
-		return wire.CodeCancelled
-	case CodeExhausted:
-		return "exhausted"
-	case CodeBadRequest:
-		return "bad_request"
-	default:
-		return wire.CodeInternal
-	}
-}
-
-// CodeForErr maps a request-level service error onto its wire byte —
-// the binary twin of the HTTP writeError status mapping.
-func CodeForErr(err error) byte {
-	switch {
-	case err == nil:
-		return CodeOK
-	case errors.Is(err, renaming.ErrNamespaceExhausted), errors.Is(err, lease.ErrCapacity):
-		return CodeExhausted
-	case errors.Is(err, renaming.ErrCancelled):
-		return CodeCancelled
-	case errors.Is(err, renaming.ErrBadConfig),
-		errors.Is(err, ErrTruncated), errors.Is(err, ErrTrailingBytes),
-		errors.Is(err, ErrTooLarge), errors.Is(err, ErrUnknownType),
-		errors.Is(err, ErrBadMagic), errors.Is(err, ErrBadVersion),
-		errors.Is(err, ErrChecksum):
-		return CodeBadRequest
-	case errors.Is(err, lease.ErrWrongToken):
-		return CodeWrongToken
-	case errors.Is(err, lease.ErrExpired):
-		return CodeExpired
-	case errors.Is(err, lease.ErrUnknownName):
-		return CodeUnknownName
-	case errors.Is(err, lease.ErrClosed):
-		return CodeClosed
-	default:
-		return CodeInternal
-	}
-}
-
-// ErrFor rebuilds a typed error from a result byte, preserving the
-// server-rendered message — the client-side inverse of CodeForErr.
-// Shared codes round-trip to the same sentinels as wire.ErrFor, so
-// errors.Is works identically over either transport.
-func ErrFor(b byte, msg string) error {
-	switch b {
-	case CodeOK:
-		return nil
-	case CodeExhausted:
-		if msg == "" {
-			return lease.ErrCapacity
-		}
-		return fmt.Errorf("%w (server: %s)", lease.ErrCapacity, msg)
-	case CodeBadRequest:
-		if msg == "" {
-			msg = "bad request"
-		}
-		return fmt.Errorf("renamed: %w: %s", renaming.ErrBadConfig, msg)
-	default:
-		return wire.ErrFor(CodeString(b), msg)
-	}
-}
+// CodeString is a code byte's JSON spelling ("" for ok).
+func CodeString(b byte) string { return wire.Code(b).String() }
 
 // Header is a parsed frame header.
 type Header struct {

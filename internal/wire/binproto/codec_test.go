@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	renaming "repro"
 	"repro/internal/wire"
 	"repro/lease"
 )
@@ -196,7 +195,7 @@ func TestRenewBatchRoundTrip(t *testing.T) {
 
 	resp := AppendBatchRespHeader(nil, 2)
 	resp = AppendRenewResult(resp, CodeOK, 1, 11, 5000)
-	resp = AppendRenewResult(resp, CodeWrongToken, 0, 0, 0)
+	resp = AppendRenewResult(resp, CodeByte(wire.CodeWrongToken), 0, 0, 0)
 	results, err := DecodeRenewBatchResp(resp, nil)
 	if err != nil || len(results) != 2 {
 		t.Fatalf("renew batch resp = %v, %v", results, err)
@@ -204,7 +203,7 @@ func TestRenewBatchRoundTrip(t *testing.T) {
 	if results[0] != (RenewResult{Code: CodeOK, Name: 1, Token: 11, ExpiresMs: 5000}) {
 		t.Fatalf("result 0 = %+v", results[0])
 	}
-	if results[1].Code != CodeWrongToken {
+	if results[1].Code != CodeByte(wire.CodeWrongToken) {
 		t.Fatalf("result 1 code = %d", results[1].Code)
 	}
 
@@ -226,79 +225,18 @@ func TestReleaseRoundTrip(t *testing.T) {
 	}
 
 	resp := AppendBatchRespHeader(nil, 2)
-	resp = append(resp, CodeOK, CodeUnknownName)
+	resp = append(resp, CodeOK, CodeByte(wire.CodeUnknownName))
 	codes, err := DecodeReleaseBatchResp(resp, nil)
-	if err != nil || len(codes) != 2 || codes[0] != CodeOK || codes[1] != CodeUnknownName {
+	if err != nil || len(codes) != 2 || codes[0] != CodeOK || codes[1] != CodeByte(wire.CodeUnknownName) {
 		t.Fatalf("release batch resp = %v, %v", codes, err)
 	}
 }
 
 func TestErrorRespRoundTrip(t *testing.T) {
-	p := AppendErrorResp(nil, CodeExhausted, "namespace full")
+	p := AppendErrorResp(nil, CodeByte(wire.CodeExhausted), "namespace full")
 	code, msg, err := DecodeErrorResp(p)
-	if err != nil || code != CodeExhausted || msg != "namespace full" {
+	if err != nil || code != CodeByte(wire.CodeExhausted) || msg != "namespace full" {
 		t.Fatalf("error resp = (%d, %q, %v)", code, msg, err)
-	}
-}
-
-// TestCodeRoundTrip: every byte code that has a wire string code must
-// survive byte→string→byte, and the shared subset must agree with
-// internal/wire's mapping so the two surfaces cannot drift.
-func TestCodeRoundTrip(t *testing.T) {
-	for b := byte(0); b <= CodeBadRequest; b++ {
-		s := CodeString(b)
-		if got := CodeByte(s); b <= CodeInternal && got != b {
-			t.Errorf("code %d -> %q -> %d", b, s, got)
-		}
-	}
-	// Shared codes agree with wire.CodeFor on the underlying sentinels.
-	for _, tc := range []struct {
-		err  error
-		want byte
-	}{
-		{lease.ErrUnknownName, CodeUnknownName},
-		{lease.ErrWrongToken, CodeWrongToken},
-		{lease.ErrExpired, CodeExpired},
-		{lease.ErrClosed, CodeClosed},
-		{renaming.ErrCancelled, CodeCancelled},
-		{lease.ErrCapacity, CodeExhausted},
-		{renaming.ErrNamespaceExhausted, CodeExhausted},
-		{renaming.ErrBadConfig, CodeBadRequest},
-		{errors.New("mystery"), CodeInternal},
-		{nil, CodeOK},
-	} {
-		if got := CodeForErr(tc.err); got != tc.want {
-			t.Errorf("CodeForErr(%v) = %d, want %d", tc.err, got, tc.want)
-		}
-		if tc.err != nil && tc.want <= CodeInternal {
-			if CodeByte(wire.CodeFor(tc.err)) != tc.want {
-				t.Errorf("wire.CodeFor(%v) disagrees with CodeForErr", tc.err)
-			}
-		}
-	}
-}
-
-// TestErrForSentinels: the client-side inverse rebuilds errors that
-// errors.Is-match the same sentinels over either transport.
-func TestErrForSentinels(t *testing.T) {
-	for _, tc := range []struct {
-		code byte
-		want error
-	}{
-		{CodeUnknownName, lease.ErrUnknownName},
-		{CodeWrongToken, lease.ErrWrongToken},
-		{CodeExpired, lease.ErrExpired},
-		{CodeClosed, lease.ErrClosed},
-		{CodeCancelled, renaming.ErrCancelled},
-		{CodeExhausted, lease.ErrCapacity},
-		{CodeBadRequest, renaming.ErrBadConfig},
-	} {
-		if err := ErrFor(tc.code, "msg"); !errors.Is(err, tc.want) {
-			t.Errorf("ErrFor(%d) = %v, want Is(%v)", tc.code, err, tc.want)
-		}
-	}
-	if err := ErrFor(CodeOK, ""); err != nil {
-		t.Errorf("ErrFor(CodeOK) = %v", err)
 	}
 }
 

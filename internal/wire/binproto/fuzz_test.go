@@ -40,7 +40,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// capacity | maxLive | epoch | draining | count | (code, component, msg)
 	resizeResp := append(appendU64(appendI64(appendI64(nil, 4096), 4096), 2), 1, 1, CodeOK)
 	seed(0x08|RespBit, appendStr(appendStr(resizeResp, "namer"), ""))
-	seed(TError, AppendErrorResp(nil, CodeExhausted, "full"))
+	seed(TError, AppendErrorResp(nil, CodeByte(wire.CodeExhausted), "full"))
 
 	// Hostile seeds: torn frames, oversized declared lengths, truncated
 	// headers, counts the bytes don't pay for, garbage.

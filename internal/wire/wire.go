@@ -5,10 +5,15 @@
 //
 // Batch renew/release responses are PER-ITEM: the request was processed
 // even when individual items failed, and each failed item carries both a
-// human-readable error and a machine-readable code (see the Code
-// constants) that round-trips to the lease package's typed sentinels via
-// CodeFor/ErrFor. A heartbeating session uses the codes to learn exactly
-// which leases it lost and why.
+// human-readable error and a machine-readable code. A heartbeating
+// session uses the codes to learn exactly which leases it lost and why.
+// A request refused as a whole carries a code too, in its error body.
+//
+// Every code lives in one table (codes, below): its byte on bin://, its
+// JSON string, the sentinel a client rebuilds from it, and the HTTP
+// status it refuses a whole request with. Servers classify with CodeOf,
+// clients rebuild with Code.Err, so a refusal unwraps to the same
+// sentinel over either wire.
 package wire
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"net/http"
 	"time"
 
 	renaming "repro"
@@ -121,13 +127,16 @@ type ResizeResponse struct {
 	Results  []ResizeResult `json:"results"`
 }
 
-// Error is the body of every non-2xx response.
+// Error is the body of every non-2xx response the server writes; Code
+// is the refusal's row in the code table. A non-2xx body without a code
+// did not come from the server's handlers (a mux 404, a proxy's 502).
 type Error struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
 
-// Per-item failure codes. CodeInternal covers errors outside the lease
-// taxonomy (e.g. a namer that refuses to take a released name back).
+// The JSON spellings of the result codes. Success has no code: the JSON
+// wire omits it, and it is "" in Go.
 const (
 	CodeUnknownName = "unknown_name"
 	CodeWrongToken  = "wrong_token"
@@ -135,60 +144,99 @@ const (
 	CodeClosed      = "closed"
 	CodeCancelled   = "cancelled"
 	CodeInternal    = "internal"
+	CodeExhausted   = "exhausted"
+	CodeBadRequest  = "bad_request"
 )
-
-// CodeFor maps a per-item error from lease.Manager onto its wire code.
-func CodeFor(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, lease.ErrUnknownName):
-		return CodeUnknownName
-	case errors.Is(err, lease.ErrWrongToken):
-		return CodeWrongToken
-	case errors.Is(err, lease.ErrExpired):
-		return CodeExpired
-	case errors.Is(err, lease.ErrClosed):
-		return CodeClosed
-	case errors.Is(err, renaming.ErrCancelled):
-		return CodeCancelled
-	default:
-		return CodeInternal
-	}
-}
 
 // ErrServer is the sentinel behind CodeInternal and any code this
 // client does not recognize (typically a newer server speaking a newer
-// taxonomy). It keeps the default arm of ErrFor inside the typed
-// taxonomy: callers can errors.Is(err, wire.ErrServer) instead of
+// taxonomy): callers can errors.Is(err, wire.ErrServer) instead of
 // string-matching the rendered message.
 var ErrServer = errors.New("renamed: server error")
 
-// ErrFor is CodeFor's client-side inverse: it rebuilds a typed error a
-// session can errors.Is against the lease sentinels, keeping the
-// server's rendered message for logs.
-func ErrFor(code, msg string) error {
-	var sentinel error
-	switch code {
-	case "":
+// Code is a result code: a row of the code table, and the byte that
+// carries it on bin://.
+type Code byte
+
+type codeRow struct {
+	name    string  // JSON spelling; "" is success
+	is      []error // sentinels that classify as this code; a client rebuilds is[0]
+	status  int     // HTTP status when the code refuses a whole request
+	perItem bool    // can be one batch item's verdict
+}
+
+// codes is the one error-code table; a row's index is its byte, and the
+// per-item rows come first. unknown_name, wrong_token and expired never
+// refuse a whole request (their 500 is unreachable); exhausted and
+// bad_request never refuse a single item.
+var codes = [...]codeRow{
+	{"", nil, http.StatusOK, true},
+	{CodeUnknownName, []error{lease.ErrUnknownName}, http.StatusInternalServerError, true},
+	{CodeWrongToken, []error{lease.ErrWrongToken}, http.StatusInternalServerError, true},
+	{CodeExpired, []error{lease.ErrExpired}, http.StatusInternalServerError, true},
+	{CodeClosed, []error{lease.ErrClosed}, http.StatusServiceUnavailable, true},
+	{CodeCancelled, []error{renaming.ErrCancelled}, http.StatusRequestTimeout, true},
+	{CodeInternal, []error{ErrServer}, http.StatusInternalServerError, true},
+	{CodeExhausted, []error{lease.ErrCapacity, renaming.ErrNamespaceExhausted}, http.StatusServiceUnavailable, false},
+	{CodeBadRequest, []error{renaming.ErrBadConfig}, http.StatusBadRequest, false},
+}
+
+// CodeOf classifies a server-side error: success for nil, internal for
+// anything outside the table.
+func CodeOf(err error) Code {
+	if err == nil {
+		return 0
+	}
+	for c := range codes {
+		for _, sentinel := range codes[c].is {
+			if errors.Is(err, sentinel) {
+				return Code(c)
+			}
+		}
+	}
+	return ParseCode(CodeInternal)
+}
+
+// ParseCode reads a JSON code; "" is success, and a code this side does
+// not know is internal.
+func ParseCode(s string) Code {
+	for c := range codes {
+		if codes[c].name == s {
+			return Code(c)
+		}
+	}
+	return ParseCode(CodeInternal)
+}
+
+// row is c's table row; a byte beyond the table reads as internal.
+func (c Code) row() *codeRow {
+	if int(c) < len(codes) {
+		return &codes[c]
+	}
+	return &codes[ParseCode(CodeInternal)]
+}
+
+// String is the code's JSON spelling; "" for success.
+func (c Code) String() string { return c.row().name }
+
+// Status is the HTTP status of a whole request refused with this code.
+func (c Code) Status() int { return c.row().status }
+
+// PerItem reports whether the code can be one batch item's verdict.
+func (c Code) PerItem() bool { return c.row().perItem }
+
+// Err rebuilds a typed error a client can errors.Is against the table's
+// sentinels, keeping the server's rendered message for logs; nil for
+// success.
+func (c Code) Err(msg string) error {
+	is := c.row().is
+	if len(is) == 0 {
 		return nil
-	case CodeUnknownName:
-		sentinel = lease.ErrUnknownName
-	case CodeWrongToken:
-		sentinel = lease.ErrWrongToken
-	case CodeExpired:
-		sentinel = lease.ErrExpired
-	case CodeClosed:
-		sentinel = lease.ErrClosed
-	case CodeCancelled:
-		sentinel = renaming.ErrCancelled
-	default:
-		sentinel = ErrServer
 	}
-	if msg == "" || msg == sentinel.Error() {
-		return sentinel
+	if msg == "" || msg == is[0].Error() {
+		return is[0]
 	}
-	return fmt.Errorf("%w (server: %s)", sentinel, msg)
+	return fmt.Errorf("%w (server: %s)", is[0], msg)
 }
 
 // FromLease converts a manager lease to its wire form.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"testing"
 	"time"
 
@@ -11,40 +12,53 @@ import (
 	"repro/lease"
 )
 
-// TestCodeRoundTrip: every typed lease error must survive the
-// server→code→client trip as something errors.Is can still classify.
+// TestCodeRoundTrip pins the code table — every byte, JSON string, HTTP
+// status and sentinel is wire contract — and the trip through it: a
+// server error, wrapped as the server wraps it, classifies to its code,
+// and the code rebuilds an error that errors.Is-matches the sentinel.
 func TestCodeRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{
-		lease.ErrUnknownName,
-		lease.ErrWrongToken,
-		lease.ErrExpired,
-		lease.ErrClosed,
-		renaming.ErrCancelled,
+	for _, tc := range []struct {
+		b      byte
+		name   string
+		status int
+		errs   []error // classify as this code; the client rebuilds errs[0]
+	}{
+		{0, "", http.StatusOK, nil},
+		{1, CodeUnknownName, 500, []error{lease.ErrUnknownName}},
+		{2, CodeWrongToken, 500, []error{lease.ErrWrongToken}},
+		{3, CodeExpired, 500, []error{lease.ErrExpired}},
+		{4, CodeClosed, 503, []error{lease.ErrClosed}},
+		{5, CodeCancelled, 408, []error{renaming.ErrCancelled}},
+		{6, CodeInternal, 500, []error{ErrServer, errors.New("namer exploded")}},
+		{7, CodeExhausted, 503, []error{lease.ErrCapacity, renaming.ErrNamespaceExhausted}},
+		{8, CodeBadRequest, 400, []error{renaming.ErrBadConfig}},
 	} {
-		// As the server produces them: possibly wrapped with context.
-		wrapped := fmt.Errorf("lease: renew batch: %w", sentinel)
-		code := CodeFor(wrapped)
-		if code == "" || code == CodeInternal {
-			t.Fatalf("CodeFor(%v) = %q, want a specific code", wrapped, code)
+		c := Code(tc.b)
+		if c.String() != tc.name || ParseCode(tc.name) != c || c.Status() != tc.status || c.PerItem() != (tc.b < 7) {
+			t.Errorf("code %d = (%q, %d, per-item %v), want (%q, %d)", tc.b, c, c.Status(), c.PerItem(), tc.name, tc.status)
 		}
-		back := ErrFor(code, wrapped.Error())
-		if !errors.Is(back, sentinel) {
-			t.Fatalf("ErrFor(%q) = %v, does not match %v", code, back, sentinel)
+		if tc.errs == nil {
+			if CodeOf(nil) != c || c.Err("msg") != nil {
+				t.Errorf("success: CodeOf(nil) = %d, Err = %v", CodeOf(nil), c.Err("msg"))
+			}
+			continue
+		}
+		for _, err := range tc.errs {
+			if got := CodeOf(fmt.Errorf("lease: renew batch: %w", err)); got != c {
+				t.Errorf("CodeOf(%v) = %d, want %d", err, got, c)
+			}
+		}
+		if back := c.Err("server said so"); !errors.Is(back, tc.errs[0]) {
+			t.Errorf("code %d rebuilds %v, does not match %v", tc.b, back, tc.errs[0])
 		}
 	}
-	if got := CodeFor(nil); got != "" {
-		t.Fatalf("CodeFor(nil) = %q, want empty", got)
+	// A code this side does not know reads as internal, on either wire,
+	// and the server's message survives.
+	if ParseCode("from_a_newer_server") != Code(6) || Code(200).String() != CodeInternal {
+		t.Fatal("an unknown code does not read as internal")
 	}
-	if got := ErrFor("", ""); got != nil {
-		t.Fatalf(`ErrFor("") = %v, want nil`, got)
-	}
-	// Outside the taxonomy: internal, and the message survives.
-	odd := errors.New("namer exploded")
-	if got := CodeFor(odd); got != CodeInternal {
-		t.Fatalf("CodeFor(odd) = %q, want %q", got, CodeInternal)
-	}
-	if got := ErrFor(CodeInternal, "namer exploded"); !errors.Is(got, ErrServer) || got.Error() != "renamed: server error (server: namer exploded)" {
-		t.Fatalf("ErrFor(internal) = %v", got)
+	if got := Code(6).Err("namer exploded"); got.Error() != "renamed: server error (server: namer exploded)" {
+		t.Fatalf("internal rebuilds %v", got)
 	}
 }
 

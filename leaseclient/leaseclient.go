@@ -322,7 +322,7 @@ func (s *Session) Release(ctx context.Context, name int) error {
 	// A refused item means the server saw the release: typed like a
 	// whole-request refusal, and never re-adopted.
 	r := results.Results[0]
-	if verr := wire.ErrFor(r.Code, r.Error); verr != nil {
+	if verr := wire.ParseCode(r.Code).Err(r.Error); verr != nil {
 		return &ServerError{Op: "release_batch", Msg: verr.Error(), Err: verr}
 	}
 	return nil
@@ -399,7 +399,7 @@ func (s *Session) releaseItems(ctx context.Context, items []wire.Item) error {
 			continue
 		}
 		for _, r := range results.Results {
-			rerr := wire.ErrFor(r.Code, r.Error)
+			rerr := wire.ParseCode(r.Code).Err(r.Error)
 			if rerr != nil && first == nil && !isGone(rerr) {
 				first = rerr
 			}
@@ -538,7 +538,7 @@ func (s *Session) heartbeat() {
 				s.renewed.Add(1)
 				continue
 			}
-			rerr := wire.ErrFor(r.Code, r.Error)
+			rerr := wire.ParseCode(r.Code).Err(r.Error)
 			if rerr == nil {
 				rerr = errors.New("leaseclient: renew_batch result carried neither lease nor error")
 			}

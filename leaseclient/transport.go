@@ -21,7 +21,9 @@ import (
 // the server RECEIVED the request and refused it; any other error is a
 // transport failure where the request may never have arrived — the
 // distinction drives the Session's release re-adoption and heartbeat
-// backoff. Implementations must be safe for concurrent use.
+// backoff. Both implementations classify a refusal, whole-request or
+// per-item, by its code in internal/wire's one code table, never by an
+// HTTP status. Implementations must be safe for concurrent use.
 type Transport interface {
 	AcquireBatch(ctx context.Context, req *wire.AcquireBatchRequest) (wire.Leases, error)
 	RenewBatch(ctx context.Context, req *wire.RenewBatchRequest) (wire.BatchResults, error)
@@ -77,9 +79,11 @@ const binScheme = "bin://"
 // ServerError is a request the server received and refused as a whole:
 // a non-2xx HTTP response or a binary TError frame. Per-item batch
 // verdicts are NOT ServerErrors — they arrive inside successful
-// responses. Unwrap yields the typed sentinel (lease.ErrWrongToken,
-// lease.ErrCapacity, ...) when the refusal carried a recognizable code,
-// so errors.Is works identically over either transport.
+// responses. Unwrap yields the sentinel the refusal's code rebuilds to
+// in wire's code table (lease.ErrCapacity for exhausted, lease.ErrClosed
+// for closed, ...): the code byte of a TError, the "code" of an HTTP
+// error body. One table on both wires is what makes errors.Is work
+// identically over either transport.
 type ServerError struct {
 	// Op is the operation, in route-name form ("renew_batch").
 	Op string
@@ -90,8 +94,9 @@ type ServerError struct {
 	// RequestID joins this failure against the server's slow-op log and
 	// response headers (16 hex digits on both transports).
 	RequestID string
-	// Err is the typed sentinel recovered from the response's error
-	// code; may be nil when the server's error defied classification.
+	// Err is the typed sentinel rebuilt from the response's code; nil
+	// when the response carried none (an HTTP error that the server's
+	// handlers did not write, such as a mux 404 or a proxy's 502).
 	Err error
 }
 

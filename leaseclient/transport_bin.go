@@ -89,7 +89,7 @@ func (t *binTransport) RenewBatch(ctx context.Context, req *wire.RenewBatchReque
 			out.Results[i].Lease = &wire.Lease{Name: int(r.Name), Token: r.Token, ExpiresAtMs: r.ExpiresMs}
 			continue
 		}
-		out.Results[i].Code = binproto.CodeString(r.Code)
+		out.Results[i].Code = wire.Code(r.Code).String()
 	}
 	return out, nil
 }
@@ -109,7 +109,7 @@ func (t *binTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatchR
 	}
 	out := wire.BatchResults{Results: make([]wire.BatchResult, len(t.codes))}
 	for i, c := range t.codes {
-		out.Results[i].Code = binproto.CodeString(c)
+		out.Results[i].Code = wire.Code(c).String()
 	}
 	return out, nil
 }
@@ -217,7 +217,7 @@ func (t *binTransport) roundTrip(ctx context.Context, typ binproto.Type, encode 
 			Op:        typ.String(),
 			Msg:       msg,
 			RequestID: fmt.Sprintf("%016x", id),
-			Err:       binproto.ErrFor(code, ""),
+			Err:       wire.Code(code).Err(""),
 		}
 	}
 	if h.Type != typ|binproto.RespBit {

@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"strings"
 
-	renaming "repro"
 	"repro/internal/wire"
-	"repro/lease"
 )
 
 // httpTransport speaks the /v1 JSON surface. Every request carries a
@@ -49,33 +47,10 @@ func (t *httpTransport) ReleaseBatch(ctx context.Context, req *wire.ReleaseBatch
 // one transport by design.
 func (t *httpTransport) Close() error { return nil }
 
-// sentinelForStatus inverts the server's writeError status mapping so a
-// ServerError over HTTP Unwraps to the same typed sentinels the binary
-// transport recovers from its code byte. Ambiguous statuses (503 covers
-// both exhaustion and a closing server) pick the retryable reading.
-func sentinelForStatus(status int) error {
-	switch status {
-	case http.StatusServiceUnavailable:
-		return lease.ErrCapacity
-	case http.StatusConflict:
-		return lease.ErrWrongToken
-	case http.StatusGone:
-		return lease.ErrExpired
-	case http.StatusNotFound:
-		return lease.ErrUnknownName
-	case http.StatusRequestTimeout:
-		return renaming.ErrCancelled
-	case http.StatusBadRequest:
-		return renaming.ErrBadConfig
-	default:
-		return nil
-	}
-}
-
 // post sends one JSON request and decodes a 2xx response into out.
-// Non-2xx responses come back as *ServerError with the wire error
-// body's message; the typed per-item errors inside batch results flow
-// through wire.ErrFor instead.
+// Non-2xx responses come back as *ServerError with the error body's
+// message, and its Err rebuilt from the body's code — never guessed
+// from the status, which a mux or a proxy can answer too.
 func (t *httpTransport) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -94,18 +69,17 @@ func (t *httpTransport) post(ctx context.Context, path string, body, out any) er
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
+		// A body that does not decode as the server's wire.Error carries
+		// no code, and the refusal stays unclassified.
 		var we wire.Error
-		msg := ""
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&we) == nil {
-			msg = we.Error
-		}
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&we)
 		io.Copy(io.Discard, resp.Body)
 		return &ServerError{
 			Op:        strings.TrimPrefix(path, "/v1/"),
 			Status:    resp.StatusCode,
-			Msg:       msg,
+			Msg:       we.Error,
 			RequestID: reqID,
-			Err:       sentinelForStatus(resp.StatusCode),
+			Err:       wire.ParseCode(we.Code).Err(""),
 		}
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
