@@ -96,6 +96,7 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 	}
 
 	errs := make(chan error, workers+1)
+	var compactions atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -104,7 +105,7 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 			rng := rand.New(rand.NewPCG(seed, uint64(w)))
 			owner := fmt.Sprintf("w%d", w)
 			var held []lease.Lease
-			for i := 0; i < opsEach; i++ {
+			for i := 0; i < opsEach || compactions.Load() < 2 && len(errs) == 0; i++ {
 				pick := rng.IntN(len(held) + 1)
 				switch op := rng.IntN(4); {
 				case op == 0 || len(held) == 0:
@@ -141,17 +142,20 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 	// before each compaction: the rotation renames that inode to
 	// journal.wal.prev and the compaction's last act removes that name, so
 	// afterwards kept is, byte for byte, the prev a crash just before the
-	// removal would have left.
-	kept := filepath.Join(dir, "kept")
+	// removal would have left — never an empty one, since an empty journal
+	// is not compacted. The churn runs on until two compactions are done.
+	journal, kept := filepath.Join(dir, journalName), filepath.Join(dir, "kept")
 	var stop atomic.Bool
-	compactions := 0
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for !stop.Load() {
+			if fi, err := os.Stat(journal); err == nil && fi.Size() == int64(len(journalMagic)) {
+				continue
+			}
 			if dieInside {
 				os.Remove(kept)
-				if err := os.Link(filepath.Join(dir, journalName), kept); err != nil {
+				if err := os.Link(journal, kept); err != nil {
 					errs <- err
 					return
 				}
@@ -160,7 +164,7 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 				errs <- err
 				return
 			}
-			compactions++
+			compactions.Add(1)
 		}
 	}()
 	wg.Wait()
@@ -171,8 +175,8 @@ func fuzzyChurn(dir string, seed uint64, dieInside bool) error {
 		return err
 	default:
 	}
-	if compactions < 2 {
-		return fmt.Errorf("only %d compactions ran beside the churn", compactions)
+	if n := compactions.Load(); n < 2 {
+		return fmt.Errorf("only %d compactions ran beside the churn", n)
 	}
 
 	want := mgr.Leases()
