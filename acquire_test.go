@@ -3,6 +3,7 @@ package renaming
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -183,27 +184,81 @@ func TestAcquireNSingleStream(t *testing.T) {
 }
 
 // TestAcquirePinnedSequence pins stream derivation and probe order:
-// sequential Acquire calls on NewReBatching(64, WithSeed(42)) hand out
-// exactly these names; a change to either fails here.
+// sequential Acquire calls on each namer at n = 64 with WithSeed(42) hand
+// out exactly these names; a change to either fails here. The cost of a
+// probe may change, the names a seed yields may not.
 func TestAcquirePinnedSequence(t *testing.T) {
-	want := []int{
-		55, 54, 53, 36, 23, 2, 12, 9, 46, 4, 31, 28, 32, 7, 50, 21,
-		22, 37, 47, 40, 1, 25, 42, 16, 35, 43, 18, 58, 60, 19, 8, 39,
-		24, 34, 45, 5, 57, 6, 14, 62, 20, 49, 48, 51, 17, 26, 41, 13,
-		3, 63, 44, 30, 11, 61, 38, 29, 52, 27, 56, 33, 59, 15, 0, 10,
+	for _, tc := range []struct {
+		driver string
+		want   []int
+	}{
+		{"rebatching", []int{
+			55, 54, 53, 36, 23, 2, 12, 9, 46, 4, 31, 28, 32, 7, 50, 21,
+			22, 37, 47, 40, 1, 25, 42, 16, 35, 43, 18, 58, 60, 19, 8, 39,
+			24, 34, 45, 5, 57, 6, 14, 62, 20, 49, 48, 51, 17, 26, 41, 13,
+			3, 63, 44, 30, 11, 61, 38, 29, 52, 27, 56, 33, 59, 15, 0, 10,
+		}},
+		{"adaptive", []int{
+			1, 0, 5, 7, 6, 4, 8, 9, 14, 16, 12, 17, 15, 18, 13, 19,
+			22, 24, 20, 25, 35, 23, 39, 36, 47, 55, 54, 44, 21, 49, 75, 48,
+			51, 45, 53, 77, 60, 46, 50, 66, 61, 90, 89, 88, 83, 81, 62, 71,
+			72, 86, 87, 73, 63, 70, 78, 68, 65, 85, 79, 67, 74, 76, 80, 82,
+		}},
+		{"fastadaptive", []int{
+			5, 4, 9, 11, 10, 8, 13, 12, 18, 20, 16, 17, 19, 22, 21, 23,
+			24, 25, 28, 26, 29, 34, 50, 54, 57, 27, 53, 49, 51, 58, 56, 82,
+			59, 93, 64, 91, 76, 74, 88, 52, 67, 77, 90, 70, 73, 87, 65, 86,
+			92, 85, 48, 66, 69, 89, 94, 68, 75, 72, 83, 79, 78, 84, 71, 95,
+		}},
+		{"levelarray", []int{
+			111, 108, 107, 73, 47, 4, 25, 19, 92, 9, 63, 57, 65, 14, 100, 42,
+			45, 64, 95, 80, 3, 51, 72, 50, 70, 5, 36, 37, 120, 39, 16, 79,
+			43, 69, 173, 86, 8, 12, 2, 125, 94, 99, 28, 96, 34, 124, 121, 18,
+			83, 15, 106, 61, 168, 46, 122, 127, 177, 97, 103, 7, 118, 126, 71, 165,
+		}},
+	} {
+		t.Run(tc.driver, func(t *testing.T) {
+			nm, err := Open(tc.driver + "?n=64&seed=42")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range tc.want {
+				u, err := nm.Acquire(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if u != w {
+					t.Fatalf("call %d: Acquire() = %d, want %d", i, u, w)
+				}
+			}
+		})
 	}
-	nm, err := NewReBatching(64, WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		u, err := nm.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u != w {
-			t.Fatalf("call %d: Acquire() = %d, want %d", i, u, w)
-		}
+}
+
+// TestAcquireAllocs pins the concurrent driver's allocation cost: on a
+// namer a quarter full, an Acquire allocates exactly once — its
+// environment, which carries the PRNG stream by value. FastAdaptive's
+// doubling sequence stays on the stack.
+func TestAcquireAllocs(t *testing.T) {
+	const n = 1 << 14
+	ctx := context.Background()
+	for _, driver := range []string{"rebatching", "adaptive", "fastadaptive", "levelarray"} {
+		t.Run(driver, func(t *testing.T) {
+			nm, err := Open(fmt.Sprintf("%s?n=%d&seed=1", driver, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nm.AcquireN(ctx, n/4); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(100, func() {
+				if _, err := nm.Acquire(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 1 {
+				t.Fatalf("Acquire allocates %v times per call, want 1", got)
+			}
+		})
 	}
 }
 

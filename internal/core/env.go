@@ -8,8 +8,10 @@
 // and is executed by two different drivers:
 //
 //   - the concurrent driver (package renaming at the repository root),
-//     where Env.TAS is an atomic compare-and-swap and processes are
-//     goroutines scheduled by the Go runtime; and
+//     where Env.TAS is an atomic test-and-set (a load, then a
+//     compare-and-swap only if the cell is unset — one step either way,
+//     see internal/tas) and processes are goroutines scheduled by the Go
+//     runtime; and
 //   - the lock-step simulator (internal/sim), where an adversary policy
 //     decides which process performs its next shared-memory step, and
 //     steps are counted exactly as the paper's complexity measure defines.

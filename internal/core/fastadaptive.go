@@ -116,10 +116,13 @@ func (f *FastAdaptive) GetName(env Env) int {
 	capLevel := f.cfg.MaxLevel
 	// Doubling race (lines 1-5): visit R_{2^ℓ} with a single TryGetName(0)
 	// until one succeeds. seq records the capped index sequence so the
-	// downward sweep can recover its predecessor levels.
+	// downward sweep can recover its predecessor levels. Capped at
+	// MaxLevel <= 58 (or stopped by object's panic when unbounded) it has
+	// at most seven entries, so a constant capacity of 8 keeps it on the
+	// stack; append would still grow past it.
 	var (
 		u   = NoName
-		seq []int
+		seq = make([]int, 0, 8)
 	)
 	for ell := 0; ; ell++ {
 		if Interrupted(env) {

@@ -92,7 +92,7 @@ func (e *Elastic) cell(loc int) *int32 {
 
 // TAS wins iff the caller is the first to set location loc.
 func (e *Elastic) TAS(loc int) bool {
-	return atomic.CompareAndSwapInt32(e.cell(loc), 0, 1)
+	return testAndSet(e.cell(loc))
 }
 
 // Len returns the current number of locations.

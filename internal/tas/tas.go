@@ -6,13 +6,22 @@
 // "loses". The paper's algorithms interact with memory exclusively through
 // indexed collections of such objects, modeled here by the Space interface.
 //
-// Three implementations are provided:
+// Four implementations are provided:
 //
 //   - Dense: a packed atomic array — the production representation used by
-//     the concurrent renaming library (CAS(0→1) is exactly a hardware TAS).
+//     the concurrent one-shot namers.
 //   - Padded: one TAS per cache line, for the false-sharing ablation.
+//   - Elastic: a Dense-like array that grows online — the LevelArray's
+//     space, and so the one the name service probes.
 //   - Sparse: a lazily-allocated map for single-threaded simulations of the
 //     paper's *unbounded* adaptive constructions.
+//
+// The three concurrent spaces share one test-and-set rule: read the cell,
+// and only if it reads 0 try CAS(0→1). A cell that is already set loses on
+// a plain load, with no locked instruction; every win is still decided by
+// the CAS, so exactly one caller wins each time the cell is set. Either
+// way the caller accesses the object once, which is one step in the
+// paper's measure — the read only makes a losing step cheaper.
 //
 // The Counting wrapper layers probe/win accounting over any Space.
 package tas
@@ -37,6 +46,15 @@ type Space interface {
 // Unbounded is returned by Len for spaces without a fixed size.
 const Unbounded = -1
 
+// testAndSet is the TAS of every concurrent space. A caller that reads
+// the cell set loses at that load, without taking the cache line
+// exclusive — the fate of most probes into an already-full batch. A
+// caller that reads it unset races for it with the CAS, which alone
+// decides every win.
+func testAndSet(cell *int32) bool {
+	return atomic.LoadInt32(cell) == 0 && atomic.CompareAndSwapInt32(cell, 0, 1)
+}
+
 // Dense is a fixed-size packed array of TAS objects backed by atomic
 // int32 cells. It is safe for concurrent use. Adjacent locations share
 // cache lines; use Padded to measure the difference.
@@ -54,7 +72,7 @@ func NewDense(n int) *Dense {
 
 // TAS wins iff the caller is the first to set location loc.
 func (d *Dense) TAS(loc int) bool {
-	return atomic.CompareAndSwapInt32(&d.cells[loc], 0, 1)
+	return testAndSet(&d.cells[loc])
 }
 
 // Len returns the number of locations.
@@ -107,7 +125,7 @@ func NewPadded(n int) *Padded {
 
 // TAS wins iff the caller is the first to set location loc.
 func (p *Padded) TAS(loc int) bool {
-	return atomic.CompareAndSwapInt32(&p.cells[loc].v, 0, 1)
+	return testAndSet(&p.cells[loc].v)
 }
 
 // Len returns the number of locations.

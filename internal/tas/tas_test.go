@@ -2,6 +2,7 @@ package tas
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -14,7 +15,8 @@ var (
 	_ Space = (*Counting)(nil)
 )
 
-// resettable is the extra surface shared by Dense, Padded and Sparse.
+// resettable is the extra surface shared by Dense, Padded, Elastic and
+// Sparse.
 type resettable interface {
 	Space
 	IsSet(loc int) bool
@@ -22,12 +24,20 @@ type resettable interface {
 	TryReset(loc int) bool
 }
 
-func spaces(n int) map[string]resettable {
+// concurrentSpaces returns one of each space that is safe for concurrent
+// use, each with n locations.
+func concurrentSpaces(n int) map[string]resettable {
 	return map[string]resettable{
-		"dense":  NewDense(n),
-		"padded": NewPadded(n),
-		"sparse": NewSparse(),
+		"dense":   NewDense(n),
+		"padded":  NewPadded(n),
+		"elastic": NewElastic(n),
 	}
+}
+
+func spaces(n int) map[string]resettable {
+	s := concurrentSpaces(n)
+	s["sparse"] = NewSparse()
+	return s
 }
 
 func TestFirstCallerWins(t *testing.T) {
@@ -93,11 +103,7 @@ func TestTryReset(t *testing.T) {
 // TestConcurrentSingleWinner: for a set location, exactly one of many
 // racing TryReset calls may win.
 func TestConcurrentTryResetSingleWinner(t *testing.T) {
-	concurrent := map[string]resettable{
-		"dense":  NewDense(64),
-		"padded": NewPadded(64),
-	}
-	for name, s := range concurrent {
+	for name, s := range concurrentSpaces(64) {
 		t.Run(name, func(t *testing.T) {
 			const (
 				locations  = 64
@@ -178,11 +184,7 @@ func TestSparsePanicsOnNegativeLoc(t *testing.T) {
 // TestConcurrentSingleWinner hammers every location from many goroutines and
 // checks the fundamental TAS guarantee: exactly one winner per location.
 func TestConcurrentSingleWinner(t *testing.T) {
-	concurrent := map[string]Space{
-		"dense":  NewDense(64),
-		"padded": NewPadded(64),
-	}
-	for name, s := range concurrent {
+	for name, s := range concurrentSpaces(64) {
 		t.Run(name, func(t *testing.T) {
 			const (
 				locations  = 64
@@ -259,17 +261,72 @@ func TestCountingConcurrent(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDense property-checks that Sparse and Dense agree on
-// every win/lose outcome for an arbitrary probe sequence.
+// TestTASEpochSingleWinner sets and clears one cell many times over: G
+// goroutines probe it and each winner hands it back with TryReset (all
+// but the last win of each goroutine, so the run may end with the bit
+// set). Every set epoch must have exactly one winner, so the wins equal
+// the successful resets plus the final bit. A TAS that decided a win on
+// its read, not its CAS, would let two callers win one epoch.
+func TestTASEpochSingleWinner(t *testing.T) {
+	const (
+		goroutines = 8
+		probes     = 4000
+	)
+	for name, s := range concurrentSpaces(1) {
+		t.Run(name, func(t *testing.T) {
+			var wins, resets atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < probes; i++ {
+						if !s.TAS(0) {
+							continue
+						}
+						wins.Add(1)
+						if i < probes-1 && s.TryReset(0) {
+							resets.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			final := int64(0)
+			if s.IsSet(0) {
+				final = 1
+			}
+			if wins.Load() != resets.Load()+final {
+				t.Fatalf("%d wins, %d resets, final bit %d: want wins = resets + final bit",
+					wins.Load(), resets.Load(), final)
+			}
+			if resets.Load() == 0 {
+				t.Fatal("no epoch was ever reset: the hammer exercised nothing")
+			}
+		})
+	}
+}
+
+// TestSparseMatchesDense property-checks that every concurrent space
+// agrees with Sparse, the single-threaded reference, on every outcome of
+// an arbitrary sequence of TAS and TryReset calls (the top bit of a probe
+// picks TryReset).
 func TestSparseMatchesDense(t *testing.T) {
 	property := func(probes []uint16) bool {
 		const size = 256
-		d := NewDense(size)
-		s := NewSparse()
+		ref := NewSparse()
+		concurrent := concurrentSpaces(size)
 		for _, p := range probes {
 			loc := int(p % size)
-			if d.TAS(loc) != s.TAS(loc) {
-				return false
+			op := func(s resettable) bool { return s.TAS(loc) }
+			if p&0x8000 != 0 {
+				op = func(s resettable) bool { return s.TryReset(loc) }
+			}
+			want := op(ref)
+			for _, s := range concurrent {
+				if op(s) != want {
+					return false
+				}
 			}
 		}
 		return true

@@ -8,7 +8,7 @@
 // no cross-version stream stability promises, which is why it is not used.
 //
 // A Rand is NOT safe for concurrent use; concurrent callers derive
-// independent per-process streams with NewStream.
+// independent per-process streams with NewStream or MakeStream.
 package xrand
 
 import "math/bits"
@@ -34,12 +34,22 @@ func New(seed uint64) *Rand {
 // sequences, which is how per-process randomness is created without
 // sharing state between goroutines.
 func NewStream(seed, stream uint64) *Rand {
+	r := MakeStream(seed, stream)
+	return &r
+}
+
+// MakeStream returns NewStream's generator by value, so a caller can
+// embed it in a struct it allocates anyway instead of paying a second
+// heap object per stream.
+//
+//renamed:noalloc
+func MakeStream(seed, stream uint64) Rand {
 	// Mix the stream index through SplitMix64 twice so that consecutive
 	// stream ids land far apart in seed space.
 	sm := stream
 	mixed := splitMix64(&sm)
 	mixed = splitMix64(&mixed)
-	return New(seed ^ mixed)
+	return *New(seed ^ mixed)
 }
 
 // splitMix64 advances *state and returns the next SplitMix64 output.

@@ -33,9 +33,12 @@ func TestRenewBatchAllocs(t *testing.T) {
 }
 
 // TestAcquireReleaseAllocs pins the one-item cycle AcquireBatch(1) +
-// ReleaseBatch(1) without an observer: 9 allocations — the per-call costs
+// ReleaseBatch(1) without an observer: 8 allocations — the per-call costs
 // of the batch shape (the namer's AcquireN, the holder record, result
 // slices, stripe plans, the hand-back list) paid for a single lease.
+// The namer's share is one allocation, its probe environment: the PRNG
+// stream is held in it by value, not as a second heap object
+// (renaming.TestAcquireAllocs).
 func TestAcquireReleaseAllocs(t *testing.T) {
 	m := newBenchManager(t, 0)
 	if got := testing.AllocsPerRun(200, func() {
@@ -46,7 +49,7 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 		if err := release1(m, l.Name, l.Token); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 9 {
-		t.Fatalf("one-item acquire+release allocates %v times per cycle, want 9", got)
+	}); got != 8 {
+		t.Fatalf("one-item acquire+release allocates %v times per cycle, want 8", got)
 	}
 }

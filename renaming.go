@@ -1,7 +1,9 @@
 // Package renaming provides randomized loose renaming for concurrent Go
 // programs: n goroutines can each acquire a distinct small integer name
-// from a namespace of size O(n), using only test-and-set (compare-and-swap)
-// operations, in O(log log n) expected probes per caller.
+// from a namespace of size O(n), using only test-and-set operations, in
+// O(log log n) expected probes per caller. A test-and-set reads its cell
+// and compare-and-swaps it only if unset, so a probe that loses on a set
+// cell costs a load; each probe is one step in the paper's measure.
 //
 // The algorithms implement Alistarh, Aspnes, Giakkoupis and Woelfel,
 // "Randomized loose renaming in O(log log n) time" (PODC 2013):
@@ -166,11 +168,12 @@ func newNamerOn(alg core.Algorithm, opts options, mem space) *namer {
 // env builds the per-call execution environment: the shared TAS space plus
 // a fresh private PRNG stream (derived from an atomic counter, so calls
 // never contend on randomness). ctx == nil builds a non-cancellable
-// environment.
+// environment. The stream's state lives inside the environment, so the
+// environment is the call's only heap object.
 func (n *namer) env(ctx context.Context) *concurrentEnv {
 	return &concurrentEnv{
 		space: n.counted,
-		rng:   xrand.NewStream(n.seed, n.stream.Add(1)),
+		rng:   xrand.MakeStream(n.seed, n.stream.Add(1)),
 		ctx:   ctx,
 	}
 }
@@ -308,7 +311,7 @@ func (n *namer) Probes() (ops, wins int64, ok bool) {
 // probe batches and abandon the sequence once the context ends.
 type concurrentEnv struct {
 	space tas.Space
-	rng   *xrand.Rand
+	rng   xrand.Rand
 	ctx   context.Context // nil: non-cancellable
 }
 
