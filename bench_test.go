@@ -227,37 +227,26 @@ func BenchmarkF3Adversaries(b *testing.B) {
 }
 
 // BenchmarkF4ConcurrentGetName measures the real concurrent driver:
-// acquire+release cycles from parallel goroutines, packed vs padded TAS.
+// acquire+release cycles from parallel goroutines.
 func BenchmarkF4ConcurrentGetName(b *testing.B) {
-	layouts := []struct {
-		name string
-		opts []renaming.Option
-	}{
-		{"packed", nil},
-		{"padded", []renaming.Option{renaming.WithPaddedTAS()}},
+	nm, err := renaming.NewReBatching(1 << 14)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, layout := range layouts {
-		b.Run(layout.name, func(b *testing.B) {
-			nm, err := renaming.NewReBatching(1<<14, layout.opts...)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			u, err := nm.Acquire(context.Background())
 			if err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					u, err := nm.Acquire(context.Background())
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if err := nm.Release(u); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+			if err := nm.Release(u); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkF4AdaptiveConcurrent measures the adaptive namers under real

@@ -1,8 +1,7 @@
 // Command renamebench regenerates the reproduction experiments: every
 // table (T1-T7) and figure (F1-F7) recorded in EXPERIMENTS.md. Experiments
 // that exercise the concurrent library select their namers through the
-// renaming driver registry — the same DSN surface as renamed's -namer
-// flag — so benchmarked and served configurations stay interchangeable.
+// renaming driver registry (renaming.Open's DSN surface).
 //
 // Usage:
 //

@@ -7,9 +7,8 @@
 // The service is the system layer over this repository's algorithm
 // stack: transport adapters (HTTP/JSON and internal/wire/binproto)
 // drive one internal/service core, which drives lease.Manager, which
-// drives a renaming.Namer — by default the LevelArray, whose constant
-// expected probe bound is built for exactly this sustained
-// acquire/release traffic.
+// drives a renaming.LevelArray, whose constant expected probe bound is
+// built for exactly this sustained acquire/release traffic.
 //
 //	renamed -addr :8077 -capacity 4096 -ttl 30s
 //
@@ -29,13 +28,9 @@
 //
 //	renamed -addr :8077 -capacity 4096 -data-dir /var/lib/renamed -fsync interval
 //
-// -capacity N alone means the namer 'levelarray?n=N'. Any other namer is a
-// DSN through the renaming package's driver registry, which exposes every
-// algorithm tunable as a string:
-//
-//	renamed -addr :8077 -namer 'levelarray?n=4096&probes=3'
-//	renamed -addr :8077 -namer 'rebatching?n=1024&eps=0.5&t0=6'
-//	renamed -addr :8077 -namer 'fastadaptive?n=65536&seed=7'
+// The namer is always a LevelArray of -capacity names, and -capacity is
+// also the live-lease cap. The one-shot namers and every algorithm
+// tunable stay reachable through the library (renaming.Open), not here.
 //
 // The protocol is one table. The binary port carries the first three
 // ops and nothing else; HTTP carries the same three plus the admin and
@@ -48,7 +43,7 @@
 //	                        -> {"results":[{"lease":{...}},{"error":"...","code":"expired"},...]}
 //	POST /v1/release_batch  {"items":[{"name":17,"token":42},...]}
 //	                        -> {"results":[{},{"error":"...","code":"unknown_name"},...]}
-//	POST /v1/resize         {"capacity":8192}   (levelarray namers)
+//	POST /v1/resize         {"capacity":8192}
 //	                        -> {"capacity":8192,"max_live":8192,"epoch":3,"draining":false,
 //	                            "results":[{"component":"namer"},{"component":"lease"}]}
 //	GET  /v1/leases         -> {"leases":[...]}
@@ -99,8 +94,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr      = fs.String("addr", ":8077", "listen address")
 		listenBin = fs.String("listen-bin", "", "additional listen address for the binary protocol (bin:// targets); empty disables")
-		capacity  = fs.Int("capacity", 4096, "maximum concurrently leased names (hard cap, enforced; without -namer also sizes the namer, 'levelarray?n=<capacity>')")
-		namerDSN  = fs.String("namer", "", "namer DSN, e.g. 'levelarray?n=4096&probes=3' or 'rebatching?n=1024&eps=0.5&t0=6' (see renaming.Open); an explicit -capacity still caps live leases")
+		capacity  = fs.Int("capacity", 4096, "maximum concurrently leased names: the LevelArray's capacity and the enforced live-lease cap")
 		ttl       = fs.Duration("ttl", 30*time.Second, "default lease TTL")
 		sweep     = fs.Duration("sweep", 0, "reclamation sweep interval (0 = TTL/4)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight requests")
@@ -111,39 +105,17 @@ func run(args []string, out io.Writer) error {
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	)
 	fs.SetOutput(out)
-	fs.Usage = func() {
-		fmt.Fprintf(out, "Usage: renamed [flags]\n\nFlags:\n")
-		fs.PrintDefaults()
-		fmt.Fprintf(out, `
-Namer DSNs (-namer) follow the renaming.Open grammar, driver?key=value&...:
-
-  levelarray?n=4096&gamma=1&probes=2     long-lived, O(1) probes under churn, resizes online
-  rebatching?n=1024&eps=0.5&t0=6         one-shot, log log n probes
-  adaptive?n=65536&t0=6                  names scale with actual contention
-  fastadaptive?n=65536                   O(k log log k) total work
-  uniform?n=1024&eps=1                   classical baseline
-  linearscan?n=1024                      deterministic baseline
-
-All drivers accept seed=<uint64>, counting=<bool>; all but levelarray padded=<bool>.
-`)
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	capacitySet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "capacity" {
-			capacitySet = true
-		}
-	})
-	nm, maxLive, desc, err := buildServerNamer(*namerDSN, *capacity, capacitySet)
+	nm, err := renaming.NewLevelArray(*capacity)
 	if err != nil {
 		return err
 	}
 	// MaxLive pins the service to the namer's analyzed capacity: beyond it
 	// the probe guarantees lapse, so over-capacity acquires get 503 instead
 	// of silently degrading toward the backup scan.
-	cfg := lease.Config{TTL: *ttl, SweepInterval: *sweep, MaxLive: maxLive}
+	cfg := lease.Config{TTL: *ttl, SweepInterval: *sweep, MaxLive: *capacity}
 	var store *persist.Store
 	if *dataDir != "" {
 		policy, err := persist.ParsePolicy(*fsyncStr)
@@ -175,7 +147,7 @@ All drivers accept seed=<uint64>, counting=<bool>; all but levelarray padded=<bo
 		}
 	}()
 	if store != nil {
-		restored, lapsed, widened, err := restoreLeases(mgr, store)
+		restored, lapsed, widened, err := restoreLeases(mgr, nm, store)
 		if err != nil {
 			return fmt.Errorf("restore from %s: %w", *dataDir, err)
 		}
@@ -187,8 +159,8 @@ All drivers accept seed=<uint64>, counting=<bool>; all but levelarray padded=<bo
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "renamed: serving %s (max live %d, namespace %d, ttl %v) on %s\n",
-		desc, maxLive, nm.Namespace(), *ttl, ln.Addr())
+	fmt.Fprintf(out, "renamed: serving levelarray (max live %d, namespace %d, ttl %v) on %s\n",
+		*capacity, nm.Namespace(), *ttl, ln.Addr())
 	handler := newServer(mgr, store)
 	handler.slowThreshold = *slowOp
 	if *pprofOn {
@@ -334,43 +306,33 @@ func serveGraceful(ctx context.Context, srv *http.Server, ln net.Listener, mgr *
 	return nil
 }
 
-// buildServerNamer resolves the -namer/-capacity flags into a namer plus
-// the MaxLive cap the lease manager should enforce. Without a DSN the
-// namer is a LevelArray of -capacity names. The cap comes from an
-// explicit -capacity flag, else from the namer's own analyzed capacity
-// (LongLivedNamer), else 0 (uncapped — the namespace is the only limit).
-func buildServerNamer(dsn string, capacity int, capacitySet bool) (nm renaming.Namer, maxLive int, desc string, err error) {
-	if dsn == "" {
-		dsn = fmt.Sprintf("levelarray?n=%d", capacity)
-	}
-	nm, err = renaming.Open(dsn)
-	if err != nil {
-		return nil, 0, "", err
-	}
-	if capacitySet {
-		maxLive = capacity
-	} else if ll, ok := nm.(renaming.LongLivedNamer); ok {
-		maxLive = ll.Capacity()
-	}
-	return nm, maxLive, dsn, nil
-}
+// maxWiden bounds boot-time widening to this multiple of -capacity. The
+// highest recovered name is read off disk, so without a bound one hostile
+// or foreign record would double the namer until memory runs out.
+const maxWiden = 1024
 
 // restoreLeases rebuilds mgr's table from the state the store replayed.
 // Resize is not journaled, so a server that was grown online reboots at
 // its flags' capacity with leases above that namespace, which Restore's
-// Adopt would refuse: a resizable namer's capacity is first doubled until
-// the highest recovered name fits, and widened says so for the recovery
-// banner. MaxLive stays at the flags' value — Restore honours the existing
-// holders, new acquires wait for attrition or the operator's next resize.
-func restoreLeases(mgr *lease.Manager, store *persist.Store) (restored, lapsed int, widened string, err error) {
+// Adopt would refuse: nm's capacity is first doubled until the highest
+// recovered name fits, up to maxWiden times the boot capacity, and
+// widened says so for the recovery banner. MaxLive stays at the flags'
+// value — Restore honours the existing holders, new acquires wait for
+// attrition or the operator's next resize.
+func restoreLeases(mgr *lease.Manager, nm *renaming.LevelArray, store *persist.Store) (restored, lapsed int, widened string, err error) {
 	state := store.State() // ordered by name
-	if rn, ok := mgr.Namer().(renaming.ResizableNamer); ok && len(state.Leases) > 0 {
-		top := state.Leases[len(state.Leases)-1].Name
-		for top >= rn.Namespace() {
-			if err := rn.Resize(2 * rn.Capacity()); err != nil {
+	if len(state.Leases) > 0 {
+		top, boot := state.Leases[len(state.Leases)-1].Name, nm.Capacity()
+		for top >= nm.Namespace() {
+			if 2*nm.Capacity() > maxWiden*boot {
+				// Level 0 of a fresh LevelArray alone holds 2C names (γ = 1).
+				return 0, 0, "", fmt.Errorf("recovered name %d lies beyond %d× -capacity %d; boot with -capacity %d or more to cover it",
+					top, maxWiden, boot, top/2+1)
+			}
+			if err := nm.Resize(2 * nm.Capacity()); err != nil {
 				return 0, 0, "", fmt.Errorf("widening the namer to cover recovered name %d: %w", top, err)
 			}
-			widened = fmt.Sprintf("; namer widened to capacity %d to cover recovered name %d", rn.Capacity(), top)
+			widened = fmt.Sprintf("; namer widened to capacity %d to cover recovered name %d", nm.Capacity(), top)
 		}
 	}
 	restored, lapsed, err = mgr.Restore(state)

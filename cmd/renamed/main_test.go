@@ -325,9 +325,9 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServerFlagSurface pins renamed's flags to the server's twelve: the
-// load generator's are gone and fail flag parsing instead of being
-// silently ignored.
+// TestServerFlagSurface pins renamed's flags to the server's eleven: the
+// load generator's and the namer choice are gone and fail flag parsing
+// instead of being silently ignored.
 func TestServerFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if err := run([]string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
@@ -340,11 +340,11 @@ func TestServerFlagSurface(t *testing.T) {
 		}
 	}
 	want := []string{"addr", "capacity", "compact-every", "data-dir", "drain", "fsync",
-		"listen-bin", "namer", "pprof", "slow-op", "sweep", "ttl"}
+		"listen-bin", "pprof", "slow-op", "sweep", "ttl"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("flags = %v, want %v", got, want)
 	}
-	for _, gone := range []string{"-load", "-target", "-sessions"} {
+	for _, gone := range []string{"-load", "-target", "-sessions", "-namer"} {
 		err := run([]string{gone, "1"}, io.Discard)
 		if want := "flag provided but not defined: " + gone; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("run(%s) = %v, want %q", gone, err, want)
@@ -372,22 +372,6 @@ func TestHTTPRouteSurface(t *testing.T) {
 		if resp, _ := postJSON(t, srv.URL+gone, wire.Item{}); resp.StatusCode != http.StatusNotFound {
 			t.Errorf("POST %s = %d, want 404", gone, resp.StatusCode)
 		}
-	}
-}
-
-func TestBuildNamer(t *testing.T) {
-	for _, algo := range []string{"levelarray", "rebatching", "adaptive", "fastadaptive", "uniform"} {
-		nm, _, _, err := buildServerNamer(algo+"?n=16", 4096, false)
-		if err != nil {
-			t.Errorf("-namer %s?n=16: %v", algo, err)
-			continue
-		}
-		if nm.Namespace() < 16 {
-			t.Errorf("-namer %s?n=16: namespace %d < capacity", algo, nm.Namespace())
-		}
-	}
-	if _, _, _, err := buildServerNamer("nope?n=16", 4096, false); err == nil {
-		t.Error("unknown algorithm accepted")
 	}
 }
 
@@ -531,45 +515,6 @@ func TestRefusalsAgreeAcrossWires(t *testing.T) {
 		defer tr.Close()
 		_, err := tr.RenewBatch(ctx, &wire.RenewBatchRequest{Items: []wire.Item{{Name: -1, Token: 1}}})
 		refused(target, err, "renew_batch", wire.CodeClosed, lease.ErrClosed)
-	}
-}
-
-// TestBuildServerNamer covers the -namer DSN path and its MaxLive
-// derivation rules.
-func TestBuildServerNamer(t *testing.T) {
-	// DSN over a long-lived namer: MaxLive defaults to its capacity.
-	nm, maxLive, desc, err := buildServerNamer("levelarray?n=128", 4096, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxLive != 128 || desc != "levelarray?n=128" {
-		t.Fatalf("maxLive = %d desc = %q, want 128 and the DSN", maxLive, desc)
-	}
-	if nm.Namespace() < 128 {
-		t.Fatalf("namespace %d < capacity", nm.Namespace())
-	}
-
-	// Explicit -capacity wins over the namer's own capacity.
-	_, maxLive, _, err = buildServerNamer("levelarray?n=128", 32, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxLive != 32 {
-		t.Fatalf("maxLive = %d, want explicit 32", maxLive)
-	}
-
-	// One-shot namers have no analyzed capacity: uncapped unless -capacity.
-	_, maxLive, _, err = buildServerNamer("rebatching?n=64&t0=6", 4096, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxLive != 0 {
-		t.Fatalf("maxLive = %d for one-shot DSN, want 0 (uncapped)", maxLive)
-	}
-
-	// A bad DSN fails loudly.
-	if _, _, _, err := buildServerNamer("levelarray?n=128&eps=2", 0, false); err == nil {
-		t.Fatal("DSN with inapplicable eps accepted")
 	}
 }
 

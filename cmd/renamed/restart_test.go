@@ -3,8 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,7 +37,7 @@ func bootPersistentServer(t *testing.T, dir string, ln net.Listener) (*lease.Man
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := restoreLeases(mgr, st); err != nil {
+	if _, _, _, err := restoreLeases(mgr, nm, st); err != nil {
 		t.Fatal(err)
 	}
 	h := newServer(mgr, st)
@@ -219,5 +222,32 @@ func TestServerRestartAfterGrow(t *testing.T) {
 	fresh := acquireOne(t, url, wire.AcquireBatchRequest{Owner: "fresh"})
 	if fresh.Token <= watermark {
 		t.Fatalf("post-restart token %d not above pre-crash watermark %d", fresh.Token, watermark)
+	}
+}
+
+// TestServerRefusesFarRecoveredName: the highest recovered name is read
+// off disk, so one journal record at name 1<<40 must not make boot double
+// the namer until memory runs out. Widening stops at maxWiden × -capacity
+// and boot fails naming the record and the -capacity that would hold it.
+func TestServerRefusesFarRecoveredName(t *testing.T) {
+	dir := t.TempDir()
+	st, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ObserveAcquire(lease.Lease{Name: 1 << 40, Token: 1, Owner: "far", ExpiresAt: time.Now().Add(time.Hour)})
+	if err := st.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = run([]string{"-addr", "127.0.0.1:0", "-capacity", "16", "-data-dir", dir}, io.Discard)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "recovered name 1099511627776") || !strings.Contains(err.Error(), "-capacity 549755813889") {
+		t.Fatalf("run = %v, want a refusal naming the name and the -capacity that covers it", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("refused boot allocated %d MB, want < 64", grew>>20)
 	}
 }

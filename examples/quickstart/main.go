@@ -36,9 +36,9 @@ func main() {
 func run() error {
 	const participants = 64
 
-	// The DSN selects the algorithm and its tunables as a string — the
-	// same surface cmd/renamed exposes as -namer. t0=6 is the practical
-	// batch-0 constant; see EXPERIMENTS.md F2.
+	// The DSN selects the algorithm and its tunables as a string
+	// (renaming.Open). t0=6 is the practical batch-0 constant; see
+	// EXPERIMENTS.md F2.
 	namer, err := renaming.Open(fmt.Sprintf("rebatching?n=%d&t0=6", participants))
 	if err != nil {
 		return err

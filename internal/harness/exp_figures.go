@@ -139,9 +139,7 @@ func runF3(cfg RunConfig) (*Table, error) {
 }
 
 // runF4 profiles the real concurrent driver: probe counts under actual
-// goroutine contention. Wall-clock cost and the padded/packed layout
-// ablation are BenchmarkF4ConcurrentGetName's (probes do not depend on
-// layout).
+// goroutine contention. Wall-clock cost is BenchmarkF4ConcurrentGetName's.
 func runF4(cfg RunConfig) (*Table, error) {
 	t := &Table{
 		ID:      "F4",

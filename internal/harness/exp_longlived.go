@@ -31,9 +31,7 @@ func runF7(cfg RunConfig) (*Table, error) {
 	}
 	const workers = 8
 
-	// Namers are selected through the driver registry — the same DSNs an
-	// operator would hand to renamed's -namer flag, so the experiment
-	// matrix and the service configuration surface can't drift apart.
+	// Namers are selected through the driver registry, one DSN each.
 	namers := []struct {
 		name string
 		dsn  string

@@ -243,9 +243,7 @@ func (s ResizeStatus) Ok() bool { return s.Namer == nil && s.Lease == nil }
 // keeps the cap conservative at every instant — on grow the namer
 // widens before the cap rises, on shrink the cap drops before the
 // namer narrows — so no reservation is ever admitted against capacity
-// that does not (yet, or any longer) exist. A manager configured
-// uncapped (MaxLive 0) stays uncapped: the resize moves the namespace,
-// not the operator's decision to throttle.
+// that does not (yet, or any longer) exist.
 func (b *Binding) Resize(n int) ResizeStatus {
 	start := time.Now()
 	defer b.observe(opResize, start)
@@ -260,12 +258,7 @@ func (b *Binding) Resize(n int) ResizeStatus {
 		}
 		st.Namer = rn.Resize(n)
 	}
-	doLease := func() {
-		if b.mgr.MaxLive() == 0 {
-			return // uncapped stays uncapped
-		}
-		st.Lease = b.mgr.SetMaxLive(n)
-	}
+	doLease := func() { st.Lease = b.mgr.SetMaxLive(n) }
 	if n >= b.core.Capacity() {
 		doNamer()
 		doLease()

@@ -48,21 +48,6 @@ func TestBindingResize(t *testing.T) {
 	}
 }
 
-// TestBindingResizeUncapped: a manager running uncapped (MaxLive 0)
-// stays uncapped — the resize moves the namespace, not the operator's
-// throttling decision.
-func TestBindingResizeUncapped(t *testing.T) {
-	core := newCore(t, 0, nil)
-	b := core.Bind("http")
-	st := b.Resize(128)
-	if !st.Ok() || st.Capacity != 128 {
-		t.Fatalf("resize status = %+v (namer=%v lease=%v)", st, st.Namer, st.Lease)
-	}
-	if st.MaxLive != 0 {
-		t.Fatalf("uncapped manager picked up a cap of %d", st.MaxLive)
-	}
-}
-
 // TestBindingResizeNonResizable: against a one-shot namer the namer
 // verdict fails with bad_request while the lease cap still retargets —
 // per-component independence, the batch per-item contract applied to

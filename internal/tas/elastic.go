@@ -31,7 +31,7 @@ type elasticSpine struct {
 // LevelArray's drain-only tail) simply stops probing the suffix while
 // releases of already-held slots keep working.
 //
-// TAS/IsSet/Reset/TryReset are safe for arbitrary concurrency,
+// TAS/IsSet/TryReset are safe for arbitrary concurrency,
 // including concurrently with Grow. Grow calls are serialized
 // internally.
 type Elastic struct {
@@ -101,11 +101,6 @@ func (e *Elastic) Len() int { return e.spine.Load().n }
 // IsSet reports whether location loc has been won.
 func (e *Elastic) IsSet(loc int) bool {
 	return atomic.LoadInt32(e.cell(loc)) != 0
-}
-
-// Reset returns location loc to the unset state (long-lived extension).
-func (e *Elastic) Reset(loc int) {
-	atomic.StoreInt32(e.cell(loc), 0)
 }
 
 // TryReset atomically unsets loc, reporting whether this call won the

@@ -22,10 +22,8 @@ func TestElasticBasics(t *testing.T) {
 	if !e.TryReset(3) || e.TryReset(3) {
 		t.Fatal("TryReset must win exactly once")
 	}
-	e.TAS(9)
-	e.Reset(9)
-	if e.IsSet(9) {
-		t.Fatal("Reset left the bit set")
+	if e.IsSet(3) {
+		t.Fatal("TryReset left the bit set")
 	}
 }
 

@@ -6,22 +6,25 @@
 // "loses". The paper's algorithms interact with memory exclusively through
 // indexed collections of such objects, modeled here by the Space interface.
 //
-// Four implementations are provided:
+// Three implementations are provided:
 //
 //   - Dense: a packed atomic array — the production representation used by
 //     the concurrent one-shot namers.
-//   - Padded: one TAS per cache line, for the false-sharing ablation.
 //   - Elastic: a Dense-like array that grows online — the LevelArray's
 //     space, and so the one the name service probes.
 //   - Sparse: a lazily-allocated map for single-threaded simulations of the
 //     paper's *unbounded* adaptive constructions.
 //
-// The three concurrent spaces share one test-and-set rule: read the cell,
+// The two concurrent spaces share one test-and-set rule: read the cell,
 // and only if it reads 0 try CAS(0→1). A cell that is already set loses on
 // a plain load, with no locked instruction; every win is still decided by
 // the CAS, so exactly one caller wins each time the cell is set. Either
 // way the caller accesses the object once, which is one step in the
 // paper's measure — the read only makes a losing step cheaper.
+//
+// Releasing a name (the long-lived extension, not part of the paper's
+// one-shot model) has one primitive per space, TryReset: a single
+// set→unset transition that exactly one of any racing callers wins.
 //
 // The Counting wrapper layers probe/win accounting over any Space.
 package tas
@@ -56,8 +59,7 @@ func testAndSet(cell *int32) bool {
 }
 
 // Dense is a fixed-size packed array of TAS objects backed by atomic
-// int32 cells. It is safe for concurrent use. Adjacent locations share
-// cache lines; use Padded to measure the difference.
+// int32 cells. It is safe for concurrent use.
 type Dense struct {
 	cells []int32
 }
@@ -85,66 +87,13 @@ func (d *Dense) IsSet(loc int) bool {
 	return atomic.LoadInt32(&d.cells[loc]) != 0
 }
 
-// Reset returns location loc to the unset state. This is the long-lived
-// renaming extension (releasing a name); it is NOT part of the paper's
-// one-shot model. The caller must own the name being released.
-func (d *Dense) Reset(loc int) {
-	atomic.StoreInt32(&d.cells[loc], 0)
-}
-
 // TryReset atomically returns location loc to the unset state and reports
 // whether this call performed the transition. Exactly one of any set of
 // concurrent TryReset calls on a set location succeeds, which is what makes
-// releasing a name linearizable: a blind Reset after an IsSet check is
+// releasing a name linearizable: a blind store after an IsSet check is
 // check-then-act and lets two releases of the same name both "succeed".
 func (d *Dense) TryReset(loc int) bool {
 	return atomic.CompareAndSwapInt32(&d.cells[loc], 1, 0)
-}
-
-const cacheLineBytes = 64
-
-type paddedCell struct {
-	v int32
-	_ [cacheLineBytes - 4]byte
-}
-
-// Padded is a fixed-size array of TAS objects with one object per cache
-// line, eliminating false sharing between adjacent locations at 16x the
-// memory cost. It is safe for concurrent use.
-type Padded struct {
-	cells []paddedCell
-}
-
-// NewPadded returns a Padded space with n locations, all unset.
-func NewPadded(n int) *Padded {
-	if n < 0 {
-		panic(fmt.Sprintf("tas: NewPadded(%d): negative size", n))
-	}
-	return &Padded{cells: make([]paddedCell, n)}
-}
-
-// TAS wins iff the caller is the first to set location loc.
-func (p *Padded) TAS(loc int) bool {
-	return testAndSet(&p.cells[loc].v)
-}
-
-// Len returns the number of locations.
-func (p *Padded) Len() int { return len(p.cells) }
-
-// IsSet reports whether location loc has been won.
-func (p *Padded) IsSet(loc int) bool {
-	return atomic.LoadInt32(&p.cells[loc].v) != 0
-}
-
-// Reset returns location loc to the unset state (long-lived extension).
-func (p *Padded) Reset(loc int) {
-	atomic.StoreInt32(&p.cells[loc].v, 0)
-}
-
-// TryReset atomically unsets loc, reporting whether this call won the
-// set→unset transition (see Dense.TryReset).
-func (p *Padded) TryReset(loc int) bool {
-	return atomic.CompareAndSwapInt32(&p.cells[loc].v, 1, 0)
 }
 
 // Sparse is a lazily-allocated TAS space over the entire non-negative int
@@ -186,11 +135,6 @@ func (s *Sparse) Touched() int { return len(s.set) }
 func (s *Sparse) IsSet(loc int) bool {
 	_, taken := s.set[loc]
 	return taken
-}
-
-// Reset returns location loc to the unset state (long-lived extension).
-func (s *Sparse) Reset(loc int) {
-	delete(s.set, loc)
 }
 
 // TryReset unsets loc and reports whether it was set. Sparse is

@@ -10,17 +10,14 @@ import (
 // compile-time interface compliance checks.
 var (
 	_ Space = (*Dense)(nil)
-	_ Space = (*Padded)(nil)
 	_ Space = (*Sparse)(nil)
 	_ Space = (*Counting)(nil)
 )
 
-// resettable is the extra surface shared by Dense, Padded, Elastic and
-// Sparse.
+// resettable is the extra surface shared by Dense, Elastic and Sparse.
 type resettable interface {
 	Space
 	IsSet(loc int) bool
-	Reset(loc int)
 	TryReset(loc int) bool
 }
 
@@ -29,7 +26,6 @@ type resettable interface {
 func concurrentSpaces(n int) map[string]resettable {
 	return map[string]resettable{
 		"dense":   NewDense(n),
-		"padded":  NewPadded(n),
 		"elastic": NewElastic(n),
 	}
 }
@@ -68,12 +64,9 @@ func TestIsSetAndReset(t *testing.T) {
 			if !s.IsSet(1) {
 				t.Fatal("won location reads unset")
 			}
-			s.Reset(1)
+			s.TryReset(1)
 			if s.IsSet(1) {
 				t.Fatal("reset location still set")
-			}
-			if !s.TAS(1) {
-				t.Fatal("TAS after Reset lost")
 			}
 		})
 	}
@@ -143,9 +136,6 @@ func TestConcurrentTryResetSingleWinner(t *testing.T) {
 func TestLen(t *testing.T) {
 	if got := NewDense(17).Len(); got != 17 {
 		t.Errorf("Dense.Len() = %d, want 17", got)
-	}
-	if got := NewPadded(9).Len(); got != 9 {
-		t.Errorf("Padded.Len() = %d, want 9", got)
 	}
 	if got := NewSparse().Len(); got != Unbounded {
 		t.Errorf("Sparse.Len() = %d, want Unbounded", got)
@@ -341,17 +331,6 @@ func BenchmarkDenseTAS(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			d.TAS(0)
-		}
-	})
-}
-
-func BenchmarkPaddedDisjoint(b *testing.B) {
-	p := NewPadded(1 << 16)
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			p.TAS(i & (1<<16 - 1))
-			i += 7
 		}
 	})
 }

@@ -26,8 +26,7 @@ type LevelArray struct {
 // held concurrently, out of a namespace of size just under 2(1+γ)n. The
 // per-level slack γ is set with WithGamma (default 1) and the per-level
 // probe count with WithLevelProbes (default 2). The one-shot family's
-// WithEpsilon does not apply here and is rejected with ErrBadConfig, and
-// so is WithPaddedTAS: the growable space underneath is unpadded.
+// WithEpsilon does not apply here and is rejected with ErrBadConfig.
 func NewLevelArray(n int, opts ...Option) (*LevelArray, error) {
 	o, err := collectOptions(opts)
 	if err != nil {
@@ -38,9 +37,6 @@ func NewLevelArray(n int, opts ...Option) (*LevelArray, error) {
 	}
 	if n < 1 {
 		return nil, badConfig("levelarray", "n", fmt.Sprint(n), "need capacity >= 1")
-	}
-	if o.padded {
-		return nil, badConfig("levelarray", optPadded, "", "the growable space is unpadded")
 	}
 	// The elastic space must exist before the algorithm, because Resize
 	// extends the space (EnsureSpace) BEFORE publishing the grown

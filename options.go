@@ -15,7 +15,6 @@ type options struct {
 	beta        int
 	t0Override  int
 	seed        uint64
-	padded      bool
 	counting    bool
 	levelProbes int
 	gamma       float64
@@ -61,15 +60,13 @@ const (
 	optSeed        = "WithSeed"
 	optLevelProbes = "WithLevelProbes"
 	optGamma       = "WithGamma"
-	optPadded      = "WithPaddedTAS"
 	optCounting    = "WithCounting"
 )
 
 // universalOptions apply to every namer: they tune the concurrent driver
-// (randomness, memory layout, instrumentation), not the algorithm.
+// (randomness, instrumentation), not the algorithm.
 var universalOptions = map[string]bool{
 	optSeed:     true,
-	optPadded:   true,
 	optCounting: true,
 }
 
@@ -177,17 +174,6 @@ func WithGamma(gamma float64) Option {
 			return badConfig("", optGamma, fmt.Sprint(gamma), "need gamma > 0")
 		}
 		o.gamma = gamma
-		return nil
-	}}
-}
-
-// WithPaddedTAS places each TAS object on its own cache line (64 bytes
-// instead of 4 per name), eliminating false sharing between adjacent names
-// under heavy multicore contention. See the F4 ablation for measurements.
-// Applies to every namer but LevelArray, whose growable space is unpadded.
-func WithPaddedTAS() Option {
-	return optionFunc{optPadded, func(o *options) error {
-		o.padded = true
 		return nil
 	}}
 }

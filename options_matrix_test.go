@@ -53,11 +53,6 @@ func TestOptionConstructorMatrix(t *testing.T) {
 			"rebatching": true, "adaptive": true, "fastadaptive": true,
 			"levelarray": true, "uniform": true, "linearscan": true,
 		}},
-		{"WithPaddedTAS", WithPaddedTAS(), map[string]bool{
-			// levelarray's growable space is unpadded.
-			"rebatching": true, "adaptive": true, "fastadaptive": true,
-			"uniform": true, "linearscan": true,
-		}},
 		{"WithCounting", WithCounting(), map[string]bool{
 			"rebatching": true, "adaptive": true, "fastadaptive": true,
 			"levelarray": true, "uniform": true, "linearscan": true,

@@ -29,7 +29,6 @@ var dsnKeys = map[string]func(value string) (Option, error){
 	"t0":       dsnKey(strconv.Atoi, "an integer", WithT0Override),
 	"probes":   dsnKey(strconv.Atoi, "an integer", WithLevelProbes),
 	"seed":     dsnKey(parseUint, "an unsigned integer", WithSeed),
-	"padded":   dsnKey(parseBool, "a boolean", whenTrue(WithPaddedTAS)),
 	"counting": dsnKey(parseBool, "a boolean", whenTrue(WithCounting)),
 }
 
@@ -46,7 +45,7 @@ func dsnKey[T any](parse func(string) (T, error), kind string, with func(T) Opti
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 func parseUint(s string) (uint64, error)   { return strconv.ParseUint(s, 10, 64) }
 
-// parseBool reads a present key with an empty value ("...&padded&...") as
+// parseBool reads a present key with an empty value ("...&counting&...") as
 // true.
 func parseBool(s string) (bool, error) {
 	if s == "" {
@@ -83,7 +82,6 @@ func Drivers() []string { return slices.Sorted(maps.Keys(drivers)) }
 //	t0        WithT0Override
 //	probes    WithLevelProbes
 //	seed      WithSeed
-//	padded    WithPaddedTAS
 //	counting  WithCounting
 //
 // Which option applies to which namer is the constructor's rule, the same

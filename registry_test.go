@@ -110,7 +110,7 @@ func TestOpenRejections(t *testing.T) {
 		{"missing n with params", "rebatching?eps=0.5"},
 		{"malformed int", "rebatching?n=abc"},
 		{"malformed float", "rebatching?n=64&eps=wide"},
-		{"malformed bool", "levelarray?n=64&padded=perhaps"},
+		{"malformed bool", "levelarray?n=64&counting=perhaps"},
 		{"malformed query", "rebatching?n=64&;bad=%zz"},
 		{"unknown key", "rebatching?n=64&probez=3"},
 		{"inapplicable key", "levelarray?n=64&eps=0.5"},
@@ -133,6 +133,19 @@ func TestOpenRejections(t *testing.T) {
 				t.Fatalf("Open(%q) err = %v, want ErrBadConfig", tc.dsn, err)
 			}
 		})
+	}
+}
+
+// TestOpenRetiredPaddedKey: the packed layout is the only one, so padded
+// is no longer a key — an unknown one, not a silently ignored boolean.
+func TestOpenRetiredPaddedKey(t *testing.T) {
+	_, err := Open("rebatching?n=64&padded=1")
+	var ce *ConfigError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("err = %v, want a *ConfigError matching ErrBadConfig", err)
+	}
+	if ce.Option != "padded" || ce.Reason != "unknown parameter" {
+		t.Fatalf("ConfigError = %+v, want padded as an unknown parameter", ce)
 	}
 }
 

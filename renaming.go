@@ -143,13 +143,7 @@ type namer struct {
 }
 
 func newNamer(alg core.Algorithm, opts options) *namer {
-	var mem space
-	if opts.padded {
-		mem = tas.NewPadded(alg.Namespace())
-	} else {
-		mem = tas.NewDense(alg.Namespace())
-	}
-	return newNamerOn(alg, opts, mem)
+	return newNamerOn(alg, opts, tas.NewDense(alg.Namespace()))
 }
 
 // newNamerOn is newNamer over a caller-built space — LevelArray's path,

@@ -219,14 +219,6 @@ func TestWithCountingProbes(t *testing.T) {
 	}
 }
 
-func TestWithPaddedTAS(t *testing.T) {
-	nm, err := NewReBatching(128, WithPaddedTAS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertUnique(t, gatherConcurrent(t, nm, 128), nm.Namespace())
-}
-
 func TestOptionValidation(t *testing.T) {
 	bad := [][]Option{
 		{WithEpsilon(0)},
