@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/tas"
+	"repro/internal/xrand"
 )
 
 // blockingAlg spins without probing until the environment reports an
@@ -235,11 +238,74 @@ func TestAcquirePinnedSequence(t *testing.T) {
 	}
 }
 
+// refEnv is a plain core.Env that counts TAS steps: probe batches run
+// core.TryBatch's reference loop through it.
+type refEnv struct {
+	space tas.Space
+	rng   xrand.Rand
+	steps int64
+}
+
+func (e *refEnv) TAS(loc int) bool {
+	e.steps++
+	return e.space.TAS(loc)
+}
+
+func (e *refEnv) Intn(n int) int { return e.rng.Intn(n) }
+
+// TestDriverTryBatchMatchesReference drains each one-shot namer through
+// the driver's own environment, on the dense path and on the counting
+// path, and replays every acquisition through a refEnv over a fresh space
+// on the same stream. Each must get the same name and leave its PRNG in
+// the same state; on the counting path, in the same number of TAS steps.
+func TestDriverTryBatchMatchesReference(t *testing.T) {
+	const n, seed = 256, 9
+	for _, alg := range []core.Algorithm{
+		core.MustReBatching(core.ReBatchingConfig{N: n, Epsilon: 1}),
+		core.MustAdaptive(core.AdaptiveConfig{Epsilon: 1, MaxLevel: core.MaxLevelFor(n)}),
+		core.MustFastAdaptive(core.FastAdaptiveConfig{MaxLevel: core.MaxLevelFor(n)}),
+	} {
+		for _, counting := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%T/counting=%v", alg, counting), func(t *testing.T) {
+				o := defaultOptions()
+				o.seed, o.counting = seed, counting
+				nm := newNamer(alg, o)
+				if (nm.dense != nil) == counting {
+					t.Fatalf("dense fast path = %v with counting = %v", nm.dense != nil, counting)
+				}
+				ref := tas.NewDense(alg.Namespace())
+				for p := uint64(1); ; p++ {
+					env := nm.env(nil)
+					var ops0 int64
+					if counting {
+						ops0 = nm.probes.Ops()
+					}
+					u := alg.GetName(env)
+					r := &refEnv{space: ref, rng: xrand.MakeStream(seed, p)}
+					if v := alg.GetName(r); u != v || env.rng != r.rng {
+						t.Fatalf("acquisition %d: driver got %d, reference %d, or their PRNG states differ", p, u, v)
+					}
+					if counting && nm.probes.Ops()-ops0 != r.steps {
+						t.Fatalf("acquisition %d: driver counted %d probes, reference %d", p, nm.probes.Ops()-ops0, r.steps)
+					}
+					if u == core.NoName {
+						break
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestAcquireAllocs pins the concurrent driver's allocation cost: on a
 // namer a quarter full, an Acquire allocates exactly once — its
 // environment, which carries the PRNG stream by value. FastAdaptive's
-// doubling sequence stays on the stack.
+// doubling sequence stays on the stack. The environment must also stay
+// in the 64-byte size class.
 func TestAcquireAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(concurrentEnv{}); size > 64 {
+		t.Fatalf("concurrentEnv is %d bytes, want <= 64", size)
+	}
 	const n = 1 << 14
 	ctx := context.Background()
 	for _, driver := range []string{"rebatching", "adaptive", "fastadaptive", "levelarray"} {

@@ -404,6 +404,33 @@ func BenchmarkF12ResizeChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkDrain is the micro view of the oneshot-adaptive workload: one
+// goroutine draws k = 4096 names from a fresh namer sized for contention
+// n = 16384, then opens the next. ns/op is per Acquire; opening is not
+// timed.
+func BenchmarkDrain(b *testing.B) {
+	const n, k = 1 << 14, 4096
+	for _, driver := range []string{"adaptive", "fastadaptive"} {
+		b.Run(driver, func(b *testing.B) {
+			ctx := context.Background()
+			var nm renaming.Namer
+			for i := 0; i < b.N; i++ {
+				if i%k == 0 {
+					b.StopTimer()
+					var err error
+					if nm, err = renaming.Open(fmt.Sprintf("%s?n=%d&seed=%d", driver, n, i/k+1)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := nm.Acquire(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGetNameSequential is the micro view: a single caller's rename
 // cost on an empty namer (the common fast path: first probe wins).
 func BenchmarkGetNameSequential(b *testing.B) {

@@ -55,16 +55,17 @@ func MustUniform(n int, eps float64, maxProbes int) *Uniform {
 	return u
 }
 
-// GetName implements core.Algorithm. Interruptible environments are
-// polled every core.InterruptStride probes; an interrupt yields
-// core.Cancelled before the next probe.
+// GetName implements core.Algorithm. The random phase runs as
+// core.TryBatch chunks of core.InterruptStride probes, the probe kernel
+// ReBatching uses, so a comparison prices both on the same loop.
+// Interruptible environments are polled before each chunk; an interrupt
+// yields core.Cancelled before the next probe.
 func (u *Uniform) GetName(env core.Env) int {
-	for i := 0; i < u.maxProbes; i++ {
-		if i%core.InterruptStride == 0 && core.Interrupted(env) {
+	for i := 0; i < u.maxProbes; i += core.InterruptStride {
+		if core.Interrupted(env) {
 			return core.Cancelled
 		}
-		x := env.Intn(u.m)
-		if env.TAS(x) {
+		if x := core.TryBatch(env, 0, u.m, min(core.InterruptStride, u.maxProbes-i)); x != core.NoName {
 			return x
 		}
 	}

@@ -32,3 +32,37 @@ func Interrupted(env Env) bool {
 // performs between Interrupted polls. Backup scans are O(namespace), so
 // they poll periodically; batch/level loops poll on every boundary.
 const InterruptStride = 256
+
+// Batcher is an optional extension of Env for drivers that run a whole
+// probe batch themselves (the concurrent driver does, so a probe costs no
+// interface call). Its TryBatch must match the reference loop of the
+// TryBatch function below: t probes, each Intn(size) then TAS(lo+x), in
+// that order, stopping at the first win — the same draws, the same TAS
+// steps and the same result.
+//
+// An Env that wraps another to intercept TAS — to count, trace or
+// redirect steps — must not forward TryBatch, or the batch's probes would
+// bypass it.
+type Batcher interface {
+	Env
+	// TryBatch makes at most t uniform probes into [lo, lo+size) and
+	// returns the first location won, or NoName.
+	TryBatch(lo, size, t int) int
+}
+
+// TryBatch makes at most t uniform probes into [lo, lo+size) inside env
+// and returns the first location won, or NoName. A Batcher runs the loop
+// itself; any other Env runs the reference loop, one Intn and one TAS
+// step per probe, which is how the simulator counts every step.
+func TryBatch(env Env, lo, size, t int) int {
+	if b, ok := env.(Batcher); ok {
+		return b.TryBatch(lo, size, t)
+	}
+	for j := 0; j < t; j++ {
+		x := env.Intn(size)
+		if env.TAS(lo + x) {
+			return lo + x
+		}
+	}
+	return NoName
+}

@@ -16,6 +16,15 @@
 //     decides which process performs its next shared-memory step, and
 //     steps are counted exactly as the paper's complexity measure defines.
 //
+// The algorithms decide which range a batch probes and how many probes it
+// makes; the probe loop itself goes through TryBatch. The concurrent
+// driver implements Batcher and runs that loop as one concrete call, with
+// no interface dispatch per probe. Every other Env, the simulator's
+// included, runs TryBatch's reference loop, one Env.TAS per probe. Both
+// loops draw the same coins in the same order and make the same TAS
+// calls, so one TAS is one step under either driver and a seed yields the
+// same names under both.
+//
 // Names are global TAS-location indices: a process owns name u exactly when
 // it won the test-and-set at location u.
 package core
@@ -27,6 +36,10 @@ const NoName = -1
 // Env is the execution environment of a single process. Every call to TAS
 // is one shared-memory step in the paper's complexity measure; Intn models
 // a local coin flip and is free.
+//
+// A driver may also implement Batcher (run a probe batch in one call) and
+// Interruptible (cancel between batches). An Env that wraps another to
+// intercept TAS must not forward TryBatch; see Batcher.
 //
 // An Env is owned by exactly one process and must not be shared.
 type Env interface {

@@ -197,13 +197,7 @@ func (r *ReBatching) TryGetName(env Env, i int) int {
 		return NoName
 	}
 	b := r.batches[i]
-	for j := 0; j < b.probes; j++ {
-		x := env.Intn(b.size)
-		if env.TAS(r.cfg.Base + b.start + x) {
-			return r.cfg.Base + b.start + x
-		}
-	}
-	return NoName
+	return TryBatch(env, r.cfg.Base+b.start, b.size, b.probes)
 }
 
 // Namespace returns the exclusive upper bound on names, Base + m where

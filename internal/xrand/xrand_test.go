@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -67,6 +68,57 @@ func TestSplitMix64KnownVector(t *testing.T) {
 	for i, w := range want {
 		if got := splitMix64(&state); got != w {
 			t.Fatalf("splitMix64 output %d = %d, want %d", i, got, w)
+		}
+	}
+}
+
+// TestXoshiroKnownVector pins the generator itself, bit for bit: the first
+// five outputs of New and MakeStream for a few seeds, and the state a
+// stream is left in. Every seeded experiment and every name a seeded namer
+// hands out follows from these; a rewrite of Uint64 must keep them.
+func TestXoshiroKnownVector(t *testing.T) {
+	check := func(t *testing.T, what string, r *Rand, want [5]uint64) {
+		t.Helper()
+		for i, w := range want {
+			if got := r.Uint64(); got != w {
+				t.Fatalf("%s output %d = %#016x, want %#016x", what, i, got, w)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		seed uint64
+		want [5]uint64
+	}{
+		{0, [5]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c, 0xbba5ad4a1f842e59}},
+		{1, [5]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7, 0xb27a48e29a233673}},
+		{42, [5]uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1, 0xfde6dc7fe2ec5e64}},
+		{0xdeadbeefcafef00d, [5]uint64{0x9e32cfb5bb93eebb, 0x16006bd9d4ac0014, 0x8ada5d6d34b6538e, 0x7c327ca32346a238, 0xc43a6d6a3492ced2}},
+	} {
+		check(t, fmt.Sprintf("New(%#x)", tc.seed), New(tc.seed), tc.want)
+	}
+	for _, tc := range []struct {
+		seed, stream uint64
+		want         [5]uint64
+		state        [4]uint64 // after the five outputs
+	}{
+		{1, 0,
+			[5]uint64{0x30a72abcc08f1a34, 0x257fa6f02122efe9, 0x19b51c8e0b16865e, 0x5e283145755a51c2, 0x9829dd8be40024f6},
+			[4]uint64{0x9a2365f82903c5c8, 0x2aeacd12575a2add, 0x3f9e4f183af75da4, 0x4486b7e54498266b}},
+		{1, 1,
+			[5]uint64{0x22b4cd1a2d32d5cf, 0xfdcebd9240b00def, 0xf1b1cab4461ef36c, 0x271f57ab78689d95, 0x8415897c03d4b06d},
+			[4]uint64{0xc7ecf9471bb2c7ff, 0x16d880ea89720a00, 0xbf3745df1fe1864c, 0xfd9cee94f3a20b50}},
+		{42, 7,
+			[5]uint64{0x3394e25ed175cb6f, 0xfa6225f75bfdadbd, 0x728838e40473cc04, 0x7a5da2fd6cf5dc74, 0xfe0bb90a9ce88de8},
+			[4]uint64{0x4cad04fb5186e7ca, 0x14cb8006feb38c94, 0xb167fe5bbabdf089, 0x8980359a6c7184ee}},
+		{0xdeadbeefcafef00d, 1 << 40,
+			[5]uint64{0x21bb38fbc5186b51, 0x36ae5d3811e57f67, 0x0e661b46b8d14518, 0x1c66fa5c4f255b7a, 0x648ec8ebe73edf7a},
+			[4]uint64{0xaa21e777f1940f33, 0x7712cec5829ee311, 0xc8eda7ed94baed3d, 0x2bc4dc1b5af6a1bb}},
+	} {
+		r := MakeStream(tc.seed, tc.stream)
+		what := fmt.Sprintf("MakeStream(%#x, %#x)", tc.seed, tc.stream)
+		check(t, what, &r, tc.want)
+		if r.s != tc.state {
+			t.Fatalf("%s state after five outputs = %#x, want %#x", what, r.s, tc.state)
 		}
 	}
 }

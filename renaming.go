@@ -134,6 +134,9 @@ type namer struct {
 	seed    uint64
 	stream  atomic.Uint64
 	counted tas.Space // mem or counting wrapper; what algorithms probe
+	// dense is mem when mem is a *tas.Dense that no counting wrapper
+	// fronts: concurrentEnv.TryBatch probes it without an interface call.
+	dense *tas.Dense
 	// allowed, when non-nil, post-validates a won slot against the
 	// algorithm's CURRENT geometry: a win that raced a shrink (probed
 	// under the old epoch, published before the validation) is handed
@@ -155,20 +158,29 @@ func newNamerOn(alg core.Algorithm, opts options, mem space) *namer {
 	if opts.counting {
 		n.probes = tas.NewCounting(mem)
 		n.counted = n.probes
+	} else if d, ok := mem.(*tas.Dense); ok {
+		n.dense = d
 	}
 	return n
 }
 
-// env builds the per-call execution environment: the shared TAS space plus
-// a fresh private PRNG stream (derived from an atomic counter, so calls
-// never contend on randomness). ctx == nil builds a non-cancellable
-// environment. The stream's state lives inside the environment, so the
-// environment is the call's only heap object.
+// env builds the per-call execution environment: the namer (for its TAS
+// space) plus a fresh private PRNG stream (derived from an atomic counter,
+// so calls never contend on randomness). A context that can never end —
+// nil, Background, TODO, or values over them, all with a nil Done —
+// builds a non-cancellable environment, which skips the per-batch poll.
+// (Done makes a cancellable context create its channel, once per
+// context; the poll it saves would run on every batch.) The stream's
+// state lives inside the environment, so the environment is the call's
+// only heap object.
 func (n *namer) env(ctx context.Context) *concurrentEnv {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
 	return &concurrentEnv{
-		space: n.counted,
-		rng:   xrand.MakeStream(n.seed, n.stream.Add(1)),
-		ctx:   ctx,
+		nm:  n,
+		rng: xrand.MakeStream(n.seed, n.stream.Add(1)),
+		ctx: ctx,
 	}
 }
 
@@ -302,20 +314,48 @@ func (n *namer) Probes() (ops, wins int64, ok bool) {
 
 // concurrentEnv implements core.Env over atomic shared memory. A non-nil
 // ctx makes it core.Interruptible: algorithms poll Interrupted between
-// probe batches and abandon the sequence once the context ends.
+// probe batches and abandon the sequence once the context ends. It is a
+// core.Batcher too, so a probe batch is one call with no dispatch inside.
+// It is allocated once per Acquire; TestAcquireAllocs holds it to 64 bytes.
 type concurrentEnv struct {
-	space tas.Space
-	rng   xrand.Rand
-	ctx   context.Context // nil: non-cancellable
+	nm  *namer
+	rng xrand.Rand
+	ctx context.Context // nil: non-cancellable
 }
 
-func (e *concurrentEnv) TAS(loc int) bool { return e.space.TAS(loc) }
+func (e *concurrentEnv) TAS(loc int) bool { return e.nm.counted.TAS(loc) }
 func (e *concurrentEnv) Intn(n int) int   { return e.rng.Intn(n) }
 func (e *concurrentEnv) Interrupted() bool {
 	return e.ctx != nil && e.ctx.Err() != nil
 }
 
-var _ core.Interruptible = (*concurrentEnv)(nil)
+// TryBatch implements core.Batcher: core.TryBatch's reference loop with
+// the PRNG called directly and, on a plain dense namer, the TAS inlined.
+// A WithCounting namer loops through its counting space, so every probe
+// is still counted.
+//
+//renamed:noalloc
+func (e *concurrentEnv) TryBatch(lo, size, t int) int {
+	if d := e.nm.dense; d != nil {
+		for ; t > 0; t-- {
+			if x := lo + e.rng.Intn(size); d.TAS(x) {
+				return x
+			}
+		}
+		return core.NoName
+	}
+	for ; t > 0; t-- {
+		if x := lo + e.rng.Intn(size); e.nm.counted.TAS(x) {
+			return x
+		}
+	}
+	return core.NoName
+}
+
+var (
+	_ core.Interruptible = (*concurrentEnv)(nil)
+	_ core.Batcher       = (*concurrentEnv)(nil)
+)
 
 // ReBatching is the non-adaptive namer (§4 of the paper). Create one with
 // NewReBatching.
