@@ -41,8 +41,7 @@ func newGracefulStack(t *testing.T, handler http.Handler) (*http.Server, net.Lis
 
 // TestServeGracefulShutdown: cancelling the signal context must drain the
 // server cleanly — serveGraceful returns nil, the listener stops
-// accepting, and the manager is closed so every lease went back to the
-// namer.
+// accepting, and the manager is shut down, refusing new operations.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv, ln, mgr := newGracefulStack(t, nil)
 	base := "http://" + ln.Addr().String()

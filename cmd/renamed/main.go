@@ -135,10 +135,10 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	// On every exit path, shut the pair down in the durable order: with a
-	// store, quiesce WITHOUT draining (the disk keeps the leases for the
-	// next boot) and snapshot; without one, Close hands every name back.
-	// The graceful path below runs the same idempotent sequence earlier
+	// On every exit path, shut the pair down in the durable order: quiesce
+	// the manager (with a store, the disk keeps the leases for the next
+	// boot), then snapshot. The graceful path below runs the same
+	// idempotent sequence earlier
 	// and surfaces its error; this backstop only fires on early error
 	// returns, where losing the (near-empty) store still deserves a line.
 	defer func() {
@@ -196,9 +196,8 @@ func run(args []string, out io.Writer) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	// SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, drain
-	// in-flight requests, then close the manager so every live lease is
-	// handed back to the namer instead of orphaned until its TTL.
-	// One channel, two receives: the first SIGINT/SIGTERM starts the
+	// in-flight requests, then shut the manager down (and snapshot the
+	// store, when there is one). One channel, two receives: the first SIGINT/SIGTERM starts the
 	// graceful drain, the second force-quits a hung drain instead of
 	// being swallowed for the whole -drain window. The buffer of 2 keeps
 	// a rapid double Ctrl-C from dropping the second signal, and a single
@@ -222,20 +221,19 @@ func run(args []string, out io.Writer) error {
 }
 
 // shutdownManager is the one exit sequence for a manager/store pair, on
-// every path (graceful drain, listener failure, boot error unwind).
-// With a store the leases must SURVIVE: the manager is quiesced without
-// draining (Shutdown), then the store writes its final snapshot — the
-// next boot replays nothing and restores everything. Without a store the
-// classic Close drains every lease back to the namer. Both halves are
-// idempotent, so the deferred call after an explicit one is a no-op.
-// The returned error is the store's: a failed final flush or snapshot
-// means the shutdown was LOSSY (an unflushed journal tail never reached
-// disk) and must not masquerade as a clean exit.
+// every path (graceful drain, listener failure, boot error unwind). The
+// manager's Shutdown waits out in-flight operations and keeps the table;
+// with a store, the store then writes its final snapshot — the next boot
+// replays nothing and restores everything. Both halves are idempotent,
+// so the deferred call after an explicit one is a no-op. The returned
+// error is the store's: a failed final flush or snapshot means the
+// shutdown was LOSSY (an unflushed journal tail never reached disk) and
+// must not masquerade as a clean exit.
 func shutdownManager(mgr *lease.Manager, store *persist.Store) error {
-	if store == nil {
-		return mgr.Close()
-	}
 	mgr.Shutdown()
+	if store == nil {
+		return nil
+	}
 	return store.Close()
 }
 
@@ -250,7 +248,7 @@ func closeBin(srv *http.Server) {
 // serveGraceful runs srv on ln until ctx is cancelled (a shutdown signal
 // in production), drains in-flight requests for up to drain, forces any
 // stragglers closed, and finally shuts the manager down — preserving the
-// lease table on disk when a store is attached, draining it otherwise.
+// lease table on disk when a store is attached.
 func serveGraceful(ctx context.Context, srv *http.Server, ln net.Listener, mgr *lease.Manager, store *persist.Store, drain time.Duration, out io.Writer) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

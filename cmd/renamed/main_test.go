@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, capacity int, cfg lease.Config) *httptest.Serve
 	srv := httptest.NewServer(newServer(mgr, nil))
 	t.Cleanup(func() {
 		srv.Close()
-		mgr.Close()
+		mgr.Shutdown()
 	})
 	return srv
 }
@@ -509,7 +509,7 @@ func TestRefusalsAgreeAcrossWires(t *testing.T) {
 		t.Fatalf("wrong prefix = %v, want an unclassified 404", err)
 	}
 
-	mgr.Close()
+	mgr.Shutdown()
 	for _, target := range targets {
 		tr, _ := leaseclient.NewTransport(target)
 		defer tr.Close()

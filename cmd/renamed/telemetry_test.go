@@ -205,7 +205,7 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer func() {
 		srv.Close()
-		mgr.Close()
+		mgr.Shutdown()
 	}()
 
 	rec := &ridRecorder{next: http.DefaultTransport}

@@ -25,8 +25,8 @@ import (
 //   - statements executed between a sync (R)Lock call and the
 //     (R)Unlock that follows it, tracked through nested if/for/switch
 //     bodies (an early-exit branch that unlocks ends the region for
-//     the rest of that branch — AcquireBatch's closed-race rollback
-//     releases names exactly there, legally);
+//     the rest of that branch, so a hand-back after that Unlock is
+//     legal);
 //   - functions reachable through static same-package calls from
 //     either of the above (transitive closure, reported with the call
 //     chain).
@@ -177,18 +177,11 @@ type lockedCall struct {
 // while the state is locked. The tracking is branch-local and
 // deliberately simple: a nested body (if/for/switch/select) inherits
 // the lock state at entry, state changes inside it do not leak out,
-// and the statement after it keeps the pre-branch state. That matches
-// the repo's early-exit idiom —
-//
-//	sh.mu.Lock()
-//	if m.closed.Load() {
-//	        sh.mu.Unlock()
-//	        ... rollback, releaseNames ...   // correctly unlocked
-//	        return nil, ErrClosed
-//	}
-//	...                                      // still locked
-//
-// — where the unlocking branch always leaves the function.
+// and the statement after it keeps the pre-branch state. That is exact
+// for an early-exit branch — one that unlocks, does its work and
+// returns — and no lease path relies on anything subtler: a branch that
+// unlocks and falls through would leave the code after it counted as
+// locked.
 func lockedCalls(pass *Pass, body *ast.BlockStmt) []lockedCall {
 	var out []lockedCall
 

@@ -61,7 +61,7 @@ func TestBindingResizeNonResizable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mgr.Close() })
+	t.Cleanup(func() { mgr.Shutdown() })
 	b := New(mgr, nil).Bind("http")
 	st := b.Resize(128)
 	if st.Namer == nil || !errors.Is(st.Namer, renaming.ErrBadConfig) {

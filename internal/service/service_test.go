@@ -23,7 +23,7 @@ func newCore(t *testing.T, capacity int, tel *Telemetry) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mgr.Close() })
+	t.Cleanup(func() { mgr.Shutdown() })
 	return New(mgr, tel)
 }
 

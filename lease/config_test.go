@@ -29,7 +29,7 @@ func TestDefaultTTLNeverExceedsMaxTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	now := clk.Now()
 	byDefault, err := acquire1(m, "default", 0, nil)

@@ -2,8 +2,9 @@
 // production-grade identity lease service: every acquired name carries a
 // TTL, a fencing token, an owner string and arbitrary metadata. Holders
 // keep a name alive by renewing before the TTL elapses; names whose leases
-// expire are reclaimed — lazily on access and eagerly by a background
-// sweeper — and returned to the namer's pool for re-assignment.
+// expire are reclaimed — lazily by the renewal or release that finds them
+// lapsed and eagerly by a background sweeper — and returned to the namer's
+// pool for re-assignment.
 //
 // This is the exclusive-assignment semantics of Chlebus and Kowalski,
 // "Asynchronous Exclusive Selection": at every instant each name has at
@@ -48,6 +49,10 @@
 // nothing, and abandoned with the reservation and every won TAS slot handed
 // back when the context ends. RenewBatch and ReleaseBatch bucket their items
 // by stripe the same way and report a typed outcome per item (see batch.go).
+//
+// A manager stops one way, Shutdown: operations are refused at entry from
+// then on, every batch already past entry completes before Shutdown
+// returns, and the table is kept for the next process to Restore.
 //
 // The package layers on any Namer; pair it with renaming.NewLevelArray to
 // get constant expected probes under sustained lease churn.
@@ -162,12 +167,12 @@ type Observer interface {
 	// ObserveRenew fires after a successful renewal extends name's lease
 	// (held with token) to expiresAt.
 	ObserveRenew(name int, token uint64, expiresAt time.Time)
-	// ObserveRelease fires after a voluntary release removes a lease —
-	// including the drain in Close.
+	// ObserveRelease fires after a voluntary release removes a lease.
+	// Shutdown releases nothing.
 	ObserveRelease(name int, token uint64)
-	// ObserveExpire fires after an expired lease is reclaimed (by a sweep
-	// or lazily on access), and from Restore for leases that lapsed while
-	// the service was down.
+	// ObserveExpire fires after an expired lease is reclaimed (by a sweep,
+	// or by the renewal or release that found it lapsed), and from Restore
+	// for leases that lapsed while the service was down.
 	ObserveExpire(name int, token uint64)
 	// ObserveTable hands the observer the live table, once, as the last
 	// act of a successful Restore and outside every stripe lock. From then
@@ -232,9 +237,10 @@ type Metrics struct {
 	// refused batch call counts once, plus once per item the table itself
 	// turned away.
 	Rejected int64
-	// ReclaimFailed counts names the manager tried to hand back and the
-	// namer refused (namer.Release errored). Over a one-shot namer such
-	// as MoirAnderson every reclaim fails with ErrOneShot and the slot is
+	// ReclaimFailed counts names the manager tried to hand back after a
+	// release or an expiry and the namer refused (namer.Release errored);
+	// Shutdown hands nothing back. Over a one-shot namer such as
+	// MoirAnderson every reclaim fails with ErrOneShot and the slot is
 	// lost for good; a nonzero value here is the only trace of that leak.
 	ReclaimFailed int64
 	// CapacitySweeps counts capacity-pressure sweeps actually executed on
@@ -276,11 +282,10 @@ type Manager struct {
 	epoch time.Time
 
 	closed atomic.Bool
-	// inflight counts operations that may touch the table or observer;
-	// Shutdown drains it (see enterOp) so no straggler moves the table, and
-	// no record chases a closed store, after it returns. Every mutating
-	// public op pays one Add pair per call.
-	inflight atomic.Int64
+	// gate is read-held by every operation enterOp admits; Shutdown takes
+	// the write side for good, so no straggler moves the table, and no
+	// record chases a closed store, after it returns.
+	gate sync.RWMutex
 
 	// Single-flight state for the capacity-pressure sweep in reserve: at
 	// most one reserve-path sweepAll runs at a time, concurrent losers
@@ -319,7 +324,7 @@ type Manager struct {
 }
 
 // New builds a Manager over namer and starts its background sweeper
-// (unless cfg.SweepInterval < 0). Close releases the sweeper.
+// (unless cfg.SweepInterval < 0). Shutdown stops the sweeper.
 func New(namer renaming.Namer, cfg Config) (*Manager, error) {
 	if namer == nil {
 		return nil, errors.New("lease: nil namer")
@@ -470,54 +475,6 @@ func (m *Manager) releaseLocked(sh *shard, name int, token uint64, now int64) (h
 	return true, nil
 }
 
-// Get returns the live lease for name, reclaiming it first if it already
-// expired (in which case ok is false).
-func (m *Manager) Get(name int) (l Lease, ok bool) {
-	// Get still reads on a closed manager, but only an open, registered
-	// Get may reclaim: a post-Shutdown expire record would chase a
-	// closed store, and the lapsed lease is the next boot's problem.
-	mayReclaim := m.enterOp()
-	if mayReclaim {
-		defer m.exitOp()
-	}
-	sh := m.shard(name)
-	sh.mu.Lock()
-	s := sh.lookup(name, m.shardBits)
-	if s == nil {
-		sh.mu.Unlock()
-		return Lease{}, false
-	}
-	now := m.cfg.Now()
-	if m.since(now) > s.deadline {
-		if !mayReclaim {
-			sh.mu.Unlock()
-			return Lease{}, false
-		}
-		m.expireLocked(sh, s, name)
-		sh.mu.Unlock()
-		m.releaseName(name)
-		return Lease{}, false
-	}
-	l = m.leaseAt(s, name, now)
-	sh.mu.Unlock()
-	return l, true
-}
-
-// leaseAt snapshots name's occupied slot s as a Lease with its own copy of
-// the metadata. ExpiresAt is rebuilt from the time the lease has left
-// relative to now, the caller's current clock reading, so a step of the
-// wall clock since the grant never accumulates into reported deadlines.
-// Callers hold the slot's stripe lock.
-func (m *Manager) leaseAt(s *slot, name int, now time.Time) Lease {
-	return Lease{
-		Name:      name,
-		Token:     s.token,
-		Owner:     s.who.owner,
-		ExpiresAt: now.Add(time.Duration(s.deadline - m.since(now))),
-		Meta:      cloneMeta(s.who.meta),
-	}
-}
-
 // Leases snapshots all live (unexpired) leases, ordered by name, each
 // with its own copy of the metadata: Walk with the lapsed leases left
 // out. The snapshot is per-chunk consistent, not global: a stripe is
@@ -547,8 +504,10 @@ func (m *Manager) Leases() []Lease {
 const walkSpan = 4096
 
 // Walk implements Table over the manager's slot tables. It still walks
-// after Shutdown, which keeps the table; after Close there is nothing left
-// to yield.
+// after Shutdown, which keeps the table. ExpiresAt is rebuilt from the
+// time each lease has left relative to the walk's clock reading, so a step
+// of the wall clock since the grant never accumulates into reported
+// deadlines.
 func (m *Manager) Walk(yield func(chunk []Lease) error) error {
 	var chunk []Lease
 	for stripe := range m.shards {

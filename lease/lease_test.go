@@ -48,7 +48,7 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *fakeClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
+	t.Cleanup(func() { m.Shutdown() })
 	return m, clk
 }
 
@@ -72,13 +72,13 @@ func TestAcquireRenewReleaseRoundTrip(t *testing.T) {
 	if want := clk.Now().Add(10 * time.Second); !renewed.ExpiresAt.Equal(want) {
 		t.Fatalf("renewed ExpiresAt = %v, want %v", renewed.ExpiresAt, want)
 	}
-	if got, ok := m.Get(l.Name); !ok || got.Token != l.Token {
+	if got, ok := get1(m, l.Name); !ok || got.Token != l.Token {
 		t.Fatalf("Get = %+v, %v", got, ok)
 	}
 	if err := release1(m, l.Name, l.Token); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Get(l.Name); ok {
+	if _, ok := get1(m, l.Name); ok {
 		t.Fatal("lease still live after Release")
 	}
 	mt := m.Metrics()
@@ -117,7 +117,7 @@ func TestExpiryReclaimedBySweep(t *testing.T) {
 	if n := m.SweepOnce(); n != 1 {
 		t.Fatalf("SweepOnce reclaimed %d, want 1", n)
 	}
-	if _, ok := m.Get(l.Name); ok {
+	if _, ok := get1(m, l.Name); ok {
 		t.Fatal("expired lease still live")
 	}
 	if mt := m.Metrics(); mt.Expired != 1 || mt.Live != 0 {
@@ -142,8 +142,8 @@ func TestRenewAfterExpiryFails(t *testing.T) {
 		t.Fatalf("Renew after expiry = %v, want ErrExpired", err)
 	}
 	// The late renewal itself reclaimed the name.
-	if _, ok := m.Get(l.Name); ok {
-		t.Fatal("lease live after failed renewal")
+	if n := m.Occupied(); n != 0 {
+		t.Fatalf("%d slots occupied after failed renewal, want 0", n)
 	}
 }
 
@@ -219,7 +219,7 @@ func TestMaxLiveCapEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	l1, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestLeasesSnapshotSortedAndIsolated(t *testing.T) {
 		t.Fatal("caller mutation leaked into stored lease meta")
 	}
 	ls[0].Meta["k"] = "mutated-after-snapshot"
-	if got, _ := m.Get(ls[0].Name); got.Meta["k"] != "v" {
+	if got, _ := get1(m, ls[0].Name); got.Meta["k"] != "v" {
 		t.Fatal("snapshot mutation leaked into stored lease meta")
 	}
 }
@@ -299,7 +299,7 @@ func TestBackgroundSweeper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	if _, err := acquire1(m, "w", 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -315,44 +315,6 @@ func TestBackgroundSweeper(t *testing.T) {
 	}
 }
 
-func TestCloseReleasesEverything(t *testing.T) {
-	nm, err := renaming.NewLevelArray(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(nm, Config{SweepInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := acquire1(m, "w", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal("second Close not idempotent:", err)
-	}
-	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Acquire after Close = %v", err)
-	}
-	if _, err := renew1(m, l.Name, l.Token, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Renew after Close = %v", err)
-	}
-	// The namer got its name back: a fresh manager can hand out capacity.
-	m2, err := New(nm, Config{SweepInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := acquire1(m2, "w", 0, nil); err != nil {
-			t.Fatalf("acquire %d on reused namer: %v", i, err)
-		}
-	}
-}
-
 // TestConcurrentLeaseChurn hammers the manager from many goroutines under
 // -race: acquire, renew a few times, release, repeat. No operation on a
 // correctly-held lease may fail.
@@ -365,7 +327,7 @@ func TestConcurrentLeaseChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	const (
 		workers = 16
 		cycles  = 200

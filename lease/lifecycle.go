@@ -3,98 +3,43 @@ package lease
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
 )
 
-// Close stops the sweeper, releases every live lease back to the namer and
-// rejects all further operations. Close is idempotent. Releases the namer
-// refuses are counted in Metrics.ReclaimFailed.
-func (m *Manager) Close() error {
-	if !m.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var names []int
-	for stripe := range m.shards {
-		sh := &m.shards[stripe]
-		sh.mu.Lock()
-		names = names[:0]
-		for i := range sh.slots {
-			s := &sh.slots[i]
-			if s.who == nil {
-				continue
-			}
-			name := m.nameAt(i, stripe)
-			m.live.Add(-1)
-			if m.cfg.Observer != nil {
-				m.cfg.Observer.ObserveRelease(name, s.token)
-			}
-			names = append(names, name)
-		}
-		sh.slots, sh.n = nil, 0
-		sh.mu.Unlock()
-		// Namer hand-backs run outside the stripe lock, like every other
-		// reclaim path.
-		m.releaseNames(names)
-	}
-	close(m.done)
-	m.wg.Wait()
-	return nil
-}
-
-// Shutdown quiesces the manager for a durable restart: it stops the
-// sweeper and rejects all further operations like Close, but does NOT
-// release live leases back to the namer and records no releases with the
-// observer — on disk the lease table keeps describing the held names, and
-// the next process rebuilds them via Restore. Without a persistence layer
-// Shutdown just leaks the names until process exit; use Close for a
-// terminal shutdown. Shutdown and Close are mutually idempotent
-// (whichever wins the closed transition defines the semantics).
+// Shutdown stops the manager, and is the only way to: it rejects all
+// further operations, waits until every operation already admitted has
+// finished, and stops the sweeper. It keeps the table — nothing is
+// released to the namer or recorded with the observer — so on disk the
+// lease table keeps describing the held names and the next process
+// rebuilds them via Restore; without a persistence layer the names simply
+// die with the process. Shutdown is idempotent.
 //
-// Shutdown is additionally a quiescence barrier: it flips closed and
-// then drains the in-flight operation counter, so a grant (or a batch
-// walk, including its unwind) that registered before the flip finishes
-// completely — insert, journal records and all — before Shutdown returns,
-// and everything arriving after the flip backs out at enterOp. A
-// stripe-lock sweep alone would not give this: a multi-stripe batch
-// BETWEEN stripes holds no lock yet still owes the table, and any journal
-// behind it, its unwind. This barrier is what makes "Shutdown, then
-// store.Close" lose nothing, and what lets a caller read the table and
-// the counters after Shutdown and find them final.
+// The wait is a quiescence barrier: every operation holds the gate's read
+// side, and Shutdown takes the write side and never gives it back. An
+// operation either fails to enter and backs out, or entered before the
+// write lock was pending and completes — a multi-stripe AcquireBatch
+// inserts and journals all k leases — before Shutdown returns. This is
+// what makes "Shutdown, then store.Close" lose nothing, and what lets a
+// caller read the table and the counters after Shutdown and find them
+// final.
 func (m *Manager) Shutdown() error {
 	if !m.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for i := 0; m.inflight.Load() != 0; i++ {
-		if i < 1000 {
-			runtime.Gosched()
-		} else {
-			// An in-flight acquire can legitimately sit in a long namer
-			// probe sequence; stop burning the core while it finishes.
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
+	m.gate.Lock()
 	close(m.done)
 	m.wg.Wait()
 	return nil
 }
 
-// enterOp registers an operation against Shutdown's quiescence barrier
-// and reports whether the manager is still open. The counter increments
-// BEFORE the closed check, so the flip-then-drain in Shutdown cannot
-// miss anyone: an operation either sees closed here and backs out, or
-// its registration is visible to the drain and Shutdown waits for it.
-// The pair of atomic adds is paid once per call, whatever the batch size.
-func (m *Manager) enterOp() bool {
-	m.inflight.Add(1)
-	if m.closed.Load() {
-		m.inflight.Add(-1)
-		return false
-	}
-	return true
-}
+// enterOp admits an operation past Shutdown's barrier and reports whether
+// the manager is still open. It never blocks: once Shutdown's write lock
+// is pending or held, the read lock is refused. The pair of atomics is
+// paid once per call, whatever the batch size.
+func (m *Manager) enterOp() bool { return m.gate.TryRLock() }
 
-func (m *Manager) exitOp() { m.inflight.Add(-1) }
+// exitOp ends an operation enterOp admitted; the last one out lets a
+// waiting Shutdown through.
+func (m *Manager) exitOp() { m.gate.RUnlock() }
 
 // Adopter is the namer surface Restore needs: re-seizing the exact names
 // the restored leases hold, so a fresh grant cannot be handed a name

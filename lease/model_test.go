@@ -224,20 +224,6 @@ func (r *refModel) release(name int, token uint64) error {
 	}
 }
 
-func (r *refModel) get(name int) (Lease, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, ok := r.leases[name]
-	if !ok {
-		return Lease{}, false
-	}
-	if r.now().After(l.exp) {
-		r.expire(name)
-		return Lease{}, false
-	}
-	return Lease{Name: name, Token: l.token, Owner: l.owner, ExpiresAt: l.exp, Meta: l.meta}, true
-}
-
 // liveCount counts the unexpired leases.
 func (r *refModel) liveCount() int {
 	r.mu.Lock()
@@ -487,18 +473,6 @@ func (r *modelRun) step() error {
 			}
 		}
 
-	case p < 80: // get
-		it := r.item()
-		r.note("Get(%d)", it.Name)
-		want, wok := r.ref.get(it.Name)
-		got, ok := r.m.Get(it.Name)
-		if ok != wok || (ok && !sameLease(got, want)) {
-			return fmt.Errorf("Get: %+v, %v; model %+v, %v", got, ok, want, wok)
-		}
-		if ok && got.Meta != nil {
-			got.Meta["scribble"] = "y"
-		}
-
 	case p < 91: // time passes
 		d := time.Duration(r.rng.Intn(int(4 * time.Second)))
 		if it := r.item(); r.rng.Intn(4) == 0 {
@@ -608,7 +582,7 @@ func runModel(seed uint64, shards, steps int, tracing bool) (trace []string, err
 	if r.m, err = New(r.nm, r.cfg()); err != nil {
 		return nil, err
 	}
-	defer func() { r.m.Close() }()
+	defer func() { r.m.Shutdown() }()
 	for i := 0; i < steps; i++ {
 		if err := r.step(); err != nil {
 			return r.trace, fmt.Errorf("step %d: %w", i, err)

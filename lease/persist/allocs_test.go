@@ -28,7 +28,7 @@ func TestJournaledChurnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
+	defer mgr.Shutdown()
 	if got := testing.AllocsPerRun(200, func() {
 		l, err := acquire1(mgr, "allocs", 0, nil)
 		if err != nil {

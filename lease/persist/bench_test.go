@@ -31,7 +31,7 @@ func BenchmarkJournaledChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer mgr.Close()
+		defer mgr.Shutdown()
 		for i := 0; i < standing; i++ {
 			if _, err := acquire1(mgr, "bench-standing", 0, nil); err != nil {
 				b.Fatal(err)

@@ -3,6 +3,7 @@ package persist
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -96,23 +97,22 @@ func TestRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash: no mgr1.Close() (that would release every name), no store
-	// snapshot — the journal alone carries the state.
-	// (mgr1 is simply abandoned, like a killed process.)
+	// Crash: no Shutdown, no store snapshot — the journal alone carries
+	// the state. (mgr1 is simply abandoned, like a killed process.)
 
 	clk.Advance(3 * time.Second) // "downtime": past short's TTL, within the others'
 
 	mgr2, st2, restored2, expired2 := bootManager(t, dir, clk)
-	defer mgr2.Close()
+	defer mgr2.Shutdown()
 	defer st2.Close()
 	if restored2 != len(held) || expired2 != 1 {
 		t.Fatalf("reboot restored %d / expired %d, want %d / 1", restored2, expired2, len(held))
 	}
-	if _, ok := mgr2.Get(short.Name); ok {
+	if _, ok := get1(mgr2, short.Name); ok {
 		t.Fatal("lease that lapsed during downtime came back alive")
 	}
 	for _, l := range held {
-		got, ok := mgr2.Get(l.Name)
+		got, ok := get1(mgr2, l.Name)
 		if !ok {
 			t.Fatalf("lease on name %d not restored", l.Name)
 		}
@@ -123,7 +123,7 @@ func TestRestartRoundTrip(t *testing.T) {
 			t.Fatalf("name %d lost owner/meta: %+v", l.Name, got)
 		}
 	}
-	if got, _ := mgr2.Get(held[0].Name); !got.ExpiresAt.Equal(renewed.ExpiresAt) {
+	if got, _ := get1(mgr2, held[0].Name); !got.ExpiresAt.Equal(renewed.ExpiresAt) {
 		t.Fatalf("renewed expiry not replayed: %v, want %v", got.ExpiresAt, renewed.ExpiresAt)
 	}
 
@@ -150,15 +150,14 @@ func TestRestartRoundTrip(t *testing.T) {
 
 	// The adopted names are really held in the fresh namer: a released
 	// restored name is re-acquirable, and no fresh acquire collided with
-	// a restored one (Get above proved each restored name had its lease).
+	// a restored one (get1 above proved each restored name had its lease).
 	if err := release1(mgr2, held[1].Name, held[1].Token); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRestartAfterGracefulShutdown pins the Shutdown/Close split: a
-// graceful shutdown must preserve the table for the next boot rather
-// than draining it.
+// TestRestartAfterGracefulShutdown: a graceful shutdown preserves the
+// table for the next boot.
 func TestRestartAfterGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -174,7 +173,7 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr2, st2, restored, _ := bootManager(t, dir, clk)
-	defer mgr2.Close()
+	defer mgr2.Shutdown()
 	defer st2.Close()
 	if restored != 1 {
 		t.Fatalf("restored %d leases after graceful shutdown, want 1", restored)
@@ -189,27 +188,95 @@ func TestRestartAfterGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsDurableState pins the other half of the split: a
-// terminal Close releases every lease, and the durable state agrees —
-// the next boot restores nothing.
-func TestCloseDrainsDurableState(t *testing.T) {
+// pausingStore is a Store whose first ObserveAcquire signals paused and
+// waits for resume: with the batch's first stripe journaled and locked,
+// Shutdown can start while the batch is between its stripes.
+type pausingStore struct {
+	*Store
+	once           sync.Once
+	paused, resume chan struct{}
+}
+
+func (p *pausingStore) ObserveAcquire(l lease.Lease) {
+	p.Store.ObserveAcquire(l)
+	p.once.Do(func() {
+		close(p.paused)
+		<-p.resume
+	})
+}
+
+// TestAcquireBatchShutdownRaceSurvivesReboot: a multi-stripe batch caught
+// mid-walk by Shutdown completes, Shutdown waits for its journal records,
+// and after store.Close and a reboot all k leases come back with the
+// tokens the caller was handed.
+func TestAcquireBatchShutdownRaceSurvivesReboot(t *testing.T) {
+	const k = 6
 	dir := t.TempDir()
 	clk := newFakeClock()
-	mgr1, st1, _, _ := bootManager(t, dir, clk)
-	if _, err := acquire1(mgr1, "w", 0, nil); err != nil {
+	st, err := Open(dir, Options{Fsync: FsyncAlways, CompactEvery: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr1.Close(); err != nil {
+	// linearscan hands out 0..k-1, which two stripes split even/odd.
+	nm, err := renaming.NewLinearScan(16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st1.Close(); err != nil {
+	obs := &pausingStore{Store: st, paused: make(chan struct{}), resume: make(chan struct{})}
+	mgr, err := lease.New(nm, lease.Config{TTL: time.Minute, SweepInterval: -1, Shards: 2, Observer: obs, Now: clk.Now})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := mgr.Restore(st.State()); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		leases []lease.Lease
+		err    error
+	}
+	batch := make(chan result, 1)
+	go func() {
+		ls, err := mgr.AcquireBatch(context.Background(), "race", k, 0, nil)
+		batch <- result{ls, err}
+	}()
+	<-obs.paused
+	shutdownDone := make(chan struct{})
+	go func() {
+		mgr.Shutdown()
+		close(shutdownDone)
+	}()
+	// An empty renewal is refused at entry once Shutdown has flipped.
+	for {
+		if _, err := mgr.RenewBatch(context.Background(), nil, 0); errors.Is(err, lease.ErrClosed) {
+			break
+		}
+		runtime.Gosched()
+	}
+	select {
+	case <-shutdownDone:
+		t.Fatal("Shutdown returned with a batch still between its stripes")
+	default:
+	}
+	close(obs.resume)
+	r := <-batch
+	if r.err != nil || len(r.leases) != k {
+		t.Fatalf("AcquireBatch caught by Shutdown = %d leases, %v; want all %d", len(r.leases), r.err, k)
+	}
+	<-shutdownDone
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	mgr2, st2, restored, expired := bootManager(t, dir, clk)
-	defer mgr2.Close()
+	defer mgr2.Shutdown()
 	defer st2.Close()
-	if restored != 0 || expired != 0 {
-		t.Fatalf("boot after terminal Close restored %d / expired %d, want 0/0", restored, expired)
+	if restored != k || expired != 0 {
+		t.Fatalf("reboot restored %d / expired %d, want %d / 0", restored, expired, k)
+	}
+	for _, l := range r.leases {
+		if got, ok := get1(mgr2, l.Name); !ok || got.Token != l.Token {
+			t.Fatalf("name %d rebooted as %+v, %v; want token %d", l.Name, got, ok, l.Token)
+		}
 	}
 }
 
@@ -219,7 +286,7 @@ func TestRestoreRejectsUsedManager(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
 	mgr, st, _, _ := bootManager(t, dir, clk)
-	defer mgr.Close()
+	defer mgr.Shutdown()
 	defer st.Close()
 	if _, err := acquire1(mgr, "w", 0, nil); err != nil {
 		t.Fatal(err)
@@ -240,7 +307,7 @@ func TestRestoreRequiresAdopter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Close()
+	defer mgr.Shutdown()
 	_, _, rerr := mgr.Restore(lease.RestoreState{Leases: []lease.Lease{{Name: 1, Token: 1, ExpiresAt: time.Now().Add(time.Hour)}}})
 	if rerr != nil {
 		t.Fatalf("LevelArray namer should adopt: %v", rerr)
@@ -251,7 +318,7 @@ func TestRestoreRequiresAdopter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr2.Close()
+	defer mgr2.Shutdown()
 	_, _, rerr = mgr2.Restore(lease.RestoreState{Leases: []lease.Lease{{Name: 1, Token: 1, ExpiresAt: time.Now().Add(time.Hour)}}})
 	if rerr == nil {
 		t.Fatal("Restore accepted a namer with no Adopt method")

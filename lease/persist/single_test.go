@@ -9,7 +9,16 @@ import (
 
 // acquire1, renew1 and release1 are the one-item batch for tests that are
 // about a single lease. Each returns the call-level error, or else the
-// item's own outcome.
+// item's own outcome. get1 reads one live lease out of Leases().
+
+func get1(m *lease.Manager, name int) (lease.Lease, bool) {
+	for _, l := range m.Leases() {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return lease.Lease{}, false
+}
 
 func acquire1(m *lease.Manager, owner string, ttl time.Duration, meta map[string]string) (lease.Lease, error) {
 	ls, err := m.AcquireBatch(context.Background(), owner, 1, ttl, meta)

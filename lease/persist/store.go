@@ -17,7 +17,7 @@
 //	mgr, _ := lease.New(nm, lease.Config{Observer: st})
 //	restored, expired, _ := mgr.Restore(st.State())
 //	...
-//	mgr.Shutdown() // quiesce WITHOUT releasing names
+//	mgr.Shutdown() // wait out in-flight ops; the table keeps every lease
 //	st.Close()     // final snapshot: next boot replays nothing
 //
 // The manager's table is the only in-memory copy of the live leases. A

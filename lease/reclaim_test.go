@@ -45,8 +45,8 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		close(bn.gate) // let Close's drain releases through
-		m.Close()
+		close(bn.gate) // unpark any Release still in flight so Shutdown can finish
+		m.Shutdown()
 	}()
 
 	doomed, err := acquire1(m, "doomed", 2*time.Second, nil)
@@ -72,15 +72,15 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 		t.Fatal("sweep never reached namer.Release")
 	}
 
-	// The stripe must be free while Release blocks: renew, get and
-	// release on the surviving lease all complete.
+	// The stripe must be free while Release blocks: a renewal and a read
+	// of the surviving lease both complete.
 	opsDone := make(chan error, 1)
 	go func() {
 		if _, err := renew1(m, alive.Name, alive.Token, 0); err != nil {
 			opsDone <- err
 			return
 		}
-		if _, ok := m.Get(alive.Name); !ok {
+		if _, ok := get1(m, alive.Name); !ok {
 			opsDone <- ErrUnknownName
 			return
 		}
@@ -97,8 +97,8 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 
 	// The doomed lease must already be gone from the table (dropped under
 	// the lock) even though the namer hand-back is still in flight.
-	if _, ok := m.Get(doomed.Name); ok {
-		t.Fatal("expired lease still visible during its namer hand-back")
+	if n := m.Occupied(); n != 1 {
+		t.Fatalf("%d slots occupied during the namer hand-back, want only the live lease's", n)
 	}
 
 	bn.gate <- struct{}{} // release the parked namer.Release
@@ -116,7 +116,7 @@ func TestSweepReleasesOutsideStripeLock(t *testing.T) {
 }
 
 // TestLazyExpiryReleasesOutsideStripeLock covers the lazy reclaim paths
-// (Renew/Release/Get on a lapsed lease) the same way: while the lapsed
+// (Renew/Release on a lapsed lease) the same way: while the lapsed
 // lease's hand-back blocks, its stripe keeps serving.
 func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 	inner, err := renaming.NewLevelArray(8)
@@ -131,7 +131,7 @@ func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 	}
 	defer func() {
 		close(bn.gate)
-		m.Close()
+		m.Shutdown()
 	}()
 	doomed, err := acquire1(m, "doomed", 2*time.Second, nil)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestReclaimFailedAccountingPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	if _, err := acquire1(m, "a", 2*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestRenewBatchMixedResults(t *testing.T) {
 		t.Fatalf("Expired went %d -> %d, want +1 (late renewal reclaims)", before.Expired, after.Expired)
 	}
 	// The expired lease was reclaimed by its own failed renewal.
-	if _, ok := m.Get(dying.Name); ok {
+	if _, ok := get1(m, dying.Name); ok {
 		t.Fatal("expired lease still live after its batch renewal failed")
 	}
 	// The stale-token attack left the real holder untouched.
@@ -222,7 +222,7 @@ func TestRenewBatchConcurrentHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {

@@ -156,7 +156,7 @@ func (sh *shard) liveLocked(now int64) int {
 // deliberately NOT done here: namer.Release is outside this package's
 // control and can be arbitrarily slow, and one sweep used to hold the
 // stripe mutex across O(expired) such calls, stalling every
-// grant, renewal and Get routed to the stripe. Callers hold sh.mu and must
+// grant, renewal and release routed to the stripe. Callers hold sh.mu and must
 // pass the returned names to m.releaseNames AFTER unlocking.
 //
 //renamed:noalloc

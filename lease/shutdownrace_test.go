@@ -11,29 +11,20 @@ import (
 	renaming "repro"
 )
 
-// recordingObserver tallies observer events and can run a hook on the
-// first acquire it sees — the lever for deterministically closing the
-// manager in the middle of a multi-stripe batch insert.
+// recordingObserver tallies observer events: name -> token per kind.
 type recordingObserver struct {
-	mu        sync.Mutex
-	acquires  map[int]uint64 // name -> token
-	releases  map[int]uint64
-	onFirst   func()
-	firstDone bool
+	mu       sync.Mutex
+	acquires map[int]uint64
+	releases map[int]uint64
 }
 
 func (o *recordingObserver) ObserveAcquire(l Lease) {
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.acquires == nil {
 		o.acquires = map[int]uint64{}
 	}
 	o.acquires[l.Name] = l.Token
-	fire := !o.firstDone && o.onFirst != nil
-	o.firstDone = true
-	o.mu.Unlock()
-	if fire {
-		o.onFirst()
-	}
 }
 
 func (o *recordingObserver) ObserveRenew(int, uint64, time.Time) {}
@@ -51,152 +42,169 @@ func (o *recordingObserver) ObserveExpire(int, uint64) {}
 
 func (o *recordingObserver) ObserveTable(Table) {}
 
-// TestAcquireBatchShutdownRaceUnwindsInsertedLeases pins the batch
-// unwind against Shutdown: when a multi-stripe AcquireBatch loses the
-// race to Shutdown partway through its stripe walk, the leases it
-// already inserted (and journaled) must come back OUT — under Shutdown
-// there is no Close drain to return them, so without the unwind they
-// would be restored after reboot as durable ghosts whose owner was told
-// the acquisition failed.
-func TestAcquireBatchShutdownRaceUnwindsInsertedLeases(t *testing.T) {
-	// linearscan assigns 0,1,2,...: six names split deterministically
-	// across two stripes (even/odd), so the walk has a second stripe to
-	// trip over after the first stripe's inserts were observed.
-	nm, err := renaming.Open("linearscan?n=16")
+// shutdownMidBatch catches a k-lease AcquireBatch between its stripes with
+// Shutdown: over linearscan with two stripes the batch takes names 0..k-1,
+// inserts the even ones into stripe 0 and parks on stripe 1's lock, which
+// the test holds, while Shutdown flips closed. It returns the batch's
+// leases and what Shutdown's caller read on its return, after checking
+// that Shutdown waited for the batch and that nothing moves afterwards.
+func shutdownMidBatch(t *testing.T, obs Observer, k int) (leases []Lease, occupied int, reserved int64) {
+	t.Helper()
+	nm, err := renaming.NewLinearScan(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := &recordingObserver{}
 	m, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, Shards: 2, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first stripe's first insert fires mid-batch, after that
-	// stripe's closed-check passed. Shutdown must run concurrently — it
-	// drains the in-flight counter, and this batch IS in flight, so a
-	// synchronous call would deadlock (which is exactly the quiescence
-	// guarantee under test). Wait for the closed flip, then let the walk
-	// continue: its NEXT stripe sees closed and must unwind everything,
-	// and Shutdown must not return before that unwind is journaled.
-	shutdownDone := make(chan struct{})
-	obs.onFirst = func() {
-		go func() {
-			m.Shutdown()
-			close(shutdownDone)
-		}()
-		for !m.closed.Load() {
-			runtime.Gosched()
-		}
-	}
-
-	_, err = m.AcquireBatch(context.Background(), "race", 6, 0, nil)
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("AcquireBatch racing Shutdown = %v, want ErrClosed", err)
-	}
-	select {
-	case <-shutdownDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown never finished draining the in-flight batch")
-	}
-	// Quiescence ordering: by the time Shutdown returned, the unwind's
-	// release records must already have been observed (checked below by
-	// the acquire/release balance).
-
-	// No ghost leases: the table is empty and the live counter settled.
-	mt := m.Metrics()
-	if mt.Live != 0 {
-		t.Fatalf("%d leases left in the table after unwound batch", mt.Live)
-	}
-	if got := m.live.Load(); got != 0 {
-		t.Fatalf("live counter = %d after unwound batch, want 0", got)
-	}
-	// The durable story balances: every journaled acquire has a matching
-	// journaled release with the same token, so a replay restores
-	// nothing.
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	if len(obs.acquires) == 0 {
-		t.Fatal("test never exercised the insert path (no acquires observed)")
-	}
-	for name, tok := range obs.acquires {
-		rtok, ok := obs.releases[name]
-		if !ok {
-			t.Fatalf("journaled acquire of name %d (token %d) has no balancing release — durable ghost", name, tok)
-		}
-		if rtok != tok {
-			t.Fatalf("name %d released with token %d, acquired with %d", name, rtok, tok)
-		}
-	}
-	// And the namer got every name back: all six slots free again.
-	for i := 0; i < 6; i++ {
-		u, err := nm.Acquire(context.Background())
-		if err != nil {
-			t.Fatalf("slot not returned to namer: %v", err)
-		}
-		if u >= 6 {
-			t.Fatalf("linearscan handed out %d; a slot below 6 is still marked held", u)
-		}
-	}
-}
-
-// TestShutdownRaceWithoutObserver pins the quiescence barrier for a
-// manager with no observer: a multi-stripe AcquireBatch caught between
-// its stripes when Shutdown flips closed must finish its unwind before
-// Shutdown returns, so the table and the capacity counter a caller reads
-// afterwards are final. The barrier used to be skipped without an
-// observer, and Shutdown returned with the first stripe's leases still in
-// the table and the whole reservation still held.
-func TestShutdownRaceWithoutObserver(t *testing.T) {
-	nm, err := renaming.Open("linearscan?n=16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hold the second stripe: the batch inserts its three even names into
-	// stripe 0 and parks on stripe 1's lock, holding none itself.
 	m.shards[1].mu.Lock()
-	batchErr := make(chan error, 1)
+	type result struct {
+		leases []Lease
+		err    error
+	}
+	batch := make(chan result, 1)
 	go func() {
-		_, err := m.AcquireBatch(context.Background(), "race", 6, 0, nil)
-		batchErr <- err
+		ls, err := m.AcquireBatch(context.Background(), "race", k, 0, nil)
+		batch <- result{ls, err}
 	}()
 	for {
-		if _, occupied := tableStats(m, 0); occupied == 3 {
+		if _, n := tableStats(m, 0); n == (k+1)/2 {
 			break
 		}
 		runtime.Gosched()
 	}
-	shutdownDone := make(chan struct{})
+	type snapshot struct {
+		occupied int
+		reserved int64
+	}
+	// The snapshot needs stripe 1's lock too, so Shutdown's return is
+	// signalled on its own.
+	returned, atShutdown := make(chan struct{}), make(chan snapshot, 1)
 	go func() {
 		m.Shutdown()
-		close(shutdownDone)
+		close(returned)
+		atShutdown <- snapshot{m.Occupied(), m.Metrics().Reserved}
 	}()
 	for !m.closed.Load() {
 		runtime.Gosched()
 	}
 	select {
-	case <-shutdownDone:
+	case <-returned:
 		t.Fatal("Shutdown returned with a batch still between its stripes")
 	case <-time.After(20 * time.Millisecond):
 	}
 	m.shards[1].mu.Unlock()
+	var at snapshot
 	select {
-	case <-shutdownDone:
+	case at = <-atShutdown:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown never finished draining the in-flight batch")
+		t.Fatal("Shutdown never returned after the batch was let go")
 	}
-	// What Shutdown's caller sees is already what the straggler leaves.
+	r := <-batch
+	if r.err != nil || len(r.leases) != k {
+		t.Fatalf("AcquireBatch caught by Shutdown = %d leases, %v; want all %d", len(r.leases), r.err, k)
+	}
+	if o, res := m.Occupied(), m.Metrics().Reserved; o != at.occupied || res != at.reserved {
+		t.Fatalf("table moved after Shutdown returned: occupied %d -> %d, reserved %d -> %d", at.occupied, o, at.reserved, res)
+	}
+	if _, err := acquire1(m, "late", 0, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AcquireBatch after Shutdown = %v, want ErrClosed", err)
+	}
+	return r.leases, at.occupied, at.reserved
+}
+
+// TestAcquireBatchShutdownRaceCompletesBatch pins the barrier with an
+// observer: a batch admitted before Shutdown inserts and journals all k
+// leases, releases nothing, and Shutdown returns only after that — so a
+// store closed next holds exactly what the caller was granted.
+func TestAcquireBatchShutdownRaceCompletesBatch(t *testing.T) {
+	const k = 6
+	obs := &recordingObserver{}
+	leases, occupied, reserved := shutdownMidBatch(t, obs, k)
+	if occupied != k || reserved != k {
+		t.Fatalf("at Shutdown's return: %d occupied, %d reserved; want %d, %d", occupied, reserved, k, k)
+	}
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	if len(obs.acquires) != k || len(obs.releases) != 0 {
+		t.Fatalf("observer saw %d acquires, %d releases; want %d, 0", len(obs.acquires), len(obs.releases), k)
+	}
+	for _, l := range leases {
+		if tok, ok := obs.acquires[l.Name]; !ok || tok != l.Token {
+			t.Fatalf("name %d granted with token %d, journaled with %d (seen %v)", l.Name, l.Token, tok, ok)
+		}
+	}
+}
+
+// TestShutdownRaceWithoutObserver pins the same barrier for a manager
+// with no observer: the table and the capacity counter a caller reads
+// once Shutdown returns already hold the whole batch. The barrier used to
+// be skipped without an observer.
+func TestShutdownRaceWithoutObserver(t *testing.T) {
+	const k = 6
+	_, occupied, reserved := shutdownMidBatch(t, nil, k)
+	if occupied != k || reserved != k {
+		t.Fatalf("at Shutdown's return: %d occupied, %d reserved; want %d, %d", occupied, reserved, k, k)
+	}
+}
+
+// TestAcquireBatchShutdownRace races batches against Shutdown: each
+// racing batch is either refused at entry with nothing reserved, or fully
+// granted, so afterwards the table, the reservation counter and the
+// granted leases agree exactly.
+func TestAcquireBatchShutdownRace(t *testing.T) {
+	const capacity, batch = 64, 8
+	nm, err := renaming.NewLevelArray(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(nm, Config{TTL: time.Minute, SweepInterval: -1, MaxLive: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		granted int
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ls, err := m.AcquireBatch(context.Background(), "w", batch, 0, nil)
+				switch {
+				case errors.Is(err, ErrClosed):
+					return
+				case err == nil && len(ls) != batch:
+					t.Errorf("batch granted %d of %d leases", len(ls), batch)
+				case err == nil:
+					mu.Lock()
+					granted += len(ls)
+					mu.Unlock()
+					// Hand half the batches back so the race keeps granting.
+					if ls[0].Name%2 == 0 {
+						for _, l := range ls {
+							if err := release1(m, l.Name, l.Token); err != nil && !errors.Is(err, ErrClosed) {
+								t.Errorf("release %d: %v", l.Name, err)
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond)
+	m.Shutdown()
 	occupied, reserved := m.Occupied(), m.Metrics().Reserved
-	if err := <-batchErr; !errors.Is(err, ErrClosed) {
-		t.Fatalf("AcquireBatch racing Shutdown = %v, want ErrClosed", err)
+	wg.Wait()
+	mt := m.Metrics()
+	if int64(occupied) != reserved || int64(granted) != mt.Acquired || mt.Acquired-mt.Released != reserved {
+		t.Fatalf("after Shutdown: %d occupied, %d reserved, %d granted, metrics %+v; want occupied = reserved = acquired - released",
+			occupied, reserved, granted, mt)
 	}
-	if occupied != 0 || reserved != 0 {
-		t.Fatalf("at Shutdown's return: %d occupied, %d reserved; want the unwound batch's 0, 0", occupied, reserved)
-	}
-	if o, r := m.Occupied(), m.Metrics().Reserved; o != occupied || r != reserved {
-		t.Fatalf("table moved after Shutdown returned: occupied %d -> %d, reserved %d -> %d", occupied, o, reserved, r)
+	if o := m.Occupied(); o != occupied {
+		t.Fatalf("table moved after Shutdown returned: occupied %d -> %d", occupied, o)
 	}
 }

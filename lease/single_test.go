@@ -7,7 +7,17 @@ import (
 
 // The manager speaks batches only; acquire1, renew1 and release1 are the
 // one-item batch for tests that are about a single lease. Each returns the
-// call-level error, or else the item's own outcome.
+// call-level error, or else the item's own outcome. get1 reads one live
+// lease out of Leases(); it reclaims nothing.
+
+func get1(m *Manager, name int) (Lease, bool) {
+	for _, l := range m.Leases() {
+		if l.Name == name {
+			return l, true
+		}
+	}
+	return Lease{}, false
+}
 
 func acquire1(m *Manager, owner string, ttl time.Duration, meta map[string]string) (Lease, error) {
 	ls, err := m.AcquireBatch(context.Background(), owner, 1, ttl, meta)

@@ -32,7 +32,7 @@ func TestCapacitySweepSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < maxLive; i++ {
 		if _, err := acquire1(m, "holder", 0, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
@@ -99,7 +99,7 @@ func TestCapacitySweepWorkBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < maxLive; i++ {
 		if _, err := acquire1(m, "holder", time.Hour, nil); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
@@ -135,14 +135,14 @@ func TestCapacitySweepWorkBounded(t *testing.T) {
 // TestClosedOperationsCountRejected pins the shutdown accounting fix: the
 // early ErrClosed returns used to skip m.rejected while every other
 // refusal counted, so Metrics.Rejected under-reported during drain. Every
-// post-Close operation must now bump it exactly once.
+// post-Shutdown operation must now bump it exactly once.
 func TestClosedOperationsCountRejected(t *testing.T) {
 	m, _ := newTestManager(t, 8)
 	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(); err != nil {
+	if err := m.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	base := m.Metrics().Rejected
@@ -165,7 +165,7 @@ func TestClosedOperationsCountRejected(t *testing.T) {
 	}
 	for i, op := range ops {
 		if err := op.call(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s after Close = %v, want ErrClosed", op.name, err)
+			t.Fatalf("%s after Shutdown = %v, want ErrClosed", op.name, err)
 		}
 		if got, want := m.Metrics().Rejected, base+int64(i+1); got != want {
 			t.Fatalf("Rejected after closed %s = %d, want %d", op.name, got, want)

@@ -32,7 +32,7 @@ func TestCapacityBoundaryStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 
 	var heldMu sync.Mutex
 	held := make(map[int]uint64) // name -> token, for long-TTL holders only

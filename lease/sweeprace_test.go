@@ -31,7 +31,7 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	l, err := acquire1(m, "hb", 10*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestRenewRacingSweepPopSurvives(t *testing.T) {
 	if n := m.SweepOnce(); n != 0 {
 		t.Fatalf("sweep reclaimed %d leases popping a stale entry, want 0 — renewed lease lost", n)
 	}
-	got, ok := m.Get(l.Name)
+	got, ok := get1(m, l.Name)
 	if !ok {
 		t.Fatal("renewed lease gone after sweep popped its stale heap entry")
 	}
@@ -94,7 +94,7 @@ func TestHeapBoundedUnderPureHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	leases, err := m.AcquireBatch(context.Background(), "hb", live, 0, nil)
 	if err != nil {
 		t.Fatal(err)

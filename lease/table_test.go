@@ -51,7 +51,7 @@ func TestHeapCompactionBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	l, err := acquire1(m, "w", 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestHeapCompactionBoundsMemory(t *testing.T) {
 }
 
 // TestHeapCompactionOnLazyReclaim: 5,000 leases, each reclaimed lazily by
-// a Get after its TTL.
+// a renewal after its TTL.
 func TestHeapCompactionOnLazyReclaim(t *testing.T) {
 	nm, err := renaming.NewLevelArray(8)
 	if err != nil {
@@ -82,15 +82,15 @@ func TestHeapCompactionOnLazyReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	for i := 0; i < 5000; i++ {
 		l, err := acquire1(m, "w", 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(2 * time.Second)
-		if _, ok := m.Get(l.Name); ok {
-			t.Fatal("expired lease still live")
+		if _, err := renew1(m, l.Name, l.Token, 0); !errors.Is(err, ErrExpired) {
+			t.Fatalf("renewal of a lapsed lease = %v, want ErrExpired", err)
 		}
 	}
 	if slots, occupied := tableStats(m, 0); slots > nm.Namespace() || occupied != 0 {
@@ -132,15 +132,11 @@ func TestHostileNames(t *testing.T) {
 				if err := release1(m, name, 1); !errors.Is(err, ErrUnknownName) {
 					t.Errorf("Release(%d) = %v, want ErrUnknownName", name, err)
 				}
-				if l, ok := m.Get(name); ok {
-					t.Errorf("Get(%d) = %+v, want no lease", name, l)
-				}
 				if got := testing.AllocsPerRun(20, func() {
 					renew1(m, name, 1, 0)
 					release1(m, name, 1)
-					m.Get(name)
 				}); got != 4 {
-					t.Errorf("Renew+Release+Get(%d) allocate %v times, want 4 (two per batch call)", name, got)
+					t.Errorf("Renew+Release(%d) allocate %v times, want 4 (two per batch call)", name, got)
 				}
 			}
 			names := hostileNames(m)
@@ -202,9 +198,9 @@ func TestRestoredTokenZeroIsOccupied(t *testing.T) {
 	if restored, _, err := m.Restore(RestoreState{Leases: []Lease{{Name: 3, Token: 0, Owner: "w", ExpiresAt: exp}}}); err != nil || restored != 1 {
 		t.Fatalf("Restore = %d, %v", restored, err)
 	}
-	l, ok := m.Get(3)
+	l, ok := get1(m, 3)
 	if !ok || l.Token != 0 || l.Owner != "w" || !l.ExpiresAt.Equal(exp) {
-		t.Fatalf("Get(3) = %+v, %v; want the restored token-0 lease", l, ok)
+		t.Fatalf("lease 3 = %+v, %v; want the restored token-0 lease", l, ok)
 	}
 	if _, err := renew1(m, 3, 0, 0); err != nil {
 		t.Fatalf("Renew with token 0: %v", err)
@@ -223,7 +219,7 @@ func TestTableRegrowsAfterResize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	first, err := m.AcquireBatch(context.Background(), "w", 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +269,7 @@ func TestMetricsLiveIdleTouchesNoSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	const held = 1 << 10
 	if _, err := m.AcquireBatch(context.Background(), "w", held, 0, nil); err != nil {
 		t.Fatal(err)

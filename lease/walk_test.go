@@ -87,7 +87,7 @@ func TestLeasesIsTheFilteredSortedWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	ctx := context.Background()
 	if _, err := m.AcquireBatch(ctx, "lapsing", 100, time.Second, nil); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestWalkUnderResizeGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.Shutdown()
 	ctx := context.Background()
 	standing, err := m.AcquireBatch(ctx, "standing", 2*walkSpan, 0, nil)
 	if err != nil {
@@ -237,9 +237,9 @@ func TestWalkUnderResizeGrow(t *testing.T) {
 	}
 }
 
-// TestWalkAfterShutdownAndClose: Shutdown keeps the table — that is what
-// the store's final snapshot is read from — and Close empties it.
-func TestWalkAfterShutdownAndClose(t *testing.T) {
+// TestWalkAfterShutdown: Shutdown keeps the table — that is what the
+// store's final snapshot is read from.
+func TestWalkAfterShutdown(t *testing.T) {
 	m, _ := newTestManager(t, 16)
 	held, err := m.AcquireBatch(context.Background(), "w", 10, 0, nil)
 	if err != nil {
@@ -256,15 +256,6 @@ func TestWalkAfterShutdownAndClose(t *testing.T) {
 		if got[l.Name].Token != l.Token {
 			t.Fatalf("name %d walked with token %d, want %d", l.Name, got[l.Name].Token, l.Token)
 		}
-	}
-
-	closed, _ := newTestManager(t, 16)
-	if _, err := closed.AcquireBatch(context.Background(), "w", 10, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	closed.Close()
-	if got := walkAll(t, closed); len(got) != 0 || closed.Occupied() != 0 {
-		t.Fatalf("after Close Walk yielded %d, Occupied() = %d, want nothing", len(got), closed.Occupied())
 	}
 }
 
@@ -302,7 +293,7 @@ func TestRestoreHandsOverTheTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { m.Close() })
+		t.Cleanup(func() { m.Shutdown() })
 		return m, clk
 	}
 

@@ -552,7 +552,7 @@ func releaseTargets(t *testing.T) map[string]releaseTarget {
 	done := make(chan struct{})
 	go func() { defer close(done); bin.Serve(ln) }()
 	kill := func() { bin.Close(); <-done }
-	t.Cleanup(func() { kill(); mgr.Close() })
+	t.Cleanup(func() { kill(); mgr.Shutdown() })
 
 	return map[string]releaseTarget{
 		"http": {target: f.url(), revoke: f.hijack, refusal: lease.ErrWrongToken, kill: f.srv.Close},
@@ -560,8 +560,10 @@ func releaseTargets(t *testing.T) map[string]releaseTarget {
 			target: "bin://" + ln.Addr().String(),
 			// The name is released behind the session's back.
 			revoke: func(name int) {
-				if l, ok := mgr.Get(name); ok {
-					mgr.ReleaseBatch(context.Background(), []lease.ReleaseItem{{Name: name, Token: l.Token}})
+				for _, l := range mgr.Leases() {
+					if l.Name == name {
+						mgr.ReleaseBatch(context.Background(), []lease.ReleaseItem{{Name: name, Token: l.Token}})
+					}
 				}
 			},
 			refusal: lease.ErrUnknownName,
