@@ -404,13 +404,21 @@ func BenchmarkF12ResizeChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkDrain is the micro view of the oneshot-adaptive workload: one
-// goroutine draws k = 4096 names from a fresh namer sized for contention
-// n = 16384, then opens the next. ns/op is per Acquire; opening is not
-// timed.
+// BenchmarkDrain is the micro view of both one-shot workloads: one
+// goroutine draws k names from a fresh namer opened with n, then opens
+// the next. rebatching drains all n = k = 65536 names (oneshot-rebatching);
+// adaptive and fastadaptive draw k = 4096 at contention n = 16384
+// (oneshot-adaptive). ns/op is per Acquire; opening is not timed.
 func BenchmarkDrain(b *testing.B) {
-	const n, k = 1 << 14, 4096
-	for _, driver := range []string{"adaptive", "fastadaptive"} {
+	for _, tc := range []struct {
+		driver string
+		n, k   int
+	}{
+		{"rebatching", 1 << 16, 1 << 16},
+		{"adaptive", 1 << 14, 4096},
+		{"fastadaptive", 1 << 14, 4096},
+	} {
+		driver, n, k := tc.driver, tc.n, tc.k
 		b.Run(driver, func(b *testing.B) {
 			ctx := context.Background()
 			var nm renaming.Namer

@@ -34,11 +34,15 @@ func Interrupted(env Env) bool {
 const InterruptStride = 256
 
 // Batcher is an optional extension of Env for drivers that run a whole
-// probe batch themselves (the concurrent driver does, so a probe costs no
-// interface call). Its TryBatch must match the reference loop of the
-// TryBatch function below: t probes, each Intn(size) then TAS(lo+x), in
-// that order, stopping at the first win — the same draws, the same TAS
-// steps and the same result.
+// probe batch themselves. A Batcher's TryBatch must match the reference
+// loop of the TryBatch function below: t probes, each Intn(size) then
+// TAS(lo+x), in that order, stopping at the first win — the same draws,
+// the same TAS steps and the same result.
+//
+// The concurrent driver is a Batcher, and its batch loop lives in
+// internal/tas: tas.Dense.TryBatch runs the batch with the PRNG state in
+// registers and no call per probe. A namer built WithCounting runs the
+// reference loop through its counting space instead.
 //
 // An Env that wraps another to intercept TAS — to count, trace or
 // redirect steps — must not forward TryBatch, or the batch's probes would

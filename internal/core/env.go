@@ -18,8 +18,9 @@
 //
 // The algorithms decide which range a batch probes and how many probes it
 // makes; the probe loop itself goes through TryBatch. The concurrent
-// driver implements Batcher and runs that loop as one concrete call, with
-// no interface dispatch per probe. Every other Env, the simulator's
+// driver implements Batcher and hands each batch to internal/tas's probe
+// kernel, tas.Dense.TryBatch, which draws and probes with the PRNG state
+// in registers and no call per probe. Every other Env, the simulator's
 // included, runs TryBatch's reference loop, one Env.TAS per probe. Both
 // loops draw the same coins in the same order and make the same TAS
 // calls, so one TAS is one step under either driver and a seed yields the

@@ -22,6 +22,11 @@
 // way the caller accesses the object once, which is one step in the
 // paper's measure — the read only makes a losing step cheaper.
 //
+// Dense also carries the concurrent one-shot driver's probe kernel,
+// TryBatch: a whole batch of uniform probes in one call, drawing from an
+// xrand state held in registers and applying that same rule to each
+// probe. It makes exactly the draws and steps of a loop of Intn then TAS.
+//
 // Releasing a name (the long-lived extension, not part of the paper's
 // one-shot model) has one primitive per space, TryReset: a single
 // set→unset transition that exactly one of any racing callers wins.
@@ -32,6 +37,8 @@ package tas
 import (
 	"fmt"
 	"sync/atomic"
+
+	"repro/internal/xrand"
 )
 
 // Space is an indexed collection of test-and-set objects.
@@ -75,6 +82,32 @@ func NewDense(n int) *Dense {
 // TAS wins iff the caller is the first to set location loc.
 func (d *Dense) TAS(loc int) bool {
 	return testAndSet(&d.cells[loc])
+}
+
+// TryBatch is the probe kernel: at most t probes into [lo, lo+size), each
+// a draw x = Below(size) from r's state and then a test-and-set of
+// location lo+x, stopping at the first win. It returns the location won,
+// or -1 (core.NoName) after t losses. The draws, the steps and r's final
+// state are exactly those of t rounds of r.Intn(size) then TAS(lo+x).
+//
+// The state, the bound and the batch's subslice of cells live in locals
+// for the whole batch: Below inlines, so a probe is one PRNG step, one
+// multiply, one bounds check against a register and one load, with no
+// call and no memory traffic for the generator. r is written once, on
+// the way out.
+//
+//renamed:noalloc
+func (d *Dense) TryBatch(r *xrand.Rand, lo, size, t int) int {
+	cells, n, s := d.cells[lo:lo+size], uint64(size), r.State()
+	for ; t > 0; t-- {
+		var x uint64
+		if x, s = s.Below(n); testAndSet(&cells[x]) {
+			r.SetState(s)
+			return lo + int(x)
+		}
+	}
+	r.SetState(s)
+	return -1
 }
 
 // Len returns the number of locations.

@@ -1,10 +1,14 @@
 package tas
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 // compile-time interface compliance checks.
@@ -323,6 +327,104 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDenseTryBatchMatchesReference runs the probe kernel and the
+// reference loop it replaces — r.Intn(size), then TAS(lo+x), t times or
+// until a win — side by side on copies of one space. Batches start at 0
+// and further in, have power-of-two and other sizes, are empty, half set
+// or full, and get t from 1 to well past size. Every case must return the
+// same location, leave the same cells set and the same PRNG state.
+func TestDenseTryBatchMatchesReference(t *testing.T) {
+	const pad = 5 // cells beyond the batch on the right, never probed
+	for _, seed := range []uint64{1, 42, 0xdeadbeefcafef00d} {
+		for _, geo := range []struct{ lo, size int }{{0, 1}, {0, 64}, {3, 7}, {11, 100}, {40, 257}} {
+			for _, fill := range []string{"empty", "half", "full"} {
+				for _, tries := range []int{1, 2, geo.size / 2, geo.size, 3*geo.size + 1} {
+					if tries < 1 {
+						continue
+					}
+					name := fmt.Sprintf("seed=%#x/lo=%d/size=%d/%s/t=%d", seed, geo.lo, geo.size, fill, tries)
+					kernel, ref := NewDense(geo.lo+geo.size+pad), NewDense(geo.lo+geo.size+pad)
+					for i := 0; i < geo.size; i++ {
+						if fill == "full" || fill == "half" && i%2 == 1 {
+							kernel.TAS(geo.lo + i)
+							ref.TAS(geo.lo + i)
+						}
+					}
+					kr, rr := xrand.NewStream(seed, uint64(geo.size)), xrand.NewStream(seed, uint64(geo.size))
+					got := kernel.TryBatch(kr, geo.lo, geo.size, tries)
+					want := -1
+					for j := 0; j < tries; j++ {
+						if x := geo.lo + rr.Intn(geo.size); ref.TAS(x) {
+							want = x
+							break
+						}
+					}
+					if got != want {
+						t.Fatalf("%s: kernel won %d, reference %d", name, got, want)
+					}
+					if *kr != *rr {
+						t.Fatalf("%s: kernel and reference leave different PRNG states", name)
+					}
+					if !slices.Equal(kernel.cells, ref.cells) {
+						t.Fatalf("%s: kernel and reference leave different cells set", name)
+					}
+					if fill == "full" {
+						// A full batch loses all t probes: NoName, t draws.
+						after := xrand.NewStream(seed, uint64(geo.size))
+						for j := 0; j < tries; j++ {
+							after.Intn(geo.size)
+						}
+						if got != -1 || *kr != *after {
+							t.Fatalf("%s: full batch won %d or did not advance exactly %d draws", name, got, tries)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseTryBatchSingleWinner hammers the kernel: 8 goroutines, each on
+// its own stream, run probe batches over one small space — some over all
+// of it, some over a window in the middle — until it is full. Every cell
+// must be won exactly once.
+func TestDenseTryBatchSingleWinner(t *testing.T) {
+	const (
+		goroutines = 8
+		size       = 64
+		batches    = 2000
+	)
+	d := NewDense(size)
+	winners := make([][]int32, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		winners[g] = make([]int32, size)
+		wg.Add(1)
+		go func(mine []int32, r *xrand.Rand) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				lo, n := 0, size
+				if i%2 == 1 {
+					lo, n = size/4, size/2
+				}
+				if x := d.TryBatch(r, lo, n, 1+i%4); x >= 0 {
+					mine[x]++
+				}
+			}
+		}(winners[g], xrand.NewStream(7, uint64(g)))
+	}
+	wg.Wait()
+	for loc := 0; loc < size; loc++ {
+		total := int32(0)
+		for g := 0; g < goroutines; g++ {
+			total += winners[g][loc]
+		}
+		if total != 1 {
+			t.Errorf("location %d had %d winners, want 1", loc, total)
+		}
 	}
 }
 

@@ -7,6 +7,14 @@
 // across platforms and Go releases. The standard library's math/rand makes
 // no cross-version stream stability promises, which is why it is not used.
 //
+// The xoshiro step and Lemire's bounded draw are each written once, in
+// value form: State.Next and State.Below take a State and return the
+// state after them, so a loop over a local State keeps the generator in
+// registers. Rand.Uint64 and Rand.Intn are built on them, and so is the
+// concurrent driver's probe kernel (tas.Dense.TryBatch), which loads a
+// Rand's State once per probe batch and stores it back once; every output
+// is the same whichever of them draws it.
+//
 // A Rand is NOT safe for concurrent use; concurrent callers derive
 // independent per-process streams with NewStream or MakeStream.
 package xrand
@@ -61,25 +69,56 @@ func splitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint64 returns the next 64 uniformly random bits.
+// State is a generator's xoshiro256** state as a value. A struct of four
+// words is one the compiler can keep in registers, which Rand's array is
+// not, so a loop that steps a local State touches no memory for it.
+type State struct{ s0, s1, s2, s3 uint64 }
+
+// State returns r's current state.
+func (r *Rand) State() State { return State{r.s[0], r.s[1], r.s[2], r.s[3]} }
+
+// SetState makes s r's state: the next draw from r is s's next output.
+func (r *Rand) SetState(s State) { r.s = [4]uint64{s.s0, s.s1, s.s2, s.s3} }
+
+// Next is the xoshiro256** step: the next 64 uniformly random bits, and
+// the state after them. It is the generator's only copy of the step, and
+// it is written to stay cheap for the inliner (cost 49 of 80) so that
+// Below, which inlines it, inlines in turn.
+func (s State) Next() (uint64, State) {
+	s1 := s.s1
+	s.s2 ^= s.s0
+	s.s3 ^= s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= s1 << 17
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9, s
+}
+
+// Below is Lemire's multiply-shift draw: a uniform value in [0, n), and
+// the state after it. An output whose low product word falls below
+// 2^64 mod n is rejected and the next one tried; the remainder is taken
+// only when the low word is below n, the only case where a rejection is
+// possible. n must be positive. It is the generator's only bounded draw.
 //
-// The state is stepped in locals and stored back once, which keeps the
-// inliner's cost at 76 of its budget of 80, so Uint64 inlines into Intn
-// on every probe. TestXoshiroKnownVector pins the output; CI checks that
-// it still inlines.
+// Below sits exactly at the inliner's budget of 80 (x is reused for the
+// draw's result to get there), so a probe loop that calls it keeps the
+// whole draw in registers; CI fails the build if it stops inlining.
+func (s State) Below(n uint64) (x uint64, _ State) {
+	for {
+		x, s = s.Next()
+		var lo uint64
+		if x, lo = bits.Mul64(x, n); lo >= n || lo >= -n%n {
+			return x, s
+		}
+	}
+}
+
+// Uint64 returns the next 64 uniformly random bits.
 func (r *Rand) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
-
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
-
-	return result
+	x, s := r.State().Next()
+	r.SetState(s)
+	return x
 }
 
 // Int63 returns a non-negative random int64.
@@ -87,21 +126,15 @@ func (r *Rand) Int63() int64 {
 	return int64(r.Uint64() >> 1)
 }
 
-// Intn returns a uniform random int in [0, n). It panics if n <= 0.
-// Uniformity uses Lemire's multiply-shift rejection method.
+// Intn returns a uniform random int in [0, n) by State.Below. It panics
+// if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
-	un := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), un)
-	if lo < un {
-		threshold := -un % un
-		for lo < threshold {
-			hi, lo = bits.Mul64(r.Uint64(), un)
-		}
-	}
-	return int(hi)
+	x, s := r.State().Below(uint64(n))
+	r.SetState(s)
+	return int(x)
 }
 
 // Float64 returns a uniform random float64 in [0, 1).

@@ -3,6 +3,7 @@ package xrand
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -132,6 +133,54 @@ func TestIntnRange(t *testing.T) {
 				t.Fatalf("Intn(%d) = %d out of range", n, v)
 			}
 		}
+	}
+}
+
+// TestBelowRejectionBranch drives the branch of Lemire's draw that the
+// namers' sizes almost never reach: a redraw, taken only when the low
+// product word falls below 2^64 mod n (under 2^-47 per draw at their
+// sizes). At n = 2^63+1 about half of all outputs are rejected; Intn
+// cannot take that n, so it is compared at floor(2^64/3)+1, where about a
+// third are, close to the most an int n allows. State.Below, and Intn
+// where n fits an int, must agree with the method spelled out over Uint64
+// on every value and on the final state.
+func TestBelowRejectionBranch(t *testing.T) {
+	const draws = 10_000
+	for _, n := range []uint64{1<<63 + 1, math.MaxUint64/3 + 1} {
+		t.Run(fmt.Sprintf("n=%#x", n), func(t *testing.T) {
+			ref, viaIntn := New(17), New(17)
+			s := New(17).State()
+			rejected := 0
+			for i := 0; i < draws; i++ {
+				hi, lo := bits.Mul64(ref.Uint64(), n)
+				if lo < n {
+					threshold := -n % n
+					for lo < threshold {
+						rejected++
+						hi, lo = bits.Mul64(ref.Uint64(), n)
+					}
+				}
+				var x uint64
+				if x, s = s.Below(n); x != hi {
+					t.Fatalf("draw %d: Below = %d, reference %d", i, x, hi)
+				}
+				if n <= math.MaxInt {
+					if v := viaIntn.Intn(int(n)); uint64(v) != hi {
+						t.Fatalf("draw %d: Intn = %d, reference %d", i, v, hi)
+					}
+				}
+			}
+			if s != ref.State() {
+				t.Fatalf("Below left state %#x, reference %#x", s, ref.State())
+			}
+			if n <= math.MaxInt && viaIntn.s != ref.s {
+				t.Fatalf("Intn left state %#x, reference %#x", viaIntn.s, ref.s)
+			}
+			if rejected < 1000 {
+				t.Fatalf("%d draws rejected only %d outputs, want at least 1000", draws, rejected)
+			}
+			t.Logf("%d draws, %d rejected outputs", draws, rejected)
+		})
 	}
 }
 

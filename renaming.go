@@ -135,7 +135,7 @@ type namer struct {
 	stream  atomic.Uint64
 	counted tas.Space // mem or counting wrapper; what algorithms probe
 	// dense is mem when mem is a *tas.Dense that no counting wrapper
-	// fronts: concurrentEnv.TryBatch probes it without an interface call.
+	// fronts: concurrentEnv.TryBatch hands each batch to its kernel.
 	dense *tas.Dense
 	// allowed, when non-nil, post-validates a won slot against the
 	// algorithm's CURRENT geometry: a win that raced a shrink (probed
@@ -329,20 +329,16 @@ func (e *concurrentEnv) Interrupted() bool {
 	return e.ctx != nil && e.ctx.Err() != nil
 }
 
-// TryBatch implements core.Batcher: core.TryBatch's reference loop with
-// the PRNG called directly and, on a plain dense namer, the TAS inlined.
-// A WithCounting namer loops through its counting space, so every probe
-// is still counted.
+// TryBatch implements core.Batcher. On a plain dense namer the batch is
+// one call to tas.Dense.TryBatch, the kernel that keeps the stream's
+// state in registers and returns core.NoName (-1) on a lost batch. A
+// WithCounting namer runs core.TryBatch's reference loop through its
+// counting space, so every probe is still counted.
 //
 //renamed:noalloc
 func (e *concurrentEnv) TryBatch(lo, size, t int) int {
 	if d := e.nm.dense; d != nil {
-		for ; t > 0; t-- {
-			if x := lo + e.rng.Intn(size); d.TAS(x) {
-				return x
-			}
-		}
-		return core.NoName
+		return d.TryBatch(&e.rng, lo, size, t)
 	}
 	for ; t > 0; t-- {
 		if x := lo + e.rng.Intn(size); e.nm.counted.TAS(x) {
