@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -254,10 +255,12 @@ func (e *refEnv) TAS(loc int) bool {
 func (e *refEnv) Intn(n int) int { return e.rng.Intn(n) }
 
 // TestDriverTryBatchMatchesReference drains each one-shot namer through
-// the driver's own environment, on the dense path and on the counting
-// path, and replays every acquisition through a refEnv over a fresh space
-// on the same stream. Each must get the same name and leave its PRNG in
-// the same state; on the counting path, in the same number of TAS steps.
+// the driver's own environment, with and without counting, and replays
+// every acquisition through a refEnv over a fresh space on the same
+// stream. Each must get the same name, leave its PRNG in the same state
+// and tally the same number of TAS steps. Counting happens in the
+// environment, so both arms run one probe path; the counting arm also
+// checks that tally adds exactly those steps to the namer's counters.
 func TestDriverTryBatchMatchesReference(t *testing.T) {
 	const n, seed = 256, 9
 	for _, alg := range []core.Algorithm{
@@ -267,32 +270,69 @@ func TestDriverTryBatchMatchesReference(t *testing.T) {
 	} {
 		for _, counting := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%T/counting=%v", alg, counting), func(t *testing.T) {
-				o := defaultOptions()
-				o.seed, o.counting = seed, counting
-				nm := newNamer(alg, o)
-				if (nm.dense != nil) == counting {
-					t.Fatalf("dense fast path = %v with counting = %v", nm.dense != nil, counting)
+				nm := newNamer(alg, options{seed: seed, counting: counting})
+				if nm.dense == nil {
+					t.Fatal("namer over a Dense space has no dense kernel")
 				}
 				ref := tas.NewDense(alg.Namespace())
 				for p := uint64(1); ; p++ {
 					env := nm.env(nil)
-					var ops0 int64
-					if counting {
-						ops0 = nm.probes.Ops()
-					}
+					ops0, wins0 := nm.ops.Load(), nm.wins.Load()
 					u := alg.GetName(env)
 					r := &refEnv{space: ref, rng: xrand.MakeStream(seed, p)}
 					if v := alg.GetName(r); u != v || env.rng != r.rng {
 						t.Fatalf("acquisition %d: driver got %d, reference %d, or their PRNG states differ", p, u, v)
 					}
-					if counting && nm.probes.Ops()-ops0 != r.steps {
-						t.Fatalf("acquisition %d: driver counted %d probes, reference %d", p, nm.probes.Ops()-ops0, r.steps)
+					if env.steps != r.steps {
+						t.Fatalf("acquisition %d: driver tallied %d TAS steps, reference %d", p, env.steps, r.steps)
+					}
+					won := 0
+					if u != core.NoName {
+						won = 1
+					}
+					nm.tally(env, won)
+					wantOps, wantWins := int64(0), int64(0)
+					if counting {
+						wantOps, wantWins = r.steps, int64(won)
+					}
+					if d := nm.ops.Load() - ops0; d != wantOps {
+						t.Fatalf("acquisition %d: namer counted %d probes, want %d", p, d, wantOps)
+					}
+					if d := nm.wins.Load() - wins0; d != wantWins {
+						t.Fatalf("acquisition %d: namer counted %d wins, want %d", p, d, wantWins)
 					}
 					if u == core.NoName {
 						break
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestCountingGrantsSameNames drains each namer on one seed with and
+// without counting=1: counting changes nothing but the counters, so both
+// grant the same names in order. Only the counted one reports probes, and
+// it reports a win for each name.
+func TestCountingGrantsSameNames(t *testing.T) {
+	for _, driver := range []string{"rebatching", "adaptive", "fastadaptive", "uniform", "levelarray"} {
+		var drains [2][]int
+		var nm Namer
+		for i, dsn := range []string{driver + "?n=64&seed=5", driver + "?n=64&seed=5&counting=1"} {
+			var err error
+			if nm, err = Open(dsn); err != nil {
+				t.Fatal(err)
+			}
+			for u, err := nm.Acquire(context.Background()); err == nil; u, err = nm.Acquire(context.Background()) {
+				drains[i] = append(drains[i], u)
+			}
+			if _, _, ok := nm.(interface{ Probes() (int64, int64, bool) }).Probes(); ok != (i == 1) {
+				t.Errorf("%s: Probes() ok = %v with counting = %v", dsn, ok, i == 1)
+			}
+		}
+		ops, wins, _ := nm.(interface{ Probes() (int64, int64, bool) }).Probes()
+		if !slices.Equal(drains[0], drains[1]) || wins != int64(len(drains[1])) || ops < wins {
+			t.Errorf("%s: plain drain %v, counted drain %v in %d ops %d wins", driver, drains[0], drains[1], ops, wins)
 		}
 	}
 }

@@ -79,11 +79,7 @@ func TestAdoptDoesNotCountProbes(t *testing.T) {
 	if err := nm.Adopt(2); err != nil {
 		t.Fatal(err)
 	}
-	ops, wins, ok := nm.Probes()
-	if !ok {
-		t.Fatal("WithCounting namer reports no probe counters")
-	}
-	if ops != 0 || wins != 0 {
-		t.Fatalf("Adopt perturbed probe stats: ops=%d wins=%d, want 0/0", ops, wins)
+	if ops, wins, ok := nm.Probes(); !ok || ops != 0 || wins != 0 {
+		t.Fatalf("after Adopt: Probes() = %d ops %d wins ok=%v, want 0, 0, true", ops, wins, ok)
 	}
 }

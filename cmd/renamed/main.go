@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	nm, err := renaming.NewLevelArray(*capacity)
+	nm, err := renaming.NewLevelArray(*capacity, renaming.WithCounting())
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ import (
 // manager, HTTP handler) on an httptest listener.
 func newTestServer(t *testing.T, capacity int, cfg lease.Config) *httptest.Server {
 	t.Helper()
-	nm, err := renaming.Open(fmt.Sprintf("levelarray?n=%d&seed=1", capacity))
+	nm, err := renaming.Open(fmt.Sprintf("levelarray?n=%d&seed=1&counting=1", capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +300,9 @@ func TestHugeTTLCappedNotWrapped(t *testing.T) {
 	}
 }
 
-// TestHealthAndMetrics: /healthz answers, and a request shows in the one
-// request family and the lease counters.
+// TestHealthAndMetrics: /healthz answers, and a k-name batch shows in the
+// one request family, the lease counters and the namer's probe counters:
+// it is one namer call that wins exactly k names, in at least k probes.
 func TestHealthAndMetrics(t *testing.T) {
 	srv := newTestServer(t, 4, lease.Config{TTL: time.Minute, SweepInterval: -1})
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -312,16 +313,27 @@ func TestHealthAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
-	acquireOne(t, srv.URL, wire.AcquireBatchRequest{Owner: "w"})
+	const k = 4
+	if _, granted := acquireBatch(t, srv.URL, wire.AcquireBatchRequest{Owner: "w", Count: k}); len(granted) != k {
+		t.Fatalf("acquire_batch granted %d names, want %d", len(granted), k)
+	}
 	exposition := string(scrapeMetrics(t, srv.URL))
 	for _, series := range []string{
 		`renamed_requests_total{transport="http",op="acquire_batch"} 1`,
-		`renamed_lease_acquired_total 1`,
-		`renamed_lease_live 1`,
+		`renamed_lease_acquired_total 4`,
+		`renamed_lease_live 4`,
+		`renamed_namer_wins_total 4`,
 	} {
 		if !strings.Contains(exposition, series+"\n") {
 			t.Errorf("/metrics missing %q", series)
 		}
+	}
+	probes := int64(-1)
+	for _, line := range strings.Split(exposition, "\n") {
+		fmt.Sscanf(line, "renamed_namer_probes_total %d", &probes)
+	}
+	if probes < k {
+		t.Errorf("renamed_namer_probes_total = %d, want >= %d", probes, k)
 	}
 }
 

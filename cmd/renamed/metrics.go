@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	renaming "repro"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/lease"
@@ -102,6 +103,13 @@ func newServerMetrics(s *server) *serverMetrics {
 		s.leaseMaxLive)
 	reg.GaugeFunc("renamed_namer_draining", "1 while a shrink is waiting on held names above the new bound, else 0.",
 		s.namerDraining)
+	// renamed serves a LevelArray built WithCounting: it adds each
+	// finished call's probe tally to two atomics, so a read is two loads.
+	nm := s.mgr.Namer().(*renaming.LevelArray)
+	reg.CounterFunc("renamed_namer_probes_total", "Test-and-set probes made by finished namer acquisitions.",
+		func() int64 { ops, _, _ := nm.Probes(); return ops })
+	reg.CounterFunc("renamed_namer_wins_total", "Winning test-and-set probes: names granted, plus any handed back in a race.",
+		func() int64 { _, wins, _ := nm.Probes(); return wins })
 
 	if s.store != nil {
 		persistStats := &cachedStats[persist.Stats]{fetch: s.store.Stats, ttl: time.Second}

@@ -29,7 +29,7 @@ func bootPersistentServer(t *testing.T, dir string, ln net.Listener) (*lease.Man
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := renaming.NewLevelArray(64)
+	nm, err := renaming.NewLevelArray(64, renaming.WithCounting())
 	if err != nil {
 		t.Fatal(err)
 	}

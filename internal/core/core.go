@@ -41,8 +41,8 @@ const InterruptStride = 256
 //
 // The concurrent driver is a Batcher, and its batch loop lives in
 // internal/tas: tas.Dense.TryBatch runs the batch with the PRNG state in
-// registers and no call per probe. A namer built WithCounting runs the
-// reference loop through its counting space instead.
+// registers and no call per probe, and reports its draws, which the
+// driver counts as the batch's TAS steps.
 //
 // An Env that wraps another to intercept TAS — to count, trace or
 // redirect steps — must not forward TryBatch, or the batch's probes would

@@ -25,13 +25,13 @@
 // Dense also carries the concurrent one-shot driver's probe kernel,
 // TryBatch: a whole batch of uniform probes in one call, drawing from an
 // xrand state held in registers and applying that same rule to each
-// probe. It makes exactly the draws and steps of a loop of Intn then TAS.
+// probe. It makes exactly the draws and steps of a loop of Intn then TAS,
+// and reports how many it made, so its caller can count steps without a
+// wrapper around the space.
 //
 // Releasing a name (the long-lived extension, not part of the paper's
 // one-shot model) has one primitive per space, TryReset: a single
 // set→unset transition that exactly one of any racing callers wins.
-//
-// The Counting wrapper layers probe/win accounting over any Space.
 package tas
 
 import (
@@ -87,8 +87,10 @@ func (d *Dense) TAS(loc int) bool {
 // TryBatch is the probe kernel: at most t probes into [lo, lo+size), each
 // a draw x = Below(size) from r's state and then a test-and-set of
 // location lo+x, stopping at the first win. It returns the location won,
-// or -1 (core.NoName) after t losses. The draws, the steps and r's final
-// state are exactly those of t rounds of r.Intn(size) then TAS(lo+x).
+// or -1 (core.NoName) after t losses, and the number of draws it made:
+// the winning probe's position, or t. The draws, the steps and r's final
+// state are exactly those of t rounds of r.Intn(size) then TAS(lo+x), so
+// draws is also the number of TAS steps.
 //
 // The state, the bound and the batch's subslice of cells live in locals
 // for the whole batch: Below inlines, so a probe is one PRNG step, one
@@ -97,17 +99,19 @@ func (d *Dense) TAS(loc int) bool {
 // the way out.
 //
 //renamed:noalloc
-func (d *Dense) TryBatch(r *xrand.Rand, lo, size, t int) int {
+func (d *Dense) TryBatch(r *xrand.Rand, lo, size, t int) (loc, draws int) {
 	cells, n, s := d.cells[lo:lo+size], uint64(size), r.State()
-	for ; t > 0; t-- {
+	for draws < t {
 		var x uint64
-		if x, s = s.Below(n); testAndSet(&cells[x]) {
+		x, s = s.Below(n)
+		draws++
+		if testAndSet(&cells[x]) {
 			r.SetState(s)
-			return lo + int(x)
+			return lo + int(x), draws
 		}
 	}
 	r.SetState(s)
-	return -1
+	return -1, draws
 }
 
 // Len returns the number of locations.
@@ -179,35 +183,3 @@ func (s *Sparse) TryReset(loc int) bool {
 	delete(s.set, loc)
 	return true
 }
-
-// Counting wraps a Space and counts TAS operations and wins. The counters
-// use atomics so the wrapper composes with concurrent spaces.
-type Counting struct {
-	inner Space
-	ops   atomic.Int64
-	wins  atomic.Int64
-}
-
-// NewCounting wraps inner with probe/win accounting.
-func NewCounting(inner Space) *Counting {
-	return &Counting{inner: inner}
-}
-
-// TAS forwards to the wrapped space and records the operation.
-func (c *Counting) TAS(loc int) bool {
-	c.ops.Add(1)
-	won := c.inner.TAS(loc)
-	if won {
-		c.wins.Add(1)
-	}
-	return won
-}
-
-// Len returns the wrapped space's length.
-func (c *Counting) Len() int { return c.inner.Len() }
-
-// Ops returns the number of TAS operations applied so far.
-func (c *Counting) Ops() int64 { return c.ops.Load() }
-
-// Wins returns the number of winning TAS operations so far.
-func (c *Counting) Wins() int64 { return c.wins.Load() }

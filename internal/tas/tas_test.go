@@ -15,7 +15,6 @@ import (
 var (
 	_ Space = (*Dense)(nil)
 	_ Space = (*Sparse)(nil)
-	_ Space = (*Counting)(nil)
 )
 
 // resettable is the extra surface shared by Dense, Elastic and Sparse.
@@ -212,49 +211,6 @@ func TestConcurrentSingleWinner(t *testing.T) {
 	}
 }
 
-func TestCountingAccounting(t *testing.T) {
-	c := NewCounting(NewDense(8))
-	c.TAS(0) // win
-	c.TAS(0) // lose
-	c.TAS(1) // win
-	c.TAS(0) // lose
-	if got := c.Ops(); got != 4 {
-		t.Errorf("Ops() = %d, want 4", got)
-	}
-	if got := c.Wins(); got != 2 {
-		t.Errorf("Wins() = %d, want 2", got)
-	}
-	if got := c.Len(); got != 8 {
-		t.Errorf("Len() = %d, want 8", got)
-	}
-}
-
-func TestCountingConcurrent(t *testing.T) {
-	const (
-		locations  = 128
-		goroutines = 16
-	)
-	c := NewCounting(NewDense(locations))
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for loc := 0; loc < locations; loc++ {
-				c.TAS(loc)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Ops(); got != locations*goroutines {
-		t.Errorf("Ops() = %d, want %d", got, locations*goroutines)
-	}
-	// Exactly one win per location, regardless of interleaving.
-	if got := c.Wins(); got != locations {
-		t.Errorf("Wins() = %d, want %d", got, locations)
-	}
-}
-
 // TestTASEpochSingleWinner sets and clears one cell many times over: G
 // goroutines probe it and each winner hands it back with TryReset (all
 // but the last win of each goroutine, so the run may end with the bit
@@ -335,7 +291,8 @@ func TestSparseMatchesDense(t *testing.T) {
 // until a win — side by side on copies of one space. Batches start at 0
 // and further in, have power-of-two and other sizes, are empty, half set
 // or full, and get t from 1 to well past size. Every case must return the
-// same location, leave the same cells set and the same PRNG state.
+// same location, leave the same cells set and the same PRNG state, and
+// report as many draws as the reference loop made.
 func TestDenseTryBatchMatchesReference(t *testing.T) {
 	const pad = 5 // cells beyond the batch on the right, never probed
 	for _, seed := range []uint64{1, 42, 0xdeadbeefcafef00d} {
@@ -354,9 +311,10 @@ func TestDenseTryBatchMatchesReference(t *testing.T) {
 						}
 					}
 					kr, rr := xrand.NewStream(seed, uint64(geo.size)), xrand.NewStream(seed, uint64(geo.size))
-					got := kernel.TryBatch(kr, geo.lo, geo.size, tries)
-					want := -1
-					for j := 0; j < tries; j++ {
+					got, draws := kernel.TryBatch(kr, geo.lo, geo.size, tries)
+					want, refDraws := -1, 0
+					for refDraws < tries {
+						refDraws++
 						if x := geo.lo + rr.Intn(geo.size); ref.TAS(x) {
 							want = x
 							break
@@ -365,21 +323,17 @@ func TestDenseTryBatchMatchesReference(t *testing.T) {
 					if got != want {
 						t.Fatalf("%s: kernel won %d, reference %d", name, got, want)
 					}
+					if draws != refDraws {
+						t.Fatalf("%s: kernel reports %d draws, reference made %d", name, draws, refDraws)
+					}
 					if *kr != *rr {
 						t.Fatalf("%s: kernel and reference leave different PRNG states", name)
 					}
 					if !slices.Equal(kernel.cells, ref.cells) {
 						t.Fatalf("%s: kernel and reference leave different cells set", name)
 					}
-					if fill == "full" {
-						// A full batch loses all t probes: NoName, t draws.
-						after := xrand.NewStream(seed, uint64(geo.size))
-						for j := 0; j < tries; j++ {
-							after.Intn(geo.size)
-						}
-						if got != -1 || *kr != *after {
-							t.Fatalf("%s: full batch won %d or did not advance exactly %d draws", name, got, tries)
-						}
+					if fill == "full" && (got != -1 || draws != tries) {
+						t.Fatalf("%s: full batch won %d in %d draws, want -1 after all %d", name, got, draws, tries)
 					}
 				}
 			}
@@ -410,7 +364,7 @@ func TestDenseTryBatchSingleWinner(t *testing.T) {
 				if i%2 == 1 {
 					lo, n = size/4, size/2
 				}
-				if x := d.TryBatch(r, lo, n, 1+i%4); x >= 0 {
+				if x, _ := d.TryBatch(r, lo, n, 1+i%4); x >= 0 {
 					mine[x]++
 				}
 			}

@@ -178,9 +178,10 @@ func WithGamma(gamma float64) Option {
 	}}
 }
 
-// WithCounting instruments the namer with probe/win counters, readable via
-// the Probes method. Adds two atomic increments per probe. Applies to
-// every namer.
+// WithCounting keeps probe/win counters on the namer, readable via the
+// Probes method. Each Acquire and AcquireN adds its probes and wins to
+// them once, when it returns: two atomic adds per call, not per probe.
+// Applies to every namer.
 func WithCounting() Option {
 	return optionFunc{optCounting, func(o *options) error {
 		o.counting = true

@@ -60,14 +60,6 @@ func TestOpenAppliesParameters(t *testing.T) {
 	if tight.Namespace() != 125 {
 		t.Errorf("eps=0.25 namespace = %d, want 125", tight.Namespace())
 	}
-	// counting wires the Probes() counters.
-	counted, err := Open("levelarray?n=16&counting=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := counted.(*LevelArray).Probes(); !ok {
-		t.Error("counting=1 did not enable Probes()")
-	}
 	// A long-lived DSN exposes its capacity.
 	ll, err := Open("levelarray?n=37")
 	if err != nil {

@@ -128,15 +128,17 @@ type space interface {
 
 // namer is the shared concurrent driver around a core algorithm.
 type namer struct {
-	alg     core.Algorithm
-	mem     space
-	probes  *tas.Counting // nil unless WithCounting
-	seed    uint64
-	stream  atomic.Uint64
-	counted tas.Space // mem or counting wrapper; what algorithms probe
-	// dense is mem when mem is a *tas.Dense that no counting wrapper
-	// fronts: concurrentEnv.TryBatch hands each batch to its kernel.
+	alg    core.Algorithm
+	mem    space
+	seed   uint64
+	stream atomic.Uint64
+	// dense is mem when mem is a *tas.Dense: concurrentEnv.TryBatch hands
+	// each batch to its kernel. Only namers built over a Dense batch.
 	dense *tas.Dense
+	// With WithCounting, every Acquire and AcquireN adds its TAS steps and
+	// wins to ops and wins once, on its way out.
+	counting  bool
+	ops, wins atomic.Int64
 	// allowed, when non-nil, post-validates a won slot against the
 	// algorithm's CURRENT geometry: a win that raced a shrink (probed
 	// under the old epoch, published before the validation) is handed
@@ -146,22 +148,26 @@ type namer struct {
 }
 
 func newNamer(alg core.Algorithm, opts options) *namer {
-	return newNamerOn(alg, opts, tas.NewDense(alg.Namespace()))
+	d := tas.NewDense(alg.Namespace())
+	n := newNamerOn(alg, opts, d)
+	n.dense = d
+	return n
 }
 
 // newNamerOn is newNamer over a caller-built space — LevelArray's path,
 // where the space must exist (and be growable) before the algorithm's
 // resize hook can be wired to it.
 func newNamerOn(alg core.Algorithm, opts options, mem space) *namer {
-	n := &namer{alg: alg, mem: mem, seed: opts.seed}
-	n.counted = mem
-	if opts.counting {
-		n.probes = tas.NewCounting(mem)
-		n.counted = n.probes
-	} else if d, ok := mem.(*tas.Dense); ok {
-		n.dense = d
+	return &namer{alg: alg, mem: mem, seed: opts.seed, counting: opts.counting}
+}
+
+// tally adds one call's TAS steps, kept in its environment, and its wins
+// to the namer's counters, if it keeps them.
+func (n *namer) tally(env *concurrentEnv, wins int) {
+	if n.counting {
+		n.ops.Add(env.steps)
+		n.wins.Add(int64(wins))
 	}
-	return n
 }
 
 // env builds the per-call execution environment: the namer (for its TAS
@@ -185,22 +191,26 @@ func (n *namer) env(ctx context.Context) *concurrentEnv {
 }
 
 // acquireOne runs one probe sequence inside env and maps the algorithm's
-// outcome onto the error taxonomy. The cancellation contract — no set TAS
-// slot left behind — has two halves: the algorithm returns core.Cancelled
-// before its next batch when the env reports an interrupt (so nothing was
-// won), and a name won in the race window around cancellation is handed
-// straight back here before ErrCancelled is returned.
-func (n *namer) acquireOne(ctx context.Context, env *concurrentEnv) (int, error) {
+// outcome onto the error taxonomy. It also reports how many TAS wins the
+// sequence made: the name it returns and any it handed back on the way.
+// The cancellation contract — no set TAS slot left behind — has two
+// halves: the algorithm returns core.Cancelled before its next batch when
+// the env reports an interrupt (so nothing was won), and a name won in the
+// race window around cancellation is handed straight back here before
+// ErrCancelled is returned.
+func (n *namer) acquireOne(ctx context.Context, env *concurrentEnv) (name, wins int, err error) {
 	for {
 		u := n.alg.GetName(env)
 		switch {
 		case u == core.Cancelled:
-			return 0, cancelled(ctx)
+			return 0, wins, cancelled(ctx)
 		case u == core.NoName:
-			return 0, ErrNamespaceExhausted
-		case ctx != nil && ctx.Err() != nil:
+			return 0, wins, ErrNamespaceExhausted
+		}
+		wins++
+		if ctx != nil && ctx.Err() != nil {
 			n.mem.TryReset(u)
-			return 0, cancelled(ctx)
+			return 0, wins, cancelled(ctx)
 		}
 		if n.allowed != nil && !n.allowed(u) {
 			// The slot was shrunk out from under the probe sequence;
@@ -208,7 +218,7 @@ func (n *namer) acquireOne(ctx context.Context, env *concurrentEnv) (int, error)
 			n.mem.TryReset(u)
 			continue
 		}
-		return u, nil
+		return u, wins, nil
 	}
 }
 
@@ -217,7 +227,10 @@ func (n *namer) Acquire(ctx context.Context) (int, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return 0, cancelled(ctx)
 	}
-	return n.acquireOne(ctx, n.env(ctx))
+	env := n.env(ctx)
+	u, wins, err := n.acquireOne(ctx, env)
+	n.tally(env, wins)
+	return u, err
 }
 
 // AcquireN implements Namer: k distinct names over one PRNG stream, or an
@@ -240,16 +253,20 @@ func (n *namer) AcquireN(ctx context.Context, k int) ([]int, error) {
 	// One environment — hence one stream setup — serves the whole batch.
 	env := n.env(ctx)
 	names := make([]int, 0, k)
+	wins := 0
 	for len(names) < k {
-		u, err := n.acquireOne(ctx, env)
+		u, w, err := n.acquireOne(ctx, env)
+		wins += w
 		if err != nil {
 			for _, v := range names {
 				n.mem.TryReset(v)
 			}
+			n.tally(env, wins)
 			return nil, fmt.Errorf("renaming: batch acquired %d of %d names: %w", len(names), k, err)
 		}
 		names = append(names, u)
 	}
+	n.tally(env, wins)
 	return names, nil
 }
 
@@ -294,8 +311,8 @@ func (n *namer) Adopt(name int) error {
 		return badConfig("", "Adopt", fmt.Sprint(name),
 			fmt.Sprintf("name outside [0,%d)", n.alg.Namespace()))
 	}
-	// n.mem, not n.counted: adoption is recovery bookkeeping, not a probe —
-	// it must not perturb WithCounting's probe/win statistics.
+	// Not through an env: adoption is recovery bookkeeping, not a probe,
+	// and must not perturb WithCounting's probe/win statistics.
 	if !n.mem.TAS(name) {
 		return fmt.Errorf("renaming: Adopt(%d): %w", name, ErrNameHeld)
 	}
@@ -303,49 +320,45 @@ func (n *namer) Adopt(name int) error {
 }
 
 // Probes returns the total number of TAS probes and the number of winning
-// probes executed so far. It returns ok = false unless the namer was built
-// with WithCounting.
+// probes made by every Acquire and AcquireN that has returned; a call
+// adds its own when it returns, whether it succeeded or not. It returns
+// ok = false unless the namer was built with WithCounting.
 func (n *namer) Probes() (ops, wins int64, ok bool) {
-	if n.probes == nil {
-		return 0, 0, false
-	}
-	return n.probes.Ops(), n.probes.Wins(), true
+	return n.ops.Load(), n.wins.Load(), n.counting
 }
 
 // concurrentEnv implements core.Env over atomic shared memory. A non-nil
 // ctx makes it core.Interruptible: algorithms poll Interrupted between
 // probe batches and abandon the sequence once the context ends. It is a
 // core.Batcher too, so a probe batch is one call with no dispatch inside.
-// It is allocated once per Acquire; TestAcquireAllocs holds it to 64 bytes.
+// steps counts the call's TAS steps, batched or not. It is allocated once
+// per Acquire; TestAcquireAllocs holds it to 64 bytes.
 type concurrentEnv struct {
-	nm  *namer
-	rng xrand.Rand
-	ctx context.Context // nil: non-cancellable
+	nm    *namer
+	rng   xrand.Rand
+	ctx   context.Context // nil: non-cancellable
+	steps int64
 }
 
-func (e *concurrentEnv) TAS(loc int) bool { return e.nm.counted.TAS(loc) }
-func (e *concurrentEnv) Intn(n int) int   { return e.rng.Intn(n) }
+func (e *concurrentEnv) TAS(loc int) bool {
+	e.steps++
+	return e.nm.mem.TAS(loc)
+}
+func (e *concurrentEnv) Intn(n int) int { return e.rng.Intn(n) }
 func (e *concurrentEnv) Interrupted() bool {
 	return e.ctx != nil && e.ctx.Err() != nil
 }
 
-// TryBatch implements core.Batcher. On a plain dense namer the batch is
-// one call to tas.Dense.TryBatch, the kernel that keeps the stream's
-// state in registers and returns core.NoName (-1) on a lost batch. A
-// WithCounting namer runs core.TryBatch's reference loop through its
-// counting space, so every probe is still counted.
+// TryBatch implements core.Batcher: the batch is one call to
+// tas.Dense.TryBatch, the kernel that keeps the stream's state in
+// registers and returns core.NoName (-1) on a lost batch; its draws are
+// the batch's TAS steps.
 //
 //renamed:noalloc
 func (e *concurrentEnv) TryBatch(lo, size, t int) int {
-	if d := e.nm.dense; d != nil {
-		return d.TryBatch(&e.rng, lo, size, t)
-	}
-	for ; t > 0; t-- {
-		if x := lo + e.rng.Intn(size); e.nm.counted.TAS(x) {
-			return x
-		}
-	}
-	return core.NoName
+	u, draws := e.nm.dense.TryBatch(&e.rng, lo, size, t)
+	e.steps += int64(draws)
+	return u
 }
 
 var (

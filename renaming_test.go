@@ -201,21 +201,42 @@ func TestWithCountingProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := nm.Probes(); !ok {
-		t.Fatal("Probes() not available despite WithCounting")
-	}
 	gatherConcurrent(t, nm, 64)
 	ops, wins, ok := nm.Probes()
 	if !ok || ops < 64 || wins != 64 {
 		t.Fatalf("Probes() = %d ops %d wins ok=%v; want >= 64 ops, exactly 64 wins", ops, wins, ok)
 	}
 
-	plain, err := NewReBatching(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := plain.Probes(); ok {
-		t.Fatal("Probes() available without WithCounting")
+	// Failed calls count too. Draining a 4-name linear scan takes 1+2+3+4
+	// steps; a scan that finds nothing takes 4 more and wins none.
+	ctx := context.Background()
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name      string
+		held      int // names taken before the call that fails
+		call      func(Namer) error
+		want      error
+		ops, wins int64
+	}{
+		{"exhausted", 4, func(nm Namer) error { _, err := nm.Acquire(ctx); return err }, ErrNamespaceExhausted, 14, 4},
+		{"cancelled", 0, func(nm Namer) error { _, err := nm.Acquire(done); return err }, ErrCancelled, 0, 0},
+		// Names 2 and 3 are won in 3+4 steps and handed back.
+		{"batch fails partway", 2, func(nm Namer) error { _, err := nm.AcquireN(ctx, 3); return err }, ErrNamespaceExhausted, 14, 4},
+	} {
+		nm, err := Open("linearscan?n=4&counting=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.held > 0 {
+			if _, err := nm.AcquireN(ctx, tc.held); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = tc.call(nm)
+		if ops, wins, _ := nm.(*LinearScan).Probes(); !errors.Is(err, tc.want) || ops != tc.ops || wins != tc.wins {
+			t.Errorf("%s: err = %v, Probes() = %d ops %d wins; want %v, %d ops %d wins", tc.name, err, ops, wins, tc.want, tc.ops, tc.wins)
+		}
 	}
 }
 
