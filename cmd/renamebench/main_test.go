@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,32 +51,44 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicOutput: every simulator-backed experiment renders
-// the same bytes twice for one seed. F4, F6 and F7 race real goroutines
-// and are schedule-dependent, so they are not in the table.
+// update rewrites the goldens from the current output:
+// go test ./cmd/renamebench -run TestRunDeterministicOutput -update
+var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden")
+
+// TestRunDeterministicOutput: every simulator-backed experiment renders,
+// for one seed, the bytes in testdata/<ID>.golden once its timing line is
+// stripped. F7 races real goroutines and has no golden.
 func TestRunDeterministicOutput(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders eleven quick experiments twice")
+		t.Skip("renders eleven quick experiments")
 	}
 	for _, id := range []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "F1", "F2", "F3", "F5"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			render := func() string {
-				var out bytes.Buffer
-				if err := run([]string{"-exp", id, "-quick", "-seed", "9"}, &out); err != nil {
+			var out bytes.Buffer
+			if err := run([]string{"-exp", id, "-quick", "-seed", "9"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			var kept []string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if !strings.HasPrefix(line, "["+id+" completed") {
+					kept = append(kept, line)
+				}
+			}
+			got := strings.Join(kept, "\n")
+			golden := filepath.Join("testdata", id+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				// Strip the timing line, which legitimately varies.
-				var kept []string
-				for _, line := range strings.Split(out.String(), "\n") {
-					if !strings.HasPrefix(line, "["+id+" completed") {
-						kept = append(kept, line)
-					}
-				}
-				return strings.Join(kept, "\n")
+				return
 			}
-			if a, b := render(), render(); a != b {
-				t.Fatalf("same seed produced different tables:\n%s\n---\n%s", a, b)
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s differs from %s:\n%s\n--- want\n%s", id, golden, got, want)
 			}
 		})
 	}
