@@ -2,20 +2,22 @@
 // scheduler, in lock step, counting exactly the shared-memory steps that
 // the paper's complexity measure charges.
 //
-// Each simulated process runs the *real* algorithm code (internal/core)
-// inside a goroutine, but every Env.TAS call blocks on a handshake with the
-// scheduler: the process posts the location it wants to access and waits
-// until the adversary schedules it. At any moment at most one process is
-// executing, so runs are fully deterministic given a seed, adversary, and
-// algorithm — and the adversary observes pending operations (including the
-// outcome of coin flips) before choosing, which is precisely the paper's
-// strong adaptive adversary. Crashes are injected by failing a process's
-// pending step; the algorithm code itself stays crash-oblivious.
+// Each simulated process runs the *real* algorithm code (internal/core) as
+// a coroutine (iter.Pull): every Env.TAS call yields the location it wants
+// to access and resumes only when the adversary schedules it. A coroutine
+// runs only while the scheduler resumes it, so at any moment at most one
+// process is executing and runs are fully deterministic given a seed,
+// adversary, and algorithm — and the adversary observes pending operations
+// (including the outcome of coin flips) before choosing, which is
+// precisely the paper's strong adaptive adversary. A crash stops a
+// process's coroutine at its pending step; the algorithm code itself stays
+// crash-oblivious.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/core"
 	"repro/internal/tas"
@@ -129,37 +131,30 @@ func (r *Result) UniqueNames() error {
 // the algorithm code.
 type crashSignal struct{}
 
-// tasReply is the scheduler's answer to a pending TAS request.
-type tasReply struct {
-	won   bool
-	crash bool
-}
-
 // proc is the scheduler-side handle of one simulated process.
 type proc struct {
-	req  chan int      // process -> scheduler: pending TAS location
-	resp chan tasReply // scheduler -> process: step outcome
+	next func() (int, bool) // resume until the next pending TAS or the end
+	stop func()             // crash: the pending TAS panics crashSignal
 	// pending is the location of the posted-but-not-executed TAS request;
-	// valid iff ready.
+	// valid iff ready. won is the outcome of the last executed one.
 	pending int
 	ready   bool
-	done    bool
+	won     bool
 	steps   int
 }
 
 // simEnv implements core.Env for one simulated process.
 type simEnv struct {
-	p   *proc
-	rng *xrand.Rand
+	p     *proc
+	yield func(int) bool
+	rng   *xrand.Rand
 }
 
 func (e *simEnv) TAS(loc int) bool {
-	e.p.req <- loc
-	rep := <-e.p.resp
-	if rep.crash {
+	if !e.yield(loc) {
 		panic(crashSignal{})
 	}
-	return rep.won
+	return e.p.won
 }
 
 func (e *simEnv) Intn(n int) int { return e.rng.Intn(n) }
@@ -196,12 +191,9 @@ func Run(cfg Config) (*Result, error) {
 		Crashed: make([]bool, cfg.N),
 	}
 	procs := make([]*proc, cfg.N)
-	for p := 0; p < cfg.N; p++ {
+	for p := range procs {
 		res.Names[p] = NoName
-		procs[p] = &proc{
-			req:  make(chan int),
-			resp: make(chan tasReply),
-		}
+		procs[p] = &proc{}
 	}
 
 	view := &View{
@@ -214,63 +206,34 @@ func Run(cfg Config) (*Result, error) {
 		view.pos[i] = -1
 	}
 
-	// await blocks until process p posts its next request or terminates,
+	// resume runs process p until it posts its next request or terminates,
 	// keeping the view's ready-set current. Membership updates are O(1)
 	// (swap-remove), so the scheduler's per-step cost is independent of n.
-	await := func(p int) {
+	resume := func(p int) {
 		pr := procs[p]
-		loc, ok := <-pr.req
-		if !ok {
-			pr.done = true
-			pr.ready = false
+		pr.ready = false // a panic out of next leaves nothing to kill
+		loc, ok := pr.next()
+		pr.pending, pr.ready = loc, ok
+		if ok {
+			view.addReady(p)
+		} else {
 			view.removeReady(p)
-			return
 		}
-		pr.pending = loc
-		pr.ready = true
-		view.addReady(p)
 	}
 
-	// Launch one goroutine per process. Each runs the unmodified algorithm
-	// and communicates only through the Env handshake. Awaiting each
-	// process's first request before spawning the next extends the
-	// lock-step discipline to the code that runs before the first
-	// shared-memory step — at every instant at most one process executes,
-	// so algorithm-local lazy initialization needs no synchronization.
-	// The goroutine writes its result before closing req, so the
-	// scheduler's receive of the close synchronizes the write.
-	for p := 0; p < cfg.N; p++ {
-		go func(pid int) {
-			pr := procs[pid]
-			defer close(pr.req)
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isCrash := r.(crashSignal); isCrash {
-						res.Crashed[pid] = true
-						return
-					}
-					panic(r)
-				}
-			}()
-			env := &simEnv{p: pr, rng: xrand.NewStream(cfg.Seed, uint64(pid))}
-			res.Names[pid] = algFor(pid).GetName(env)
-		}(p)
-		await(p)
-	}
-	// kill crashes a ready process and reaps its goroutine.
+	// kill crashes a ready process.
 	kill := func(p int) {
 		pr := procs[p]
-		pr.resp <- tasReply{crash: true}
-		if _, ok := <-pr.req; ok {
+		pr.stop()
+		if !res.Crashed[p] {
 			// The algorithm swallowed the crash panic; that would be a
 			// bug in this repository, not in the adversary.
 			panic("sim: process survived a crash")
 		}
-		pr.done = true
 		pr.ready = false
 		view.removeReady(p)
 	}
-	// Abort path: ensure no goroutine outlives Run even on error.
+	// Abort path (an error or a panic): no coroutine outlives Run.
 	defer func() {
 		for p, pr := range procs {
 			if pr.ready {
@@ -278,6 +241,26 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}()
+
+	// Each process is a coroutine running the unmodified algorithm. It is
+	// started, up to its first shared-memory step, before the next one is
+	// created, so algorithm-local lazy initialization needs no
+	// synchronization either.
+	for p, pr := range procs {
+		pr.next, pr.stop = iter.Pull(func(yield func(int) bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, isCrash := r.(crashSignal); !isCrash {
+						panic(r)
+					}
+					res.Crashed[p] = true
+				}
+			}()
+			env := &simEnv{p: pr, yield: yield, rng: xrand.NewStream(cfg.Seed, uint64(p))}
+			res.Names[p] = algFor(p).GetName(env)
+		})
+		resume(p)
+	}
 
 	for {
 		if len(view.ready) == 0 {
@@ -317,9 +300,8 @@ func Run(cfg Config) (*Result, error) {
 		if res.TotalSteps > cfg.MaxSteps {
 			return nil, fmt.Errorf("sim: exceeded MaxSteps = %d", cfg.MaxSteps)
 		}
-		pr.ready = false
-		pr.resp <- tasReply{won: won}
-		await(act.Step)
+		pr.won = won
+		resume(act.Step)
 	}
 }
 

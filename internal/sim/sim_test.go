@@ -279,6 +279,54 @@ func TestRunNoGoroutineLeaks(t *testing.T) {
 	}
 }
 
+// faultyAlgorithm panics with a non-crash value on its third step: a bug
+// in an algorithm, not an adversary's crash.
+type faultyAlgorithm struct{}
+
+var errFaulty = errors.New("faulty algorithm")
+
+func (faultyAlgorithm) GetName(env core.Env) int {
+	for loc := 0; loc < 2; loc++ {
+		env.TAS(1000 + loc)
+	}
+	panic(errFaulty)
+}
+
+func (faultyAlgorithm) Namespace() int { return 1 }
+
+// TestRunAlgorithmPanicReachesCaller: a panic in the algorithm code
+// surfaces in Run's caller, which can recover it, and the other processes'
+// coroutines do not outlive Run.
+func TestRunAlgorithmPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		alg := rebatching(t, 50)
+		cfg := Config{N: 50, Seed: uint64(i), AlgorithmFor: func(pid int) core.Algorithm {
+			if pid == 7 {
+				return faultyAlgorithm{}
+			}
+			return alg
+		}}
+		func() {
+			defer func() {
+				if r := recover(); r != errFaulty {
+					t.Fatalf("recovered %v, want %v", r, errFaulty)
+				}
+			}()
+			Run(cfg)
+			t.Fatal("Run returned past an algorithm panic")
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("coroutines leaked: %d before, %d after", before, after)
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	r := &Result{
 		Names: []int{5, NoName, 2},
