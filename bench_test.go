@@ -1,5 +1,5 @@
 // Package renaming_test holds the benchmark harness: one testing.B
-// benchmark per experiment in DESIGN.md's index (T1-T7, F1-F6), each
+// benchmark per experiment in EXPERIMENTS.md's index (T1-T7, F1-F5), each
 // regenerating the corresponding measurement at benchmark scale. Custom
 // metrics carry the paper's quantities (max steps, steps/proc, layers, ...)
 // alongside ns/op. Full-scale tables come from cmd/renamebench.
@@ -8,7 +8,6 @@ package renaming_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,47 +296,6 @@ func BenchmarkF5Crashes(b *testing.B) {
 				maxSteps += int64(res.MaxSteps())
 			}
 			b.ReportMetric(float64(maxSteps)/float64(b.N), "maxsteps/run")
-		})
-	}
-}
-
-// BenchmarkF6MoirAnderson measures the deterministic splitter-grid
-// comparator: filling a k-participant grid from 8 goroutines, reporting
-// ns per acquired name (one-shot, so a fresh grid per iteration).
-func BenchmarkF6MoirAnderson(b *testing.B) {
-	for _, k := range []int{64, 512} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var maxName int64
-			for i := 0; i < b.N; i++ {
-				nm, err := renaming.NewMoirAnderson(k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				var worst atomic.Int64
-				for w := 0; w < 8; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for j := 0; j < k/8; j++ {
-							u, err := nm.Acquire(context.Background())
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							for {
-								cur := worst.Load()
-								if int64(u) <= cur || worst.CompareAndSwap(cur, int64(u)) {
-									break
-								}
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				maxName += worst.Load()
-			}
-			b.ReportMetric(float64(maxName)/float64(b.N)/float64(k), "maxname/k")
 		})
 	}
 }

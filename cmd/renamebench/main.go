@@ -1,7 +1,9 @@
 // Command renamebench regenerates the reproduction experiments: every
-// table (T1-T7) and figure (F1-F7) recorded in EXPERIMENTS.md. Experiments
-// that exercise the concurrent library select their namers through the
-// renaming driver registry (renaming.Open's DSN surface).
+// table (T1-T7) and figure (F1-F3, F5, F7) recorded in EXPERIMENTS.md; the
+// retired F4 and F6 keep their IDs unused. Experiments that exercise the
+// concurrent library select their namers through the renaming driver
+// registry (renaming.Open's DSN surface). A fixed -seed reproduces every
+// table byte for byte except F7, which races real goroutines.
 //
 // Usage:
 //
@@ -34,8 +36,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("renamebench", flag.ContinueOnError)
 	var (
-		expList = fs.String("exp", "all", "comma-separated experiment ids (T1..T7, F1..F7) or 'all'")
-		seed    = fs.Uint64("seed", 1, "master seed; fixed seed => identical tables (F4, F6, F7 race goroutines)")
+		expList = fs.String("exp", "all", "comma-separated experiment ids (T1..T7, F1..F3, F5, F7) or 'all'")
+		seed    = fs.Uint64("seed", 1, "master seed; fixed seed => identical tables (F7 races goroutines)")
 		quick   = fs.Bool("quick", false, "smaller sweeps for smoke runs")
 		csvDir  = fs.String("csv", "", "directory to also write per-experiment CSVs into")
 	)

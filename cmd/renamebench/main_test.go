@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -22,10 +23,13 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: the retired F4 and F6 are unknown too.
 func TestRunUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "T99"}, &out); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, id := range []string{"T99", "F4", "F6"} {
+		var out bytes.Buffer
+		if err := run([]string{"-exp", id}, &out); err == nil {
+			t.Fatalf("unknown experiment %s accepted", id)
+		}
 	}
 }
 
@@ -55,6 +59,9 @@ func TestRunWritesCSV(t *testing.T) {
 // go test ./cmd/renamebench -run TestRunDeterministicOutput -update
 var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden")
 
+// timingLine is the one line of a table's output that varies run to run.
+var timingLine = regexp.MustCompile(`(?m)^\[\w+ completed in .*\]\n`)
+
 // TestRunDeterministicOutput: every simulator-backed experiment renders,
 // for one seed, the bytes in testdata/<ID>.golden once its timing line is
 // stripped. F7 races real goroutines and has no golden.
@@ -69,13 +76,7 @@ func TestRunDeterministicOutput(t *testing.T) {
 			if err := run([]string{"-exp", id, "-quick", "-seed", "9"}, &out); err != nil {
 				t.Fatal(err)
 			}
-			var kept []string
-			for _, line := range strings.Split(out.String(), "\n") {
-				if !strings.HasPrefix(line, "["+id+" completed") {
-					kept = append(kept, line)
-				}
-			}
-			got := strings.Join(kept, "\n")
+			got := timingLine.ReplaceAllString(out.String(), "")
 			golden := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

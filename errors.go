@@ -16,7 +16,6 @@ import (
 //     DeadlineExceeded) also reports the cause.
 //   - ErrNotHeld — Release of a name that is not currently assigned.
 //   - ErrNameHeld — Adopt of a name that already has a holder.
-//   - ErrOneShot — Release on an inherently one-shot namer (moiranderson.go).
 //   - ErrBadConfig — a constructor option, argument or DSN parameter was
 //     rejected; the concrete error is a *ConfigError carrying the namer,
 //     the offending option and the reason.

@@ -1,18 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
-
-	renaming "repro"
 )
 
 // runF1 is the headline comparison: maximum individual step complexity of
@@ -135,50 +130,6 @@ func runF3(cfg RunConfig) (*Table, error) {
 			t.AddRow(n, name, int(worstMax), stats.Summarize(totals).Mean/float64(n))
 		}
 	}
-	return t, nil
-}
-
-// runF4 profiles the real concurrent driver: probe counts under actual
-// goroutine contention. Wall-clock cost is BenchmarkF4ConcurrentGetName's.
-func runF4(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "F4",
-		Title:   "Real-concurrency probe profile",
-		Claim:   "goroutine-contended renaming costs O(lglg n) probes",
-		Columns: []string{"goroutines", "probes/acquire"},
-	}
-	n := 1 << 14
-	if cfg.Quick {
-		n = 1 << 12
-	}
-	for _, g := range []int{1, 4, 16, 64, 256} {
-		nm, err := renaming.NewReBatching(n,
-			renaming.WithCounting(),
-			renaming.WithSeed(seedAt(cfg.Seed, g)))
-		if err != nil {
-			return nil, err
-		}
-		perG := n / g
-		if perG > 64 {
-			perG = 64 // bound the run; per-call cost is what matters
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					if _, err := nm.Acquire(context.Background()); err != nil {
-						panic(err) // capacity sized to make this impossible
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		ops, _, _ := nm.Probes()
-		t.AddRow(g, float64(ops)/float64(g*perG))
-	}
-	t.AddNote("namespace n=%d, GOMAXPROCS=%d; probes/acquire is schedule-dependent but stays O(lglg n)+t0 tail", n, runtime.GOMAXPROCS(0))
 	return t, nil
 }
 

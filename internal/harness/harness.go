@@ -122,8 +122,8 @@ func trimFloat(x float64) string {
 
 // RunConfig tunes an experiment run.
 type RunConfig struct {
-	// Seed drives all randomness; a fixed seed reproduces the
-	// simulator-backed tables exactly (F4, F6 and F7 race real goroutines).
+	// Seed drives all randomness; a fixed seed reproduces every table
+	// exactly except F7, which races real goroutines.
 	Seed uint64
 	// Quick shrinks sweeps and repetition counts for smoke runs.
 	Quick bool
@@ -149,9 +149,7 @@ func Experiments() []Experiment {
 		{ID: "F1", Title: "Algorithm comparison: max steps vs n", Run: runF1},
 		{ID: "F2", Title: "Namespace/time trade-off (epsilon sweep)", Run: runF2},
 		{ID: "F3", Title: "Adversary ablation", Run: runF3},
-		{ID: "F4", Title: "Real-concurrency probe profile (goroutines)", Run: runF4},
 		{ID: "F5", Title: "Crash-failure tolerance", Run: runF5},
-		{ID: "F6", Title: "Deterministic (Moir-Anderson) vs randomized adaptive", Run: runF6},
 		{ID: "F7", Title: "Long-lived churn: LevelArray vs one-shot namers", Run: runF7},
 	}
 }

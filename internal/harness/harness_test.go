@@ -64,7 +64,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "F1", "F2", "F3", "F4", "F5", "F6", "F7"}
+	want := []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "F1", "F2", "F3", "F5", "F7"}
 	exps := Experiments()
 	if len(exps) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want))

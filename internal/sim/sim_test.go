@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/tas"
@@ -264,31 +263,26 @@ func TestRunNoGoroutineLeaks(t *testing.T) {
 		if _, err := Run(Config{N: 50, Algorithm: rebatching(t, 50), Seed: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		// Error path must also reap all goroutines.
+		// The error path must also end every coroutine.
 		if _, err := Run(Config{N: 50, Algorithm: rebatching(t, 50), Seed: uint64(i), MaxSteps: 5}); err == nil {
 			t.Fatal("expected MaxSteps error")
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
+	// Coroutines end inside Run: nothing is left to wait for.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("coroutines outlived Run: %d goroutines before, %d after", before, after)
 	}
 }
 
-// faultyAlgorithm panics with a non-crash value on its third step: a bug
-// in an algorithm, not an adversary's crash.
+// faultyAlgorithm panics with a non-crash value after its second step: a
+// bug in an algorithm, not an adversary's crash.
 type faultyAlgorithm struct{}
 
 var errFaulty = errors.New("faulty algorithm")
 
 func (faultyAlgorithm) GetName(env core.Env) int {
-	for loc := 0; loc < 2; loc++ {
-		env.TAS(1000 + loc)
-	}
+	env.TAS(1000)
+	env.TAS(1001)
 	panic(errFaulty)
 }
 
@@ -317,13 +311,8 @@ func TestRunAlgorithmPanicReachesCaller(t *testing.T) {
 			t.Fatal("Run returned past an algorithm panic")
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("coroutines leaked: %d before, %d after", before, after)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("coroutines outlived Run: %d goroutines before, %d after", before, after)
 	}
 }
 

@@ -48,8 +48,8 @@ type ReleaseItem struct {
 }
 
 // ReleaseResult is the per-item outcome of a ReleaseBatch. A lease that
-// was removed but whose name the namer refused to take back (e.g.
-// ErrOneShot) carries that namer error.
+// was removed but whose name the namer refused to take back carries that
+// namer error.
 type ReleaseResult struct {
 	Err error
 }

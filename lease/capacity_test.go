@@ -120,56 +120,6 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	}
 }
 
-// TestReclaimFailedCounted: over a one-shot namer every reclamation's
-// namer.Release fails; the failures must surface in Metrics.ReclaimFailed
-// instead of being silently discarded (pre-fix, the reclaim paths dropped
-// the error on the floor).
-func TestReclaimFailedCounted(t *testing.T) {
-	nm, err := renaming.NewMoirAnderson(4) // one-shot: Release always ErrOneShot
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	m, err := New(nm, Config{TTL: time.Second, SweepInterval: -1, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Shutdown()
-
-	// Sweep-path reclaim of an expired lease.
-	if _, err := acquire1(m, "w", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(2 * time.Second)
-	if n := m.SweepOnce(); n != 1 {
-		t.Fatalf("SweepOnce = %d, want 1", n)
-	}
-	if mt := m.Metrics(); mt.ReclaimFailed != 1 || mt.Expired != 1 {
-		t.Fatalf("after sweep: metrics = %+v, want ReclaimFailed 1", mt)
-	}
-
-	// Explicit Release propagates the namer error and counts it too.
-	l, err := acquire1(m, "w", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := release1(m, l.Name, l.Token); !errors.Is(err, renaming.ErrOneShot) {
-		t.Fatalf("Release over one-shot namer = %v, want ErrOneShot", err)
-	}
-	if mt := m.Metrics(); mt.ReclaimFailed != 2 {
-		t.Fatalf("after release: metrics = %+v, want ReclaimFailed 2", mt)
-	}
-
-	// Shutdown hands nothing back, so nothing more can fail.
-	if _, err := acquire1(m, "w", 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	m.Shutdown()
-	if mt := m.Metrics(); mt.ReclaimFailed != 2 {
-		t.Fatalf("after Shutdown: metrics = %+v, want ReclaimFailed 2", mt)
-	}
-}
-
 // TestSetMaxLiveShrinkWithExpiredPending is the clock-injected shrink
 // regression: the cap is lowered while EXPIRED leases still occupy
 // reservation slots. The reserve path at the new, smaller cap must

@@ -28,8 +28,7 @@
 // once at the stripe's share of the namer's Namespace() and re-allocated
 // only when a Resize grew the namespace past it, so its footprint is the
 // same order as the namer's own TAS array. (A namer whose namespace is
-// far larger than its capacity — MoirAnderson's n(n+1)/2 — pays for that
-// here too.) Lookups by a name outside the table are ErrUnknownName and
+// far larger than its capacity pays for that here too.) Lookups by a name outside the table are ErrUnknownName and
 // never allocate.
 //
 // Expiry needs no heap: every slot carries its own deadline and each
@@ -239,9 +238,8 @@ type Metrics struct {
 	Rejected int64
 	// ReclaimFailed counts names the manager tried to hand back after a
 	// release or an expiry and the namer refused (namer.Release errored);
-	// Shutdown hands nothing back. Over a one-shot namer such as
-	// MoirAnderson every reclaim fails with ErrOneShot and the slot is
-	// lost for good; a nonzero value here is the only trace of that leak.
+	// Shutdown hands nothing back. A refused name is lost to the namer
+	// for good; a nonzero value here is the only trace of that leak.
 	ReclaimFailed int64
 	// CapacitySweeps counts capacity-pressure sweeps actually executed on
 	// the reserve path, and CapacitySweepJoins counts reservations that
@@ -447,7 +445,7 @@ func (m *Manager) renewLocked(sh *shard, name int, token uint64, r renewal) (l L
 // namer hand-back itself happens OUTSIDE the stripe lock: when handback
 // reports true the caller must invoke m.releaseName(name) after
 // unlocking — with err == nil that hand-back is the successful release,
-// whose namer error (e.g. ErrOneShot) still propagates to the caller
+// whose namer error still propagates to the caller
 // after counting in ReclaimFailed; with err == ErrExpired it is the
 // reclaim of a lapsed lease and its error is only counted. Callers hold
 // sh.mu and name routes to sh.

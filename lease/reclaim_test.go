@@ -2,6 +2,7 @@ package lease
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -172,45 +173,75 @@ func TestLazyExpiryReleasesOutsideStripeLock(t *testing.T) {
 	}
 }
 
-// TestReclaimFailedAccountingPreserved pins that moving the hand-back
-// outside the lock kept the ReclaimFailed accounting: a namer that
-// refuses returned names is still counted, on both the sweep and batch
-// paths.
-func TestReclaimFailedAccountingPreserved(t *testing.T) {
-	nm, err := renaming.NewMoirAnderson(8) // one-shot: every Release fails
+// refusingNamer wraps a real namer but refuses every Release, the way a
+// faulty namer would: each reclaim through it fails.
+type refusingNamer struct{ renaming.Namer }
+
+var errRefused = errors.New("refusingNamer: release refused")
+
+func (refusingNamer) Release(int) error { return errRefused }
+
+// TestReclaimFailedCounted: every reclaim the namer refuses surfaces in
+// Metrics.ReclaimFailed instead of being dropped, on the sweep, explicit
+// release and batch release paths; Shutdown hands nothing back, so it
+// adds none.
+func TestReclaimFailedCounted(t *testing.T) {
+	inner, err := renaming.NewLevelArray(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := newFakeClock()
-	m, err := New(nm, Config{TTL: 10 * time.Second, SweepInterval: -1, Shards: 1, Now: clk.Now})
+	m, err := New(refusingNamer{inner}, Config{TTL: 10 * time.Second, SweepInterval: -1, Shards: 1, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Shutdown()
+
+	// Sweep-path reclaim of an expired lease.
 	if _, err := acquire1(m, "a", 2*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	b, err := acquire1(m, "b", time.Hour, nil)
-	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second)
 	if n := m.SweepOnce(); n != 1 {
-		t.Fatalf("swept %d, want 1", n)
+		t.Fatalf("SweepOnce = %d, want 1", n)
 	}
-	if got := m.Metrics().ReclaimFailed; got != 1 {
-		t.Fatalf("ReclaimFailed = %d after sweep, want 1", got)
+	if mt := m.Metrics(); mt.ReclaimFailed != 1 || mt.Expired != 1 {
+		t.Fatalf("after sweep: metrics = %+v, want ReclaimFailed 1", mt)
 	}
-	// Voluntary release through the batch path: the namer error is the
-	// per-item outcome AND counts as a failed reclaim.
-	results, err := m.ReleaseBatch(context.Background(), []ReleaseItem{{Name: b.Name, Token: b.Token}})
+
+	// Explicit release propagates the namer's error and counts it.
+	l, err := acquire1(m, "b", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err == nil {
-		t.Fatal("one-shot namer's Release error not propagated through ReleaseBatch")
+	if err := release1(m, l.Name, l.Token); !errors.Is(err, errRefused) {
+		t.Fatalf("release = %v, want errRefused", err)
 	}
-	if got := m.Metrics().ReclaimFailed; got != 2 {
-		t.Fatalf("ReclaimFailed = %d after batch release, want 2", got)
+	if mt := m.Metrics(); mt.ReclaimFailed != 2 {
+		t.Fatalf("after release: metrics = %+v, want ReclaimFailed 2", mt)
+	}
+
+	// Batch release: the namer's error is the item's outcome and counts.
+	l, err = acquire1(m, "c", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := m.ReleaseBatch(context.Background(), []ReleaseItem{{Name: l.Name, Token: l.Token}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(results[0].Err, errRefused) {
+		t.Fatalf("batch release item = %v, want errRefused", results[0].Err)
+	}
+	if mt := m.Metrics(); mt.ReclaimFailed != 3 {
+		t.Fatalf("after batch release: metrics = %+v, want ReclaimFailed 3", mt)
+	}
+
+	if _, err := acquire1(m, "d", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	m.Shutdown()
+	if mt := m.Metrics(); mt.ReclaimFailed != 3 {
+		t.Fatalf("after Shutdown: metrics = %+v, want ReclaimFailed 3", mt)
 	}
 }

@@ -219,9 +219,8 @@ func (m *Manager) releaseNames(names []int) {
 	}
 }
 
-// releaseName hands a name back to the namer, counting failures: over a
-// one-shot namer (whose Release always errors) the slot would otherwise
-// leak invisibly on every reclaim.
+// releaseName hands a name back to the namer, counting failures: a name
+// the namer refuses would otherwise leak invisibly.
 func (m *Manager) releaseName(name int) error {
 	err := m.namer.Release(name)
 	if err != nil {

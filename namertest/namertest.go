@@ -15,8 +15,7 @@
 //
 // The factory is called once per subtest, always with the same
 // configuration, and the namer is assumed to support Release (the suite is
-// for the library's long-lived contract; inherently one-shot namers such
-// as MoirAnderson are out of scope).
+// for the library's long-lived contract).
 package namertest
 
 import (
