@@ -242,10 +242,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}()
 
-	// Each process is a coroutine running the unmodified algorithm. It is
-	// started, up to its first shared-memory step, before the next one is
-	// created, so algorithm-local lazy initialization needs no
-	// synchronization either.
+	// Each process is a coroutine running the unmodified algorithm. It runs
+	// up to its first shared-memory step before the next one is created,
+	// so the ready set starts in pid order and a seed replays the same
+	// execution.
 	for p, pr := range procs {
 		pr.next, pr.stop = iter.Pull(func(yield func(int) bool) {
 			defer func() {
