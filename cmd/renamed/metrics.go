@@ -79,9 +79,9 @@ func newServerMetrics(s *server) *serverMetrics {
 		func(m lease.Metrics) int64 { return m.Released })
 	leaseCounter("renamed_lease_expired_total", "Leases reclaimed after TTL expiry.",
 		func(m lease.Metrics) int64 { return m.Expired })
-	leaseCounter("renamed_lease_rejected_total", "Renew/release attempts refused (wrong token, unknown name, expired).",
+	leaseCounter("renamed_lease_rejected_total", "Refused lease operations (capacity, namespace, cancelled, closed, wrong token, unknown name, expired): once per refused call, plus once per item the table turned away.",
 		func(m lease.Metrics) int64 { return m.Rejected })
-	leaseCounter("renamed_lease_reclaim_failures_total", "Expired names the namer refused to take back.",
+	leaseCounter("renamed_lease_reclaim_failures_total", "Released or expired names the namer refused to take back; each is lost to the namer for good.",
 		func(m lease.Metrics) int64 { return m.ReclaimFailed })
 	leaseCounter("renamed_lease_capacity_sweeps_total", "At-capacity sweep passes run before rejecting an acquire.",
 		func(m lease.Metrics) int64 { return m.CapacitySweeps })

@@ -235,9 +235,6 @@ func (s ResizeStatus) Wire() wire.ResizeResponse {
 	return resp
 }
 
-// Ok reports whether every component accepted the resize.
-func (s ResizeStatus) Ok() bool { return s.Namer == nil && s.Lease == nil }
-
 // Resize retargets the elastic namespace to n names: the namer's
 // capacity and the lease manager's live cap move together. Ordering
 // keeps the cap conservative at every instant — on grow the namer

@@ -19,7 +19,7 @@ func TestBindingResize(t *testing.T) {
 	b := core.Bind("http")
 
 	st := b.Resize(128)
-	if !st.Ok() {
+	if st.Namer != nil || st.Lease != nil {
 		t.Fatalf("grow verdicts: namer=%v lease=%v", st.Namer, st.Lease)
 	}
 	if st.Capacity != 128 || st.MaxLive != 128 || st.Draining {
@@ -30,7 +30,7 @@ func TestBindingResize(t *testing.T) {
 	}
 
 	st2 := b.Resize(32)
-	if !st2.Ok() || st2.Capacity != 32 || st2.MaxLive != 32 {
+	if st2.Namer != nil || st2.Lease != nil || st2.Capacity != 32 || st2.MaxLive != 32 {
 		t.Fatalf("shrink status = %+v", st2)
 	}
 	if st2.Epoch <= st.Epoch {
@@ -95,7 +95,7 @@ func TestBinServerResize(t *testing.T) {
 	defer conn.Close()
 
 	st := core.Bind("http").Resize(256)
-	if !st.Ok() || st.Capacity != 256 || st.MaxLive != 256 || st.Draining {
+	if st.Namer != nil || st.Lease != nil || st.Capacity != 256 || st.MaxLive != 256 || st.Draining {
 		t.Fatalf("resize status = %+v (namer=%v lease=%v)", st, st.Namer, st.Lease)
 	}
 

@@ -121,25 +121,3 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.fam.addChild(labelValues, func() collector { return NewCounter() }).(*Counter)
 }
-
-// GaugeVec is a family of gauges distinguished by label values, each
-// backed by a closure — the labeled sibling of GaugeFunc for families
-// whose children are known at wiring time.
-type GaugeVec struct {
-	fam *family
-}
-
-// GaugeVec registers a labeled gauge family whose children are
-// closures added with WithFunc.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if len(labelNames) == 0 {
-		panic(fmt.Sprintf("telemetry: GaugeVec %q needs at least one label", name))
-	}
-	return &GaugeVec{fam: r.register(name, help, kindGauge, labelNames)}
-}
-
-// WithFunc registers the gauge child for the given label values,
-// sampled from f at scrape time.
-func (v *GaugeVec) WithFunc(f func() float64, labelValues ...string) {
-	v.fam.addChild(labelValues, func() collector { return funcCollector{f: f} })
-}

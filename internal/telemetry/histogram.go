@@ -14,9 +14,8 @@ import (
 // adds plus one atomic bucket increment, zero allocations.
 //
 // This is the one histogram implementation in the repository: the
-// renamed server's per-op latencies, the load generator's client-side
-// quantiles, the leaseclient session's heartbeat latency and the bench
-// runner's live pass all use it, so their numbers are computed — and
+// renamed server's per-op latencies and the leaseclient session's
+// heartbeat latency both use it, so their numbers are computed — and
 // rounded — identically.
 //
 // In the Prometheus exposition a Histogram renders with cumulative
@@ -58,9 +57,6 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of
 // the observed durations: the top of the bucket the rank lands in.

@@ -24,8 +24,6 @@ func goldenRegistry() *Registry {
 	v.With("release", "ok").Add(40)
 	r.GaugeFunc("example_live", "Live leases.", func() float64 { return 17 })
 	r.CounterFunc("example_fsyncs_total", "Journal fsyncs.", func() int64 { return 55 })
-	g := r.GaugeVec("example_capacity", "Capacity by namer.", "namer")
-	g.WithFunc(func() float64 { return 4096 }, "levelarray")
 	h := r.Histogram("example_op_duration_seconds", "Operation latency.")
 	h.Observe(500 * time.Nanosecond) // below the first bound: folds into it
 	h.Observe(3 * time.Microsecond)

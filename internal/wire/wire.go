@@ -253,7 +253,7 @@ func FromLease(l lease.Lease) Lease {
 // TTLFromMs converts a client-supplied millisecond count to a Duration
 // without overflowing: a wrapped multiplication would turn "longest
 // possible lease" into a negative value the manager reads as "default
-// TTL". Saturated requests still get capped at the manager's MaxTTL.
+// TTL". Saturated requests still get capped at the manager's 10×TTL.
 func TTLFromMs(ms int64) time.Duration {
 	if ms <= 0 {
 		return 0 // manager applies its default TTL

@@ -119,10 +119,9 @@ func cloneMeta(meta map[string]string) map[string]string {
 // Config tunes a Manager.
 type Config struct {
 	// TTL is the lease duration grants and renewals carry when the
-	// caller does not request one. Defaults to 30 seconds.
+	// caller does not request one; requested durations are capped at
+	// 10×TTL. Defaults to 30 seconds.
 	TTL time.Duration
-	// MaxTTL caps caller-requested durations. Defaults to 10×TTL.
-	MaxTTL time.Duration
 	// SweepInterval is the period of the background reclamation sweep.
 	// Defaults to TTL/4. Set negative to disable the sweeper entirely
 	// (expired leases are then reclaimed only lazily, on access, or by
@@ -199,17 +198,6 @@ type Table interface {
 func (c *Config) applyDefaults() {
 	if c.TTL <= 0 {
 		c.TTL = 30 * time.Second
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 10 * c.TTL
-	}
-	if c.MaxTTL < c.TTL {
-		// An explicit MaxTTL below the (defaulted) TTL would let
-		// default-duration acquires (ttl <= 0 resolves to cfg.TTL) exceed
-		// the configured ceiling while explicit requests were clamped
-		// under it. Normalize by raising the ceiling to the default: the
-		// default lease class is always grantable.
-		c.MaxTTL = c.TTL
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = c.TTL / 4
@@ -374,15 +362,13 @@ func (m *Manager) stripeSize() int {
 	return (m.namer.Namespace() + len(m.shards) - 1) >> m.shardBits
 }
 
-// clampTTL resolves a caller-requested duration against the config.
+// clampTTL resolves a caller-requested duration: <= 0 is the default TTL,
+// and nothing exceeds 10×TTL.
 func (m *Manager) clampTTL(ttl time.Duration) time.Duration {
 	if ttl <= 0 {
 		return m.cfg.TTL
 	}
-	if ttl > m.cfg.MaxTTL {
-		return m.cfg.MaxTTL
-	}
-	return ttl
+	return min(ttl, 10*m.cfg.TTL)
 }
 
 // Namer exposes the underlying namer for process-level concerns the

@@ -90,8 +90,9 @@ func testConcurrentUnique(t *testing.T, mk func() (renaming.Namer, error)) {
 	assertDistinct(t, names, nm.Namespace())
 }
 
-// testReleaseSemantics checks that a released name returns to the pool and
-// a double release reports ErrNotHeld.
+// testReleaseSemantics checks that a released name returns to the pool,
+// and that a double release and a release of a name outside the namespace
+// report ErrNotHeld.
 func testReleaseSemantics(t *testing.T, mk func() (renaming.Namer, error)) {
 	nm := build(t, mk)
 	u, err := nm.Acquire(context.Background())
@@ -101,8 +102,10 @@ func testReleaseSemantics(t *testing.T, mk func() (renaming.Namer, error)) {
 	if err := nm.Release(u); err != nil {
 		t.Fatalf("Release(%d): %v", u, err)
 	}
-	if err := nm.Release(u); !errors.Is(err, renaming.ErrNotHeld) {
-		t.Fatalf("double release err = %v, want ErrNotHeld", err)
+	for _, v := range []int{u, -1, nm.Namespace()} {
+		if err := nm.Release(v); !errors.Is(err, renaming.ErrNotHeld) {
+			t.Fatalf("Release(%d) of a name not held: err = %v, want ErrNotHeld", v, err)
+		}
 	}
 	// The slot is genuinely free again: the namer can serve `concurrency`
 	// holders even after a release/re-acquire cycle.
