@@ -9,6 +9,41 @@ import (
 	renaming "repro"
 )
 
+// TestAcquireSweepsBeforeRejecting: capacity rejection must reclaim
+// expired leases first, on every path. Fill the cap with short leases, let
+// them lapse, and acquire again without any explicit sweep.
+func TestAcquireSweepsBeforeRejecting(t *testing.T) {
+	nm, err := renaming.NewLevelArray(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	m, err := New(nm, Config{TTL: 10 * time.Second, SweepInterval: -1, MaxLive: 2, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	for i := 0; i < 2; i++ {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	clk.Advance(2 * time.Second)
+	// Both leases are expired but unreclaimed; both capacity slots must be
+	// recoverable without SweepOnce.
+	for i := 0; i < 2; i++ {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
+			t.Fatalf("acquire over expired leases %d: %v", i, err)
+		}
+	}
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("acquire over live leases = %v, want ErrCapacity", err)
+	}
+	if mt := m.Metrics(); mt.Expired != 2 || mt.Live != 2 {
+		t.Fatalf("metrics = %+v", mt)
+	}
+}
+
 // hookClock is a fakeClock whose Now() can fire a one-shot side effect,
 // used to interleave another operation inside a specific window of an
 // in-flight Acquire (between the namer call and the lease-table insert).
@@ -85,6 +120,100 @@ func TestAcquireCapacityRaceReclaimsExpired(t *testing.T) {
 	}
 }
 
+// TestSetMaxLiveShrinkWithExpiredPending is the clock-injected shrink
+// regression: the cap is lowered while EXPIRED leases still occupy
+// reservation slots. The reserve path at the new, smaller cap must
+// reclaim them before rejecting — a shrink must not wedge acquisition
+// behind corpses — and the post-shrink cap must then hold exactly.
+func TestSetMaxLiveShrinkWithExpiredPending(t *testing.T) {
+	nm, err := renaming.NewLevelArray(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	m, err := New(nm, Config{TTL: 10 * time.Second, SweepInterval: -1, MaxLive: 4, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	for i := 0; i < 4; i++ {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	clk.Advance(2 * time.Second)
+	// All four leases are expired but unreclaimed; the reservation counter
+	// still reads 4. Shrink underneath them.
+	if err := m.SetMaxLive(2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := acquire1(m, "w", 0, nil); err != nil {
+			t.Fatalf("acquire %d over expired leases after shrink: %v", i, err)
+		}
+	}
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("acquire over the shrunk cap = %v, want ErrCapacity", err)
+	}
+	mt := m.Metrics()
+	if mt.MaxLive != 2 || mt.Resizes != 1 || mt.Live != 2 || mt.Expired != 4 {
+		t.Fatalf("metrics = %+v, want MaxLive 2, Resizes 1, Live 2, Expired 4", mt)
+	}
+}
+
+// TestSetMaxLiveShrinkBelowLive pins the documented shrink-below-live
+// semantics: live holders ride to expiry (or release), new acquires
+// fail until attrition brings live under the new cap, and nothing is
+// revoked by the shrink itself.
+func TestSetMaxLiveShrinkBelowLive(t *testing.T) {
+	nm, err := renaming.NewLevelArray(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	m, err := New(nm, Config{TTL: 10 * time.Second, SweepInterval: -1, MaxLive: 4, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	leases := make([]Lease, 0, 4)
+	for i := 0; i < 4; i++ {
+		l, err := acquire1(m, "w", 0, nil)
+		if err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+		leases = append(leases, l)
+	}
+	if err := m.SetMaxLive(2); err != nil {
+		t.Fatal(err)
+	}
+	// All four holders survive the shrink and can still renew.
+	for _, l := range leases {
+		if _, err := renew1(m, l.Name, l.Token, 0); err != nil {
+			t.Fatalf("Renew(%d) after shrink: %v", l.Name, err)
+		}
+	}
+	if mt := m.Metrics(); mt.Live != 4 || mt.MaxLive != 2 {
+		t.Fatalf("metrics = %+v, want 4 riders over a cap of 2", mt)
+	}
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("acquire with live > cap = %v, want ErrCapacity", err)
+	}
+	// Attrition: releasing down to the cap is not enough (live == cap is
+	// full); one below opens exactly one slot.
+	for i := 0; i < 3; i++ {
+		if err := release1(m, leases[i].Name, leases[i].Token); err != nil {
+			t.Fatalf("Release %d: %v", i, err)
+		}
+	}
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
+		t.Fatalf("acquire after attrition under the cap: %v", err)
+	}
+	if _, err := acquire1(m, "w", 0, nil); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("acquire at the refilled cap = %v, want ErrCapacity", err)
+	}
+}
+
 // TestSetMaxLiveRacesReserveAndSweep hammers the lock-free reserve path
 // and the sweeper while the cap flaps underneath them — the -race proof
 // that SetMaxLive's atomic conversion kept reserve lock-free and tear-
@@ -157,5 +286,45 @@ func TestSetMaxLiveRacesReserveAndSweep(t *testing.T) {
 	}
 	if mt.Live != 0 || mt.Reserved != 0 {
 		t.Fatalf("metrics after full release = %+v, want empty table", mt)
+	}
+}
+
+// TestMetricsExposesSweepAndReservedCounters: the Metrics fields the
+// telemetry exposition scrapes — CapacitySweeps counts at-capacity
+// sweep passes actually run, and Reserved tracks reservations + held
+// leases (equal to Live when no acquire is in flight).
+func TestMetricsExposesSweepAndReservedCounters(t *testing.T) {
+	nm, err := renaming.NewLevelArray(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	m, err := New(nm, Config{TTL: 10 * time.Second, SweepInterval: -1, MaxLive: 2, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	for i := 0; i < 2; i++ {
+		if _, err := acquire1(m, "w", time.Second, nil); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	if mt := m.Metrics(); mt.Reserved != 2 || mt.Live != 2 {
+		t.Fatalf("Reserved = %d, Live = %d, want 2, 2", mt.Reserved, mt.Live)
+	}
+	clk.Advance(2 * time.Second)
+	// This acquire finds the table full and runs the at-capacity sweep.
+	if _, err := acquire1(m, "w", 0, nil); err != nil {
+		t.Fatalf("acquire over expired leases: %v", err)
+	}
+	mt := m.Metrics()
+	if mt.CapacitySweeps < 1 {
+		t.Fatalf("CapacitySweeps = %d, want >= 1", mt.CapacitySweeps)
+	}
+	if mt.CapacitySweepJoins != 0 {
+		t.Fatalf("CapacitySweepJoins = %d, want 0 (no concurrent acquirers)", mt.CapacitySweepJoins)
+	}
+	if mt.Reserved != int64(mt.Live) {
+		t.Fatalf("Reserved = %d disagrees with Live = %d at rest", mt.Reserved, mt.Live)
 	}
 }

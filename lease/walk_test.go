@@ -2,6 +2,7 @@ package lease
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -28,6 +29,48 @@ func walkAll(t *testing.T, tab Table) map[int]Lease {
 		t.Fatalf("Walk: %v", err)
 	}
 	return got
+}
+
+// TestWalkYieldsOccupiedSlots: Walk is the table as a snapshot needs it —
+// every occupied slot with its exact token, owner, metadata and expiry,
+// lapsed-but-unreclaimed leases included (Leases filters those; a
+// snapshot must not, their expire records are still to come).
+func TestWalkYieldsOccupiedSlots(t *testing.T) {
+	m, clk := newTestManager(t, 64)
+	short, err := acquire1(m, "short", time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := m.AcquireBatch(context.Background(), "w", 40, 0, map[string]string{"k": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := release1(m, held[0].Name, held[0].Token); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second) // short has lapsed; nothing has reclaimed it
+	renewed, err := renew1(m, held[1].Name, held[1].Token, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Lease{short, renewed}, held[2:]...)
+	got := walkAll(t, m)
+	if len(got) != len(want) || m.Occupied() != len(want) {
+		t.Fatalf("Walk yielded %d leases, Occupied() = %d, want %d", len(got), m.Occupied(), len(want))
+	}
+	for _, w := range want {
+		g := got[w.Name]
+		if g.Token != w.Token || g.Owner != w.Owner || !g.ExpiresAt.Equal(w.ExpiresAt) || g.Meta["k"] != w.Meta["k"] {
+			t.Fatalf("Walk yielded %+v for name %d, want %+v", g, w.Name, w)
+		}
+	}
+	if live := len(m.Leases()); live != len(want)-1 {
+		t.Fatalf("Leases() = %d, want %d (the lapsed lease filtered)", live, len(want)-1)
+	}
+	stop := errors.New("stop")
+	if err := m.Walk(func([]Lease) error { return stop }); err != stop {
+		t.Fatalf("Walk returned %v, want yield's error", err)
+	}
 }
 
 // TestLeasesIsTheFilteredSortedWalk: Leases is Walk's table with the
@@ -190,6 +233,28 @@ func TestWalkUnderResizeGrow(t *testing.T) {
 	for _, l := range grown {
 		if l.Name >= before && got[l.Name] != 1 {
 			t.Fatalf("lease %d, granted beyond the old table ahead of the walk, was yielded %d times", l.Name, got[l.Name])
+		}
+	}
+}
+
+// TestWalkAfterShutdown: Shutdown keeps the table — that is what the
+// store's final snapshot is read from.
+func TestWalkAfterShutdown(t *testing.T) {
+	m, _ := newTestManager(t, 16)
+	held, err := m.AcquireBatch(context.Background(), "w", 10, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	got := walkAll(t, m)
+	if len(got) != len(held) || m.Occupied() != len(held) {
+		t.Fatalf("after Shutdown Walk yielded %d, Occupied() = %d, want %d", len(got), m.Occupied(), len(held))
+	}
+	for _, l := range held {
+		if got[l.Name].Token != l.Token {
+			t.Fatalf("name %d walked with token %d, want %d", l.Name, got[l.Name].Token, l.Token)
 		}
 	}
 }

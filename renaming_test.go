@@ -154,6 +154,29 @@ func TestBaselinesConcurrentUnique(t *testing.T) {
 	assertUnique(t, names, n)
 }
 
+func TestReleaseAndReacquire(t *testing.T) {
+	nm, err := NewReBatching(8, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := nm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nm.Release(u); err != nil {
+		t.Fatalf("Release(%d): %v", u, err)
+	}
+	if err := nm.Release(u); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("double release: got %v, want ErrNotHeld", err)
+	}
+	if err := nm.Release(-1); err == nil {
+		t.Fatal("Release(-1) accepted")
+	}
+	if err := nm.Release(nm.Namespace()); err == nil {
+		t.Fatal("Release(out of range) accepted")
+	}
+}
+
 func TestReleaseKeepsUniqueness(t *testing.T) {
 	// Churn: acquire all, release all, acquire all again. Uniqueness must
 	// hold within each generation.
