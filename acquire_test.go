@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -365,6 +367,35 @@ func TestAcquireAllocs(t *testing.T) {
 				t.Fatalf("Acquire allocates %v times per call, want 1", got)
 			}
 		})
+	}
+}
+
+// TestOpenFootprint pins the heap bytes a one-shot Open allocates, at
+// the sizes of the two one-shot workloads. Dense spends one bit per TAS
+// location, so an Open is its namespace/8 bytes of words plus a few KiB
+// of algorithm tables and driver: 16,952 B for rebatching and about
+// 19.9 KB for the adaptive pair on go1.24/amd64. The pin is a band, since
+// size classes move with the toolchain: at least the bits themselves, at
+// most 24 KiB. One int32 per location, as Dense once was, read ~525 KB.
+func TestOpenFootprint(t *testing.T) {
+	const ceiling = 24 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, dsn := range []string{"rebatching?n=65536", "adaptive?n=16384", "fastadaptive?n=16384"} {
+		var bits int
+		allocated := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ { // the least of three, against stray allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			nm, err := Open(dsn)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits, allocated = nm.Namespace(), min(allocated, after.TotalAlloc-before.TotalAlloc)
+		}
+		if allocated < uint64(bits/8) || allocated > ceiling {
+			t.Errorf("Open(%q) allocates %d B, want within [%d, %d]: the namespace's bits plus tables", dsn, allocated, bits/8, ceiling)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package renaming_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -390,6 +391,23 @@ func BenchmarkDrain(b *testing.B) {
 					b.StartTimer()
 				}
 				if _, err := nm.Acquire(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpen is the micro view of the Open share of both one-shot
+// workloads' setup_s: each op opens a fresh namer at the workload's size
+// (rebatching n = 65536, adaptive and fastadaptive at contention 16384).
+// B/op is mostly the namespace's TAS bits.
+func BenchmarkOpen(b *testing.B) {
+	for _, dsn := range []string{"rebatching?n=65536", "adaptive?n=16384", "fastadaptive?n=16384"} {
+		b.Run(dsn[:strings.IndexByte(dsn, '?')], func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := renaming.Open(dsn); err != nil {
 					b.Fatal(err)
 				}
 			}

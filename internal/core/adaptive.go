@@ -222,8 +222,4 @@ func (a *Adaptive) Namespace() int {
 	return a.top.Base() + a.top.Size()
 }
 
-// SpaceUpperBound returns the total number of TAS locations a bounded
-// collection occupies (O(2^MaxLevel)); it panics for unbounded collections.
-func (a *Adaptive) SpaceUpperBound() int { return a.Namespace() }
-
 var _ Algorithm = (*Adaptive)(nil)

@@ -52,19 +52,18 @@ func TestFastAdaptiveEnsurePanicsPastAddressSpace(t *testing.T) {
 	f.ensure(maxAdaptiveLevel)
 }
 
+// TestAdaptiveSpaceUpperBound pins a bounded collection's space: its
+// namespace is every TAS location it occupies, O(2^MaxLevel).
 func TestAdaptiveSpaceUpperBound(t *testing.T) {
 	a := MustAdaptive(AdaptiveConfig{Epsilon: 1, MaxLevel: 8})
-	if got, want := a.SpaceUpperBound(), a.Namespace(); got != want {
-		t.Fatalf("SpaceUpperBound = %d, want %d", got, want)
-	}
 	// The bounded collection occupies Sum_{i<8} 2^(i+1) + m_top locations.
 	wantTop := 0
 	for i := 1; i < 8; i++ {
 		wantTop += 1 << (i + 1)
 	}
 	wantTop += 1 << 9 // m_8 = 2*2^8
-	if a.SpaceUpperBound() != wantTop {
-		t.Fatalf("SpaceUpperBound = %d, want %d", a.SpaceUpperBound(), wantTop)
+	if got := a.Namespace(); got != wantTop {
+		t.Fatalf("Namespace = %d, want %d", got, wantTop)
 	}
 }
 

@@ -8,19 +8,36 @@
 //
 // Three implementations are provided:
 //
-//   - Dense: a packed atomic array — the production representation used by
-//     the concurrent one-shot namers.
-//   - Elastic: a Dense-like array that grows online — the LevelArray's
-//     space, and so the one the name service probes.
+//   - Dense: one bit per location, 32 to a uint32 word — the production
+//     representation used by the concurrent one-shot namers.
+//   - Elastic: a Dense-like array that grows online, one int32 per
+//     location — the LevelArray's space, and so the one the name service
+//     probes.
 //   - Sparse: a lazily-allocated map for single-threaded simulations of the
 //     paper's *unbounded* adaptive constructions.
 //
-// The two concurrent spaces share one test-and-set rule: read the cell,
-// and only if it reads 0 try CAS(0→1). A cell that is already set loses on
-// a plain load, with no locked instruction; every win is still decided by
-// the CAS, so exactly one caller wins each time the cell is set. Either
-// way the caller accesses the object once, which is one step in the
-// paper's measure — the read only makes a losing step cheaper.
+// The two concurrent spaces share one test-and-set rule: read the
+// location, and only if it reads unset try an atomic read-modify-write
+// to set it. A location that is already set loses on a plain load, with
+// no locked instruction; every win is still decided by the
+// read-modify-write, so exactly one caller wins each time the location
+// is set. Either way the caller accesses the object once, which is one
+// step in the paper's measure — the read only makes a losing step
+// cheaper.
+//
+// For Elastic's cell the read-modify-write is CAS(0→1). For Dense's bit
+// it is an atomic OR of the bit into its word, and the caller wins iff
+// the word's old value lacked the bit; TryReset is an atomic AND of the
+// bit's complement, which succeeds iff the old value had it. Both touch
+// only their own bit, so the 31 other locations of a word can be won and
+// released concurrently. A namer's space costs a bit per location, not
+// four bytes, and a 65,536-location ReBatching batch 0 fits in 8 KiB.
+//
+// Elastic keeps int32 cells for now. Bit-packing it as well shrinks the
+// lease server's heap by megabytes, and in a prototype the HTTP path's
+// latency rose with it, likely because the garbage collector ran more
+// often with less heap to pace against; that trade is left to the work
+// on sizing the server's memory to its live set.
 //
 // Dense also carries the concurrent one-shot driver's probe kernel,
 // TryBatch: a whole batch of uniform probes in one call, drawing from an
@@ -56,19 +73,38 @@ type Space interface {
 // Unbounded is returned by Len for spaces without a fixed size.
 const Unbounded = -1
 
-// testAndSet is the TAS of every concurrent space. A caller that reads
-// the cell set loses at that load, without taking the cache line
-// exclusive — the fate of most probes into an already-full batch. A
-// caller that reads it unset races for it with the CAS, which alone
-// decides every win.
+// testAndSet is Elastic's TAS. A caller that reads the cell set loses
+// at that load, without taking the cache line exclusive — the fate of
+// most probes into an already-full batch. A caller that reads it unset
+// races for it with the CAS, which alone decides every win.
 func testAndSet(cell *int32) bool {
 	return atomic.LoadInt32(cell) == 0 && atomic.CompareAndSwapInt32(cell, 0, 1)
 }
 
-// Dense is a fixed-size packed array of TAS objects backed by atomic
-// int32 cells. It is safe for concurrent use.
+// testAndSetBit is Dense's TAS of bit i of *word: the same rule for one
+// bit of a shared word. A caller that reads the bit set loses at that
+// load. Otherwise it ORs the bit in, and the OR's old value alone
+// decides the win: exactly one of any racing callers finds the bit clear
+// there, whatever the other 31 bits do meanwhile.
+//
+// It takes the bit's index, not its mask, so a losing probe tests the
+// loaded word directly and only a caller that goes on to the OR builds
+// the mask. Passing the mask in made every probe build it first, and
+// the kernel's losing probes over a full space cost 10-15 % more than
+// they did over int32 cells; with the index they cost the same.
+func testAndSetBit(word *uint32, i uint) bool {
+	return atomic.LoadUint32(word)>>i&1 == 0 && atomic.OrUint32(word, 1<<i)>>i&1 == 0
+}
+
+// Dense is a fixed-size array of TAS objects, one bit per location:
+// location l is bit l&31 of word l>>5. It is safe for concurrent use.
 type Dense struct {
-	cells []int32
+	words []uint32
+	// locs has one zero-size element per location and so costs no
+	// memory. Indexing it is the range check: the spare bits of the last
+	// word are out of range too, and an access outside [0, Len()) panics
+	// as a slice index does, at an inliner cost that keeps TAS inlinable.
+	locs []struct{}
 }
 
 // NewDense returns a Dense space with n locations, all unset.
@@ -76,12 +112,18 @@ func NewDense(n int) *Dense {
 	if n < 0 {
 		panic(fmt.Sprintf("tas: NewDense(%d): negative size", n))
 	}
-	return &Dense{cells: make([]int32, n)}
+	return &Dense{words: make([]uint32, (n+31)>>5), locs: make([]struct{}, n)}
+}
+
+// bit returns the word holding location loc and loc's bit index in it.
+func (d *Dense) bit(loc int) (*uint32, uint) {
+	_ = d.locs[loc]
+	return &d.words[loc>>5], uint(loc) & 31
 }
 
 // TAS wins iff the caller is the first to set location loc.
 func (d *Dense) TAS(loc int) bool {
-	return testAndSet(&d.cells[loc])
+	return testAndSetBit(d.bit(loc))
 }
 
 // TryBatch is the probe kernel: at most t probes into [lo, lo+size), each
@@ -90,24 +132,27 @@ func (d *Dense) TAS(loc int) bool {
 // or -1 (core.NoName) after t losses, and the number of draws it made:
 // the winning probe's position, or t. The draws, the steps and r's final
 // state are exactly those of t rounds of r.Intn(size) then TAS(lo+x), so
-// draws is also the number of TAS steps.
+// draws is also the number of TAS steps. A range reaching outside
+// [0, Len()) panics.
 //
-// The state, the bound and the batch's subslice of cells live in locals
-// for the whole batch: Below inlines, so a probe is one PRNG step, one
-// multiply, one bounds check against a register and one load, with no
-// call and no memory traffic for the generator. r is written once, on
-// the way out.
+// The state, the bound and the words live in locals for the whole
+// batch: Below inlines, so a probe is one PRNG step, one multiply, a
+// shift and a mask, one bounds check against a register and one load,
+// with no call and no memory traffic for the generator. r is written
+// once, on the way out.
 //
 //renamed:noalloc
 func (d *Dense) TryBatch(r *xrand.Rand, lo, size, t int) (loc, draws int) {
-	cells, n, s := d.cells[lo:lo+size], uint64(size), r.State()
+	_ = d.locs[lo : lo+size]
+	words, n, s := d.words, uint64(size), r.State()
 	for draws < t {
 		var x uint64
 		x, s = s.Below(n)
 		draws++
-		if testAndSet(&cells[x]) {
+		l := uint64(lo) + x
+		if testAndSetBit(&words[l>>5], uint(l)&31) {
 			r.SetState(s)
-			return lo + int(x), draws
+			return int(l), draws
 		}
 	}
 	r.SetState(s)
@@ -115,22 +160,25 @@ func (d *Dense) TryBatch(r *xrand.Rand, lo, size, t int) (loc, draws int) {
 }
 
 // Len returns the number of locations.
-func (d *Dense) Len() int { return len(d.cells) }
+func (d *Dense) Len() int { return len(d.locs) }
 
 // IsSet reports whether location loc has been won. It is a read, not a TAS
 // step; the paper's model does not charge for it and the algorithms never
 // call it — it exists for tests and for the Release extension.
 func (d *Dense) IsSet(loc int) bool {
-	return atomic.LoadInt32(&d.cells[loc]) != 0
+	word, i := d.bit(loc)
+	return atomic.LoadUint32(word)>>i&1 != 0
 }
 
 // TryReset atomically returns location loc to the unset state and reports
-// whether this call performed the transition. Exactly one of any set of
-// concurrent TryReset calls on a set location succeeds, which is what makes
+// whether this call performed the transition: it clears the bit and
+// succeeds iff the old word had it. Exactly one of any set of concurrent
+// TryReset calls on a set location succeeds, which is what makes
 // releasing a name linearizable: a blind store after an IsSet check is
 // check-then-act and lets two releases of the same name both "succeed".
 func (d *Dense) TryReset(loc int) bool {
-	return atomic.CompareAndSwapInt32(&d.cells[loc], 1, 0)
+	word, i := d.bit(loc)
+	return atomic.AndUint32(word, ^(1<<i))>>i&1 != 0
 }
 
 // Sparse is a lazily-allocated TAS space over the entire non-negative int
@@ -163,10 +211,6 @@ func (s *Sparse) TAS(loc int) bool {
 
 // Len reports Unbounded.
 func (s *Sparse) Len() int { return Unbounded }
-
-// Touched returns the number of locations that have been won, which equals
-// the space actually consumed by an execution.
-func (s *Sparse) Touched() int { return len(s.set) }
 
 // IsSet reports whether location loc has been won.
 func (s *Sparse) IsSet(loc int) bool {

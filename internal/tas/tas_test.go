@@ -2,7 +2,6 @@ package tas
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,12 +155,20 @@ func TestNewDensePanicsOnNegative(t *testing.T) {
 
 func TestSparseTouched(t *testing.T) {
 	s := NewSparse()
-	locs := []int{5, 1 << 40, 0, 5} // duplicate must not double-count
-	for _, l := range locs {
-		s.TAS(l)
+	wins := 0
+	for _, l := range []int{5, 1 << 40, 0, 5} { // the repeat must lose
+		if s.TAS(l) {
+			wins++
+		}
 	}
-	if got := s.Touched(); got != 3 {
-		t.Fatalf("Touched() = %d, want 3", got)
+	set := 0
+	for _, l := range []int{0, 1, 4, 5, 6, 1 << 40, 1<<40 + 1} {
+		if s.IsSet(l) {
+			set++
+		}
+	}
+	if wins != 3 || set != 3 {
+		t.Fatalf("%d wins and %d locations set, want 3 and 3", wins, set)
 	}
 }
 
@@ -216,7 +223,8 @@ func TestConcurrentSingleWinner(t *testing.T) {
 // but the last win of each goroutine, so the run may end with the bit
 // set). Every set epoch must have exactly one winner, so the wins equal
 // the successful resets plus the final bit. A TAS that decided a win on
-// its read, not its CAS, would let two callers win one epoch.
+// its read, not its read-modify-write, would let two callers win one
+// epoch.
 func TestTASEpochSingleWinner(t *testing.T) {
 	const (
 		goroutines = 8
@@ -291,10 +299,10 @@ func TestSparseMatchesDense(t *testing.T) {
 // until a win — side by side on copies of one space. Batches start at 0
 // and further in, have power-of-two and other sizes, are empty, half set
 // or full, and get t from 1 to well past size. Every case must return the
-// same location, leave the same cells set and the same PRNG state, and
+// same location, leave the same locations set and the same PRNG state, and
 // report as many draws as the reference loop made.
 func TestDenseTryBatchMatchesReference(t *testing.T) {
-	const pad = 5 // cells beyond the batch on the right, never probed
+	const pad = 5 // locations beyond the batch on the right, never probed
 	for _, seed := range []uint64{1, 42, 0xdeadbeefcafef00d} {
 		for _, geo := range []struct{ lo, size int }{{0, 1}, {0, 64}, {3, 7}, {11, 100}, {40, 257}} {
 			for _, fill := range []string{"empty", "half", "full"} {
@@ -329,8 +337,10 @@ func TestDenseTryBatchMatchesReference(t *testing.T) {
 					if *kr != *rr {
 						t.Fatalf("%s: kernel and reference leave different PRNG states", name)
 					}
-					if !slices.Equal(kernel.cells, ref.cells) {
-						t.Fatalf("%s: kernel and reference leave different cells set", name)
+					for l := 0; l < kernel.Len(); l++ {
+						if kernel.IsSet(l) != ref.IsSet(l) {
+							t.Fatalf("%s: location %d is set in one of kernel and reference only", name, l)
+						}
 					}
 					if fill == "full" && (got != -1 || draws != tries) {
 						t.Fatalf("%s: full batch won %d in %d draws, want -1 after all %d", name, got, draws, tries)
@@ -380,6 +390,69 @@ func TestDenseTryBatchSingleWinner(t *testing.T) {
 			t.Errorf("location %d had %d winners, want 1", loc, total)
 		}
 	}
+}
+
+// TestDenseSharedWordSingleWinner gives each of 32 goroutines one bit
+// of a single Dense word: round after round each sets its own bit with
+// TAS, which must win, and clears it with TryReset, which must succeed.
+// Every access races the other 31 bits' owners on the same word, so a
+// TAS or TryReset that wrote the word back from a stale read, instead of
+// ORing or ANDing its bit in atomically, would set or clear a
+// neighbour's bit and fail that neighbour's next step.
+func TestDenseSharedWordSingleWinner(t *testing.T) {
+	const rounds = 20000
+	d := NewDense(32)
+	var wg sync.WaitGroup
+	for own := 0; own < 32; own++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if !d.TAS(own) {
+					t.Errorf("round %d: TAS of location %d, owned by its caller, lost", i, own)
+					return
+				}
+				if !d.TryReset(own) {
+					t.Errorf("round %d: TryReset of location %d, owned by its caller, failed", i, own)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for l := 0; l < 32; l++ {
+		if d.IsSet(l) {
+			t.Errorf("location %d is set after every owner reset it", l)
+		}
+	}
+}
+
+// TestDenseOutOfRangePanics checks that a space whose last word is
+// mostly spare bits still answers only for [0, Len()): every access at
+// Len(), at the last word's top bit or below 0 panics, as does a probe
+// batch over a range reaching past Len().
+func TestDenseOutOfRangePanics(t *testing.T) {
+	d := NewDense(33)
+	if !d.TAS(32) || !d.IsSet(32) || !d.TryReset(32) {
+		t.Fatal("location 32, the last in range, does not set and reset")
+	}
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for _, loc := range []int{33, 63, -1} {
+		panics(fmt.Sprintf("TAS(%d)", loc), func() { d.TAS(loc) })
+		panics(fmt.Sprintf("IsSet(%d)", loc), func() { d.IsSet(loc) })
+		panics(fmt.Sprintf("TryReset(%d)", loc), func() { d.TryReset(loc) })
+	}
+	r := xrand.New(1)
+	panics("TryBatch(lo=30, size=4)", func() { d.TryBatch(r, 30, 4, 1) })
+	panics("TryBatch(lo=-1, size=4)", func() { d.TryBatch(r, -1, 4, 1) })
 }
 
 func BenchmarkDenseTAS(b *testing.B) {

@@ -63,15 +63,6 @@ func TestCoupledYGivenZMatchesJointLaw(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10_000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63() = %d < 0", v)
-		}
-	}
-}
-
 func TestNormalApproxCDFAgreesWithExact(t *testing.T) {
 	// At lambda just below the cutoff the exact summation is available;
 	// the normal approximation must agree within a small absolute error in

@@ -121,11 +121,6 @@ func (r *Rand) Uint64() uint64 {
 	return x
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform random int in [0, n) by State.Below. It panics
 // if n <= 0.
 func (r *Rand) Intn(n int) int {
@@ -152,17 +147,6 @@ func (r *Rand) Float64Open() float64 {
 			return f
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle randomizes the order of n elements using swap (Fisher–Yates).

