@@ -95,8 +95,8 @@ func ReadAudit(dir string) (*Audit, error) {
 	// stream, below the first stream acquire under a still-unminted
 	// snapshot token: rule (ii)'s violations, if the stream ends that way.
 	snap := make(map[int]uint64, len(st.leases))
-	for name, l := range st.leases {
-		snap[name] = l.Token
+	for _, l := range st.leases {
+		snap[l.Name] = l.Token
 	}
 	top := map[int]uint64{}
 	below := map[int]TokenRegression{}
@@ -106,6 +106,7 @@ func ReadAudit(dir string) (*Audit, error) {
 			// A crash can tear the magic itself; then everything is tail.
 			return 0, int64(len(body)), err
 		}
+		st.grow(body)
 		valid, n := scanFrames(body, func(r record) {
 			if r.op == opAcquire {
 				if prev, seen := top[r.name]; seen && r.token <= prev {
@@ -142,6 +143,7 @@ func ReadAudit(dir string) (*Audit, error) {
 	sort.Slice(unminted, func(i, j int) bool { return unminted[i].Name < unminted[j].Name })
 	a.Regressions = append(a.Regressions, unminted...)
 
-	a.Leases, a.MaxToken = st.sorted(), st.maxToken
+	st.settle()
+	a.Leases, a.MaxToken = st.leases, st.maxToken
 	return a, nil
 }

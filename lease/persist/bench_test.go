@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,27 +65,45 @@ func BenchmarkJournaledChurn(b *testing.B) {
 // BenchmarkRecovery measures Open (journal replay, torn-tail check,
 // initial compaction) plus Manager.Restore for a journal-only state of
 // `n` live leases — the cold-boot cost after a crash with no snapshot.
-// Each iteration stages a pristine copy of the crashed journal, because
-// Open itself compacts (a second Open of the same dir would load the
-// snapshot and replay nothing).
+// The journal has churn-durable-bin's shape at a 32nd of its size: the
+// names a LevelArray at half occupancy hands out, scattered over its
+// level 0, granted in batches and journaled at fsync=never. Each
+// iteration stages a pristine copy of the crashed journal, because Open
+// itself compacts (a second Open of the same dir would load the snapshot
+// and replay nothing).
 func BenchmarkRecovery(b *testing.B) {
-	const n = 1 << 12
+	const n, capacity = 1 << 12, 1 << 13
 	seedDir := b.TempDir()
-	s, err := Open(seedDir, Options{Fsync: FsyncAlways, CompactEvery: -1})
+	s, err := Open(seedDir, Options{Fsync: FsyncNever, CompactEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		s.ObserveAcquire(lease.Lease{Name: i, Token: uint64(i + 1), Owner: "bench",
-			ExpiresAt: time.Now().Add(time.Hour)})
+	nm, err := renaming.NewLevelArray(capacity)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if err := s.Crash(); err != nil {
+	mgr, err := lease.New(nm, lease.Config{TTL: time.Hour, SweepInterval: -1, MaxLive: capacity, Observer: s})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for live := 0; live < n; {
+		ls, err := mgr.AcquireBatch(context.Background(), "bench", min(512, n-live), time.Hour, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		live += len(ls)
+	}
+	mgr.Shutdown()
+	// No table was handed over, so Close flushes the journal and leaves
+	// it to replay.
+	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(seedDir, journalName))
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -95,7 +114,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err := os.WriteFile(filepath.Join(dir, journalName), raw, 0o644); err != nil {
 			b.Fatal(err)
 		}
-		nm, err := renaming.NewLevelArray(n)
+		nm, err := renaming.NewLevelArray(capacity)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func (s *Store) compactLoop() {
 // one instant under its stripe lock, and records are appended under that
 // same lock). Per-name tokens strictly increase, an acquire overwrites
 // unless the entry's token is larger, and renew/release/expire apply only
-// on a token match (fold.apply). So the records the snapshot already
+// on a token match (fold.settle). So the records the snapshot already
 // reflects are no-ops or re-establish what is there, the rest apply as
 // they did live, and the replay converges on the same final state as
 // replaying them over the pre-rotation state. A crash anywhere leaves the

@@ -43,7 +43,7 @@ func writeJournalFile(t *testing.T, path string, recs []record) {
 // rename and the journal reset used to leave a NEWER snapshot with an
 // OLDER journal, and replaying acquire(X,t5)+release(X,t5) over a
 // snapshot holding X:t9 deleted the durably snapshotted lease. The
-// token guard in fold.apply (an acquire never downgrades a name to an
+// token guard in fold.settle (an acquire never downgrades a name to an
 // older holder) plus the rotation protocol must keep X:t9 alive.
 func TestStaleJournalOverNewerSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -285,7 +285,7 @@ func TestSealMakesTheWalkedStateDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &tableStore{Store: st, table: fold{leases: map[int]lease.Lease{}}}
+	d := &tableStore{Store: st, table: newRefFold()}
 	st.ObserveTable(d)
 	d.ObserveAcquire(lease.Lease{Name: 7, Token: 1, ExpiresAt: at(100)})
 	d.beforeWalk = func() {

@@ -1,10 +1,14 @@
 package persist
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/lease"
@@ -95,6 +99,84 @@ func TestFormat1IsRefused(t *testing.T) {
 	}
 }
 
+// farNames are names no namer hands out, each CRC-valid on disk: the
+// largest int32, 2^62, and two uvarints from 2^63 up, which decode to
+// negative ints.
+var farNames = []int{1<<31 - 1, 1 << 62, math.MinInt64, -1}
+
+// farNameFiles is a snapshot and a journal over farNames: the snapshot
+// holds each once, the journal re-acquires one, renews one, releases one
+// and then names many more, drawn from the whole 64-bit range.
+func farNameFiles() (snapshot, journal []byte) {
+	var snap []lease.Lease
+	for i, name := range farNames {
+		snap = append(snap, lease.Lease{Name: name, Token: uint64(i + 1), Owner: "far", ExpiresAt: at(100)})
+	}
+	journal = []byte(journalMagic)
+	for _, r := range []record{
+		{op: opAcquire, name: farNames[0], token: 5, expiresAt: at(200).UnixNano(), owner: "far"},
+		{op: opRenew, name: farNames[1], token: 2, expiresAt: at(300).UnixNano()},
+		{op: opRelease, name: farNames[2], token: 3},
+	} {
+		journal = appendRecord(journal, r)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for token := uint64(6); token < 6+1<<12; token++ {
+		journal = appendRecord(journal, record{op: opAcquire, name: int(rng.Uint64()), token: token,
+			expiresAt: at(100).UnixNano(), owner: "far"})
+	}
+	return snapshotImage(snap, &[2]uint64{4, uint64(len(snap))}), journal
+}
+
+// TestFarNamesSizeNothing: a record may name any value up to 2^64, and
+// nothing sizes an allocation by it. Open and ReadAudit agree on a
+// snapshot, a journal and both over far names, and what Open allocates
+// stays within 16 times the bytes of the files it reads, plus 256 KiB
+// for the boot compaction's buffers: besides the file itself, the fold
+// holds a record, a sort key and a lease per frame, 136 bytes, and an
+// acquire frame is at least 14 bytes.
+func TestFarNamesSizeNothing(t *testing.T) {
+	snapshot, journal := farNameFiles()
+	for name, files := range map[string]map[string][]byte{
+		"snapshot":          {snapshotName: snapshot},
+		"journal":           {journalName: journal},
+		"snapshot, journal": {snapshotName: snapshot, journalName: journal},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			size := 0
+			for file, b := range files {
+				if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				size += len(b)
+			}
+			a, err := ReadAudit(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := Open(dir, Options{Fsync: FsyncNever, CompactEvery: -1})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Crash()
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*size+256<<10); grew > limit {
+				t.Fatalf("Open over %d bytes allocated %d bytes, more than %d", size, grew, limit)
+			}
+			st := s.State()
+			if err := sameFold(st.Leases, st.Token, a.Leases, a.MaxToken); err != nil {
+				t.Fatalf("Open and ReadAudit disagree: %v", err)
+			}
+			if !slices.IsSortedFunc(st.Leases, func(a, b lease.Lease) int { return cmp.Compare(a.Name, b.Name) }) {
+				t.Fatal("recovered leases are not in name order")
+			}
+		})
+	}
+}
+
 // FuzzDataDir: whatever bytes sit in the data directory, ReadAudit and
 // Open each return an error or a state, never panic, and when neither
 // refuses they agree on the leases and the watermark.
@@ -125,6 +207,10 @@ func FuzzDataDir(f *testing.F) {
 	f.Add([]byte("RLRNSNP1\x03\x00\x00\x00"), []byte(nil), []byte("RLRNJNL1"))
 	f.Add(snapshotImage([]lease.Lease{{Name: 1, Token: 1, ExpiresAt: at(100)}}, nil), []byte(nil), journal)
 	f.Add(hostileCount(), rotated, []byte(nil))
+	farSnapshot, farJournal := farNameFiles()
+	f.Add(farSnapshot, []byte(nil), []byte(nil))
+	f.Add([]byte(nil), []byte(nil), farJournal)
+	f.Add(farSnapshot, rotated, farJournal)
 
 	f.Fuzz(func(t *testing.T, snapshot, prev, journal []byte) {
 		dir := t.TempDir()

@@ -22,7 +22,7 @@
 // idempotent and order-tolerant across names — a release or expire only
 // deletes the entry whose token it was minted for, so replaying a stale
 // prefix over a newer snapshot cannot resurrect or kill the wrong lease
-// (see fold.apply).
+// (see fold.settle).
 package persist
 
 import (
@@ -245,22 +245,26 @@ func (c *cursor) varint(what string) int64 {
 	return v
 }
 
-func (c *cursor) str(what string) string {
-	n := c.uvarint(what + " length")
+// field returns the next length-prefixed field, aliasing the payload.
+func (c *cursor) field(what string) []byte {
+	n := c.uvarint(what)
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(c.b)-c.off) < n {
 		c.fail(what)
-		return ""
+		return nil
 	}
-	s := string(c.b[c.off : c.off+int(n)])
+	b := c.b[c.off : c.off+int(n)]
 	c.off += int(n)
-	return s
+	return b
 }
 
-// decodePayload parses one frame payload back into a record.
-func decodePayload(p []byte) (record, error) {
+// decodePayload parses one frame payload back into a record. lastOwner is
+// the owner of the acquire decoded before this one: a replay is mostly
+// runs of one owner's records, so an equal owner reuses that string
+// instead of allocating its own.
+func decodePayload(p []byte, lastOwner string) (record, error) {
 	c := &cursor{b: p}
 	r := record{op: op(c.byte("op"))}
 	r.name = int(c.uvarint("name"))
@@ -268,7 +272,11 @@ func decodePayload(p []byte) (record, error) {
 	switch r.op {
 	case opAcquire:
 		r.expiresAt = c.varint("expires_at")
-		r.owner = c.str("owner")
+		if owner := c.field("owner"); string(owner) == lastOwner {
+			r.owner = lastOwner
+		} else {
+			r.owner = string(owner)
+		}
 		if n := c.uvarint("meta count"); n > 0 && c.err == nil {
 			// Each entry is at least its two length bytes: a count read off
 			// disk never sizes the map beyond what the payload can hold.
@@ -278,8 +286,8 @@ func decodePayload(p []byte) (record, error) {
 			}
 			r.meta = make(map[string]string, n)
 			for i := uint64(0); i < n && c.err == nil; i++ {
-				k := c.str("meta key")
-				r.meta[k] = c.str("meta value")
+				k := string(c.field("meta key"))
+				r.meta[k] = string(c.field("meta value"))
 			}
 		}
 	case opRenew:
@@ -304,18 +312,36 @@ func decodePayload(p []byte) (record, error) {
 // scan — that is the torn tail; the caller truncates there.
 func scanFrames(buf []byte, apply func(record)) (valid int64, n int) {
 	rest := buf
+	var owner string
 	for {
 		payload, after, ok := nextFrame(rest)
 		if !ok {
 			break
 		}
-		rec, err := decodePayload(payload)
+		rec, err := decodePayload(payload, owner)
 		if err != nil {
 			break
+		}
+		if rec.op == opAcquire {
+			owner = rec.owner
 		}
 		apply(rec)
 		rest = after
 		n++
 	}
 	return int64(len(buf) - len(rest)), n
+}
+
+// countFrames is the number of checksummed frames at the front of buf: an
+// upper bound on the records scanFrames decodes from it, counted from the
+// bytes actually read rather than from any number written in them.
+func countFrames(buf []byte) (n int) {
+	for {
+		_, rest, ok := nextFrame(buf)
+		if !ok {
+			return n
+		}
+		buf = rest
+		n++
+	}
 }

@@ -24,7 +24,7 @@ func at(sec int64) time.Time { return time.Unix(sec, 0) }
 type tableStore struct {
 	*Store
 	stripe    sync.Mutex
-	table     fold
+	table     refFold
 	recovered lease.RestoreState
 	// beforeWalk, if set, runs at the start of every Walk: transitions
 	// that land between a compaction's rotation and its read of the table.
@@ -85,7 +85,7 @@ func openAlways(t testing.TB, dir string) *tableStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &tableStore{Store: s, table: fold{leases: map[int]lease.Lease{}}, recovered: s.State()}
+	d := &tableStore{Store: s, table: newRefFold(), recovered: s.State()}
 	for _, l := range d.recovered.Leases {
 		d.table.leases[l.Name] = l
 	}
@@ -96,11 +96,11 @@ func openAlways(t testing.TB, dir string) *tableStore {
 // writeSnapshotFile crafts dir's snapshot.db from leases and a watermark.
 func writeSnapshotFile(t *testing.T, dir string, watermark uint64, leases ...lease.Lease) {
 	t.Helper()
-	tab := &fold{leases: map[int]lease.Lease{}}
+	tab := newRefFold()
 	for _, l := range leases {
 		tab.leases[l.Name] = l
 	}
-	if err := writeSnapshot(dir, tab, func() uint64 { return watermark }); err != nil {
+	if err := writeSnapshot(dir, &tab, func() uint64 { return watermark }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,11 +2,12 @@ package persist
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/lease"
@@ -19,64 +20,117 @@ import (
 // one, hands it to Restore through State and drops it when the manager's
 // own table takes over; ReadAudit builds one and returns it. A running
 // store folds nothing.
+//
+// Reading appends every decoded record to log, in file order; settle then
+// folds the log once into leases, the live leases in name order, and that
+// one slice is what every reader uses: State, the boot compaction's Walk
+// and the audit.
 type fold struct {
-	leases   map[int]lease.Lease
+	log      []record
+	leases   []lease.Lease
 	maxToken uint64
 }
 
-// apply folds one record in. Token guards make the fold idempotent and
-// safe against replaying records over a state that already reflects them
-// or their successors: a verdict about an old token never touches a lease
-// minted after it, and an acquire never downgrades a name to an older
-// holder (per-name tokens strictly increase, so a smaller token IS an
-// older record). Store.Compact's snapshots rely on exactly this.
+// grow makes room in the log for the records of body, a journal's or
+// snapshot's frames: as many as it holds checksummed frames, so the
+// capacity follows the bytes read and never a number read from them.
+func (f *fold) grow(body []byte) { f.log = slices.Grow(f.log, countFrames(body)) }
+
+// apply adds one journal record to the log and raises the watermark.
 func (f *fold) apply(r record) {
-	if r.token > f.maxToken {
-		f.maxToken = r.token
-	}
-	switch r.op {
-	case opAcquire:
-		if l, ok := f.leases[r.name]; ok && l.Token > r.token {
-			return
-		}
-		f.leases[r.name] = leaseFromRecord(r)
-	case opRenew:
-		if l, ok := f.leases[r.name]; ok && l.Token == r.token {
-			l.ExpiresAt = time.Unix(0, r.expiresAt)
-			f.leases[r.name] = l
-		}
-	case opRelease, opExpire:
-		if l, ok := f.leases[r.name]; ok && l.Token == r.token {
-			delete(f.leases, r.name)
-		}
-	}
+	f.maxToken = max(f.maxToken, r.token)
+	f.log = append(f.log, r)
 }
 
-// Walk implements lease.Table, in map order (no reader needs another), so
-// the boot compaction goes through the same writer a live table does.
-func (f *fold) Walk(yield func(chunk []lease.Lease) error) error {
-	var one [1]lease.Lease
-	for _, l := range f.leases {
-		one[0] = l
-		if err := yield(one[:]); err != nil {
-			return err
+// logKey places a logged record: its name, then its position in the log,
+// which is file order. Sorting on both keeps each name's records in the
+// order they were written, whatever the sort.
+type logKey struct{ name, pos int }
+
+// settle folds the log into leases and empties it. Each name starts from
+// its lease in the previous settle, if any, which predates every logged
+// record, and takes its records in file order. Token guards make the fold
+// idempotent and safe against replaying records over a state that
+// already reflects them or their successors: a verdict about an old token
+// never touches a lease minted after it, and an acquire never downgrades
+// a name to an older holder (per-name tokens strictly increase, so a
+// smaller token IS an older record). Store.Compact's snapshots rely on
+// exactly this.
+//
+// The result is a fresh slice: State may already have handed out the
+// previous one. twice reports a name the log held more than once, which a
+// journal may and a snapshot may not.
+func (f *fold) settle() (name int, twice bool) {
+	keys := make([]logKey, len(f.log))
+	for i, r := range f.log {
+		keys[i] = logKey{r.name, i}
+	}
+	slices.SortFunc(keys, func(a, b logKey) int {
+		if a.name != b.name {
+			return cmp.Compare(a.name, b.name)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	names := 0
+	for i, k := range keys {
+		if i == 0 || k.name != keys[i-1].name {
+			names++
 		}
 	}
-	return nil
+	prev := f.leases
+	leases := make([]lease.Lease, 0, len(prev)+names)
+	for i := 0; i < len(keys); {
+		n := keys[i].name
+		for len(prev) > 0 && prev[0].Name < n {
+			leases, prev = append(leases, prev[0]), prev[1:]
+		}
+		var l lease.Lease
+		live := len(prev) > 0 && prev[0].Name == n
+		if live {
+			l, prev = prev[0], prev[1:]
+		}
+		first := i
+		for ; i < len(keys) && keys[i].name == n; i++ {
+			r := &f.log[keys[i].pos]
+			switch r.op {
+			case opAcquire:
+				if live && l.Token > r.token {
+					continue
+				}
+				l, live = leaseFromRecord(*r), true
+			case opRenew:
+				if live && l.Token == r.token {
+					l.ExpiresAt = time.Unix(0, r.expiresAt)
+				}
+			case opRelease, opExpire:
+				if live && l.Token == r.token {
+					live = false
+				}
+			}
+		}
+		if live {
+			leases = append(leases, l)
+		}
+		if i-first > 1 && !twice {
+			name, twice = n, true
+		}
+	}
+	f.leases, f.log = append(leases, prev...), nil
+	return name, twice
+}
+
+// Walk implements lease.Table in name order, so the boot compaction goes
+// through the same writer a live table does and writes a name-ordered
+// snapshot, which the next boot's sort finds already in order.
+func (f *fold) Walk(yield func(chunk []lease.Lease) error) error {
+	if len(f.leases) == 0 {
+		return nil
+	}
+	return yield(f.leases)
 }
 
 // Occupied implements lease.Table.
 func (f *fold) Occupied() int { return len(f.leases) }
-
-// sorted returns the leases ordered by name.
-func (f *fold) sorted() []lease.Lease {
-	leases := make([]lease.Lease, 0, len(f.leases))
-	for _, l := range f.leases {
-		leases = append(leases, l)
-	}
-	sort.Slice(leases, func(i, j int) bool { return leases[i].Name < leases[j].Name })
-	return leases
-}
 
 // Open recovers the durable state under dir (creating it if needed):
 // load the snapshot, replay the journal over it, truncate any torn tail,
@@ -108,11 +162,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if ok {
 		// Fsynced before its rename, so never torn; a bad frame still stops it.
+		st.grow(prev)
 		_, s.replayedRecords = scanFrames(prev, st.apply)
 	}
 	if err := s.openJournal(); err != nil {
 		return nil, err
 	}
+	st.settle()
 	s.maxToken = st.maxToken
 	s.recoveredLeases = len(st.leases)
 	if s.replayedRecords > 0 {
@@ -168,6 +224,7 @@ func (s *Store) openJournal() error {
 		// Fresh file, or a crash tore the magic itself: (re)initialize.
 		body, err = nil, startJournal(f)
 	}
+	s.recovered.grow(body)
 	valid, n := scanFrames(body, s.recovered.apply)
 	end := int64(len(journalMagic)) + valid
 	if torn := int64(len(body)) - valid; torn > 0 && err == nil {
@@ -228,8 +285,9 @@ func (s *Store) snapshotAndClear(t lease.Table) error {
 // fencing-token watermark. It is the recovered state and nothing else:
 // the store does not track the table afterwards, and the leases are
 // dropped once Restore has handed the store the manager's own table.
+// Every call returns the same slice, which the caller must not modify.
 func (s *Store) State() lease.RestoreState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return lease.RestoreState{Leases: s.recovered.sorted(), Token: s.recovered.maxToken}
+	return lease.RestoreState{Leases: s.recovered.leases, Token: s.recovered.maxToken}
 }

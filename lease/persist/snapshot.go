@@ -92,12 +92,12 @@ func writeSnapshot(dir string, t lease.Table, seal func() uint64) error {
 	return syncDir(dir)
 }
 
-// loadSnapshot reads dir's snapshot into a fresh fold. A missing file is
-// an empty state; a present-but-invalid file is an error. Nothing read
-// from the file sizes an allocation: the map grows one checksummed frame
-// at a time.
+// loadSnapshot reads dir's snapshot into a fresh, settled fold. A missing
+// file is an empty state; a present-but-invalid file is an error. Nothing
+// read from the file sizes an allocation: the log is sized by the
+// checksummed frames the file holds.
 func loadSnapshot(dir string) (*fold, error) {
-	st := &fold{leases: map[int]lease.Lease{}}
+	st := &fold{}
 	path := filepath.Join(dir, snapshotName)
 	buf, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -110,11 +110,13 @@ func loadSnapshot(dir string) (*fold, error) {
 		return nil, err
 	}
 	rest := buf[len(snapshotMagic):]
+	st.grow(rest)
+	var owner string
 	for {
 		payload, after, ok := nextFrame(rest)
 		if !ok {
 			return nil, fmt.Errorf("persist: snapshot: no valid frame at byte %d of %d (after %d leases, no end frame yet)",
-				len(buf)-len(rest), len(buf), len(st.leases))
+				len(buf)-len(rest), len(buf), len(st.log))
 		}
 		rest = after
 		if len(payload) > 0 && op(payload[0]) == opSnapshotEnd {
@@ -126,22 +128,25 @@ func loadSnapshot(dir string) (*fold, error) {
 				return nil, fmt.Errorf("persist: snapshot end frame: %w", c.err)
 			case c.off != len(payload) || len(rest) != 0:
 				return nil, errors.New("persist: snapshot: bytes after the end frame")
-			case count != uint64(len(st.leases)):
-				return nil, fmt.Errorf("persist: snapshot: end frame counts %d leases, file holds %d", count, len(st.leases))
+			case count != uint64(len(st.log)):
+				return nil, fmt.Errorf("persist: snapshot: end frame counts %d leases, file holds %d", count, len(st.log))
+			}
+			if name, twice := st.settle(); twice {
+				return nil, fmt.Errorf("persist: snapshot: name %d twice", name)
 			}
 			return st, nil
 		}
-		rec, err := decodePayload(payload)
+		rec, err := decodePayload(payload, owner)
 		if err != nil {
-			return nil, fmt.Errorf("persist: snapshot lease %d: %w", len(st.leases), err)
+			return nil, fmt.Errorf("persist: snapshot lease %d: %w", len(st.log), err)
 		}
 		if rec.op != opAcquire {
-			return nil, fmt.Errorf("persist: snapshot lease %d: op %d", len(st.leases), rec.op)
+			return nil, fmt.Errorf("persist: snapshot lease %d: op %d", len(st.log), rec.op)
 		}
-		if _, dup := st.leases[rec.name]; dup {
-			return nil, fmt.Errorf("persist: snapshot: name %d twice", rec.name)
-		}
-		st.leases[rec.name] = leaseFromRecord(rec)
+		// The end frame carries the snapshot's watermark; its leases
+		// do not move it, so they join the log without apply.
+		owner = rec.owner
+		st.log = append(st.log, rec)
 	}
 }
 
