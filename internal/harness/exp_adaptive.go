@@ -20,23 +20,14 @@ func kSweep(quick bool) []int {
 // measureAdaptive runs R executions of alg with contention k and returns
 // per-run (max individual steps, total steps, max name).
 func measureAdaptive(mkAlg func() core.Algorithm, k int, seed uint64, runs int) (maxSteps, totals, maxNames []float64, err error) {
-	for r := 0; r < runs; r++ {
-		res, err := sim.Run(sim.Config{
-			N:         k,
-			Algorithm: mkAlg(),
-			Seed:      seedAt(seed, r),
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := res.UniqueNames(); err != nil {
-			return nil, nil, nil, err
-		}
+	err = runSeeds(seed, runs, func() (sim.Config, error) {
+		return sim.Config{N: k, Algorithm: mkAlg()}, nil
+	}, func(res *sim.Result) {
 		maxSteps = append(maxSteps, float64(res.MaxSteps()))
 		totals = append(totals, float64(res.TotalSteps))
 		maxNames = append(maxNames, float64(res.MaxName()))
-	}
-	return maxSteps, totals, maxNames, nil
+	})
+	return maxSteps, totals, maxNames, err
 }
 
 // runT5 measures Theorem 5.1: AdaptiveReBatching's step complexity

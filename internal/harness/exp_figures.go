@@ -30,19 +30,12 @@ func runF1(cfg RunConfig) (*Table, error) {
 
 	measure := func(alg core.Algorithm, n int) (float64, error) {
 		var worst float64
-		for r := 0; r < runs; r++ {
-			res, err := sim.Run(sim.Config{N: n, Algorithm: alg, Seed: seedAt(cfg.Seed, r)})
-			if err != nil {
-				return 0, err
-			}
-			if err := res.UniqueNames(); err != nil {
-				return 0, err
-			}
-			if m := float64(res.MaxSteps()); m > worst {
-				worst = m
-			}
-		}
-		return worst, nil
+		err := runSeeds(cfg.Seed, runs, func() (sim.Config, error) {
+			return sim.Config{N: n, Algorithm: alg}, nil
+		}, func(res *sim.Result) {
+			worst = max(worst, float64(res.MaxSteps()))
+		})
+		return worst, err
 	}
 
 	series := make(map[string][]float64, 5)
@@ -110,22 +103,15 @@ func runF3(cfg RunConfig) (*Table, error) {
 		for _, name := range adversary.Names() {
 			var worstMax float64
 			var totals []float64
-			for r := 0; r < repeats(cfg.Quick); r++ {
+			err := runSeeds(cfg.Seed, repeats(cfg.Quick), func() (sim.Config, error) {
 				adv, err := adversary.ByName(name)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(sim.Config{N: n, Algorithm: alg, Adversary: adv, Seed: seedAt(cfg.Seed, r)})
-				if err != nil {
-					return nil, err
-				}
-				if err := res.UniqueNames(); err != nil {
-					return nil, err
-				}
-				if m := float64(res.MaxSteps()); m > worstMax {
-					worstMax = m
-				}
+				return sim.Config{N: n, Algorithm: alg, Adversary: adv}, err
+			}, func(res *sim.Result) {
+				worstMax = max(worstMax, float64(res.MaxSteps()))
 				totals = append(totals, float64(res.TotalSteps))
+			})
+			if err != nil {
+				return nil, err
 			}
 			t.AddRow(n, name, int(worstMax), stats.Summarize(totals).Mean/float64(n))
 		}
@@ -150,24 +136,20 @@ func runF5(cfg RunConfig) (*Table, error) {
 	for _, f := range []int{0, n / 4, n / 2} {
 		var worstMax, worstName float64
 		var totals []float64
-		for r := 0; r < repeats(cfg.Quick); r++ {
+		err := runSeeds(cfg.Seed, repeats(cfg.Quick), func() (sim.Config, error) {
 			adv := &adversary.Crashing{Inner: adversary.Random{}, F: f, Every: 2}
-			res, err := sim.Run(sim.Config{N: n, Algorithm: alg, Adversary: adv, Seed: seedAt(cfg.Seed, r)})
-			if err != nil {
-				return nil, err
-			}
-			if err := res.UniqueNames(); err != nil {
-				return nil, err
-			}
+			return sim.Config{N: n, Algorithm: alg, Adversary: adv}, nil
+		}, func(res *sim.Result) {
 			for p, s := range res.Steps {
-				if !res.Crashed[p] && float64(s) > worstMax {
-					worstMax = float64(s)
+				if !res.Crashed[p] {
+					worstMax = max(worstMax, float64(s))
 				}
 			}
-			if m := float64(res.MaxName()); m > worstName {
-				worstName = m
-			}
+			worstName = max(worstName, float64(res.MaxName()))
 			totals = append(totals, float64(res.TotalSteps))
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(n, f, int(worstMax), stats.Summarize(totals).Mean, int(worstName))
 	}

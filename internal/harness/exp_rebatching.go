@@ -31,6 +31,27 @@ func repeats(quick bool) int {
 	return 5
 }
 
+// runSeeds is the harness's one seed loop. Execution r of runs is at
+// seedAt(seed, r) with the configuration mk builds for it (a fresh
+// algorithm or adversary where the caller needs one), and each result is
+// passed to each. sim.Run refuses any execution in which two processes
+// finished holding the same name, so no table skips that check.
+func runSeeds(seed uint64, runs int, mk func() (sim.Config, error), each func(*sim.Result)) error {
+	for r := 0; r < runs; r++ {
+		c, err := mk()
+		if err != nil {
+			return err
+		}
+		c.Seed = seedAt(seed, r)
+		res, err := sim.Run(c)
+		if err != nil {
+			return err
+		}
+		each(res)
+	}
+	return nil
+}
+
 // measureReBatching runs R executions of ReBatching(n, eps) under adv and
 // returns per-run max steps and total steps.
 func measureReBatching(n int, eps float64, t0 int, mkAdv func() sim.Adversary, seed uint64, runs int) (maxSteps, totals []float64, err error) {
@@ -38,23 +59,13 @@ func measureReBatching(n int, eps float64, t0 int, mkAdv func() sim.Adversary, s
 	if err != nil {
 		return nil, nil, err
 	}
-	for r := 0; r < runs; r++ {
-		res, err := sim.Run(sim.Config{
-			N:         n,
-			Algorithm: alg,
-			Adversary: mkAdv(),
-			Seed:      seedAt(seed, r),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := res.UniqueNames(); err != nil {
-			return nil, nil, err
-		}
+	err = runSeeds(seed, runs, func() (sim.Config, error) {
+		return sim.Config{N: n, Algorithm: alg, Adversary: mkAdv()}, nil
+	}, func(res *sim.Result) {
 		maxSteps = append(maxSteps, float64(res.MaxSteps()))
 		totals = append(totals, float64(res.TotalSteps))
-	}
-	return maxSteps, totals, nil
+	})
+	return maxSteps, totals, err
 }
 
 // runT1 measures Theorem 4.1's individual step complexity:
@@ -175,21 +186,19 @@ func runT3(cfg RunConfig) (*Table, error) {
 			for i := range seen {
 				seen[i] = make(map[int]bool)
 			}
-			res, err := sim.Run(sim.Config{
-				N:         n,
-				Algorithm: alg,
-				Adversary: adv.mk(),
-				Seed:      cfg.Seed,
-				Trace: func(ev sim.Event) {
-					if b := batchOf(ev.Loc); b >= 0 {
-						seen[b][ev.PID] = true
-					}
-				},
-			})
+			err := runSeeds(cfg.Seed, 1, func() (sim.Config, error) {
+				return sim.Config{
+					N:         n,
+					Algorithm: alg,
+					Adversary: adv.mk(),
+					Trace: func(ev sim.Event) {
+						if b := batchOf(ev.Loc); b >= 0 {
+							seen[b][ev.PID] = true
+						}
+					},
+				}, nil
+			}, func(*sim.Result) {})
 			if err != nil {
-				return nil, err
-			}
-			if err := res.UniqueNames(); err != nil {
 				return nil, err
 			}
 			for i := 1; i <= kappa; i++ {
@@ -235,11 +244,9 @@ func runT4(cfg RunConfig) (*Table, error) {
 				budget += alg.BatchProbes(i)
 			}
 			runsWithBackup, procsInBackup := 0, 0
-			for r := 0; r < runs; r++ {
-				res, err := sim.Run(sim.Config{N: n, Algorithm: alg, Seed: seedAt(cfg.Seed, r)})
-				if err != nil {
-					return nil, err
-				}
+			err = runSeeds(cfg.Seed, runs, func() (sim.Config, error) {
+				return sim.Config{N: n, Algorithm: alg}, nil
+			}, func(res *sim.Result) {
 				hit := 0
 				for _, s := range res.Steps {
 					if s > budget {
@@ -250,6 +257,9 @@ func runT4(cfg RunConfig) (*Table, error) {
 					runsWithBackup++
 					procsInBackup += hit
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
 			t.AddRow(n, beta, runs, runsWithBackup, procsInBackup)
 		}

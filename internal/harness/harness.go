@@ -4,6 +4,10 @@
 // workload, measures the claimed quantity, and renders a table.
 // EXPERIMENTS.md records paper-vs-measured for each one;
 // cmd/renamebench regenerates them.
+//
+// Every simulated table reaches internal/sim through one seed loop,
+// runSeeds: the r-th execution runs at seedAt(seed, r), and sim.Run
+// refuses any execution that hands two processes the same name.
 package harness
 
 import (

@@ -77,15 +77,8 @@ type Config struct {
 	// Probes is the number of random probes per level before descending.
 	// Defaults to 2; the paper's analysis works for any constant >= 1.
 	Probes int
-	// DisableBackup omits the final linear scan, making GetName return
-	// NoName when every level probe loses (used by tests that measure pure
-	// level behaviour).
-	DisableBackup bool
-	// Base is the first global TAS location of this object; the object
-	// occupies locations [Base, Base+Size()).
-	Base int
 	// EnsureSpace, when set, is called by Resize with the new exclusive
-	// upper bound on global locations (Base + extent) BEFORE the grown
+	// upper bound on TAS locations (the new extent) BEFORE the grown
 	// geometry is published, so the owner of the TAS space can extend it
 	// first and no probe ever addresses a location the space lacks. An
 	// error aborts the resize unpublished.
@@ -108,14 +101,10 @@ func (c Config) validate() error {
 	if c.Probes < 0 {
 		return fmt.Errorf("levelarray: Probes = %d, need >= 0", c.Probes)
 	}
-	if c.Base < 0 {
-		return fmt.Errorf("levelarray: Base = %d, need >= 0", c.Base)
-	}
 	return nil
 }
 
-// segment is one contiguous physical run of a level's slots. Offsets are
-// relative to Base.
+// segment is one contiguous physical run of a level's slots.
 type segment struct {
 	start int
 	size  int
@@ -205,8 +194,8 @@ func buildLevels(n int, gamma float64) ([]lvl, int) {
 	return levels, next
 }
 
-// slot maps chain position x of level lv onto its physical offset
-// (relative to Base). x must be < lv.phys.
+// slot maps chain position x of level lv onto its physical offset. x
+// must be < lv.phys.
 func (lv *lvl) slot(x int) int {
 	for _, s := range lv.segs {
 		if x < s.size {
@@ -220,12 +209,11 @@ func (lv *lvl) slot(x int) int {
 // GetName probes cfg.Probes random slots per level, top level first, and
 // returns the first location won; if every level loses it linearly scans
 // the allowed region of the array (the long-lived analogue of ReBatching's
-// backup phase). The returned name is a global location index in
-// [Base, Base+Size()), or core.NoName. Interruptible environments are
-// polled on level boundaries and every core.InterruptStride locations of
-// the backup scan; an interrupt yields core.Cancelled before the next
-// probe. The geometry is loaded once, so one call's probes all see the
-// same resize epoch.
+// backup phase). The returned name is a TAS location in [0, Size()), or
+// core.NoName. Interruptible environments are polled on level boundaries
+// and every core.InterruptStride locations of the backup scan; an
+// interrupt yields core.Cancelled before the next probe. The geometry is
+// loaded once, so one call's probes all see the same resize epoch.
 func (la *LevelArray) GetName(env core.Env) int {
 	g := la.geo.Load()
 	for i := range g.levels {
@@ -238,13 +226,10 @@ func (la *LevelArray) GetName(env core.Env) int {
 		}
 		for j := 0; j < la.cfg.Probes; j++ {
 			x := lv.slot(env.Intn(lv.size))
-			if env.TAS(la.cfg.Base + x) {
-				return la.cfg.Base + x
+			if env.TAS(x) {
+				return x
 			}
 		}
-	}
-	if la.cfg.DisableBackup {
-		return core.NoName
 	}
 	// Backup: scan every allowed slot, level by level, segment by segment.
 	// Drain-only chain suffixes are skipped — the scan must never grant a
@@ -267,8 +252,8 @@ func (la *LevelArray) GetName(env core.Env) int {
 					return core.Cancelled
 				}
 				steps++
-				if env.TAS(la.cfg.Base + u) {
-					return la.cfg.Base + u
+				if env.TAS(u) {
+					return u
 				}
 			}
 		}
@@ -332,7 +317,7 @@ func (la *LevelArray) Resize(n int) error {
 		levels = append(levels, lvl{segs: segs, phys: want, size: want})
 	}
 	if extent > cur.extent && la.cfg.EnsureSpace != nil {
-		if err := la.cfg.EnsureSpace(la.cfg.Base + extent); err != nil {
+		if err := la.cfg.EnsureSpace(extent); err != nil {
 			return fmt.Errorf("levelarray: Resize(%d): extending space: %w", n, err)
 		}
 	}
@@ -340,23 +325,22 @@ func (la *LevelArray) Resize(n int) error {
 	return nil
 }
 
-// Allowed reports whether global location name may be granted under the
+// Allowed reports whether location name may be granted under the
 // CURRENT geometry — false for drain-only slots after a shrink. The
 // driver calls it after winning a slot: a probe sequence that raced a
 // shrink (won under the old epoch, published after) hands the slot back
 // and retries, so no new grant lands above the shrunk bound.
 func (la *LevelArray) Allowed(name int) bool {
 	g := la.geo.Load()
-	u := name - la.cfg.Base
-	if u < 0 || u >= g.extent {
+	if name < 0 || name >= g.extent {
 		return false
 	}
 	for i := range g.levels {
 		lv := &g.levels[i]
 		pos := 0
 		for _, s := range lv.segs {
-			if u >= s.start && u < s.start+s.size {
-				return pos+(u-s.start) < lv.size
+			if name >= s.start && name < s.start+s.size {
+				return pos+(name-s.start) < lv.size
 			}
 			pos += s.size
 		}
@@ -366,7 +350,7 @@ func (la *LevelArray) Allowed(name int) bool {
 
 // Draining reports whether any drain-only slot (laid out physically but
 // beyond its level's allowed size after a shrink) is still held, as
-// observed through held, which is called with global location indexes.
+// observed through held, which is called with location indexes.
 // A shrink has quiesced once Draining returns false; it stays false for
 // a geometry with no drain-only slots.
 func (la *LevelArray) Draining(held func(loc int) bool) bool {
@@ -376,7 +360,7 @@ func (la *LevelArray) Draining(held func(loc int) bool) bool {
 		pos := 0
 		for _, s := range lv.segs {
 			for off := 0; off < s.size; off++ {
-				if pos+off >= lv.size && held(la.cfg.Base+s.start+off) {
+				if pos+off >= lv.size && held(s.start+off) {
 					return true
 				}
 			}
@@ -390,10 +374,10 @@ func (la *LevelArray) Draining(held func(loc int) bool) bool {
 // construction, incremented by every successful capacity change.
 func (la *LevelArray) Epoch() uint64 { return la.geo.Load().epoch }
 
-// Namespace returns the exclusive upper bound on names, Base + Size().
+// Namespace returns the exclusive upper bound on names, Size().
 // It never decreases: a shrink keeps the drained tail addressable so
 // outstanding holders can still release.
-func (la *LevelArray) Namespace() int { return la.cfg.Base + la.geo.Load().extent }
+func (la *LevelArray) Namespace() int { return la.geo.Load().extent }
 
 // MaxConcurrency implements core.LongLived: the current capacity N.
 func (la *LevelArray) MaxConcurrency() int { return la.geo.Load().n }
@@ -401,9 +385,6 @@ func (la *LevelArray) MaxConcurrency() int { return la.geo.Load().n }
 // Size returns the total number of physical slots laid out so far,
 // Σ ceil((1+γ)N/2^i) < 2(1+γ)N for the largest N yet configured.
 func (la *LevelArray) Size() int { return la.geo.Load().extent }
-
-// Base returns the object's first global location.
-func (la *LevelArray) Base() int { return la.cfg.Base }
 
 // Levels returns the number of probe-able levels, floor(log2 N)+1 (deep
 // levels drained empty by a shrink are not counted).
@@ -418,17 +399,17 @@ func (la *LevelArray) Levels() int {
 	return count
 }
 
-// LevelBounds returns the global location range [lo, hi) of level i's
-// first physical segment, for tests and instrumentation. Before any
-// resize every level is a single segment, so this is the whole level.
+// LevelBounds returns the location range [lo, hi) of level i's first
+// physical segment, for tests and instrumentation. Before any resize
+// every level is a single segment, so this is the whole level.
 func (la *LevelArray) LevelBounds(i int) (lo, hi int) {
 	s := la.geo.Load().levels[i].segs[0]
-	return la.cfg.Base + s.start, la.cfg.Base + s.start + s.size
+	return s.start, s.start + s.size
 }
 
 // MaxProbeSteps returns the worst-case TAS steps of one GetName call
-// under the current geometry: all level probes plus (unless disabled)
-// the full backup scan of the allowed region.
+// under the current geometry: all level probes plus the full backup scan
+// of the allowed region.
 func (la *LevelArray) MaxProbeSteps() int {
 	g := la.geo.Load()
 	total := 0
@@ -436,9 +417,7 @@ func (la *LevelArray) MaxProbeSteps() int {
 		if g.levels[i].size > 0 {
 			total += la.cfg.Probes
 		}
-		if !la.cfg.DisableBackup {
-			total += g.levels[i].size
-		}
+		total += g.levels[i].size
 	}
 	return total
 }

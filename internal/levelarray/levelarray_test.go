@@ -27,7 +27,6 @@ func TestConfigValidation(t *testing.T) {
 		{N: 8, Gamma: math.Inf(1)},
 		{N: 8, Gamma: 1e16}, // (1+γ)N would overflow the slot count
 		{N: 8, Probes: -1},
-		{N: 8, Base: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -77,19 +76,7 @@ func TestLayout(t *testing.T) {
 		t.Errorf("Size() = %d, want >= 2N = %d", la.Size(), 2*n)
 	}
 	if la.Namespace() != la.Size() {
-		t.Errorf("Namespace() = %d, want %d at Base 0", la.Namespace(), la.Size())
-	}
-}
-
-func TestBaseOffsetsNames(t *testing.T) {
-	la := Must(Config{N: 4, Base: 100})
-	e := &env{space: tas.NewSparse(), rng: xrand.New(1)}
-	u := la.GetName(e)
-	if u < 100 || u >= la.Namespace() {
-		t.Fatalf("name %d outside [100, %d)", u, la.Namespace())
-	}
-	if la.Namespace() != 100+la.Size() {
-		t.Fatalf("Namespace() = %d, want Base+Size = %d", la.Namespace(), 100+la.Size())
+		t.Errorf("Namespace() = %d, want Size() = %d", la.Namespace(), la.Size())
 	}
 }
 
@@ -111,11 +98,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestOneShotUnique(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 256} {
 		la := Must(Config{N: n})
-		res, err := sim.Run(sim.Config{N: n, Algorithm: la, Seed: uint64(n)})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := res.UniqueNames(); err != nil {
+		if _, err := sim.Run(sim.Config{N: n, Algorithm: la, Seed: uint64(n)}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -131,27 +114,12 @@ func TestExpectedProbesConstant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.UniqueNames(); err != nil {
-			t.Fatal(err)
-		}
 		avg := float64(res.TotalSteps) / float64(n)
 		// Expected probes ≈ Σ t·(loss rate)^i; with γ=1, t=2 this is well
 		// under 4. Allow generous slack for adversarial-free randomness.
 		if avg > 6 {
 			t.Errorf("n=%d: average steps %.2f, want O(1) <= 6", n, avg)
 		}
-	}
-}
-
-func TestDisableBackupReturnsNoName(t *testing.T) {
-	la := Must(Config{N: 2, DisableBackup: true})
-	s := tas.NewDense(la.Namespace())
-	for i := 0; i < la.Namespace(); i++ {
-		s.TAS(i)
-	}
-	e := &env{space: s, rng: xrand.New(3)}
-	if u := la.GetName(e); u != core.NoName {
-		t.Fatalf("GetName on a full array = %d, want NoName", u)
 	}
 }
 

@@ -150,12 +150,12 @@ func TestResizeValidationAndNoop(t *testing.T) {
 }
 
 func TestAllowedOutsideExtent(t *testing.T) {
-	la := Must(Config{N: 8, Base: 50})
-	if la.Allowed(49) || la.Allowed(la.Namespace()) {
+	la := Must(Config{N: 8})
+	if la.Allowed(-1) || la.Allowed(la.Namespace()) {
 		t.Fatal("Allowed accepted out-of-range names")
 	}
-	if !la.Allowed(50) {
-		t.Fatal("Allowed rejected the base slot")
+	if !la.Allowed(0) {
+		t.Fatal("Allowed rejected slot 0")
 	}
 }
 

@@ -233,9 +233,6 @@ func RoundsToCompletion(n int, alg core.Algorithm, seed uint64) (*RoundsResult, 
 	if err != nil {
 		return nil, err
 	}
-	if err := res.UniqueNames(); err != nil {
-		return nil, err
-	}
 	return &RoundsResult{
 		Layers:   adv.Layer(),
 		Active:   active,

@@ -19,9 +19,6 @@ func TestWinBasedAllProcessesWin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.UniqueNames(); err != nil {
-		t.Fatal(err)
-	}
 	for p, u := range res.Names {
 		if u == core.NoName {
 			t.Fatalf("process %d failed", p)

@@ -163,7 +163,10 @@ func (e *simEnv) Intn(n int) int { return e.rng.Intn(n) }
 var errInvalidAction = errors.New("sim: adversary scheduled a process that is not ready")
 
 // Run executes cfg to completion (all processes named, crashed, or failed)
-// and returns the execution summary.
+// and returns the execution summary. It checks the renaming safety
+// property itself: if two processes finished holding the same name, the
+// error is Result.UniqueNames's, naming both pids, and the Result is
+// still returned so the caller can inspect the violating execution.
 func Run(cfg Config) (*Result, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("sim: N = %d, need >= 1", cfg.N)
@@ -264,7 +267,7 @@ func Run(cfg Config) (*Result, error) {
 
 	for {
 		if len(view.ready) == 0 {
-			return res, nil
+			return res, res.UniqueNames()
 		}
 		act := cfg.Adversary.Next(view)
 		if act.Step == -1 && len(act.Crash) == 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,9 +19,6 @@ func TestRunAllProcessesNamed(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 256} {
 		res, err := Run(Config{N: n, Algorithm: rebatching(t, n), Seed: 42})
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := res.UniqueNames(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for p, u := range res.Names {
@@ -127,11 +125,7 @@ func TestRunTraceMatchesCounters(t *testing.T) {
 
 func TestRunWithDenseSpace(t *testing.T) {
 	alg := rebatching(t, 50)
-	res, err := Run(Config{N: 50, Algorithm: alg, Seed: 5, Space: tas.NewDense(alg.Namespace())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.UniqueNames(); err != nil {
+	if _, err := Run(Config{N: 50, Algorithm: alg, Seed: 5, Space: tas.NewDense(alg.Namespace())}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,9 +137,6 @@ func TestRunAdaptiveUnbounded(t *testing.T) {
 		Seed:      11,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.UniqueNames(); err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxName() > 8*120+64 {
@@ -160,9 +151,6 @@ func TestRunFastAdaptiveUnbounded(t *testing.T) {
 		Seed:      13,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.UniqueNames(); err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxName() > 16*120+64 {
@@ -252,9 +240,6 @@ func TestRunCrashInjection(t *testing.T) {
 			t.Fatalf("surviving process %d unnamed", p)
 		}
 	}
-	if err := res.UniqueNames(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRunNoGoroutineLeaks(t *testing.T) {
@@ -334,4 +319,21 @@ func TestResultHelpers(t *testing.T) {
 	if err := r.UniqueNames(); err == nil {
 		t.Error("duplicate names not detected")
 	}
+	// Run refuses an execution in which two finished processes share a
+	// name, and still returns it.
+	res, err := Run(Config{N: 2, Algorithm: sameName{}, Seed: 1})
+	if res == nil || err == nil || !strings.Contains(err.Error(), "processes 0 and 1 both hold name 0") {
+		t.Errorf("Run over a duplicate-name execution = (%v, %v), want the Result and an error naming pids 0 and 1", res, err)
+	}
 }
+
+// sameName hands every process name 0 after one step: a broken renaming
+// algorithm.
+type sameName struct{}
+
+func (sameName) GetName(env core.Env) int {
+	env.TAS(0)
+	return 0
+}
+
+func (sameName) Namespace() int { return 1 }

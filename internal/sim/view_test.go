@@ -50,17 +50,13 @@ func TestViewAccessors(t *testing.T) {
 	const n = 64
 	alg := core.MustReBatching(core.ReBatchingConfig{N: n, Epsilon: 0.25, T0Override: 1})
 	adv := &inspectingAdversary{t: t, n: n}
-	res, err := Run(Config{
+	if _, err := Run(Config{
 		N:         n,
 		Algorithm: alg,
 		Adversary: adv,
 		Seed:      13,
 		Space:     tas.NewDense(alg.Namespace()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.UniqueNames(); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !adv.sawSteps {
@@ -126,9 +122,6 @@ func TestAlgorithmForMixesAlgorithms(t *testing.T) {
 		Seed: 3,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.UniqueNames(); err != nil {
 		t.Fatal(err)
 	}
 	for p, u := range res.Names {
