@@ -161,26 +161,25 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// ridRecorder captures the request IDs a leaseclient session sends and
-// verifies the server echoes each one back on the response.
+// ridRecorder wraps the server's handler: it captures the request ID
+// each request arrived with and counts the responses that echo it back.
 type ridRecorder struct {
-	next http.RoundTripper
+	next http.Handler
 
 	mu     sync.Mutex
 	sent   []string
 	echoed int
 }
 
-func (rt *ridRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+func (rr *ridRecorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	rid := req.Header.Get(wire.HeaderRequestID)
-	resp, err := rt.next.RoundTrip(req)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.sent = append(rt.sent, rid)
-	if err == nil && resp.Header.Get(wire.HeaderRequestID) == rid && rid != "" {
-		rt.echoed++
+	rr.next.ServeHTTP(w, req)
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	rr.sent = append(rr.sent, rid)
+	if rid != "" && w.Header().Get(wire.HeaderRequestID) == rid {
+		rr.echoed++
 	}
-	return resp, err
 }
 
 // TestRequestIDRoundTrip is the tracing contract end to end: the
@@ -202,18 +201,17 @@ func TestRequestIDRoundTrip(t *testing.T) {
 	var logBuf syncBuffer
 	handler.slowThreshold = time.Nanosecond
 	handler.slowLog = slog.New(slog.NewTextHandler(&logBuf, nil))
-	srv := httptest.NewServer(handler)
+	rec := &ridRecorder{next: handler}
+	srv := httptest.NewServer(rec)
 	defer func() {
 		srv.Close()
 		mgr.Shutdown()
 	}()
 
-	rec := &ridRecorder{next: http.DefaultTransport}
 	sess, err := leaseclient.NewSession(leaseclient.Config{
-		Target:     srv.URL,
-		Owner:      "tracer",
-		TTL:        time.Minute,
-		HTTPClient: &http.Client{Transport: rec, Timeout: 5 * time.Second},
+		Target: srv.URL,
+		Owner:  "tracer",
+		TTL:    time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

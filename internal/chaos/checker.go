@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -180,9 +181,9 @@ func (c *Checker) Fault(from, to time.Time, kind string) {
 	c.faults = append(c.faults, faultWindow{from: from, to: to, kind: kind})
 }
 
-// clock is the checker's one clock. Belief intervals and violation stamps
-// are judged on real time: sessions may run skewed clocks, the checker
-// never does.
+// clock is the checker's one clock, which also frames the run and stamps
+// its fault windows: real time, since sessions may run skewed clocks and
+// the checker never does. Schedules draw from rng(seed, label) instead.
 //
 //lint:wallclock the checker judges on real time, never a session's skewed clock
 func clock() time.Time { return time.Now() }
@@ -321,14 +322,7 @@ func (cl *Client) LostFunc() func(name int, err error) {
 				// Invariant 4: a loss with no fault anywhere in the
 				// preceding TTL (plus slack) is silent and therefore a bug.
 				from := cm.end.Add(-c.ttl - c.eps)
-				excused := false
-				for _, w := range c.faults {
-					if w.from.Before(cm.end) && w.to.After(from) {
-						excused = true
-						break
-					}
-				}
-				if !excused {
+				if !slices.ContainsFunc(c.faults, func(w faultWindow) bool { return w.from.Before(cm.end) && w.to.After(from) }) {
 					c.violate("no-silent-loss",
 						"client %d lost name %d token %d (%v) with no fault active in the preceding %v",
 						cl.id, name, k.token, err, c.ttl)

@@ -24,16 +24,12 @@ type ServerConfig struct {
 	// one, which is the whole point.
 	DataDir string
 	// HTTPAddr and BinAddr are the fixed -addr / -listen-bin listen
-	// addresses. BinAddr empty disables the binary listener.
+	// addresses.
 	HTTPAddr, BinAddr string
 	// TTL is the server's default lease TTL.
 	TTL time.Duration
 	// Capacity bounds live leases; 0 uses the server default.
 	Capacity int
-	// Fsync is the journal policy. Crash scenarios use "always": a reply
-	// the client saw is then durable by construction, so the checker may
-	// treat every acknowledged token as surviving the kill.
-	Fsync string
 	// Stdout, when set, receives a copy of the process output (both
 	// streams), prefixed per line — the flight recorder for failed runs.
 	Stdout io.Writer
@@ -55,9 +51,6 @@ type Server struct {
 // StartServer launches the process and blocks until it is serving (all
 // configured listeners announced) or it exits early.
 func StartServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Fsync == "" {
-		cfg.Fsync = "always"
-	}
 	s := &Server{cfg: cfg}
 	if err := s.Start(); err != nil {
 		return nil, err
@@ -77,15 +70,16 @@ func (s *Server) Start() error {
 	if s.cmd != nil {
 		return fmt.Errorf("chaos: server already running")
 	}
+	// The journal syncs every record: a reply the client saw is then
+	// durable by construction, so the checker may treat every
+	// acknowledged token as surviving a kill.
 	args := []string{
 		"-addr", s.cfg.HTTPAddr,
+		"-listen-bin", s.cfg.BinAddr,
 		"-data-dir", s.cfg.DataDir,
-		"-fsync", s.cfg.Fsync,
+		"-fsync", "always",
 		"-ttl", s.cfg.TTL.String(),
 		"-drain", "2s",
-	}
-	if s.cfg.BinAddr != "" {
-		args = append(args, "-listen-bin", s.cfg.BinAddr)
 	}
 	if s.cfg.Capacity > 0 {
 		args = append(args, "-capacity", fmt.Sprint(s.cfg.Capacity))
@@ -100,13 +94,9 @@ func (s *Server) Start() error {
 		return fmt.Errorf("chaos: start %s: %w", s.cfg.Binary, err)
 	}
 
-	// Scan output until every listener banner has appeared, then keep
+	// Scan output until both listener banners have appeared, then keep
 	// draining (into cfg.Stdout when set) so the child never blocks on a
 	// full pipe.
-	want := 1
-	if s.cfg.BinAddr != "" {
-		want = 2
-	}
 	ready := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -119,7 +109,7 @@ func (s *Server) Start() error {
 				fmt.Fprintf(s.cfg.Stdout, "[renamed] %s\n", line)
 			}
 			if !signaled && strings.Contains(line, "renamed: serving") && strings.Contains(line, " on ") {
-				if seen++; seen == want {
+				if seen++; seen == 2 {
 					signaled = true
 					ready <- nil
 				}
@@ -151,17 +141,16 @@ func (s *Server) Start() error {
 
 // Kill SIGKILLs the process — no drain, no snapshot, the crash the
 // journal exists for — and reaps it.
-func (s *Server) Kill() error {
+func (s *Server) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cmd == nil {
-		return nil
+		return
 	}
 	s.kills.Add(1)
 	s.cmd.Process.Kill()
 	<-s.waitErr
 	s.cmd, s.waitErr = nil, nil
-	return nil
 }
 
 // Stop is the graceful shutdown: SIGTERM, wait for the drain and the
@@ -214,11 +203,9 @@ type CrashSchedule struct {
 
 // CrashLoop kills and restarts the server on a seeded schedule until
 // ctx is done, then guarantees the server is RUNNING before returning —
-// teardown always meets a live process. onDown/onUp (optional) observe
-// each transition with its wall-clock instant; the checker registers
-// these as fault windows.
-//
-//lint:wallclock fault windows are stamped with the checker's real clock; crash timing itself comes from the seeded rng
+// teardown always meets a live process. onDown/onUp observe each
+// transition at its instant on the checker's clock; the checker
+// registers these as fault windows.
 func (s *Server) CrashLoop(ctx context.Context, seed uint64, cs CrashSchedule, onDown, onUp func(t time.Time)) error {
 	r := rng(seed, "crash")
 	for {
@@ -228,12 +215,8 @@ func (s *Server) CrashLoop(ctx context.Context, seed uint64, cs CrashSchedule, o
 			return s.ensureUp()
 		case <-time.After(up):
 		}
-		if err := s.Kill(); err != nil {
-			return err
-		}
-		if onDown != nil {
-			onDown(time.Now())
-		}
+		s.Kill()
+		onDown(clock())
 		down := durBetween(r, cs.MinDown, cs.MaxDown)
 		// The down sleep is NOT cancellable: a kill already happened, so
 		// the restart must too.
@@ -241,9 +224,7 @@ func (s *Server) CrashLoop(ctx context.Context, seed uint64, cs CrashSchedule, o
 		if err := s.restartWithRetry(); err != nil {
 			return err
 		}
-		if onUp != nil {
-			onUp(time.Now())
-		}
+		onUp(clock())
 	}
 }
 

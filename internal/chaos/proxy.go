@@ -223,18 +223,14 @@ func (p *Proxy) relay(client net.Conn, idx int) {
 	p.mu.Unlock()
 
 	group := idx % p.faults.Groups
-	var wg sync.WaitGroup
-	wg.Add(2)
 	sever := func() { client.Close(); upstream.Close() }
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		p.pump(client, upstream, p.pipePlan(idx, 0), group, sever)
 	}()
-	go func() {
-		defer wg.Done()
-		p.pump(upstream, client, p.pipePlan(idx, 1), group, sever)
-	}()
-	wg.Wait()
+	p.pump(upstream, client, p.pipePlan(idx, 1), group, sever)
+	<-done
 	p.forget(client, upstream)
 }
 
@@ -324,12 +320,10 @@ func (pl *pipePlan) next(sinceStart time.Duration, group int, active bool) decis
 //
 //lint:wallclock pacing (partition windows, delivery delays) is real-time behavior; every decision that shapes the schedule comes from the seeded plan
 func (p *Proxy) pump(src, dst net.Conn, plan *pipePlan, group int, sever func()) {
-	defer func() {
-		// Half-close propagation: a finished direction closes both ends;
-		// the lease protocols never half-close, so symmetric teardown is
-		// simpler and right.
-		sever()
-	}()
+	// Half-close propagation: a finished direction closes both ends; the
+	// lease protocols never half-close, so symmetric teardown is simpler
+	// and right.
+	defer sever()
 	buf := make([]byte, 32<<10)
 	var held []byte
 	for {

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,327 +237,288 @@ func Scenarios() map[string]Scenario {
 
 // ScenarioNames lists the registry in stable order.
 func ScenarioNames() []string {
-	m := Scenarios()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(Scenarios()))
 }
 
-// freePort reserves an ephemeral port and releases it for the server to
-// bind: the address stays stable across crash restarts.
-func freePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+// freePorts reserves two distinct ephemeral ports and releases them for
+// the server to bind: the addresses stay stable across crash restarts.
+func freePorts() (httpAddr, binAddr string, err error) {
+	var addrs [2]string
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", "", err
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
+	return addrs[0], addrs[1], nil
+}
+
+// plan is a run's schedule, a pure function of the scenario and options.
+type plan struct {
+	sc Scenario
+	// opts has Duration raised to the 4x TTL floor and Transport
+	// defaulted: the proxy fronts that listener, sessions dial that scheme.
+	opts        Options
+	faultPhase  time.Duration // the rest of the run is the heal phase
+	faults      Faults        // the scenario's wire faults plus this seed's partitions
+	excused     []excuse      // crash windows register as they happen
+	callTimeout time.Duration
+}
+
+// excuse is a fault window the checker excuses, [from, to) after start.
+type excuse struct {
+	from, to time.Duration
+	kind     string
+}
+
+func (p *plan) logf(format string, args ...any) {
+	if p.opts.Log != nil {
+		fmt.Fprintf(p.opts.Log, "chaos: "+format+"\n", args...)
+	}
+}
+
+// run is one scenario from boot to verdict.
+type run struct {
+	*plan
+	httpAddr, dataDir string
+	srv               *Server
+	proxy             *Proxy
+	active            atomic.Bool // the fault gate the proxy and call wrappers share
+	start             time.Time
+	checker           *Checker
+	clients           []*clientRun
+	resizes           atomic.Int64
+}
+
+type clientRun struct {
+	sess  *leaseclient.Session
+	hooks *Client
+	ft    *FaultTransport
 }
 
 // Run executes one scenario end to end: real server process, fault
 // proxy, real sessions, invariant checker, post-run journal audit.
-//
-//lint:wallclock the run clock frames real subprocess and socket activity; everything schedule-shaping draws from rng(seed, label)
+// Nothing starts until the schedule is valid.
 func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "chaos: "+format+"\n", args...)
-		}
+	p, err := schedule(sc, opts)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Transport == "" {
+	if p.opts.Duration != opts.Duration {
+		p.logf("duration raised to %v (4x TTL %v)", p.opts.Duration, sc.TTL)
+	}
+	r := &run{plan: p}
+	defer r.teardown()
+	if err := r.boot(); err != nil {
+		return nil, err
+	}
+	if err := r.drive(ctx); err != nil {
+		return nil, err
+	}
+	return r.judge()
+}
+
+// schedule checks the options and fixes the heal boundary, the
+// partition windows, the windows the checker excuses and the call bound.
+func schedule(sc Scenario, opts Options) (*plan, error) {
+	switch opts.Transport {
+	case "":
 		opts.Transport = "bin"
-	}
-	if opts.Transport != "bin" && opts.Transport != "http" {
+	case "bin", "http":
+	default:
 		return nil, fmt.Errorf("chaos: transport %q (want bin or http)", opts.Transport)
 	}
-	if opts.Duration < 4*sc.TTL {
+	p := &plan{sc: sc, opts: opts, faults: sc.Proxy, callTimeout: sc.TTL / 4}
+	switch opts.Inject {
+	case "":
+	case "no-call-timeout":
+		p.callTimeout = -1 // the pre-fix unbounded client
+	default:
+		return nil, fmt.Errorf("chaos: unknown injection %q", opts.Inject)
+	}
+	if rp := sc.Resize; rp != nil && (rp.Base <= 0 || len(rp.Steps) == 0 || rp.Every <= 0) {
+		return nil, fmt.Errorf("chaos: degenerate resize plan %+v", *rp)
+	}
+	if p.opts.Duration < 4*sc.TTL {
 		// The heal phase alone needs ~2 TTLs for sessions to recover and
 		// prove invariant 5 fairly.
-		opts.Duration = 4 * sc.TTL
-		logf("duration raised to %v (4x TTL %v)", opts.Duration, sc.TTL)
+		p.opts.Duration = 4 * sc.TTL
 	}
 
-	httpAddr, err := freePort()
-	if err != nil {
-		return nil, err
+	// The run's last quarter (at least 2 TTLs) is the heal phase: every
+	// fault goes quiet so sessions must demonstrably recover.
+	p.faultPhase = p.opts.Duration * 3 / 4
+	if p.opts.Duration-p.faultPhase < 2*sc.TTL {
+		p.faultPhase = p.opts.Duration - 2*sc.TTL
 	}
-	binAddr, err := freePort()
-	if err != nil {
-		return nil, err
+	// Probabilistic faults cover the whole fault phase.
+	if sc.Proxy.Drop > 0 || sc.Proxy.Delay > 0 || sc.Proxy.Reorder > 0 ||
+		sc.Proxy.Reset > 0 || sc.Proxy.Corrupt > 0 ||
+		sc.Transport.DupRenew > 0 || sc.Transport.DupRelease > 0 || sc.Transport.Defer > 0 {
+		p.excused = append(p.excused, excuse{0, p.faultPhase + sc.TTL, "probabilistic"})
 	}
-	dataDir := filepath.Join(opts.WorkDir, "data")
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return nil, err
-	}
-
-	srvCfg := ServerConfig{
-		Binary:   opts.Binary,
-		DataDir:  dataDir,
-		HTTPAddr: httpAddr,
-		BinAddr:  binAddr,
-		TTL:      sc.TTL,
-		Fsync:    "always",
-		Stdout:   opts.Log,
-	}
-	if sc.Resize != nil {
-		if sc.Resize.Base <= 0 || len(sc.Resize.Steps) == 0 || sc.Resize.Every <= 0 {
-			return nil, fmt.Errorf("chaos: degenerate resize plan %+v", *sc.Resize)
-		}
-		srvCfg.Capacity = sc.Resize.Base
-	}
-	srv, err := StartServer(srvCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Stop(10 * time.Second) // backstop; the happy path stops explicitly below
-
-	upstream := binAddr
-	if opts.Transport == "http" {
-		upstream = httpAddr
-	}
-
-	// Generate the partition windows inside the fault phase. The run's
-	// last quarter (at least 2 TTLs) is the heal phase: every fault goes
-	// quiet so sessions must demonstrably recover.
-	start := time.Now()
-	faultPhase := opts.Duration * 3 / 4
-	if opts.Duration-faultPhase < 2*sc.TTL {
-		faultPhase = opts.Duration - 2*sc.TTL
-	}
-	proxyFaults := sc.Proxy
 	if sc.PartitionEvery > 0 {
-		if proxyFaults.Groups < 2 {
-			proxyFaults.Groups = 2
+		if p.faults.Groups < 2 {
+			p.faults.Groups = 2
 		}
 		r := rng(opts.Seed, "partitions")
 		group := 0
-		for at := sc.PartitionEvery; at+sc.PartitionFor < faultPhase; at += sc.PartitionEvery + durBetween(r, 0, sc.PartitionEvery/2) {
-			proxyFaults.Partitions = append(proxyFaults.Partitions, Window{At: at, For: sc.PartitionFor, Group: group})
-			group = (group + 1) % proxyFaults.Groups
+		for at := sc.PartitionEvery; at+sc.PartitionFor < p.faultPhase; at += sc.PartitionEvery + durBetween(r, 0, sc.PartitionEvery/2) {
+			p.faults.Partitions = append(p.faults.Partitions, Window{At: at, For: sc.PartitionFor, Group: group})
+			// A partition can starve heartbeats into the next TTL; pad the
+			// window by one TTL so recovery-phase losses stay excused.
+			p.excused = append(p.excused, excuse{at, at + sc.PartitionFor + sc.TTL, "partition"})
+			group = (group + 1) % p.faults.Groups
 		}
 	}
-
-	// The shared fault gate, proxy and call wrappers alike: flipped off
-	// at heal time.
-	var active atomic.Bool
-	active.Store(true)
-	proxy, err := NewProxy(upstream, opts.Seed, proxyFaults, &active)
-	if err != nil {
-		srv.Stop(5 * time.Second)
-		return nil, err
+	if slices.ContainsFunc(sc.Skews, func(d time.Duration) bool { return d != 0 }) {
+		// A skewed clock shifts schedules for the whole run.
+		p.excused = append(p.excused, excuse{0, p.opts.Duration, "skew"})
 	}
-	defer proxy.Close()
-	logf("server on %s (http) / %s (bin), proxy on %s -> %s, %d partition windows",
-		httpAddr, binAddr, proxy.Addr(), upstream, len(proxyFaults.Partitions))
+	return p, nil
+}
 
-	checker := NewChecker(sc.TTL)
-	if sc.Resize != nil {
+// boot reserves the server's ports, makes the data dir, and starts the
+// server and the proxy in front of the listener under test.
+func (r *run) boot() error {
+	httpAddr, binAddr, err := freePorts()
+	if err != nil {
+		return err
+	}
+	r.httpAddr = httpAddr
+	r.dataDir = filepath.Join(r.opts.WorkDir, "data")
+	if err := os.MkdirAll(r.dataDir, 0o755); err != nil {
+		return err
+	}
+	srvCfg := ServerConfig{
+		Binary:   r.opts.Binary,
+		DataDir:  r.dataDir,
+		HTTPAddr: r.httpAddr,
+		BinAddr:  binAddr,
+		TTL:      r.sc.TTL,
+		Stdout:   r.opts.Log,
+	}
+	if r.sc.Resize != nil {
+		srvCfg.Capacity = r.sc.Resize.Base
+	}
+	if r.srv, err = StartServer(srvCfg); err != nil {
+		return err
+	}
+	r.start = clock()
+	upstream := binAddr
+	if r.opts.Transport == "http" {
+		upstream = r.httpAddr
+	}
+	r.active.Store(true)
+	if r.proxy, err = NewProxy(upstream, r.opts.Seed, r.faults, &r.active); err != nil {
+		return err
+	}
+	r.logf("server on %s (http) / %s (bin), proxy on %s -> %s, %d partition windows",
+		r.httpAddr, binAddr, r.proxy.Addr(), upstream, len(r.faults.Partitions))
+	return nil
+}
+
+// teardown is the run's one unwind: it stops whatever boot started.
+func (r *run) teardown() {
+	if r.proxy != nil {
+		r.proxy.Close()
+	}
+	if r.srv != nil {
+		r.srv.Stop(10 * time.Second)
+	}
+}
+
+// drive opens and seeds the sessions, runs the crash, churn, resize and
+// sampler drivers through the fault phase, and heals until time is up.
+func (r *run) drive(ctx context.Context) error {
+	r.checker = NewChecker(r.sc.TTL)
+	if r.sc.Resize != nil {
 		// Seed the capacity timeline before any grant can be judged
 		// against it.
-		checker.CapacityChanged(start, sc.Resize.Base)
+		r.checker.CapacityChanged(r.start, r.sc.Resize.Base)
 	}
-	// Probabilistic faults cover the whole fault phase; windows and
-	// crashes register themselves as they happen.
-	probabilistic := sc.Proxy.Drop > 0 || sc.Proxy.Delay > 0 || sc.Proxy.Reorder > 0 ||
-		sc.Proxy.Reset > 0 || sc.Proxy.Corrupt > 0 ||
-		sc.Transport.DupRenew > 0 || sc.Transport.DupRelease > 0 || sc.Transport.Defer > 0
-	if probabilistic {
-		checker.Fault(start, start.Add(faultPhase).Add(sc.TTL), "probabilistic")
-	}
-	for _, w := range proxyFaults.Partitions {
-		// A partition can starve heartbeats into the next TTL; pad the
-		// window by one TTL so recovery-phase losses stay excused.
-		checker.Fault(start.Add(w.At), start.Add(w.At+w.For+sc.TTL), "partition")
-	}
-	for i := range sc.Skews {
-		if sc.Skews[i] != 0 {
-			// A skewed clock shifts schedules for the whole run.
-			checker.Fault(start, start.Add(opts.Duration), "skew")
-			break
-		}
+	for _, e := range r.excused {
+		r.checker.Fault(r.start.Add(e.from), r.start.Add(e.to), e.kind)
 	}
 
-	// Sessions, each with its own seeded jitter stream and (possibly
-	// skewed) clock, all dialing through the proxy.
-	target := "bin://" + proxy.Addr()
-	if opts.Transport == "http" {
-		target = "http://" + proxy.Addr()
-	}
-	callTimeout := sc.TTL / 4
-	if opts.Inject == "no-call-timeout" {
-		callTimeout = -1 // the pre-fix unbounded client
-	} else if opts.Inject != "" {
-		proxy.Close()
-		srv.Stop(5 * time.Second)
-		return nil, fmt.Errorf("chaos: unknown injection %q", opts.Inject)
-	}
-
-	type clientRun struct {
-		sess  *leaseclient.Session
-		hooks *Client
-		ft    *FaultTransport
-	}
-	clients := make([]*clientRun, sc.Clients)
-	for i := range clients {
-		hooks := checker.Client(i)
+	// Sessions dial through the proxy, each with its own seeded jitter
+	// and (possibly skewed) clock.
+	target := r.opts.Transport + "://" + r.proxy.Addr()
+	r.clients = make([]*clientRun, r.sc.Clients)
+	for i := range r.clients {
+		hooks := r.checker.Client(i)
 		var skew time.Duration
-		if len(sc.Skews) > 0 {
-			skew = sc.Skews[i%len(sc.Skews)]
+		if len(r.sc.Skews) > 0 {
+			skew = r.sc.Skews[i%len(r.sc.Skews)]
 		}
-		inner, err := leaseclient.NewTransportTimeout(target, callTimeout)
+		inner, err := leaseclient.NewTransportTimeout(target, r.callTimeout)
 		if err != nil {
-			proxy.Close()
-			srv.Stop(5 * time.Second)
-			return nil, err
+			return err
 		}
-		ft := WrapTransport(inner, opts.Seed, fmt.Sprintf("client/%d", i), sc.Transport, &active)
-		jitter := rng(opts.Seed, fmt.Sprintf("session/%d", i))
+		ft := WrapTransport(inner, r.opts.Seed, fmt.Sprintf("client/%d", i), r.sc.Transport, &r.active)
 		sess, err := leaseclient.NewSession(leaseclient.Config{
 			Transport:   ft,
 			Owner:       fmt.Sprintf("chaos-%d", i),
-			TTL:         sc.TTL,
-			CallTimeout: callTimeout,
+			TTL:         r.sc.TTL,
+			CallTimeout: r.callTimeout,
 			Now:         SkewedClock(skew),
-			Rand:        jitter.Float64,
+			Rand:        rng(r.opts.Seed, fmt.Sprintf("session/%d", i)).Float64,
 			OnLost:      hooks.LostFunc(),
 		})
 		if err != nil {
-			proxy.Close()
-			srv.Stop(5 * time.Second)
-			return nil, err
+			return err
 		}
-		clients[i] = &clientRun{sess: sess, hooks: hooks, ft: ft}
+		r.clients[i] = &clientRun{sess: sess, hooks: hooks, ft: ft}
 	}
 
 	// Seed the lease population. The server may be mid-crash already in
 	// pathological schedules, so acquire with patience.
-	for i, cr := range clients {
-		var acquired []leaseclient.Lease
-		for attempt := 0; len(acquired) == 0 && attempt < 10; attempt++ {
-			ls, err := cr.sess.AcquireN(ctx, sc.LeasesEach)
-			if err == nil {
-				acquired = ls
-				break
-			}
+	for i, cr := range r.clients {
+		ls, err := cr.sess.AcquireN(ctx, r.sc.LeasesEach)
+		for attempt := 1; err != nil && attempt < 10; attempt++ {
 			time.Sleep(200 * time.Millisecond)
+			ls, err = cr.sess.AcquireN(ctx, r.sc.LeasesEach)
 		}
-		if len(acquired) == 0 {
-			logf("client %d failed to seed its leases", i)
+		if err != nil {
+			r.logf("client %d failed to seed its leases", i)
 			continue
 		}
-		cr.hooks.Acquired(acquired...)
+		cr.hooks.Acquired(ls...)
 	}
 
-	runCtx, cancelRun := context.WithDeadline(ctx, start.Add(opts.Duration))
+	runCtx, cancelRun := context.WithDeadline(ctx, r.start.Add(r.opts.Duration))
 	defer cancelRun()
-	faultCtx, cancelFaults := context.WithDeadline(ctx, start.Add(faultPhase))
+	faultCtx, cancelFaults := context.WithDeadline(ctx, r.start.Add(r.faultPhase))
 	defer cancelFaults()
 
 	var wg sync.WaitGroup
-
-	// Crash scheduler.
-	var crashErr error
-	if sc.Crash != nil {
+	spawn := func(f func()) {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crashErr = srv.CrashLoop(faultCtx, opts.Seed, *sc.Crash,
+		go func() { defer wg.Done(); f() }()
+	}
+	var crashErr error
+	if r.sc.Crash != nil {
+		spawn(func() {
+			crashErr = r.srv.CrashLoop(faultCtx, r.opts.Seed, *r.sc.Crash,
 				func(t time.Time) {
 					// Downtime plus a TTL of recovery grace is an excused
 					// window; the next onUp only narrows it.
-					checker.Fault(t, t.Add(sc.TTL*2), "crash")
-					logf("server killed")
+					r.checker.Fault(t, t.Add(r.sc.TTL*2), "crash")
+					r.logf("server killed")
 				},
-				func(time.Time) { logf("server restarted") })
-		}()
+				func(time.Time) { r.logf("server restarted") })
+		})
 	}
-
-	// Churn drivers: one per client, seeded independently.
-	for i, cr := range clients {
-		wg.Add(1)
-		go func(i int, cr *clientRun) {
-			defer wg.Done()
-			r := rng(opts.Seed, fmt.Sprintf("churn/%d", i))
-			ticker := time.NewTicker(250 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-faultCtx.Done():
-					return
-				case <-ticker.C:
-				}
-				if r.Float64() >= sc.Churn {
-					continue
-				}
-				held := cr.sess.Leases()
-				if len(held) == 0 {
-					continue
-				}
-				victim := held[r.IntN(len(held))]
-				cr.hooks.ReleaseSent(victim.Name, victim.Token)
-				// A failed release is interesting, not an error: either the
-				// server refused (already gone) or the transport dropped it
-				// and the session re-adopted — the sampler's next Observe
-				// reopens the belief in that case.
-				if err := cr.sess.Release(runCtx, victim.Name); err == nil {
-					if ls, err := cr.sess.AcquireN(runCtx, 1); err == nil {
-						cr.hooks.Acquired(ls...)
-					}
-				}
-			}
-		}(i, cr)
+	for i, cr := range r.clients {
+		spawn(func() { r.churn(faultCtx, runCtx, i, cr) })
 	}
-
-	// Resize driver: retargets the namespace through the fault phase on
-	// a seeded cadence, then returns it to base for the heal phase. The
-	// admin calls go DIRECTLY to the server, not through the proxy —
-	// resize is operator traffic, not the wire under test, and judging
-	// invariant 6 against a capacity report the proxy delayed or dropped
-	// would test the harness, not the server.
-	var resizesApplied atomic.Int64
-	if sc.Resize != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rng(opts.Seed, "resize")
-			step := 0
-			for {
-				wait := sc.Resize.Every + durBetween(r, 0, sc.Resize.Every/4)
-				select {
-				case <-faultCtx.Done():
-					// Heal: the recovery phase runs against the base
-					// geometry, with whatever drain the last shrink left.
-					if st, err := postResize(httpAddr, sc.Resize.Base); err == nil {
-						checker.CapacityChanged(time.Now(), st.Capacity)
-						resizesApplied.Add(1)
-					}
-					return
-				case <-time.After(wait):
-				}
-				target := sc.Resize.Steps[step%len(sc.Resize.Steps)]
-				step++
-				st, err := postResize(httpAddr, target)
-				if err != nil {
-					logf("resize to %d failed: %v", target, err)
-					continue
-				}
-				checker.CapacityChanged(time.Now(), st.Capacity)
-				resizesApplied.Add(1)
-				logf("resized to %d (epoch %d, draining %v)", st.Capacity, st.Epoch, st.Draining)
-			}
-		}()
+	if r.sc.Resize != nil {
+		spawn(func() { r.resize(faultCtx) })
 	}
-
 	// Sampler: refresh belief expiries from every session.
-	samplerDone := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(samplerDone)
+	spawn(func() {
 		ticker := time.NewTicker(25 * time.Millisecond)
 		defer ticker.Stop()
 		for {
@@ -564,86 +526,129 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 			case <-runCtx.Done():
 				return
 			case <-ticker.C:
-				for _, cr := range clients {
-					cr.hooks.Observe(cr.sess.Leases())
-				}
+				r.observe()
 			}
 		}
-	}()
+	})
 
 	<-faultCtx.Done()
-	active.Store(false)
-	logf("fault phase over (%v); healing from proxy %+v", faultPhase.Round(time.Millisecond), proxy.Stats())
+	r.active.Store(false)
+	r.logf("fault phase over (%v); healing from proxy %+v", r.faultPhase.Round(time.Millisecond), r.proxy.Stats())
 	<-runCtx.Done()
 	wg.Wait()
 	if crashErr != nil {
-		proxy.Close()
-		return nil, fmt.Errorf("chaos: crash scheduler: %w", crashErr)
+		return fmt.Errorf("chaos: crash scheduler: %w", crashErr)
 	}
+	return nil
+}
 
-	// Final observation sweep, then freeze the run clock for invariants.
-	for _, cr := range clients {
+// observe hands every session's held leases to the checker.
+func (r *run) observe() {
+	for _, cr := range r.clients {
 		cr.hooks.Observe(cr.sess.Leases())
 	}
-	end := time.Now()
+}
 
-	// Teardown. Severing first releases any wedged round trip (the
-	// injected-bug case) so Close can always finish; sessions then
-	// redial through the still-open proxy and release cleanly.
-	proxy.SeverConns()
-	for _, cr := range clients {
+// churn is client i's driver: each ~4 Hz tick of the fault phase, with
+// the scenario's probability, it swaps one held lease for a fresh one.
+func (r *run) churn(faultCtx, runCtx context.Context, i int, cr *clientRun) {
+	rnd := rng(r.opts.Seed, fmt.Sprintf("churn/%d", i))
+	ticker := time.NewTicker(250 * time.Millisecond)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-faultCtx.Done():
+			return
+		case <-ticker.C:
+		}
+		if rnd.Float64() >= r.sc.Churn {
+			continue
+		}
+		held := cr.sess.Leases()
+		if len(held) == 0 {
+			continue
+		}
+		victim := held[rnd.IntN(len(held))]
+		cr.hooks.ReleaseSent(victim.Name, victim.Token)
+		// A failed release is interesting, not an error: either the
+		// server refused (already gone) or the transport dropped it and
+		// the session re-adopted — the sampler's next Observe reopens
+		// the belief in that case.
+		if err := cr.sess.Release(runCtx, victim.Name); err == nil {
+			if ls, err := cr.sess.AcquireN(runCtx, 1); err == nil {
+				cr.hooks.Acquired(ls...)
+			}
+		}
+	}
+}
+
+// resize retargets the namespace through the fault phase on a seeded
+// cadence, then returns it to base for the heal phase. The admin calls
+// go DIRECTLY to the server, not through the proxy — resize is operator
+// traffic, not the wire under test, and judging invariant 6 against a
+// capacity report the proxy delayed or dropped would test the harness,
+// not the server.
+func (r *run) resize(faultCtx context.Context) {
+	plan := r.sc.Resize
+	rnd := rng(r.opts.Seed, "resize")
+	for step := 0; ; step++ {
+		wait := plan.Every + durBetween(rnd, 0, plan.Every/4)
+		select {
+		case <-faultCtx.Done():
+			// Heal: the recovery phase runs against the base geometry,
+			// with whatever drain the last shrink left.
+			if st, err := postResize(r.httpAddr, plan.Base); err == nil {
+				r.checker.CapacityChanged(clock(), st.Capacity)
+				r.resizes.Add(1)
+			}
+			return
+		case <-time.After(wait):
+		}
+		target := plan.Steps[step%len(plan.Steps)]
+		st, err := postResize(r.httpAddr, target)
+		if err != nil {
+			r.logf("resize to %d failed: %v", target, err)
+			continue
+		}
+		r.checker.CapacityChanged(clock(), st.Capacity)
+		r.resizes.Add(1)
+		r.logf("resized to %d (epoch %d, draining %v)", st.Capacity, st.Epoch, st.Draining)
+	}
+}
+
+// judge closes the sessions, stops the server gracefully, audits its
+// journal, and checks the invariants.
+func (r *run) judge() (*Report, error) {
+	// Final observation sweep, then freeze the run clock for invariants.
+	r.observe()
+	end := clock()
+
+	// Severing first releases any wedged round trip (the injected-bug
+	// case) so Close can always finish; sessions then redial through the
+	// still-open proxy and release cleanly.
+	r.proxy.SeverConns()
+	for _, cr := range r.clients {
 		for _, l := range cr.sess.Leases() {
 			cr.hooks.ReleaseSent(l.Name, l.Token)
 		}
 		cr.hooks.Closed()
 		cr.sess.Close()
 	}
-
-	// Shrink-quiesce (resize runs only): with every session closed and
-	// its releases landed, any name still draining above the base bound
-	// can only be an expired straggler — the sweeper must reclaim it
-	// within a couple of TTLs, after which the drain state clears for
-	// good. A drain that never clears means the shrink wedged. The probe
-	// is an idempotent same-capacity resize: its response reports the
-	// authoritative drain state.
-	var quiesce *Violation
-	if sc.Resize != nil {
-		deadline := time.Now().Add(2*sc.TTL + 2*time.Second)
-		for {
-			st, err := postResize(httpAddr, sc.Resize.Base)
-			if err == nil && !st.Draining {
-				break
-			}
-			if time.Now().After(deadline) {
-				detail := "shrink never quiesced: drain state still set after every session released and expiries passed"
-				if err != nil {
-					detail = fmt.Sprintf("shrink-quiesce probe failed: %v", err)
-				}
-				quiesce = &Violation{Invariant: "shrink-quiesces", Detail: detail, Time: time.Now()}
-				logf("shrink-quiesce: %s", detail)
-				break
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-	}
+	quiesce := r.quiesce()
 
 	// Server metrics snapshot, then the graceful stop and the read-only
 	// audit of what the disk says happened.
-	serverMetrics := scrapeMetrics(httpAddr)
-	crashes := srv.Kills()
-	if err := srv.Stop(10 * time.Second); err != nil {
-		logf("graceful stop: %v", err)
+	serverMetrics := scrapeMetrics(r.httpAddr)
+	crashes := r.srv.Kills()
+	if err := r.srv.Stop(10 * time.Second); err != nil {
+		r.logf("graceful stop: %v", err)
 	}
-	proxy.Close()
-	audit, err := persist.ReadAudit(dataDir)
+	audit, err := persist.ReadAudit(r.dataDir)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: post-run audit: %w", err)
 	}
 
-	violations := checker.Finish(end, audit)
-	if quiesce != nil {
-		violations = append(violations, *quiesce)
-	}
+	violations := append(r.checker.Finish(end, audit), quiesce...)
 
 	// Corruption-detection expectation: the CRC gate must convert every
 	// damaged chunk into an observable error. If the proxy flipped bytes
@@ -651,10 +656,15 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 	// accepted as data — a fail-open checksum, and a violation in its
 	// own right even when the lease invariants happen to hold.
 	var transportErrs int64
-	for _, cr := range clients {
+	var calls TransportStats
+	for _, cr := range r.clients {
 		transportErrs += cr.sess.Stats().TransportErrors
+		st := cr.ft.Stats()
+		calls.DupRenews += st.DupRenews
+		calls.DupReleases += st.DupReleases
+		calls.Deferred += st.Deferred
 	}
-	if ps := proxy.Stats(); ps.Corrupted > 0 && transportErrs == 0 {
+	if ps := r.proxy.Stats(); ps.Corrupted > 0 && transportErrs == 0 {
 		violations = append(violations, Violation{
 			Invariant: "corruption-detected",
 			Detail: fmt.Sprintf("proxy corrupted %d chunks but no session observed a transport error — damaged frames were accepted silently",
@@ -663,19 +673,20 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		})
 	}
 
-	rep := &Report{
-		Scenario:        sc.Name,
-		Description:     sc.Description,
-		Seed:            opts.Seed,
-		Transport:       opts.Transport,
-		Inject:          opts.Inject,
-		Start:           start,
-		Duration:        time.Since(start),
-		Clients:         sc.Clients,
-		Checker:         checker.Stats(),
-		Proxy:           proxy.Stats(),
+	return &Report{
+		Scenario:        r.sc.Name,
+		Description:     r.sc.Description,
+		Seed:            r.opts.Seed,
+		Transport:       r.opts.Transport,
+		Inject:          r.opts.Inject,
+		Start:           r.start,
+		Duration:        clock().Sub(r.start),
+		Clients:         r.sc.Clients,
+		Checker:         r.checker.Stats(),
+		Proxy:           r.proxy.Stats(),
+		CallFaults:      calls,
 		Crashes:         crashes,
-		Resizes:         resizesApplied.Load(),
+		Resizes:         r.resizes.Load(),
 		Violations:      violations,
 		AuditLive:       len(audit.Leases),
 		AuditToken:      audit.MaxToken,
@@ -683,14 +694,34 @@ func Run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		ServerMetrics:   serverMetrics,
 		TransportErrors: transportErrs,
 		Pass:            len(violations) == 0,
+	}, nil
+}
+
+// quiesce is the shrink-quiesce check (resize runs only): with every
+// session closed, a name still draining above the base bound is an
+// expired straggler the sweeper must reclaim within a couple of TTLs; a
+// drain that never clears means the shrink wedged. The probe is an
+// idempotent same-capacity resize, whose response reports the drain.
+func (r *run) quiesce() []Violation {
+	if r.sc.Resize == nil {
+		return nil
 	}
-	for _, cr := range clients {
-		st := cr.ft.Stats()
-		rep.CallFaults.DupRenews += st.DupRenews
-		rep.CallFaults.DupReleases += st.DupReleases
-		rep.CallFaults.Deferred += st.Deferred
+	deadline := clock().Add(2*r.sc.TTL + 2*time.Second)
+	for {
+		st, err := postResize(r.httpAddr, r.sc.Resize.Base)
+		if err == nil && !st.Draining {
+			return nil
+		}
+		if clock().After(deadline) {
+			detail := "shrink never quiesced: drain state still set after every session released and expiries passed"
+			if err != nil {
+				detail = fmt.Sprintf("shrink-quiesce probe failed: %v", err)
+			}
+			r.logf("shrink-quiesce: %s", detail)
+			return []Violation{{Invariant: "shrink-quiesces", Detail: detail, Time: clock()}}
+		}
+		time.Sleep(200 * time.Millisecond)
 	}
-	return rep, nil
 }
 
 // postResize drives one capacity retarget through the server's admin

@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -151,5 +153,55 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 	if names := ScenarioNames(); len(names) != len(m) {
 		t.Fatalf("ScenarioNames lists %d, registry has %d", len(names), len(m))
+	}
+}
+
+// TestRunSchedulesBeforeBoot starts no process. Run must refuse a bad
+// transport, an unknown injection and a degenerate resize plan before it
+// boots anything: the binary does not exist, so a boot attempt would
+// fail with an exec error instead. And the fault schedule is a pure
+// function of the seed, with every partition window inside the fault
+// phase.
+func TestRunSchedulesBeforeBoot(t *testing.T) {
+	healthy := Scenarios()["healthy"]
+	degenerate := healthy
+	degenerate.Resize = &ResizePlan{Base: 16, Every: time.Second}
+	missing := filepath.Join(t.TempDir(), "no-such-renamed")
+	for _, tc := range []struct {
+		sc   Scenario
+		opts Options
+		want string
+	}{
+		{healthy, Options{Transport: "udp"}, `transport "udp"`},
+		{healthy, Options{Inject: "bogus"}, `unknown injection "bogus"`},
+		{degenerate, Options{}, "degenerate resize plan"},
+	} {
+		tc.opts.Binary, tc.opts.WorkDir = missing, t.TempDir()
+		if _, err := Run(context.Background(), tc.sc, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run error = %v, want one naming %s", err, tc.want)
+		}
+	}
+
+	at := func(seed uint64) *plan {
+		p, err := schedule(Scenarios()["kitchen-sink"], Options{Seed: seed, Duration: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b, c := at(42), at(42), at(43)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("seed 42 scheduled twice differs:\n%+v\n%+v", a, b)
+	}
+	if reflect.DeepEqual(a.faults.Partitions, c.faults.Partitions) || reflect.DeepEqual(a.excused, c.excused) {
+		t.Fatalf("seeds 42 and 43 drew the same partition windows: %+v", a.faults.Partitions)
+	}
+	if len(a.faults.Partitions) < 2 {
+		t.Fatalf("only %d partition windows in a minute of kitchen-sink", len(a.faults.Partitions))
+	}
+	for _, w := range a.faults.Partitions {
+		if w.At <= 0 || w.At+w.For > a.faultPhase {
+			t.Errorf("partition window %+v outside the fault phase (0, %v]", w, a.faultPhase)
+		}
 	}
 }

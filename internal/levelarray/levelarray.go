@@ -80,9 +80,8 @@ type Config struct {
 	// EnsureSpace, when set, is called by Resize with the new exclusive
 	// upper bound on TAS locations (the new extent) BEFORE the grown
 	// geometry is published, so the owner of the TAS space can extend it
-	// first and no probe ever addresses a location the space lacks. An
-	// error aborts the resize unpublished.
-	EnsureSpace func(namespace int) error
+	// first and no probe ever addresses a location the space lacks.
+	EnsureSpace func(namespace int)
 }
 
 func (c Config) validate() error {
@@ -317,9 +316,7 @@ func (la *LevelArray) Resize(n int) error {
 		levels = append(levels, lvl{segs: segs, phys: want, size: want})
 	}
 	if extent > cur.extent && la.cfg.EnsureSpace != nil {
-		if err := la.cfg.EnsureSpace(extent); err != nil {
-			return fmt.Errorf("levelarray: Resize(%d): extending space: %w", n, err)
-		}
+		la.cfg.EnsureSpace(extent)
 	}
 	la.geo.Store(&geometry{epoch: cur.epoch + 1, n: n, levels: levels, extent: extent})
 	return nil

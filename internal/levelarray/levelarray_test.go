@@ -98,8 +98,14 @@ func TestDefaultsApplied(t *testing.T) {
 func TestOneShotUnique(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 256} {
 		la := Must(Config{N: n})
-		if _, err := sim.Run(sim.Config{N: n, Algorithm: la, Seed: uint64(n)}); err != nil {
+		res, err := sim.Run(sim.Config{N: n, Algorithm: la, Seed: uint64(n)})
+		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+		for p, u := range res.Names {
+			if u == core.NoName || u >= la.Namespace() {
+				t.Fatalf("n=%d: process %d ended with name %d, want a name below %d", n, p, u, la.Namespace())
+			}
 		}
 	}
 }

@@ -12,9 +12,8 @@ import (
 
 func TestResizeGrow(t *testing.T) {
 	var ensured []int
-	la := Must(Config{N: 16, EnsureSpace: func(ns int) error {
+	la := Must(Config{N: 16, EnsureSpace: func(ns int) {
 		ensured = append(ensured, ns)
-		return nil
 	}})
 	oldSize := la.Size()
 	if la.Epoch() != 0 {
@@ -165,10 +164,7 @@ func TestAllowedOutsideExtent(t *testing.T) {
 // and torn geometries would surface as panics or range violations.
 func TestResizeConcurrentAcquire(t *testing.T) {
 	space := tas.NewElastic(0)
-	la := Must(Config{N: 32, EnsureSpace: func(ns int) error {
-		space.Grow(ns)
-		return nil
-	}})
+	la := Must(Config{N: 32, EnsureSpace: space.Grow})
 	space.Grow(la.Namespace())
 
 	var mu sync.Mutex

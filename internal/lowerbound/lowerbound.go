@@ -38,18 +38,17 @@ import (
 
 // MarkingConfig parameterizes one simulation of the §6 marking procedure.
 type MarkingConfig struct {
-	// N is the paper's n; the initial marked population has rate λ⁰ = N/2.
+	// N is the paper's n; the initial marked population has rate λ⁰ = N/2
+	// over S = 2N TAS locations per layer: the paper's final argument uses
+	// s+m >= 2n locations so that r⁰ = λ⁰/S <= 1/4.
 	N int
-	// S is the number of TAS locations per layer; the paper's final
-	// argument uses s+m >= 2n locations so that r⁰ = λ⁰/S <= 1/4.
-	// Defaults to 2N.
-	S int
-	// MaxLayers stops the simulation even if marked instances remain.
-	// Defaults to 64 (far beyond extinction for any feasible N).
-	MaxLayers int
 	// Seed drives all randomness.
 	Seed uint64
 }
+
+// maxLayers stops the simulation even if marked instances remain: far
+// beyond extinction for any feasible N.
+const maxLayers = 64
 
 // LayerStat describes the marked population entering one layer.
 type LayerStat struct {
@@ -67,10 +66,10 @@ type LayerStat struct {
 // MarkingResult reports a full marking simulation.
 type MarkingResult struct {
 	// Layers holds one entry per layer boundary, starting with layer 0
-	// (the initial population), until extinction or MaxLayers.
+	// (the initial population), until extinction or maxLayers.
 	Layers []LayerStat
 	// ExtinctionLayer is the first layer with zero marked instances, or
-	// -1 if the simulation stopped at MaxLayers with survivors.
+	// -1 if the simulation stopped at maxLayers with survivors.
 	ExtinctionLayer int
 }
 
@@ -98,15 +97,7 @@ func RunMarking(cfg MarkingConfig) (*MarkingResult, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("lowerbound: N = %d, need >= 2", cfg.N)
 	}
-	if cfg.S == 0 {
-		cfg.S = 2 * cfg.N
-	}
-	if cfg.S < 1 {
-		return nil, fmt.Errorf("lowerbound: S = %d, need >= 1", cfg.S)
-	}
-	if cfg.MaxLayers == 0 {
-		cfg.MaxLayers = 64
-	}
+	s := 2 * cfg.N
 
 	rng := xrand.New(cfg.Seed)
 	lambda := float64(cfg.N) / 2
@@ -120,15 +111,15 @@ func RunMarking(cfg MarkingConfig) (*MarkingResult, error) {
 	// rate evolves deterministically.
 	buckets := make(map[int]int, marked)
 	touched := make([]int, 0, marked) // occupied locations, first-touch order
-	for layer := 1; layer <= cfg.MaxLayers && marked > 0; layer++ {
-		locRate := lambda / float64(cfg.S)
+	for layer := 1; layer <= maxLayers && marked > 0; layer++ {
+		locRate := lambda / float64(s)
 		gamma := xrand.CouplingRate(locRate)
 
 		// Scatter the marked instances over the S locations.
 		clear(buckets)
 		touched = touched[:0]
 		for i := 0; i < marked; i++ {
-			loc := rng.Intn(cfg.S)
+			loc := rng.Intn(s)
 			if buckets[loc] == 0 {
 				touched = append(touched, loc)
 			}
@@ -149,7 +140,7 @@ func RunMarking(cfg MarkingConfig) (*MarkingResult, error) {
 			survivors += y
 		}
 
-		recurrenceLB := math.Min(lambda*lambda/(4*float64(cfg.S)), lambda/4)
+		recurrenceLB := math.Min(lambda*lambda/(4*float64(s)), lambda/4)
 		lambda *= gamma / locRate
 		marked = survivors
 		res.Layers = append(res.Layers, LayerStat{

@@ -150,9 +150,6 @@ func TestRunMarkingValidation(t *testing.T) {
 	if _, err := RunMarking(MarkingConfig{N: 1}); err == nil {
 		t.Error("N=1 accepted")
 	}
-	if _, err := RunMarking(MarkingConfig{N: 8, S: -1}); err == nil {
-		t.Error("S=-1 accepted")
-	}
 }
 
 func TestPredictedLayers(t *testing.T) {

@@ -33,7 +33,7 @@ func (s *Store) compactLoop() {
 			table, records := s.table, s.records
 			s.mu.Unlock()
 			// Occupied takes stripe locks, so it is read outside s.mu.
-			if table == nil || records < max(int64(s.opts.CompactMinRecords), int64(table.Occupied())) {
+			if table == nil || records < max(compactMinRecords, int64(table.Occupied())) {
 				continue
 			}
 			// Losing the race to Close is not a durability failure: in the

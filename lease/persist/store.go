@@ -126,14 +126,13 @@ type Options struct {
 	// compaction (Close still writes a final snapshot, and Compact can be
 	// called explicitly).
 	CompactEvery time.Duration
-	// CompactMinRecords is the journal-length floor below which a
-	// background compaction pass is skipped: a snapshot costs O(live), so
-	// it only pays once replaying the journal would cost more. The pass
-	// runs when records-since-snapshot >= max(CompactMinRecords, leases in
-	// the table).
-	// Defaults to 4096.
-	CompactMinRecords int
 }
+
+// compactMinRecords is the journal-length floor below which a background
+// compaction pass is skipped: a snapshot costs O(live), so it only pays
+// once replaying the journal would cost more. The pass runs when
+// records-since-snapshot >= max(compactMinRecords, leases in the table).
+const compactMinRecords = 4096
 
 func (o *Options) applyDefaults() {
 	if o.FsyncEvery <= 0 {
@@ -141,9 +140,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CompactEvery == 0 {
 		o.CompactEvery = time.Minute
-	}
-	if o.CompactMinRecords <= 0 {
-		o.CompactMinRecords = 4096
 	}
 }
 

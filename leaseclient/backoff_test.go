@@ -20,10 +20,10 @@ func TestBackoffCeiling(t *testing.T) {
 	srv.Close()
 
 	s, err := NewSession(Config{
-		Target:     target,
-		Owner:      "backoff-test",
-		TTL:        time.Second,
-		HTTPClient: &http.Client{Timeout: 200 * time.Millisecond},
+		Target:      target,
+		Owner:       "backoff-test",
+		TTL:         time.Second,
+		CallTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,9 +103,6 @@ type Config struct {
 	// burn down. Default DefaultCallTimeout (10s); negative disables the
 	// bound entirely (tests and fault injection only — never production).
 	CallTimeout time.Duration
-	// HTTPClient overrides the HTTP transport's client (http:// targets
-	// only). Default: a client with CallTimeout as its overall timeout.
-	HTTPClient *http.Client
 	// Now is the session's clock; defaults to time.Now. The chaos
 	// harness injects skewed clocks here, mirroring lease.Config.Now.
 	Now func() time.Time
@@ -214,7 +210,7 @@ func NewSession(cfg Config) (*Session, error) {
 		hbLat:  telemetry.NewHistogram(),
 	}
 	if s.tr = cfg.Transport; s.tr == nil {
-		tr, err := newTransport(cfg.Target, cfg.CallTimeout, cfg.HTTPClient)
+		tr, err := NewTransportTimeout(cfg.Target, cfg.CallTimeout)
 		if err != nil {
 			return nil, err
 		}

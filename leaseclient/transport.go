@@ -50,24 +50,15 @@ func NewTransport(target string) (Transport, error) {
 // NewTransportTimeout is NewTransport with an explicit per-call bound
 // applied when the caller's context has no deadline. timeout <= 0
 // disables the bound (fault-injection harnesses only — a production
-// client should always keep one).
+// client should always keep one). It is the one place the scheme is
+// interpreted — NewSession and NewTransport both come through it, and
+// everything above it is transport-neutral.
 func NewTransportTimeout(target string, timeout time.Duration) (Transport, error) {
-	return newTransport(target, timeout, nil)
-}
-
-// newTransport is the one place the scheme is interpreted — NewSession
-// and the exported constructors both come through it, and everything
-// above it is transport-neutral. A nil client means a fresh http.Client
-// bounded by timeout; bin:// ignores it.
-func newTransport(target string, timeout time.Duration, client *http.Client) (Transport, error) {
 	switch {
 	case strings.HasPrefix(target, binScheme):
 		return newBinTransport(strings.TrimPrefix(target, binScheme), timeout), nil
 	case strings.HasPrefix(target, "http://"), strings.HasPrefix(target, "https://"):
-		if client == nil {
-			client = &http.Client{Timeout: maxDuration(timeout, 0)}
-		}
-		return newHTTPTransport(target, client), nil
+		return newHTTPTransport(target, &http.Client{Timeout: maxDuration(timeout, 0)}), nil
 	default:
 		return nil, fmt.Errorf("leaseclient: target %q: unsupported scheme (want http://, https:// or bin://)", target)
 	}

@@ -43,13 +43,10 @@ func NewLevelArray(n int, opts ...Option) (*LevelArray, error) {
 	// geometry — no probe may ever address a missing location.
 	mem := tas.NewElastic(0)
 	alg, err := levelarray.New(levelarray.Config{
-		N:      n,
-		Gamma:  o.gamma,
-		Probes: o.levelProbes,
-		EnsureSpace: func(namespace int) error {
-			mem.Grow(namespace)
-			return nil
-		},
+		N:           n,
+		Gamma:       o.gamma,
+		Probes:      o.levelProbes,
+		EnsureSpace: mem.Grow,
 	})
 	if err != nil {
 		return nil, wrapConfig("levelarray", err)
