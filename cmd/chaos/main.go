@@ -21,6 +21,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -119,7 +120,9 @@ func main() {
 	}
 }
 
+// fatal reports a harness error and exits 2. internal/chaos errors
+// already say "chaos: ", so the prefix is added only where it is missing.
 func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+	fmt.Fprintf(os.Stderr, "chaos: %s\n", strings.TrimPrefix(err.Error(), "chaos: "))
 	os.Exit(2)
 }

@@ -74,16 +74,21 @@ func TestBinServerBufferedHeaderStallIdlesOut(t *testing.T) {
 	expectIdleDrop(t, conn, "header then stall")
 }
 
-// countingConn counts the reads that reach the socket and the read
-// deadlines armed on it.
+// countingConn counts the reads and writes that reach the socket and the
+// read deadlines armed on it.
 type countingConn struct {
 	net.Conn
-	reads, deadlines atomic.Int64
+	reads, writes, deadlines atomic.Int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	c.reads.Add(1)
 	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 func (c *countingConn) SetReadDeadline(t time.Time) error {

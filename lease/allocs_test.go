@@ -2,7 +2,6 @@ package lease
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
@@ -11,22 +10,40 @@ import (
 // paths fails tier-1. Timings are not asserted here — those belong to the
 // benchmark/ module's parent-vs-change comparison.
 
-// TestRenewBatchAllocs: a RenewBatch call costs 2 allocations whatever
-// its size (the results and the stripe plan) — per call, not per item,
-// which is what makes batch renewal allocation-free per renewal in the
-// limit.
+// TestRenewBatchAllocs: RenewBatchInto with a dst that holds the batch
+// allocates nothing while the stripe plan fits its on-stack scratch and
+// one plan buffer past it; RenewBatch, which passes no dst, pays one
+// results slice on top. Per call, not per item, which is what makes batch
+// renewal allocation-free per renewal in the limit.
 func TestRenewBatchAllocs(t *testing.T) {
 	m, items := newStandingLeases(t, 1<<10)
 	ctx := context.Background()
-	for _, k := range []int{1, 64, 512} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+	dst := make([]RenewResult, 0, 512)
+	fits := (planScratch - 1 - len(m.shards)) / 2 // the largest batch whose plan stays on the stack
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"k=1", 1}, {"k=8", 8}, {"k=fits", fits}, {"k=fits+1", fits + 1}, {"k=512", 512}} {
+		k := c.k
+		t.Run(c.name, func(t *testing.T) {
 			chunk := items[:k]
+			var plan float64
+			if m.planLen(k) > planScratch {
+				plan = 1
+			}
+			if got := testing.AllocsPerRun(100, func() {
+				if _, err := m.RenewBatchInto(ctx, chunk, 0, dst); err != nil {
+					t.Fatal(err)
+				}
+			}); got != plan {
+				t.Errorf("RenewBatchInto(k=%d) allocates %v times per call, want %v", k, got, plan)
+			}
 			if got := testing.AllocsPerRun(100, func() {
 				if _, err := m.RenewBatch(ctx, chunk, 0); err != nil {
 					t.Fatal(err)
 				}
-			}); got != 2 {
-				t.Fatalf("RenewBatch(k=%d) allocates %v times per call, want 2", k, got)
+			}); got != plan+1 {
+				t.Errorf("RenewBatch(k=%d) allocates %v times per call, want %v", k, got, plan+1)
 			}
 		})
 	}

@@ -57,15 +57,25 @@ type ReleaseResult struct {
 // stripePlan groups a batch's items by the lock stripe their name routes
 // to, so the batch walk locks each involved stripe exactly once — the one
 // bucketing mechanism for AcquireBatch, RenewBatch and ReleaseBatch. Built
-// with a counting sort into flat slices carved from a single allocation —
-// a renewal storm runs this on every heartbeat, so no per-stripe map or
-// slice-of-slices allocations. Stripes are visited in index order; items
-// keep their request order within a stripe.
+// with a counting sort into flat slices carved from one buffer of
+// planLen(n) ints, so no per-stripe map or slice-of-slices is ever made.
+// Stripes are visited in index order; items keep their request order
+// within a stripe.
 type stripePlan struct {
 	idxs   []int // item indices, grouped by stripe
 	names  []int // names[j] is the name of item idxs[j]
 	starts []int // starts[s]..starts[s+1] is stripe s's group in idxs and names
 }
+
+// planScratch is the size, in ints, of the on-stack array a renewal builds
+// its stripe plan in: planLen(n) fits for every batch up to
+// (planScratch-1-shards)/2 items, 62 on 2 stripes and 31 on 64. A renewal
+// storm runs the plan on every heartbeat, so the common frame must not
+// reach the heap for it.
+const planScratch = 128
+
+// planLen is the number of ints a stripe plan of n items needs.
+func (m *Manager) planLen(n int) int { return len(m.shards) + 1 + 2*n }
 
 // group returns the item indices routed to stripe s.
 func (p *stripePlan) group(s int) []int { return p.idxs[p.starts[s]:p.starts[s+1]] }
@@ -78,25 +88,37 @@ func (p *stripePlan) groupNames(s int) []int { return p.names[p.starts[s]:p.star
 func (p *stripePlan) restFrom(s int) []int { return p.idxs[p.starts[s]:] }
 
 // planStripes builds the stripe plan for n items whose i-th name is
-// name(i).
-func (m *Manager) planStripes(name func(i int) int, n int) stripePlan {
+// name(i). The plan is carved from scratch when planLen(n) fits its
+// capacity and from one heap buffer otherwise; a nil scratch always takes
+// the heap.
+func (m *Manager) planStripes(scratch []int, name func(i int) int, n int) stripePlan {
 	shards := len(m.shards)
-	buf := make([]int, 2*shards+1+2*n)
+	need := m.planLen(n)
+	var buf []int
+	if cap(scratch) >= need {
+		buf = scratch[:need]
+	} else {
+		buf = make([]int, need)
+	}
 	starts, buf := buf[:shards+1], buf[shards+1:]
-	fill, buf := buf[:shards], buf[shards:]
 	idxs, names := buf[:n], buf[n:]
+	// Count each stripe's items, turn the counts into end offsets, then
+	// place the items back to front, moving each stripe's offset down to
+	// its start: a stable counting sort with no cursor array.
+	clear(starts)
 	for i := 0; i < n; i++ {
-		starts[(name(i)&m.mask)+1]++
+		starts[name(i)&m.mask]++
 	}
-	for s := 0; s < shards; s++ {
-		starts[s+1] += starts[s]
+	for s := 1; s < shards; s++ {
+		starts[s] += starts[s-1]
 	}
-	for i := 0; i < n; i++ {
+	starts[shards] = n
+	for i := n - 1; i >= 0; i-- {
 		nm := name(i)
 		s := nm & m.mask
-		j := starts[s] + fill[s]
+		starts[s]--
+		j := starts[s]
 		idxs[j], names[j] = i, nm
-		fill[s]++
 	}
 	return stripePlan{idxs: idxs, names: names, starts: starts}
 }
@@ -167,7 +189,7 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 
 	// Bucket the batch by stripe so each involved stripe is locked exactly
 	// once, however many of the k names it received.
-	plan := m.planStripes(func(i int) int { return names[i] }, k)
+	plan := m.planStripes(nil, func(i int) int { return names[i] }, k)
 	for s := range m.shards {
 		group := plan.group(s)
 		if len(group) == 0 {
@@ -201,21 +223,43 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 // visits stops the walk and marks the remaining items' results with an
 // error matching renaming.ErrCancelled — items already visited keep
 // their real outcomes, so a session can still trust what it learned.
+// The results are a fresh slice, the one allocation a call makes while
+// its stripe plan fits on the stack (see RenewBatchInto).
 func (m *Manager) RenewBatch(ctx context.Context, items []RenewItem, ttl time.Duration) ([]RenewResult, error) {
+	return m.RenewBatchInto(ctx, items, ttl, nil)
+}
+
+// RenewBatchInto is RenewBatch writing its results into dst: when dst's
+// capacity holds len(items) results the returned slice is
+// dst[:len(items)], its old contents overwritten; otherwise dst is left
+// alone and the results are a fresh slice. A call whose dst is large
+// enough and whose stripe plan fits the on-stack scratch (len(items) up
+// to (128-1-stripes)/2) allocates nothing when its items renew leases
+// without metadata (a renewed lease carries its own copy of the meta),
+// which is what keeps a heartbeat storm off the garbage collector. A
+// call-level refusal returns dst[:0].
+func (m *Manager) RenewBatchInto(ctx context.Context, items []RenewItem, ttl time.Duration, dst []RenewResult) ([]RenewResult, error) {
 	if !m.enterOp() {
 		m.rejected.Add(1)
-		return nil, ErrClosed
+		return dst[:0], ErrClosed
 	}
 	defer m.exitOp()
 	if err := ctx.Err(); err != nil {
 		m.rejected.Add(1)
-		return nil, fmt.Errorf("lease: renew batch: %w: %w", renaming.ErrCancelled, err)
+		return dst[:0], fmt.Errorf("lease: renew batch: %w: %w", renaming.ErrCancelled, err)
 	}
 	if len(items) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	results := make([]RenewResult, len(items))
-	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
+	var results []RenewResult
+	if cap(dst) >= len(items) {
+		results = dst[:len(items)]
+		clear(results)
+	} else {
+		results = make([]RenewResult, len(items))
+	}
+	var scratch [planScratch]int
+	plan := m.planStripes(scratch[:], func(i int) int { return items[i].Name }, len(items))
 	r := m.renewalAt(m.cfg.Now(), ttl)
 	var renewed int64
 	for s := range m.shards {
@@ -277,7 +321,7 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 		return nil, nil
 	}
 	results := make([]ReleaseResult, len(items))
-	plan := m.planStripes(func(i int) int { return items[i].Name }, len(items))
+	plan := m.planStripes(nil, func(i int) int { return items[i].Name }, len(items))
 	now := m.since(m.cfg.Now())
 	for s := range m.shards {
 		group := plan.group(s)

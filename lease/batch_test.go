@@ -211,3 +211,44 @@ func TestAcquireBatchConcurrent(t *testing.T) {
 		t.Fatalf("Live = %d after all batches released, want 0", got.Live)
 	}
 }
+
+// TestPlanStripes: the counting sort puts every item in its name's stripe,
+// keeps request order within a stripe, aligns names with indices, and
+// builds the same plan in caller scratch as on the heap — for batches on
+// both sides of the on-stack bound and for one stripe and many.
+func TestPlanStripes(t *testing.T) {
+	for _, shards := range []int{1, 2, 8, 64} {
+		m := newBenchManager(t, shards)
+		for _, n := range []int{1, 7, 31, 200} {
+			names := make([]int, n)
+			for i := range names {
+				names[i] = (i*7919 + n) % 1000
+			}
+			name := func(i int) int { return names[i] }
+			var scratch [planScratch]int
+			heap := m.planStripes(nil, name, n)
+			stack := m.planStripes(scratch[:], name, n)
+			if got := &stack.starts[0] == &scratch[0]; got != (m.planLen(n) <= planScratch) {
+				t.Errorf("shards=%d n=%d: plan in scratch = %v, want %v", shards, n, got, !got)
+			}
+			for _, p := range []stripePlan{heap, stack} {
+				seen := 0
+				for s := range m.shards {
+					group, gnames := p.group(s), p.groupNames(s)
+					if len(p.restFrom(s)) != n-seen {
+						t.Fatalf("shards=%d n=%d: restFrom(%d) has %d items, want %d", shards, n, s, len(p.restFrom(s)), n-seen)
+					}
+					for j, i := range group {
+						if names[i]&m.mask != s || gnames[j] != names[i] || (j > 0 && group[j-1] >= i) {
+							t.Fatalf("shards=%d n=%d: stripe %d group %v names %v", shards, n, s, group, gnames)
+						}
+					}
+					seen += len(group)
+				}
+				if seen != n {
+					t.Fatalf("shards=%d n=%d: plan covers %d items, want %d", shards, n, seen, n)
+				}
+			}
+		}
+	}
+}

@@ -133,6 +133,67 @@ func TestReleaseBatchMixedResults(t *testing.T) {
 	}
 }
 
+// TestRenewBatchIntoReusesDst: the caller-owned form writes into dst when
+// it holds the batch, leaves nothing of dst's old contents behind (a
+// refusal carries no stale lease, a success no stale error), agrees with
+// RenewBatch item for item, and falls back to a fresh slice when dst is
+// too small; a call-level refusal hands back dst[:0].
+func TestRenewBatchIntoReusesDst(t *testing.T) {
+	m, _ := newTestManager(t, 32)
+	ctx := context.Background()
+	held, err := m.AcquireBatch(ctx, "s", 3, 0, map[string]string{"k": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []RenewItem{
+		{Name: held[0].Name, Token: held[0].Token},
+		{Name: -1, Token: 1},
+		{Name: held[1].Name, Token: held[1].Token + 99},
+		{Name: held[2].Name, Token: held[2].Token},
+	}
+	want, err := m.RenewBatch(ctx, items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := RenewResult{Lease: Lease{Name: 77, Token: 77, Owner: "junk"}, Err: ErrExpired}
+	dst := make([]RenewResult, len(items)+2)
+	for i := range dst {
+		dst[i] = junk
+	}
+	got, err := m.RenewBatchInto(ctx, items, 0, dst[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(items) || &got[0] != &dst[0] {
+		t.Fatalf("RenewBatchInto returned %d results at %p, want %d in dst at %p", len(got), &got[0], len(items), &dst[0])
+	}
+	for i := range items {
+		g, w := got[i], want[i]
+		if !errors.Is(g.Err, w.Err) || (w.Err == nil) != (g.Err == nil) ||
+			g.Lease.Name != w.Lease.Name || g.Lease.Token != w.Lease.Token ||
+			g.Lease.Owner != w.Lease.Owner || g.Lease.Meta["k"] != w.Lease.Meta["k"] {
+			t.Errorf("item %d: RenewBatchInto %+v, RenewBatch %+v", i, g, w)
+		}
+	}
+	isJunk := func(r RenewResult) bool { return r.Err == junk.Err && r.Lease.Owner == junk.Lease.Owner }
+	if !isJunk(dst[len(items)]) {
+		t.Errorf("RenewBatchInto wrote past len(items): %+v", dst[len(items)])
+	}
+
+	small := []RenewResult{junk}
+	got, err = m.RenewBatchInto(ctx, items, 0, small)
+	if err != nil || len(got) != len(items) || &got[0] == &small[0] || !isJunk(small[0]) {
+		t.Fatalf("RenewBatchInto into a too-small dst = %d results (aliasing %v), %v; dst now %+v",
+			len(got), &got[0] == &small[0], err, small[0])
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if got, err := m.RenewBatchInto(cancelled, items, 0, dst); !errors.Is(err, renaming.ErrCancelled) || len(got) != 0 {
+		t.Fatalf("cancelled RenewBatchInto = %d results, %v; want none and ErrCancelled", len(got), err)
+	}
+}
+
 // TestRenewBatchDuplicateItems: renewing the same lease twice in one
 // batch is two renewals of one lease, both succeeding (the second extends
 // from the same now), never a corruption.
