@@ -23,7 +23,7 @@ func TestRenewBatchAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		k    int
-	}{{"k=1", 1}, {"k=8", 8}, {"k=fits", fits}, {"k=fits+1", fits + 1}, {"k=512", 512}} {
+	}{{"k=1", 1}, {"k=8", 8}, {"k=fits", fits}, {"k=fits+1", fits + 1}, {"k=64", 64}, {"k=512", 512}} {
 		k := c.k
 		t.Run(c.name, func(t *testing.T) {
 			chunk := items[:k]
