@@ -48,8 +48,9 @@ import (
 //     could have been issued.
 //
 // Belief intervals are built from driver hooks (Acquired/ReleaseSent/
-// Closed), the session's OnLost callback, and a periodic Observe
-// sample of Session.Leases() that refreshes known expiries. All
+// Closed, and readopted after a release that failed at the transport),
+// the session's OnLost callback, and a periodic Observe sample of
+// Session.Leases() that refreshes known expiries. All
 // timestamps come from the checker's own clock — sessions may run
 // skewed clocks, the checker never does.
 //
@@ -248,14 +249,15 @@ func (cl *Client) Acquired(leases ...leaseclient.Lease) {
 	}
 }
 
-// Observe feeds one sample of Session.Leases(): refreshes each open
-// claim's known expiry, detects a lost lease coming back from the dead
-// (invariant 3), and reopens a released claim the session re-adopted
-// after a failed release round trip. The re-adoption gap (belief closed
-// at send, reopened at the next sample) is safe: a belief gap can only
-// hide an overlap from the checker, never invent one, and the server
-// never freed the lease in that window.
-func (cl *Client) Observe(leases []leaseclient.Lease) {
+// Observe feeds one sample of Session.Leases(), where at is the checker's
+// clock read just before the sample was taken: it refreshes each open
+// claim's known expiry and detects a lost lease coming back from the dead
+// (invariant 3). A sample stamped before a claim ended may predate the
+// end, so it is no evidence against that claim. A released claim in a
+// sample is no evidence either, however late the stamp: the sample may
+// have been read between ReleaseSent and the session dropping the lease.
+// The driver reports a genuine re-adoption instead (readopted).
+func (cl *Client) Observe(at time.Time, leases []leaseclient.Lease) {
 	c := cl.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -267,24 +269,31 @@ func (cl *Client) Observe(leases []leaseclient.Lease) {
 			}
 			continue
 		}
-		// Held with no open claim: a closed claim resurfaced.
+		// Held with no open claim: a lost claim resurfaced, if the sample
+		// was taken after the loss.
 		for _, cm := range c.claims[l.Name] {
-			if cm.claimKey != k {
-				continue
-			}
-			switch cm.why {
-			case "lost":
+			if cm.claimKey == k && cm.why == "lost" && !at.Before(cm.end) {
 				c.violate("lost-is-final",
 					"client %d observed holding name %d token %d after it was reported lost",
 					cl.id, l.Name, l.Token)
-			case "released":
-				cm.end, cm.why = time.Time{}, ""
-				c.open[k] = cm
-				c.released--
-				if l.ExpiresAt.After(cm.expiry) {
-					cm.expiry = l.ExpiresAt
-				}
 			}
+		}
+	}
+}
+
+// readopted reopens a released claim that the session took back after
+// its release round trip failed at the transport. The re-adoption gap
+// (belief closed at send, reopened here) is safe: a belief gap can only
+// hide an overlap from the checker, never invent one.
+func (cl *Client) readopted(name int, token uint64) {
+	c := cl.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, cm := range c.claims[name] {
+		if cm.client == cl.id && cm.token == token && cm.why == "released" {
+			cm.end, cm.why = time.Time{}, ""
+			c.open[cm.claimKey] = cm
+			c.released--
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestCheckerCleanLifecycle(t *testing.T) {
 	a, b := c.Client(0), c.Client(1)
 	a.Acquired(heldLease(1, 10, time.Second))
 	b.Acquired(heldLease(2, 11, time.Second))
-	a.Observe([]leaseclient.Lease{heldLease(1, 10, time.Second)})
+	a.Observe(time.Now(), []leaseclient.Lease{heldLease(1, 10, time.Second)})
 	a.ReleaseSent(1, 10)
 	// Name 1 freed: client 1 may now take it with a higher token.
 	b.Acquired(heldLease(1, 12, time.Second))
@@ -104,7 +104,7 @@ func TestCheckerLostIsFinal(t *testing.T) {
 	a := c.Client(0)
 	a.Acquired(heldLease(5, 30, time.Second))
 	a.LostFunc()(5, errors.New("expired"))
-	a.Observe([]leaseclient.Lease{heldLease(5, 30, time.Second)})
+	a.Observe(time.Now(), []leaseclient.Lease{heldLease(5, 30, time.Second)})
 	vs := c.Finish(time.Now(), nil)
 	if violationsByKind(vs)["lost-is-final"] != 1 {
 		t.Fatalf("want 1 lost-is-final violation, got %v", vs)
@@ -216,14 +216,14 @@ func TestCheckerCapacityBound(t *testing.T) {
 }
 
 // TestCheckerReadoptionReopens: a release whose round trip failed gets
-// re-adopted by the session; the next Observe must reopen the belief
+// re-adopted by the session; the driver's report must reopen the belief
 // rather than flag it.
 func TestCheckerReadoptionReopens(t *testing.T) {
 	c := NewChecker(time.Second)
 	a := c.Client(0)
 	a.Acquired(heldLease(4, 60, time.Second))
 	a.ReleaseSent(4, 60)
-	a.Observe([]leaseclient.Lease{heldLease(4, 60, time.Second)}) // re-adopted
+	a.readopted(4, 60)
 	if st := c.Stats(); st.Released != 0 {
 		t.Fatalf("re-adopted release still counted: %+v", st)
 	}
@@ -231,5 +231,31 @@ func TestCheckerReadoptionReopens(t *testing.T) {
 	a.Closed()
 	if vs := c.Finish(time.Now(), nil); len(vs) != 0 {
 		t.Fatalf("re-adoption flagged: %v", vs)
+	}
+}
+
+// TestCheckerStaleSample: a sample read before a release or a loss took
+// the lease out of the session is no evidence. Client 0's snapshot still
+// holds (8, 33) and (9, 34) when it releases the first and is told the
+// second is lost; delivered afterwards, the snapshot must neither reopen
+// (8, 33), which would overlap client 1's later grant, nor flag (9, 34)
+// as resurfaced.
+func TestCheckerStaleSample(t *testing.T) {
+	c := NewChecker(time.Second)
+	c.Fault(time.Now().Add(-time.Minute), time.Now().Add(time.Minute), "test") // excuse the loss itself
+	a, b := c.Client(0), c.Client(1)
+	a.Acquired(heldLease(8, 33, 10*time.Second), heldLease(9, 34, 10*time.Second))
+	at := time.Now().Add(-time.Millisecond) // stamped before the read below
+	snapshot := []leaseclient.Lease{heldLease(8, 33, 10*time.Second), heldLease(9, 34, 10*time.Second)}
+	a.ReleaseSent(8, 33)
+	a.LostFunc()(9, errors.New("expired"))
+	a.Observe(at, snapshot)
+	time.Sleep(60 * time.Millisecond)
+	b.Acquired(heldLease(8, 53, 10*time.Second))
+	time.Sleep(120 * time.Millisecond)
+	b.ReleaseSent(8, 53)
+	a.Closed()
+	if vs := c.Finish(time.Now(), nil); len(vs) != 0 {
+		t.Fatalf("stale sample flagged: %v", vs)
 	}
 }

@@ -535,6 +535,11 @@ func (r *run) drive(ctx context.Context) error {
 	r.active.Store(false)
 	r.logf("fault phase over (%v); healing from proxy %+v", r.faultPhase.Round(time.Millisecond), r.proxy.Stats())
 	<-runCtx.Done()
+	// Churn, crash and resize stopped with the fault phase, so only a
+	// wedged round trip (the injected-bug case) can still be in flight:
+	// severing releases it and the run ends on its clock. Sessions redial
+	// through the still-open proxy.
+	r.proxy.SeverConns()
 	wg.Wait()
 	if crashErr != nil {
 		return fmt.Errorf("chaos: crash scheduler: %w", crashErr)
@@ -542,10 +547,11 @@ func (r *run) drive(ctx context.Context) error {
 	return nil
 }
 
-// observe hands every session's held leases to the checker.
+// observe hands every session's held leases to the checker, each sample
+// stamped before it is read (arguments are evaluated left to right).
 func (r *run) observe() {
 	for _, cr := range r.clients {
-		cr.hooks.Observe(cr.sess.Leases())
+		cr.hooks.Observe(clock(), cr.sess.Leases())
 	}
 }
 
@@ -572,12 +578,17 @@ func (r *run) churn(faultCtx, runCtx context.Context, i int, cr *clientRun) {
 		cr.hooks.ReleaseSent(victim.Name, victim.Token)
 		// A failed release is interesting, not an error: either the
 		// server refused (already gone) or the transport dropped it and
-		// the session re-adopted — the sampler's next Observe reopens
-		// the belief in that case.
-		if err := cr.sess.Release(runCtx, victim.Name); err == nil {
-			if ls, err := cr.sess.AcquireN(runCtx, 1); err == nil {
-				cr.hooks.Acquired(ls...)
+		// the session re-adopted the lease, whose belief then resumes.
+		if err := cr.sess.Release(runCtx, victim.Name); err != nil {
+			if slices.ContainsFunc(cr.sess.Leases(), func(l leaseclient.Lease) bool {
+				return l.Name == victim.Name && l.Token == victim.Token
+			}) {
+				cr.hooks.readopted(victim.Name, victim.Token)
 			}
+			continue
+		}
+		if ls, err := cr.sess.AcquireN(runCtx, 1); err == nil {
+			cr.hooks.Acquired(ls...)
 		}
 	}
 }
@@ -623,10 +634,6 @@ func (r *run) judge() (*Report, error) {
 	r.observe()
 	end := clock()
 
-	// Severing first releases any wedged round trip (the injected-bug
-	// case) so Close can always finish; sessions then redial through the
-	// still-open proxy and release cleanly.
-	r.proxy.SeverConns()
 	for _, cr := range r.clients {
 		for _, l := range cr.sess.Leases() {
 			cr.hooks.ReleaseSent(l.Name, l.Token)

@@ -67,11 +67,11 @@ type stripePlan struct {
 	starts []int // starts[s]..starts[s+1] is stripe s's group in idxs and names
 }
 
-// planScratch is the size, in ints, of the on-stack array a renewal builds
-// its stripe plan in: planLen(n) fits for every batch up to
+// planScratch is the size, in ints, of the on-stack array every batch call
+// builds its stripe plan in: planLen(n) fits for every batch up to
 // (planScratch-1-shards)/2 items, 62 on 2 stripes and 31 on 64. A renewal
-// storm runs the plan on every heartbeat, so the common frame must not
-// reach the heap for it.
+// storm runs the plan on every heartbeat and churn on every acquire and
+// release, so the common batch must not reach the heap for it.
 const planScratch = 128
 
 // planLen is the number of ints a stripe plan of n items needs.
@@ -189,7 +189,8 @@ func (m *Manager) AcquireBatch(ctx context.Context, owner string, k int, ttl tim
 
 	// Bucket the batch by stripe so each involved stripe is locked exactly
 	// once, however many of the k names it received.
-	plan := m.planStripes(nil, func(i int) int { return names[i] }, k)
+	var scratch [planScratch]int
+	plan := m.planStripes(scratch[:], func(i int) int { return names[i] }, k)
 	for s := range m.shards {
 		group := plan.group(s)
 		if len(group) == 0 {
@@ -321,7 +322,8 @@ func (m *Manager) ReleaseBatch(ctx context.Context, items []ReleaseItem) ([]Rele
 		return nil, nil
 	}
 	results := make([]ReleaseResult, len(items))
-	plan := m.planStripes(nil, func(i int) int { return items[i].Name }, len(items))
+	var scratch [planScratch]int
+	plan := m.planStripes(scratch[:], func(i int) int { return items[i].Name }, len(items))
 	now := m.since(m.cfg.Now())
 	for s := range m.shards {
 		group := plan.group(s)

@@ -17,7 +17,7 @@ import (
 
 // TestJournaledChurnAllocs pins the journal's allocation tax at zero: a
 // one-item acquire+release cycle through a Store observer at fsync=never
-// costs the same 8 allocations as the bare manager
+// costs the same 6 allocations as the bare manager
 // (lease.TestAcquireReleaseAllocs); the record is encoded into the store's
 // reused buffer. The count moves with the namer's: its Acquire costs one
 // allocation, the probe environment holding its PRNG stream by value.
@@ -44,8 +44,8 @@ func TestJournaledChurnAllocs(t *testing.T) {
 		if err := release1(mgr, l.Name, l.Token); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 8 {
-		t.Fatalf("journaled one-item acquire+release allocates %v times per cycle, want 8", got)
+	}); got != 6 {
+		t.Fatalf("journaled one-item acquire+release allocates %v times per cycle, want 6", got)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestHeapCompactionOnLazyReclaim(t *testing.T) {
 
 // TestHostileNames: names off the table are ErrUnknownName on every lookup
 // path — no panic, no allocation beyond a one-item batch call's own
-// (the renew's results slice; the release's results and stripe plan), and
+// (the renew's results slice; the release's results), and
 // above all no growth of the table.
 func TestHostileNames(t *testing.T) {
 	for _, shards := range []int{1, 8} {
@@ -136,8 +136,8 @@ func TestHostileNames(t *testing.T) {
 				if got := testing.AllocsPerRun(20, func() {
 					renew1(m, name, 1, 0)
 					release1(m, name, 1)
-				}); got != 3 {
-					t.Errorf("Renew+Release(%d) allocate %v times, want 3 (one for the renew, two for the release)", name, got)
+				}); got != 2 {
+					t.Errorf("Renew+Release(%d) allocate %v times, want 2 (one each for the renew and the release)", name, got)
 				}
 			}
 			names := hostileNames(m)

@@ -138,45 +138,6 @@ func TestFastAdaptiveRejectsEpsilon(t *testing.T) {
 	}
 }
 
-func TestBaselinesConcurrentUnique(t *testing.T) {
-	const n = 256
-	uni, err := NewUniform(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertUnique(t, gatherConcurrent(t, uni, n), uni.Namespace())
-
-	lin, err := NewLinearScan(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := gatherConcurrent(t, lin, n)
-	assertUnique(t, names, n)
-}
-
-func TestReleaseAndReacquire(t *testing.T) {
-	nm, err := NewReBatching(8, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := nm.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nm.Release(u); err != nil {
-		t.Fatalf("Release(%d): %v", u, err)
-	}
-	if err := nm.Release(u); !errors.Is(err, ErrNotHeld) {
-		t.Fatalf("double release: got %v, want ErrNotHeld", err)
-	}
-	if err := nm.Release(-1); err == nil {
-		t.Fatal("Release(-1) accepted")
-	}
-	if err := nm.Release(nm.Namespace()); err == nil {
-		t.Fatal("Release(out of range) accepted")
-	}
-}
-
 func TestReleaseKeepsUniqueness(t *testing.T) {
 	// Churn: acquire all, release all, acquire all again. Uniqueness must
 	// hold within each generation.
@@ -298,43 +259,21 @@ func TestSeedReproducibility(t *testing.T) {
 	}
 }
 
-// TestAllNamersUniquePropertyQuick property-tests uniqueness across
-// constructors, contention levels and seeds.
+// TestAllNamersUniquePropertyQuick property-tests uniqueness for every
+// driver across contention levels and seeds.
 func TestAllNamersUniquePropertyQuick(t *testing.T) {
-	property := func(seed uint64, rawK uint8) bool {
-		k := int(rawK%100) + 1
-		constructors := []func() (Namer, error){
-			func() (Namer, error) { return NewReBatching(k, WithSeed(seed)) },
-			func() (Namer, error) { return NewAdaptive(k, WithSeed(seed)) },
-			func() (Namer, error) { return NewFastAdaptive(k, WithSeed(seed)) },
-			func() (Namer, error) { return NewUniform(k, WithSeed(seed)) },
-		}
-		for _, mk := range constructors {
-			nm, err := mk()
+	forEachDriver(t, func(t *testing.T, name, _ string) {
+		property := func(seed uint64, rawK uint8) bool {
+			k := int(rawK%100) + 1
+			nm, err := drivers[name](k, WithSeed(seed))
 			if err != nil {
-				return false
+				t.Fatalf("n=%d seed=%d: %v", k, seed, err)
 			}
-			seen := make(map[int]bool, k)
-			var wg sync.WaitGroup
-			names := make([]int, k)
-			for g := 0; g < k; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					names[g], _ = nm.Acquire(context.Background())
-				}(g)
-			}
-			wg.Wait()
-			for _, u := range names {
-				if u < 0 || u >= nm.Namespace() || seen[u] {
-					return false
-				}
-				seen[u] = true
-			}
+			assertUnique(t, gatherConcurrent(t, nm, k), nm.Namespace())
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
